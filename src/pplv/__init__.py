@@ -56,7 +56,6 @@ from .region import (
     cp_slack,
     region_spec,
     sup_linear,
-    sup_linear_c1,
     sup_xy,
 )
 from .simulate import (

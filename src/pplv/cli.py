@@ -62,7 +62,7 @@ class ValidationError(ValueError):
 
 def _fmt(x: float) -> str:
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     return f"{x:.17g}"
 
 

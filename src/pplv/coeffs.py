@@ -7,6 +7,14 @@ are supported: constants and finite trigonometric polynomials
 
 which are exactly T-periodic, have exact means (c0) and exact
 antiderivatives, and are cheap to evaluate densely.
+
+Extrema and zeros are exact up to rounding.  With z = exp(2*pi*i*t/T) a
+trig polynomial of degree n is z**-n times an ordinary polynomial of
+degree 2n, so its real zeros are the unit-circle roots of that polynomial
+(Boyd, *Solving Transcendental Equations*, SIAM 2014).  The derivative of
+a trig polynomial, and the numerator n'd - nd' of the derivative of a
+ratio n/d, are again trig polynomials: extrema are found by evaluating at
+the angles of their roots.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ TOL_EXTREMUM = 1e-10
 TOL_QUAD = 1e-10
 
 _TWO_PI = 2.0 * math.pi
-_EXTREMA_SAMPLES = 4096
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -147,66 +155,66 @@ class SystemSpec:
                 raise ValueError(f"coefficient {name} must be strictly positive on [0, T]")
 
 
-def eval_coeff(coef: PeriodicCoefficient, T: float, t: float):
-    """Functional form of :meth:`PeriodicCoefficient.evaluate`."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    return coef.evaluate(T, t)
+def _laurent(coef: PeriodicCoefficient, n: int) -> np.ndarray:
+    # Coefficients c_{-n}, ..., c_n of coef as sum_k c_k z**k, z = exp(i*omega*t):
+    # c_{+-k} = (cos_k -+ i*sin_k) / 2.
+    out = np.zeros(2 * n + 1, dtype=complex)
+    out[n] = coef.mean
+    for k, ck, sk in coef.harmonics:
+        out[n + k] = 0.5 * (ck - 1j * sk)
+        out[n - k] = 0.5 * (ck + 1j * sk)
+    return out
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    # Golden-section maximization on [a, b]; returns (argmax, max).
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = b - a
-    if h <= tol:
-        m = 0.5 * (a + b)
-        return m, fn(m)
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc, fd = fn(c), fn(d)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(invphi))))
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h *= invphi
-            c = a + invphi2 * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h *= invphi
-            d = a + invphi * h
-            fd = fn(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
+def _degree(coef: PeriodicCoefficient) -> int:
+    return max((k for k, _, _ in coef.harmonics), default=0)
 
 
-def _refine_extrema(fn: Callable, T: float, n: int = _EXTREMA_SAMPLES) -> tuple[float, float]:
-    # Dense sampling over one period, then golden-section around the best
-    # bracket (with periodic wrap).  Returns (min, max).
-    ts = np.linspace(0.0, T, n, endpoint=False)
-    vals = np.asarray(fn(ts), dtype=float)
-    h = T / n
-    out = []
-    for sign in (1.0, -1.0):
-        i = int(np.argmax(sign * vals))
-        t0 = ts[i]
-        scalar = lambda t: sign * float(fn(np.asarray([t]))[0])
-        _, best = _golden_max(scalar, t0 - h, t0 + h, tol=TOL_EXTREMUM * max(1.0, T))
-        out.append(sign * max(best, sign * vals[i]))
-    return out[1], out[0]
+def _derivative(laurent: np.ndarray) -> np.ndarray:
+    # d/d(omega*t) multiplies c_k by i*k.
+    n = len(laurent) // 2
+    return laurent * (1j * np.arange(-n, n + 1))
+
+
+def _root_times(laurent: np.ndarray, T: float) -> np.ndarray:
+    """Times in [0, T) at the angles of every root of z**n * sum_k c_k z**k.
+
+    Roots off the unit circle are kept: an extra candidate costs one
+    evaluation, and a zero that rounding has pushed off a (near-)double
+    root still sits at the right angle.
+
+    The coefficients are scaled to a largest modulus of 1, and end
+    coefficients below sqrt(eps) of it are dropped.  Such a term adds a
+    root near 0 and one near infinity.  Kept, it makes the companion matrix
+    place the roots on the circle up to 1e-5 off; left out, it moves them
+    by about sqrt(eps) at most, which changes the value at an extremum only
+    at second order.  Real and imaginary parts are scaled apart because
+    numpy's complex division overflows on a subnormal divisor.
+    """
+    mags = np.abs(laurent)
+    top = mags.max(initial=0.0)
+    keep = np.flatnonzero(mags > _SQRT_EPS * top)
+    if keep.size == 0:
+        return np.empty(0)
+    poly = laurent[keep[0]:keep[-1] + 1][::-1]
+    roots = np.roots(poly.real / top + 1j * (poly.imag / top))
+    return np.mod(np.angle(roots) * (T / _TWO_PI), T)
 
 
 def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
-    """Extrema (within ``TOL_EXTREMUM``) and exact mean over one period."""
+    """Extrema and exact mean over one period.
+
+    The extrema are the coefficient's values at the zeros of its derivative
+    (and at t = 0), exact up to rounding and well within ``TOL_EXTREMUM``.
+    """
     if T <= 0:
         raise ValueError("T must be positive")
     if coef.kind == "constant":
         v = coef.value
         return CoeffStats(v, v, v)
-    lo, hi = _refine_extrema(lambda t: coef.evaluate(T, t), T)
-    return CoeffStats(lo, hi, coef.c0)
+    ts = np.append(_root_times(_derivative(_laurent(coef, _degree(coef))), T), 0.0)
+    vals = coef.evaluate(T, ts)
+    return CoeffStats(float(vals.min()), float(vals.max()), coef.c0)
 
 
 def _composite_gauss(fn: Callable, a: float, b: float, panels: int) -> float:
@@ -263,31 +271,6 @@ def lp_average(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_Q
     return (integral / T) ** (1.0 / p)
 
 
-def _sign_change_roots(fn: Callable, T: float, n: int = 4096) -> list[float]:
-    # Roots located by bisection between samples of opposite sign.
-    ts = np.linspace(0.0, T, n + 1)
-    vals = np.asarray(fn(ts), dtype=float)
-    roots = []
-    for i in range(n):
-        lo, hi = vals[i], vals[i + 1]
-        if lo == 0.0 or lo * hi >= 0.0:
-            continue
-        a, b = ts[i], ts[i + 1]
-        fa = lo
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = float(fn(np.asarray([m]))[0])
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    return roots
-
-
 def lp_norm(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD) -> float:
     """L^p norm over one period, (integral of |coef|**p) ** (1/p).
 
@@ -303,19 +286,22 @@ def lp_norm(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD
         return max(abs(s.minimum), abs(s.maximum))
     if coef.kind == "constant":
         return abs(coef.value) * T ** (1.0 / p)
-    fn = lambda t: coef.evaluate(T, t)
-    cuts = [0.0] + _sign_change_roots(fn, T) + [T]
+    cuts = [0.0, *np.sort(_root_times(_laurent(coef, _degree(coef)), T)), T]
+    piece = lambda t: np.abs(coef.evaluate(T, t)) ** p
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 0:
             continue
-        piece = lambda t: np.abs(fn(t)) ** p
         total += gauss_integral(piece, a, b, tol=tol, panels=max(8, int(64 * (b - a) / T)))
     return total ** (1.0 / p)
 
 
 def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) -> tuple[float, float]:
-    """(min, max) of num(t)/den(t) over [0, T], within ``TOL_EXTREMUM``."""
+    """(min, max) of num(t)/den(t) over [0, T].
+
+    The extrema are the ratio's values at the zeros of n'd - nd' (and at
+    t = 0), exact up to rounding and well within ``TOL_EXTREMUM``.
+    """
     if T <= 0:
         raise ValueError("T must be positive")
     if stats(den, T).minimum <= 0:
@@ -323,5 +309,9 @@ def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) 
     if num.kind == "constant" and den.kind == "constant":
         r = num.value / den.value
         return r, r
-    fn = lambda t: num.evaluate(T, t) / den.evaluate(T, t)
-    return _refine_extrema(fn, T)
+    n = max(_degree(num), _degree(den))
+    cn, cd = _laurent(num, n), _laurent(den, n)
+    crit = np.convolve(_derivative(cn), cd) - np.convolve(cn, _derivative(cd))
+    ts = np.append(_root_times(crit, T), 0.0)
+    vals = num.evaluate(T, ts) / den.evaluate(T, ts)
+    return float(vals.min()), float(vals.max())

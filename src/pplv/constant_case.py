@@ -96,18 +96,26 @@ def linear_term(sys: ConstantSystem) -> float:
     return 0.5 * (sys.b * x1 + sys.f * y1)
 
 
+def _h(sys: ConstantSystem, p: float) -> tuple[np.longdouble, bool]:
+    # h(p) in extended precision, where it stays finite far beyond the
+    # double range (the demo constants at T = 0.1 give h(200) ~ 1e1040).
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError("p must be finite and >= 1")
+    ld = np.longdouble
+    rhs = ld(jfunc.threshold_p(p)) / ld(sys.T) - ld(linear_term(sys))
+    return (rhs * rhs / (ld(sys.c) * ld(sys.e))) ** ld(p), bool(rhs >= 0)
+
+
 def h_of_p(sys: ConstantSystem, p: float) -> tuple[float, bool]:
     """h(p) = [ (threshold(p)/T - k)**2 / (c*e) ] ** p and the sign flag.
 
     ``sign_ok`` records whether threshold(p)/T - k >= 0, i.e. whether the
     squaring step that produced h preserved the inequality direction.  The
-    value itself is total (the formula uses an even power).
+    value itself is total (the formula uses an even power); it is ``inf``
+    where h exceeds the double range.
     """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must be finite and >= 1")
-    rhs = jfunc.threshold_p(p) / sys.T - linear_term(sys)
-    h = (rhs * rhs / (sys.c * sys.e)) ** p
-    return h, rhs >= 0.0
+    h, sign_ok = _h(sys, p)
+    return float(h), sign_ok
 
 
 def g_of_p(sys: ConstantSystem, p: float) -> float:
@@ -118,14 +126,10 @@ def g_of_p(sys: ConstantSystem, p: float) -> float:
     +3.3 at p = 1), so the combination is accumulated in extended
     precision before rounding once to double.
     """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must be finite and >= 1")
+    h, _ = _h(sys, p)
     ld = np.longdouble
-    a, b, c, e = ld(sys.a), ld(sys.b), ld(sys.c), ld(sys.e)
-    U, V, T = ld(sys.U), ld(sys.V), ld(sys.T)
-    k = ld(linear_term(sys))
-    rhs = ld(jfunc.threshold_p(p)) / T - k
-    h = (rhs * rhs / (c * e)) ** ld(p)
+    a, b, c = ld(sys.a), ld(sys.b), ld(sys.c)
+    U, V = ld(sys.U), ld(sys.V)
     term1 = (a / c) ** 2 * V ** (ld(p) - 1)
     term2 = 4 * (b / c) * h / U ** (ld(p) - 1)
     return float(term1 - term2)

@@ -123,6 +123,25 @@ def _coexistence_diagnostics(spec: SystemSpec) -> tuple[str, ...]:
     return ()
 
 
+def _intertwined(name: str, spec: SystemSpec, p: float, p_linear: float) -> TestResult:
+    diags = list(_coexistence_diagnostics(spec))
+    T = spec.T
+    c_max = stats(spec.c, T).maximum
+    e_max = stats(spec.e, T).maximum
+    b_max = stats(spec.b, T).maximum
+    f_max = stats(spec.f, T).maximum
+    rp = region_spec(spec, p)
+    r_lin = rp if p_linear == p else region_spec(spec, p_linear)
+    sxy = sup_xy(rp)
+    slin = sup_linear(r_lin, b_max, f_max)
+    rhs = jfunc.threshold_p(p)
+    if sxy.empty or slin.empty:
+        diags.append("empty region: vacuously satisfied")
+        return _result(name, p, lhs=0.0, rhs=rhs, diagnostics=diags)
+    lhs = T * (math.sqrt(max(c_max * e_max * sxy.value, 0.0)) + 0.5 * slin.value)
+    return _result(name, p, lhs=lhs, rhs=rhs, diagnostics=diags)
+
+
 def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Region-coupled test at exponent p.
 
@@ -130,41 +149,12 @@ def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
                 + (1/2) * sup(b_max*x + f_max*y over the 1-region) ).
     An empty region is a vacuous pass: no coexistence state can exist.
     """
-    diags = list(_coexistence_diagnostics(spec))
-    T = spec.T
-    c_max = stats(spec.c, T).maximum
-    e_max = stats(spec.e, T).maximum
-    b_max = stats(spec.b, T).maximum
-    f_max = stats(spec.f, T).maximum
-    rp = region_spec(spec, p)
-    r1 = rp if p == 1.0 else region_spec(spec, 1.0)
-    sxy = sup_xy(rp)
-    slin = sup_linear(r1, b_max, f_max)
-    rhs = jfunc.threshold_p(p)
-    if sxy.empty or slin.empty:
-        diags.append("empty region: vacuously satisfied")
-        return _result("intertwined", p, lhs=0.0, rhs=rhs, diagnostics=diags)
-    lhs = T * (math.sqrt(max(c_max * e_max * sxy.value, 0.0)) + 0.5 * slin.value)
-    return _result("intertwined", p, lhs=lhs, rhs=rhs, diagnostics=diags)
+    return _intertwined("intertwined", spec, p, 1.0)
 
 
 def weak_intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Variant with both suprema over the same p-region."""
-    diags = list(_coexistence_diagnostics(spec))
-    T = spec.T
-    c_max = stats(spec.c, T).maximum
-    e_max = stats(spec.e, T).maximum
-    b_max = stats(spec.b, T).maximum
-    f_max = stats(spec.f, T).maximum
-    rp = region_spec(spec, p)
-    sxy = sup_xy(rp)
-    slin = sup_linear(rp, b_max, f_max)
-    rhs = jfunc.threshold_p(p)
-    if sxy.empty or slin.empty:
-        diags.append("empty region: vacuously satisfied")
-        return _result("weak_intertwined", p, lhs=0.0, rhs=rhs, diagnostics=diags)
-    lhs = T * (math.sqrt(max(c_max * e_max * sxy.value, 0.0)) + 0.5 * slin.value)
-    return _result("weak_intertwined", p, lhs=lhs, rhs=rhs, diagnostics=diags)
+    return _intertwined("weak_intertwined", spec, p, p)
 
 
 @dataclass(frozen=True)

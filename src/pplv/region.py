@@ -362,13 +362,6 @@ def sup_linear(region: RegionSpec, coef_x: float, coef_y: float) -> SupResult:
     return _sup_over_region(region, lambda x, y: coef_x * x + coef_y * y)
 
 
-def sup_linear_c1(region1: RegionSpec, b_max: float, f_max: float) -> SupResult:
-    """sup { b_max*x + f_max*y } over the p = 1 region."""
-    if region1.p != 1.0:
-        raise ValueError("sup_linear_c1 requires the p = 1 region")
-    return sup_linear(region1, b_max, f_max)
-
-
 def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> float:
     """|defining equality| of the labeled boundary curve at (x, y)."""
     p = region.p

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own slicing/refinement code paths:
 constraints are written in the raw textbook form and maxima are found by
-masked grid scans with window refinement.
+masked grid scans with window refinement.  Coefficient extrema, which the
+library takes from polynomial roots, are found here by dense sampling.
 """
 
 import math
@@ -62,3 +63,29 @@ def grid_refine_max(region: RegionSpec, objective, xmax: float, ymax: float,
 
 def grid_supxy(region: RegionSpec, xmax: float, ymax: float, n: int = 2000, rounds: int = 3):
     return grid_refine_max(region, lambda x, y: x * y, xmax, ymax, n=n, rounds=rounds)
+
+
+def sampled_extrema(fn, T: float, n: int = 4096, rounds: int = 3, m: int = 65):
+    """(min, max) of a vectorized T-periodic function by dense sampling.
+
+    ``n`` samples over one period, then ``rounds`` re-samplings with ``m``
+    points of a window around every sampled local extremum.  Every value
+    returned is a sample, so the result never lies outside the true range.
+    """
+    ts = np.linspace(0.0, T, n, endpoint=False)
+    out = []
+    for sign in (1.0, -1.0):
+        vals = sign * fn(ts)
+        best = float(vals.max())
+        peaks = ts[(vals > np.roll(vals, 1)) & (vals >= np.roll(vals, -1))]
+        for t0 in peaks:
+            lo, hi = t0 - T / n, t0 + T / n
+            for _ in range(rounds):
+                xs = np.linspace(lo, hi, m)
+                v = sign * fn(xs)
+                j = int(np.argmax(v))
+                best = max(best, float(v[j]))
+                step = (hi - lo) / (m - 1)
+                lo, hi = xs[j] - step, xs[j] + step
+        out.append(sign * best)
+    return out[1], out[0]

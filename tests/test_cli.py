@@ -269,6 +269,17 @@ class TestCommands:
         gs = {r[0]: float(r[3]) for r in rows[1:]}
         assert gs["1"] > 0 and gs["2"] < 0 and gs["200"] > 0
 
+    def test_example1_short_period(self, tmp_path):
+        # At T = 0.1, h(200) ~ 1e1040 lies beyond the double range.
+        cfg_path = write_cfg(tmp_path, EQ30_CFG.replace("T = 1\n", "T = 0.1\n"))
+        out = io.StringIO()
+        code = run_command(make_cfg("example1", cfg_path, output_dir=tmp_path / "o"), out)
+        text = out.getvalue()
+        assert code == EXIT_STABLE
+        assert "conclusion: globally_stable_via_18_19" in text
+        row200 = next(ln.split() for ln in text.splitlines() if ln.startswith("200 "))
+        assert row200[1:4] == ["inf", "True", "-inf"]
+
     def test_missing_config_is_error(self, tmp_path):
         with pytest.raises(ValidationError):
             run_command(make_cfg("analyze", None, output_dir=tmp_path), io.StringIO())

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sampled_extrema
 
 from pplv.coeffs import (
     NegativeIntegrand,
     PeriodicCoefficient,
     SystemSpec,
     ZeroDenominator,
-    eval_coeff,
     lp_average,
     lp_norm,
     ratio_extrema,
@@ -20,19 +20,33 @@ from pplv.coeffs import (
 C = PeriodicCoefficient.constant
 TRIG = PeriodicCoefficient.trig
 TOL_QUAD = 1e-10
+# Library and oracle evaluate the same expression at nearby times, so the
+# oracle may come out ahead by rounding only.
+ROUNDING = 1e-13
+
+HARMONICS = st.lists(
+    st.tuples(st.integers(1, 5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    min_size=1, max_size=3, unique_by=lambda h: h[0])
+
+
+def assert_matches_sampling(got, sampled):
+    """sampled max <= got max <= sampled max + 1e-9, mirrored for the min."""
+    (lo, hi), (s_lo, s_hi) = got, sampled
+    assert s_hi - ROUNDING * (1.0 + abs(s_hi)) <= hi <= s_hi + 1e-9
+    assert s_lo - 1e-9 <= lo <= s_lo + ROUNDING * (1.0 + abs(s_lo))
 
 
 class TestEvaluate:
     def test_constant(self):
-        assert eval_coeff(C(2.0102), 1.0, 0.3) == 2.0102
+        assert C(2.0102).evaluate(1.0, 0.3) == 2.0102
 
     def test_trig_quarter_period(self):
         coef = TRIG(1.0, [(1, 0.0, 0.5)])
-        assert eval_coeff(coef, 1.0, 0.25) == pytest.approx(1.5, abs=1e-14)
+        assert coef.evaluate(1.0, 0.25) == pytest.approx(1.5, abs=1e-14)
 
     def test_trig_at_zero(self):
         coef = TRIG(1.0, [(1, 0.0, 0.5)])
-        assert eval_coeff(coef, 1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert coef.evaluate(1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_vectorized_matches_scalar(self):
         coef = TRIG(0.3, [(1, 0.2, -0.1), (3, 0.05, 0.0)])
@@ -83,6 +97,12 @@ class TestValidation:
             SystemSpec(T=0.0, a=C(1.0), b=C(1.0), c=C(1.0),
                        d=C(1.0), e=C(1.0), f=C(1.0))
 
+    @pytest.mark.parametrize("T", [0.1, 1.0, 3.0, 7.3])
+    def test_trig_touching_zero_rejected_in_system(self, T):
+        with pytest.raises(ValueError):
+            SystemSpec(T=T, a=C(1.0), b=TRIG(1.0, [(1, 1.0, 0.0)]), c=C(1.0),
+                       d=C(1.0), e=C(1.0), f=C(1.0))
+
     def test_trig_dipping_negative_rejected_in_system(self):
         with pytest.raises(ValueError):
             SystemSpec(T=1.0, a=C(1.0), b=TRIG(1.0, [(1, 0.0, 1.5)]), c=C(1.0),
@@ -114,6 +134,57 @@ class TestStats:
         vals = coef.evaluate(T, ts)
         assert s.minimum - 1e-10 <= vals.min()
         assert vals.max() <= s.maximum + 1e-10
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 7.3])
+    def test_extremum_at_zero_is_exact(self, T):
+        # sum of cos(k*omega*t), k = 1..5, peaks at t = 0 with value 5
+        coef = TRIG(0.0, [(k, 1.0, 0.0) for k in range(1, 6)])
+        assert stats(coef, T).maximum == 5.0
+        assert ratio_extrema(coef, C(2.0), T)[1] == 2.5
+
+    def test_flat_maximum_off_the_circle(self):
+        # 4 cos(th - 1) - cos(2 (th - 1)) = 3 - (th - 1)**4 / 2 + ...: the
+        # derivative has a triple zero at th = 1, which rounding splits off
+        # the unit circle.
+        coef = TRIG(0.0, [(1, 4.0 * math.cos(1.0), 4.0 * math.sin(1.0)),
+                          (2, -math.cos(2.0), -math.sin(2.0))])
+        s = stats(coef, 1.0)
+        assert s.maximum == pytest.approx(3.0, abs=1e-14)
+        assert s.minimum == pytest.approx(-5.0, abs=1e-14)
+        assert ratio_extrema(coef, C(2.0), 1.0) == pytest.approx((-2.5, 1.5), abs=1e-14)
+
+    def test_all_zero_harmonics(self):
+        coef = TRIG(1.5, [(1, 0.0, 0.0), (4, 0.0, 0.0)])
+        s = stats(coef, 2.0)
+        assert (s.minimum, s.maximum, s.mean) == (1.5, 1.5, 1.5)
+        assert ratio_extrema(TRIG(3.0, [(2, 0.0, 0.0)]), coef, 2.0) == (2.0, 2.0)
+        assert lp_norm(coef, 2.0, 2.0) == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-12)
+
+
+class TestExtremaAgainstSampling:
+    @given(st.floats(-2.0, 2.0), HARMONICS, st.floats(0.1, 2.0), HARMONICS,
+           st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_stats_and_ratio(self, c0, hs, margin, hd, T):
+        num = TRIG(c0, hs)
+        den = TRIG(margin + sum(abs(ck) + abs(sk) for _, ck, sk in hd), hd)
+        s = stats(num, T)
+        assert_matches_sampling((s.minimum, s.maximum),
+                                sampled_extrema(lambda t: num.evaluate(T, t), T))
+        assert_matches_sampling(
+            ratio_extrema(num, den, T),
+            sampled_extrema(lambda t: num.evaluate(T, t) / den.evaluate(T, t), T))
+
+    def test_trig_over_constant_and_reverse(self):
+        T = 3.0
+        trig = TRIG(2.4, [(1, 0.3, -0.8), (2, -0.2, 0.15), (5, 0.05, 0.02)])
+        s = stats(trig, T)
+        assert_matches_sampling((s.minimum, s.maximum),
+                                sampled_extrema(lambda t: trig.evaluate(T, t), T))
+        assert ratio_extrema(trig, C(2.0), T) == pytest.approx(
+            (s.minimum / 2.0, s.maximum / 2.0), abs=1e-15)
+        assert ratio_extrema(C(1.5), trig, T) == pytest.approx(
+            (1.5 / s.maximum, 1.5 / s.minimum), abs=1e-15)
 
 
 class TestLpAverage:

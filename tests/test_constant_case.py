@@ -81,6 +81,13 @@ class TestHOfP:
         with pytest.raises(ValueError):
             h_of_p(eq30, math.inf)
 
+    def test_beyond_double_range_is_inf(self, eq30):
+        short = ConstantSystem(T=0.1, a=eq30.a, b=eq30.b, c=eq30.c,
+                               d=eq30.d, e=eq30.e, f=eq30.f)
+        h, ok = h_of_p(short, 200.0)
+        assert h == math.inf and ok is True
+        assert g_of_p(short, 200.0) == -math.inf
+
 
 class TestGOfP:
     def test_demo_g1_sign_and_value(self, eq30):

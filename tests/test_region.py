@@ -16,7 +16,6 @@ from pplv.region import (
     envelope,
     region_spec,
     sup_linear,
-    sup_linear_c1,
     sup_xy,
 )
 
@@ -126,26 +125,22 @@ class TestSupLinear:
     def test_demo_singleton(self, eq30, eq30_spec):
         x1, y1 = equilibrium(eq30)
         reg1 = region_spec(eq30_spec, 1.0)
-        res = sup_linear_c1(reg1, 1.0, 2.0)
+        res = sup_linear(reg1, 1.0, 2.0)
         assert res.value == pytest.approx(1.0 * x1 + 2.0 * y1, abs=1e-9)
 
     def test_interval_region_linear_solve(self):
         # b_L = b_M etc. so the p = 1 region is the segment point (1, 2)
         spec = const_spec(3, 1, 1, 1, 1, 1)
         reg1 = region_spec(spec, 1.0)
-        res = sup_linear_c1(reg1, 1.0, 1.0)
+        res = sup_linear(reg1, 1.0, 1.0)
         assert res.value == pytest.approx(3.0, abs=1e-9)
         assert res.argmax[0] == pytest.approx(1.0, abs=1e-6)
         assert res.argmax[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_empty_region(self):
         reg1 = region_spec(const_spec(-1, 1, 1, -1, 1, 1), 1.0)
-        res = sup_linear_c1(reg1, 1.0, 1.0)
+        res = sup_linear(reg1, 1.0, 1.0)
         assert res.empty
-
-    def test_requires_p1(self, eq30_spec):
-        with pytest.raises(ValueError):
-            sup_linear_c1(region_spec(eq30_spec, 2.0), 1.0, 1.0)
 
     def test_matches_grid_oracle_on_spread_region(self):
         reg = figure_region(2.0)
