@@ -5,23 +5,43 @@ strictly positive there is exactly one positive T-periodic solution.  The
 substitution w = 1/u turns the equation into the linear problem
 w' = -growth*w + damping, whose unique periodic solution is written down
 by quadrature; no shooting or Newton iteration is involved.
+
+Orbits are sampled on the closed uniform grid ``linspace(0, T, n + 1)``.
+Periodic means over such a grid use the trapezoid rule, which for smooth
+periodic integrands converges exponentially in ``n``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .coeffs import PeriodicCoefficient, _GAUSS_NODES, _GAUSS_WEIGHTS
 
 TOL_PERIODIC = 1e-9
 DEFAULT_GRID = 2048
 
-_AVG_NODES, _AVG_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+def check_uniform_grid(T: float, ts: np.ndarray) -> None:
+    """Raise ValueError unless ``ts`` is ``linspace(0, T, n + 1)`` for some n >= 1."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or len(ts) < 2:
+        raise ValueError("orbit grid needs at least two sample times")
+    gap = float(np.max(np.abs(ts - np.linspace(0.0, T, len(ts)))))
+    if not gap <= 1e-12 * T:
+        raise ValueError(
+            f"orbit grid is not uniform on [0, {T!r}] (off by {gap:.3e})")
+
+
+def periodic_mean(samples: np.ndarray) -> float:
+    """Mean over one period of a function sampled on a closed uniform grid.
+
+    The trapezoid rule: the last sample repeats the first, so the rule is
+    the plain mean of the others.
+    """
+    return float(np.mean(samples[:-1]))
 
 
 class NoPositiveSolution(ValueError):
@@ -30,29 +50,19 @@ class NoPositiveSolution(ValueError):
 
 @dataclass(frozen=True)
 class PeriodicOrbit1D:
-    """A sampled positive T-periodic scalar orbit with cubic interpolation."""
+    """A positive T-periodic scalar orbit sampled on a closed uniform grid."""
 
     T: float
     ts: np.ndarray
     values: np.ndarray
-    interpolation: str = "cubic-periodic"
 
     def __post_init__(self) -> None:
+        check_uniform_grid(self.T, self.ts)
         if np.any(self.values <= 0):
             raise ValueError("periodic orbit values must be strictly positive")
         gap = abs(self.values[0] - self.values[-1])
         if gap > TOL_PERIODIC * float(np.max(self.values)):
             raise ValueError(f"orbit endpoints differ by {gap:.3e}; not periodic")
-
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        vals = self.values.copy()
-        vals[-1] = vals[0]  # exact closure for the periodic spline
-        return CubicSpline(self.ts, vals, bc_type="periodic")
-
-    def value_at(self, t):
-        """Interpolated orbit value, T-periodic in ``t``."""
-        return self._spline(np.mod(t, self.T))
 
     @property
     def minimum(self) -> float:
@@ -107,11 +117,4 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
 
 def weighted_average(weight: PeriodicCoefficient, orbit: PeriodicOrbit1D) -> float:
     """(1/T) * integral over one period of weight(t) * orbit(t)."""
-    T = orbit.T
-    ts = orbit.ts
-    mid = 0.5 * (ts[:-1] + ts[1:])
-    half = 0.5 * (ts[1:] - ts[:-1])
-    nodes = (mid[:, None] + half[:, None] * _AVG_NODES[None, :]).ravel()
-    vals = weight.evaluate(T, nodes) * orbit._spline(nodes)
-    total = float(np.sum((half[:, None] * _AVG_WEIGHTS[None, :]).ravel() * vals))
-    return total / T
+    return periodic_mean(weight.evaluate(orbit.T, orbit.ts) * orbit.values)

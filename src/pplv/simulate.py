@@ -5,21 +5,22 @@ locates coexistence states as fixed points of the period map by Newton
 iteration with a finite-difference Jacobian, computes Floquet multipliers
 from the monodromy matrix of the variational equation, and checks the
 a-priori component bounds and region membership on every found orbit.
+Orbit means use the trapezoid rule on the uniform sample grid; orbit
+suprema come from the trigonometric interpolant of the samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .coeffs import SystemSpec
 from .jfunc import INF
+from .logistic import check_uniform_grid, periodic_mean
 from .region import RegionBounds, compute_uv, cp_slack, region_spec
 
 TOL_ODE = 1e-10
@@ -29,12 +30,12 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 FD_STEP = 1e-7
 _BOUNDARY_FRACTION = 1e-8
+# Oversampling factor of the trigonometric interpolant behind component_max.
+_MAX_REFINE = 8
 
 ASYMPTOTICALLY_STABLE = "asymptotically_stable"
 LINEARLY_STABLE_NONSTRICT = "linearly_stable_nonstrict"
 UNSTABLE = "unstable"
-
-_AVG_NODES, _AVG_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 class StepFailure(RuntimeError):
@@ -51,7 +52,8 @@ class NonPositive(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicOrbit2D:
-    """A sampled T-periodic coexistence orbit (both components positive)."""
+    """A T-periodic coexistence orbit (both components positive) sampled
+    on a closed uniform grid."""
 
     T: float
     ts: np.ndarray
@@ -61,6 +63,7 @@ class PeriodicOrbit2D:
     newton_residual: float
 
     def __post_init__(self) -> None:
+        check_uniform_grid(self.T, self.ts)
         if np.any(self.us <= 0) or np.any(self.vs <= 0):
             raise ValueError("coexistence orbit samples must be strictly positive")
         scale = max(1.0, float(np.max(self.us)), float(np.max(self.vs)))
@@ -68,29 +71,24 @@ class PeriodicOrbit2D:
             raise ValueError(
                 f"periodicity residual {self.periodicity_residual:.3e} too large")
 
-    @cached_property
-    def _splines(self) -> tuple[CubicSpline, CubicSpline]:
-        us = self.us.copy()
-        vs = self.vs.copy()
-        us[-1] = us[0]
-        vs[-1] = vs[0]
-        return (CubicSpline(self.ts, us, bc_type="periodic"),
-                CubicSpline(self.ts, vs, bc_type="periodic"))
-
-    def value_at(self, t):
-        su, sv = self._splines
-        tm = np.mod(t, self.T)
-        return su(tm), sv(tm)
-
     @property
     def start(self) -> np.ndarray:
         return np.array([self.us[0], self.vs[0]])
 
-    def component_max(self, refine: int = 8) -> tuple[float, float]:
-        """Componentwise suprema over the period, from the refined splines."""
-        su, sv = self._splines
-        tt = np.linspace(0.0, self.T, refine * (len(self.ts) - 1) + 1)
-        return float(np.max(su(tt))), float(np.max(sv(tt)))
+    def component_max(self) -> tuple[float, float]:
+        """Componentwise suprema over the period.
+
+        The maxima of the trigonometric interpolant of the samples, read on
+        a grid ``_MAX_REFINE`` times finer by zero-padding the spectrum.
+        """
+        n = len(self.ts) - 1
+        spectrum = np.fft.rfft(np.stack((self.us[:-1], self.vs[:-1])), axis=1)
+        if n % 2 == 0:
+            # the Nyquist term splits evenly between frequencies +n/2 and -n/2
+            spectrum[:, n // 2] *= 0.5
+        m = _MAX_REFINE * n
+        fine = np.fft.irfft(spectrum, m, axis=1) * (m / n)
+        return float(np.max(fine[0])), float(np.max(fine[1]))
 
 
 @dataclass(frozen=True)
@@ -247,19 +245,13 @@ def liouville_determinant(spec: SystemSpec, orbit: PeriodicOrbit2D) -> float:
     Equals det(monodromy) exactly in exact arithmetic; the comparison is a
     cross-check on the variational integration.
     """
-    ts = orbit.ts
-    mid = 0.5 * (ts[:-1] + ts[1:])
-    half = 0.5 * (ts[1:] - ts[:-1])
-    nodes = (mid[:, None] + half[:, None] * _AVG_NODES[None, :]).ravel()
-    su, sv = orbit._splines
-    u, v = su(nodes), sv(nodes)
+    ts, u, v = orbit.ts, orbit.us, orbit.vs
     T = spec.T
-    trace = (spec.a.evaluate(T, nodes) - 2.0 * spec.b.evaluate(T, nodes) * u
-             - spec.c.evaluate(T, nodes) * v
-             + spec.d.evaluate(T, nodes) + spec.e.evaluate(T, nodes) * u
-             - 2.0 * spec.f.evaluate(T, nodes) * v)
-    integral = float(np.sum((half[:, None] * _AVG_WEIGHTS[None, :]).ravel() * trace))
-    return math.exp(integral)
+    trace = (spec.a.evaluate(T, ts) - 2.0 * spec.b.evaluate(T, ts) * u
+             - spec.c.evaluate(T, ts) * v
+             + spec.d.evaluate(T, ts) + spec.e.evaluate(T, ts) * u
+             - 2.0 * spec.f.evaluate(T, ts) * v)
+    return math.exp(T * periodic_mean(trace))
 
 
 def orbit_averages(orbit: PeriodicOrbit2D, p: float) -> tuple[float, float]:
@@ -268,16 +260,8 @@ def orbit_averages(orbit: PeriodicOrbit2D, p: float) -> tuple[float, float]:
         raise ValueError(f"exponent p must lie in [1, inf], got {p!r}")
     if math.isinf(p):
         return orbit.component_max()
-    su, sv = orbit._splines
-    ts = orbit.ts
-    mid = 0.5 * (ts[:-1] + ts[1:])
-    half = 0.5 * (ts[1:] - ts[:-1])
-    nodes = (mid[:, None] + half[:, None] * _AVG_NODES[None, :]).ravel()
-    weights = (half[:, None] * _AVG_WEIGHTS[None, :]).ravel()
-    up = float(np.sum(weights * su(nodes) ** p))
-    vp = float(np.sum(weights * sv(nodes) ** p))
-    T = orbit.T
-    return (up / T) ** (1.0 / p), (vp / T) ** (1.0 / p)
+    return (periodic_mean(orbit.us ** p) ** (1.0 / p),
+            periodic_mean(orbit.vs ** p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

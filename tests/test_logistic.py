@@ -3,7 +3,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from pplv.coeffs import PeriodicCoefficient
-from pplv.logistic import NoPositiveSolution, periodic_logistic, weighted_average
+from pplv.logistic import (
+    DEFAULT_GRID,
+    NoPositiveSolution,
+    PeriodicOrbit1D,
+    periodic_logistic,
+    weighted_average,
+)
 
 C = PeriodicCoefficient.constant
 TRIG = PeriodicCoefficient.trig
@@ -41,8 +47,11 @@ def test_positivity_and_periodicity():
     assert abs(orbit.values[0] - orbit.values[-1]) <= 1e-9 * orbit.maximum
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_logistic_identity_randomized(seed):
+@pytest.mark.parametrize("seed, n", [
+    *(pytest.param(seed, DEFAULT_GRID, id=f"{seed}") for seed in range(10)),
+    *(pytest.param(seed, 64, id=f"{seed}-n64") for seed in range(10)),
+])
+def test_logistic_identity_randomized(seed, n):
     # avg(damping * orbit) must equal the growth mean
     rng = np.random.default_rng(seed)
     c0 = rng.uniform(0.2, 2.0)
@@ -51,8 +60,8 @@ def test_logistic_identity_randomized(seed):
     b0 = rng.uniform(0.5, 2.0)
     damping = TRIG(b0, [(1, rng.uniform(-0.4, 0.4) * b0, rng.uniform(-0.4, 0.4) * b0)])
     T = rng.uniform(0.4, 3.0)
-    orbit = periodic_logistic(growth, damping, T)
-    assert weighted_average(damping, orbit) == pytest.approx(growth.mean, abs=1e-8)
+    orbit = periodic_logistic(growth, damping, T, n)
+    assert weighted_average(damping, orbit) == pytest.approx(growth.mean, abs=1e-13)
 
 
 def test_against_direct_integration():
@@ -78,12 +87,12 @@ def test_weighted_average_examples():
     assert weighted_average(C(0.0), big) == 0.0
 
 
-def test_value_at_interpolates_periodically():
-    orbit = periodic_logistic(TRIG(1.0, [(1, 0.3, 0.0)]), C(1.0), 1.0)
-    ts = np.array([0.1, 0.37, 0.9])
-    vals = orbit.value_at(ts)
-    shifted = orbit.value_at(ts + 3.0)
-    assert np.allclose(vals, shifted, atol=1e-12)
-    # interpolation should be far more accurate than the sample spacing
-    assert abs(float(orbit.value_at(orbit.ts[5] + 0.5 * (orbit.ts[6] - orbit.ts[5])))
-               - 0.5 * (orbit.values[5] + orbit.values[6])) < 1e-5
+@pytest.mark.parametrize("ts", [
+    np.array([0.0, 0.2, 0.5, 1.0]),   # not uniform
+    np.linspace(0.0, 2.0, 5),         # uniform, but not over [0, T]
+    np.linspace(0.1, 1.1, 5),         # shifted start
+    np.array([0.0]),                  # no cell
+])
+def test_orbit_rejects_nonuniform_grid(ts):
+    with pytest.raises(ValueError, match="grid"):
+        PeriodicOrbit1D(T=1.0, ts=ts, values=np.ones_like(ts))

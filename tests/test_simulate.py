@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import pplv
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import ConstantSystem, equilibrium
 from pplv.criteria import intertwined_test
@@ -37,6 +41,13 @@ def const_spec(a, b, c, d, e, f, T=1.0):
 def constant_orbit(u, v, T=1.0, n=64):
     ts = np.linspace(0.0, T, n + 1)
     return PeriodicOrbit2D(T=T, ts=ts, us=np.full(n + 1, u), vs=np.full(n + 1, v),
+                           periodicity_residual=0.0, newton_residual=0.0)
+
+
+def sampled_orbit(u, v, T, n):
+    """Orbit of the periodic functions ``u``, ``v`` sampled on the n-cell grid."""
+    ts = np.linspace(0.0, T, n + 1)
+    return PeriodicOrbit2D(T=T, ts=ts, us=u(ts), vs=v(ts),
                            periodicity_residual=0.0, newton_residual=0.0)
 
 
@@ -188,6 +199,25 @@ class TestOrbitAverages:
             for lo, hi in zip(seq, seq[1:]):
                 assert lo <= hi + 1e-10
 
+    @pytest.mark.parametrize("p", [2.0, 10.0])
+    def test_trig_orbit_exact_mean(self, p):
+        # u = 2 + 0.5 cos(wt), v = 1 + 0.3 sin(wt): mean(cos^k) = C(k, k/2) / 2^k
+        # for even k; the trapezoid rule on 32 samples is exact for u^p, v^p
+        T = 1.7
+        w = 2.0 * math.pi / T
+        orbit = sampled_orbit(lambda t: 2.0 + 0.5 * np.cos(w * t),
+                              lambda t: 1.0 + 0.3 * np.sin(w * t), T, 32)
+
+        def exact(c0, c1):
+            k = int(p)
+            mean = sum(math.comb(k, j) * c0 ** (k - j) * c1 ** j * math.comb(j, j // 2) / 2 ** j
+                       for j in range(0, k + 1, 2))
+            return mean ** (1.0 / p)
+
+        up, vp = orbit_averages(orbit, p)
+        assert up == pytest.approx(exact(2.0, 0.5), abs=1e-12)
+        assert vp == pytest.approx(exact(1.0, 0.3), abs=1e-12)
+
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             orbit_averages(constant_orbit(1.0, 1.0), 0.5)
@@ -240,7 +270,31 @@ class TestMultistart:
         assert flo.classification == ASYMPTOTICALLY_STABLE
 
 
+class TestComponentMax:
+    def test_peak_between_samples(self):
+        # u peaks at t0, a point of the 8x finer grid between two samples;
+        # v = 1 + 0.1 cos(n w t / 2) alternates on the samples, so its whole
+        # weight sits in the Nyquist term
+        T, n = 2.0, 16
+        w = 2.0 * math.pi / T
+        t0 = (5 + 3 / 8) * T / n
+        orbit = sampled_orbit(lambda t: 2.0 + 0.5 * np.cos(w * (t - t0)),
+                              lambda t: 1.0 + 0.1 * np.cos(0.5 * n * w * t), T, n)
+        u_max, v_max = orbit.component_max()
+        assert u_max == pytest.approx(2.5, abs=1e-12)
+        assert v_max == pytest.approx(1.1, abs=1e-12)
+
+
 class TestOrbitValidation:
+    @pytest.mark.parametrize("ts", [
+        np.array([0.0, 0.1, 0.5, 0.6, 1.0]),
+        np.linspace(0.0, 0.5, 5),
+    ])
+    def test_uniform_grid_required(self, ts):
+        with pytest.raises(ValueError, match="grid"):
+            PeriodicOrbit2D(T=1.0, ts=ts, us=np.ones(5), vs=np.ones(5),
+                            periodicity_residual=0.0, newton_residual=0.0)
+
     def test_positive_samples_required(self):
         ts = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
@@ -253,3 +307,13 @@ class TestOrbitValidation:
         with pytest.raises(ValueError):
             PeriodicOrbit2D(T=1.0, ts=ts, us=np.ones(5), vs=np.ones(5),
                             periodicity_residual=1e-3, newton_residual=0.0)
+
+
+def test_import_skips_scipy_interpolate():
+    src = str(Path(pplv.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import pplv; "
+         "print('scipy.interpolate' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
