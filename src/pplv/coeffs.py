@@ -25,6 +25,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .jfunc import check_exponent
+
 TOL_EXTREMUM = 1e-10
 TOL_QUAD = 1e-10
 
@@ -242,11 +244,6 @@ def gauss_integral(fn: Callable, a: float, b: float, tol: float = TOL_QUAD,
     return prev
 
 
-def _check_p(p: float) -> None:
-    if not (p >= 1.0):
-        raise ValueError(f"exponent p must lie in [1, inf], got {p!r}")
-
-
 def lp_average(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD) -> float:
     """The p-average ((1/T) * integral of coef**p) ** (1/p); max for p = inf.
 
@@ -255,7 +252,7 @@ def lp_average(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_Q
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    _check_p(p)
+    check_exponent(p)
     s = stats(coef, T)
     if s.minimum < -TOL_EXTREMUM:
         raise NegativeIntegrand(
@@ -280,7 +277,7 @@ def lp_norm(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    _check_p(p)
+    check_exponent(p)
     if math.isinf(p):
         s = stats(coef, T)
         return max(abs(s.minimum), abs(s.maximum))

@@ -21,14 +21,15 @@ _SIMPSON_MAX_DEPTH = 30
 _LARGE_Q_CUTOFF = 1e6
 
 
-def is_valid_exponent(p: float) -> bool:
-    return p >= 1.0  # inf compares true
+def check_exponent(p: float) -> None:
+    """Raise ValueError unless p lies in [1, inf]; NaN is rejected."""
+    if not p >= 1.0:  # inf compares true, NaN false
+        raise ValueError(f"exponent must lie in [1, inf], got {p!r}")
 
 
 def conjugate(p: float) -> float:
     """The exponent q with 1/p + 1/q = 1; conjugate(1) = inf and vice versa."""
-    if not is_valid_exponent(p):
-        raise ValueError(f"exponent must lie in [1, inf], got {p!r}")
+    check_exponent(p)
     if p == 1.0:
         return INF
     if math.isinf(p):
@@ -77,8 +78,7 @@ def angular_integral(q: float, tol: float = TOL_J) -> float:
     Finite q above 1e6 is indistinguishable from the limit at the working
     tolerance and short-circuits to 8.
     """
-    if not is_valid_exponent(q):
-        raise ValueError(f"exponent must lie in [1, inf], got {q!r}")
+    check_exponent(q)
     if math.isinf(q) or q > _LARGE_Q_CUTOFF:
         return 8.0
     return 8.0 * adaptive_simpson(lambda t: _integrand(t, q), 0.0, 0.25 * math.pi, tol / 8.0)

@@ -5,8 +5,9 @@ to a bounded planar region built from coefficient extrema and the a-priori
 component bounds (U, V).  For finite p the region is cut out of the open
 quadrant by four inequalities; for p = inf it degenerates to the box
 (0, U] x (0, V].  The stability tests need the suprema of x*y and of
-linear functionals over these regions, which are computed by closed-form
-slicing in y plus golden-section refinement in x.
+linear functionals over these regions.  For finite p the region is convex,
+so each supremum is a one-dimensional unimodal search along the top of its
+y-slices (see :func:`_sup_over_region`).
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .coeffs import SystemSpec, ratio_extrema, stats
-from .jfunc import INF, is_valid_exponent
+from .jfunc import INF, check_exponent
 
 MEMBERSHIP_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
-_NX = 2049
-_GOLDEN_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,7 @@ class RegionSpec:
     bounds: RegionBounds
 
     def __post_init__(self) -> None:
-        if not is_valid_exponent(self.p):
-            raise ValueError(f"exponent must lie in [1, inf], got {self.p!r}")
+        check_exponent(self.p)
         for lo, hi, name in (
             (self.b_min, self.b_max, "b"),
             (self.c_min, self.c_max, "c"),
@@ -77,7 +75,7 @@ class SupResult:
 
     ``empty`` is a flagged state, not an error: an empty region means no
     coexistence state can exist.  ``degenerate`` marks regions that have
-    collapsed to (numerically) a single point.
+    collapsed to (numerically) zero width: a single point or a segment.
     """
 
     value: float
@@ -112,54 +110,45 @@ def region_spec(spec: SystemSpec, p: float) -> RegionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Constraint slices.
+# Boundary curves.
 #
 # For finite p the four constraints, written with the overflow-safe ratio
 # powers b_min*U*(x/U)**p etc., are (x, y > 0):
 #
-#   (1) b_min*U*(x/U)**p + c_min*V*(y/V)**p <= abar      (upper bound on y)
-#   (2) abar <= b_max*x + c_max*y                        (lower bound on y)
-#   (3) -e_max*x + f_min*V*(y/V)**p <= dbar              (upper bound on y)
-#   (4) dbar <= -e_min*U*(x/U)**p + f_max*y              (lower bound on y)
+#   (1) b_min*U*(x/U)**p + c_min*V*(y/V)**p <= abar      (y <= top_a)
+#   (2) abar <= b_max*x + c_max*y                        (y >= lo_a)
+#   (3) -e_max*x + f_min*V*(y/V)**p <= dbar              (y <= top_d)
+#   (4) dbar <= -e_min*U*(x/U)**p + f_max*y              (y >= lo_d)
 #
 # At p = 1 the U, V factors cancel and the raw linear forms are used, which
 # keeps the p = 1 region meaningful even when U or V is non-positive.
 # ---------------------------------------------------------------------------
 
 
-def _powx(region: RegionSpec, x):
-    # U * (x/U)**p, the stable form of U**(1-p) * x**p
-    U = region.bounds.U
-    return U * (np.asarray(x, dtype=float) / U) ** region.p
+def _curves(region: RegionSpec, x: float) -> tuple[float, float, float, float]:
+    """(top_a, top_d, lo_a, lo_d) at x; -inf marks an undefined top curve.
 
-
-def _slice_bounds(region: RegionSpec, x):
-    """Admissible y-interval [ylo, yhi] for each x (vectorized).
-
-    Entries with yhi = -inf mark slices that are infeasible outright.
+    Python's float power raises OverflowError where numpy returns inf, so
+    callers keep x within [0, _x_ceiling(region)].
     """
     p = region.p
-    x = np.asarray(x, dtype=float)
-    U, V = region.bounds.U, region.bounds.V
+    lo_a = (region.abar - region.b_max * x) / region.c_max
+    base = region.dbar + region.e_max * x
     if p == 1.0:
         top_a = (region.abar - region.b_min * x) / region.c_min
-        base3 = region.dbar + region.e_max * x
-        top_d = base3 / region.f_min
-        lo_a = (region.abar - region.b_max * x) / region.c_max
-        lo_d = (region.dbar + region.e_min * x) / region.f_max
-    else:
-        powx_min = region.b_min * _powx(region, x)
-        rem = region.abar - powx_min
-        with np.errstate(invalid="ignore"):
-            top_a = np.where(rem >= 0, V * (np.maximum(rem, 0.0) / (region.c_min * V)) ** (1.0 / p), -np.inf)
-        base3 = region.dbar + region.e_max * x
-        with np.errstate(invalid="ignore"):
-            top_d = np.where(base3 >= 0, V * (np.maximum(base3, 0.0) / (region.f_min * V)) ** (1.0 / p), -np.inf)
-        lo_a = (region.abar - region.b_max * x) / region.c_max
-        lo_d = (region.dbar + region.e_min * _powx(region, x)) / region.f_max
-    yhi = np.minimum(top_a, top_d)
-    ylo = np.maximum(np.maximum(lo_a, lo_d), 0.0)
-    return ylo, yhi
+        return top_a, base / region.f_min, lo_a, (region.dbar + region.e_min * x) / region.f_max
+    U, V = region.bounds.U, region.bounds.V
+    powx = U * (x / U) ** p
+    rem = region.abar - region.b_min * powx
+    top_a = V * (rem / (region.c_min * V)) ** (1.0 / p) if rem >= 0 else -math.inf
+    top_d = V * (base / (region.f_min * V)) ** (1.0 / p) if base >= 0 else -math.inf
+    return top_a, top_d, lo_a, (region.dbar + region.e_min * powx) / region.f_max
+
+
+def _slice(region: RegionSpec, x: float) -> tuple[float, float]:
+    """Admissible y-interval (ylo, yhi) of the slice at x; empty if ylo > yhi."""
+    top_a, top_d, lo_a, lo_d = _curves(region, x)
+    return max(lo_a, lo_d, 0.0), min(top_a, top_d)
 
 
 def _x_ceiling(region: RegionSpec) -> float:
@@ -183,24 +172,9 @@ def envelope(region: RegionSpec) -> tuple[float, float]:
     xmax = _x_ceiling(region)
     if xmax <= 0:
         return 0.0, 0.0
-    top_a_start, _ = _slice_top_curves(region, 0.0)
-    _, top_d_end = _slice_top_curves(region, xmax)
+    top_a_start = _curves(region, 0.0)[0]
+    top_d_end = _curves(region, xmax)[1]
     return xmax, max(min(top_a_start, top_d_end), 0.0)
-
-
-def _slice_top_curves(region: RegionSpec, x: float) -> tuple[float, float]:
-    # (top_a(x), top_d(x)) individually, -inf marking an undefined branch
-    p = region.p
-    V = region.bounds.V
-    if p == 1.0:
-        top_a = (region.abar - region.b_min * x) / region.c_min
-        top_d = (region.dbar + region.e_max * x) / region.f_min
-        return top_a, top_d
-    rem = region.abar - region.b_min * _powx(region, x)
-    top_a = V * (max(rem, 0.0) / (region.c_min * V)) ** (1.0 / p) if rem >= 0 else -math.inf
-    base = region.dbar + region.e_max * x
-    top_d = V * (max(base, 0.0) / (region.f_min * V)) ** (1.0 / p) if base >= 0 else -math.inf
-    return float(top_a), float(top_d)
 
 
 def cp_slack(region: RegionSpec, x: float, y: float) -> float:
@@ -267,14 +241,39 @@ def _golden_max_f(fn: Callable[[float], float], a: float, b: float, tol: float) 
     return (c, fc) if fc > fd else (d, fd)
 
 
-def _sup_over_region(region: RegionSpec, objective: Callable) -> SupResult:
+def _feasible_end(gap: Callable[[float], float], inside: float, end: float, tol: float) -> float:
+    """Last x from ``inside`` (gap >= 0) towards ``end`` with gap >= 0.
+
+    The gap is concave, so it is monotone between the two and bisection
+    finds the crossing.
+    """
+    if gap(end) >= 0.0:
+        return end
+    while abs(end - inside) > tol:
+        mid = 0.5 * (inside + end)
+        if gap(mid) >= 0.0:
+            inside = mid
+        else:
+            end = mid
+    return inside
+
+
+def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], float]) -> SupResult:
     """Maximize an objective that is increasing in y over the region.
 
-    ``objective(x, y)`` must be vectorized.  The maximum over each x-slice
-    is attained at the top of the admissible y-interval, so the search is
-    one-dimensional: a dense scan over x followed by golden refinement.
-    Regions that have collapsed to a point (every slice marginally empty)
-    are recovered from the slice-gap maximizer.
+    For p >= 1 each of the four constraints is a convex function bounded by
+    a constant, so the region is convex and its slice gap yhi(x) - ylo(x)
+    is concave in x.  Golden-section search finds the widest slice: below
+    -BOUNDARY_TOL (scaled) the region is empty, within BOUNDARY_TOL of zero
+    it is degenerate, and a slightly negative widest slice is taken as the
+    point where the region touches.  Otherwise bisection on the two
+    monotone sides of the gap finds the x-interval where the gap is >= 0.
+    The maximum of each slice lies on its top, y = yhi(x), which is concave
+    and non-negative on that interval, so x*yhi(x) is log-concave and a
+    linear objective with positive y coefficient is concave.  Either is
+    unimodal, and one more golden-section search along the top curve finds
+    the supremum; it approaches an end of the interval from inside, so the
+    argmax stays in the open quadrant.
     """
     if region.p == INF:
         U, V = region.bounds.U, region.bounds.V
@@ -282,72 +281,44 @@ def _sup_over_region(region: RegionSpec, objective: Callable) -> SupResult:
             return SupResult(0.0, (math.nan, math.nan), empty=True)
         return SupResult(float(objective(U, V)), (U, V), empty=False)
 
+    empty = SupResult(0.0, (math.nan, math.nan), empty=True)
     if region.abar <= 0:
-        return SupResult(0.0, (math.nan, math.nan), empty=True)
+        return empty
     if region.p != 1.0 and (region.bounds.U <= 0 or region.bounds.V <= 0):
-        return SupResult(0.0, (math.nan, math.nan), empty=True)
+        return empty
 
-    xmax = _x_ceiling(region)
-    xs = np.linspace(xmax / _NX * 1e-6, xmax, _NX)
-    ylo, yhi = _slice_bounds(region, xs)
-    gap = yhi - ylo
-    feasible = (gap >= 0.0) & (yhi > 0.0)
+    # top_d is undefined left of -dbar/e_max once p > 1 (everywhere if
+    # dbar < 0 = e_max, where the gap is -inf and the region empty)
+    x_lo = max(0.0, -region.dbar / region.e_max) if region.p != 1.0 and region.e_max > 0 else 0.0
+    x_hi = _x_ceiling(region)
+    if x_lo > x_hi:
+        return empty
+    tol = 1e-13 * max(x_hi, 1.0)
     scale = 1.0 + abs(region.abar) + abs(region.dbar)
 
-    def top_at(x: float) -> tuple[float, float, float]:
-        lo, hi = _slice_bounds(region, np.asarray([x]))
-        return float(lo[0]), float(hi[0]), float(hi[0] - lo[0])
+    def gap(x: float) -> float:
+        ylo, yhi = _slice(region, x)
+        return yhi - ylo
 
-    if np.any(feasible):
-        vals = np.where(feasible, objective(xs, np.maximum(yhi, 0.0)), -np.inf)
-        i = int(np.argmax(vals))
+    x_g, gap_max = _golden_max_f(gap, x_lo, x_hi, tol)
+    if gap_max < -BOUNDARY_TOL * scale:
+        return empty
+    degenerate = gap_max <= BOUNDARY_TOL * scale
+    if gap_max < 0.0:
+        # touching within tolerance: the region is the point of widest slice
+        ylo, yhi = _slice(region, x_g)
+        y_g = 0.5 * (ylo + yhi)
+        if y_g <= 0 or x_g <= 0:
+            return empty
+        return SupResult(float(objective(x_g, y_g)), (x_g, y_g), empty=False, degenerate=True)
 
-        def masked(x: float) -> float:
-            lo, hi, g = top_at(x)
-            if g < 0.0 or hi <= 0.0:
-                return -math.inf
-            return float(objective(x, hi))
-
-        lo_x = xs[max(i - 1, 0)]
-        hi_x = xs[min(i + 1, _NX - 1)]
-        best_x, best_v = xs[i], float(vals[i])
-        span = hi_x - lo_x
-        for _ in range(_GOLDEN_ROUNDS):
-            cand_x, cand_v = _golden_max_f(masked, lo_x, hi_x, tol=1e-13 * max(xmax, 1.0))
-            if cand_v > best_v:
-                best_x, best_v = cand_x, cand_v
-            span *= 0.2
-            lo_x = max(best_x - span, xs[0])
-            hi_x = min(best_x + span, xmax)
-        # feasibility edges of the best slice can carry the true maximum
-        for edge in (xs[max(i - 1, 0)], xs[min(i + 1, _NX - 1)], xmax):
-            v = masked(edge)
-            if v > best_v:
-                best_x, best_v = edge, v
-        _, y_best, _ = top_at(best_x)
-        return SupResult(best_v, (best_x, y_best), empty=False)
-
-    # No feasible slice on the grid: the region is either empty or has
-    # collapsed to a point where the slice gap just touches zero.
-    finite = np.isfinite(gap)
-    if not np.any(finite):
-        return SupResult(0.0, (math.nan, math.nan), empty=True)
-    gap_masked = np.where(finite, gap, -np.inf)
-    i = int(np.argmax(gap_masked))
-
-    def gap_at(x: float) -> float:
-        return top_at(x)[2]
-
-    x_star, gap_star = _golden_max_f(
-        gap_at, xs[max(i - 1, 0)], xs[min(i + 1, _NX - 1)], tol=1e-13 * max(xmax, 1.0))
-    if gap_star < -1e-9 * scale:
-        return SupResult(0.0, (math.nan, math.nan), empty=True)
-    lo, hi, _ = top_at(x_star)
-    y_star = 0.5 * (lo + hi)
-    if y_star <= 0 or x_star <= 0:
-        return SupResult(0.0, (math.nan, math.nan), empty=True)
-    return SupResult(float(objective(x_star, y_star)), (x_star, y_star),
-                     empty=False, degenerate=True)
+    # a degenerate region can still be a segment where two constraints
+    # coincide, so it is searched like any other
+    xa = _feasible_end(gap, x_g, x_lo, tol)
+    xb = _feasible_end(gap, x_g, x_hi, tol)
+    x_best, v_best = _golden_max_f(lambda x: objective(x, _slice(region, x)[1]), xa, xb, tol)
+    return SupResult(float(v_best), (x_best, _slice(region, x_best)[1]), empty=False,
+                     degenerate=degenerate)
 
 
 def sup_xy(region: RegionSpec) -> SupResult:
@@ -412,45 +383,22 @@ def boundary_points(region: RegionSpec, n: int) -> tuple[list[tuple[str, float, 
         return pts, empty
     xmax = _x_ceiling(region)
 
-    # curve a_lower: b_min*U*(x/U)^p + c_min*V*(y/V)^p = abar
-    for xv in np.linspace(0.0, xmax, n):
-        if p == 1.0:
-            yv = (region.abar - region.b_min * xv) / region.c_min
-        else:
-            rem = region.abar - region.b_min * _powx(region, xv)
-            yv = V * (max(rem, 0.0) / (region.c_min * V)) ** (1.0 / p)
-        pts.append(("a_lower", float(xv), max(float(yv), 0.0)))
-
-    # curve a_upper: b_max*x + c_max*y = abar (clipped to y >= 0)
-    x_end = min(xmax, region.abar / region.b_max)
-    for xv in np.linspace(0.0, x_end, n):
-        yv = (region.abar - region.b_max * xv) / region.c_max
-        pts.append(("a_upper", float(xv), max(float(yv), 0.0)))
-
-    # curve d_lower: -e_max*x + f_min*V*(y/V)^p = dbar
-    x_start = max(0.0, -region.dbar / region.e_max)
-    if x_start <= xmax:
-        for xv in np.linspace(x_start, xmax, n):
-            base = region.dbar + region.e_max * xv
-            if p == 1.0:
-                yv = base / region.f_min
-            else:
-                yv = V * (max(base, 0.0) / (region.f_min * V)) ** (1.0 / p)
-            pts.append(("d_lower", float(xv), max(float(yv), 0.0)))
-
-    # curve d_upper: -e_min*U*(x/U)^p + f_max*y = dbar, clipped to y >= 0
+    # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0;
+    # the index picks it out of _curves: top_a, top_d, lo_a, lo_d.
     if region.dbar >= 0 or region.e_min <= 0:
         x_first = 0.0
     elif p == 1.0:
         x_first = -region.dbar / region.e_min
     else:
         x_first = U * (-region.dbar / (region.e_min * U)) ** (1.0 / p)
-    if x_first <= xmax:
-        for xv in np.linspace(x_first, xmax, n):
-            if p == 1.0:
-                yv = (region.dbar + region.e_min * xv) / region.f_max
-            else:
-                yv = (region.dbar + region.e_min * _powx(region, xv)) / region.f_max
-            pts.append(("d_upper", float(xv), max(float(yv), 0.0)))
-
+    for label, index, x_start, x_end in (
+        ("a_lower", 0, 0.0, xmax),
+        ("a_upper", 2, 0.0, min(xmax, region.abar / region.b_max)),
+        ("d_lower", 1, max(0.0, -region.dbar / region.e_max), xmax),
+        ("d_upper", 3, x_first, xmax),
+    ):
+        if x_start <= x_end:
+            for xv in np.linspace(x_start, x_end, n):
+                yv = _curves(region, float(xv))[index]
+                pts.append((label, float(xv), max(yv, 0.0)))
     return pts, empty

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .coeffs import SystemSpec
-from .jfunc import INF
+from .jfunc import INF, check_exponent
 from .logistic import check_uniform_grid, periodic_mean
 from .region import RegionBounds, compute_uv, cp_slack, region_spec
 
@@ -222,7 +222,10 @@ def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
         return np.concatenate(([du, dv], dx.ravel()))
 
     z0 = np.concatenate((orbit.start, np.eye(2).ravel()))
-    sol = solve_ivp(aug, (0.0, spec.T), z0, method="RK45", rtol=TOL_ODE, atol=1e-12)
+    # Multipliers of strongly contracting orbits reach ~1e-12 and below, so
+    # the fundamental matrix gets a far smaller absolute tolerance than (u, v).
+    atol = np.array([1e-12, 1e-12, 1e-20, 1e-20, 1e-20, 1e-20])
+    sol = solve_ivp(aug, (0.0, spec.T), z0, method="RK45", rtol=TOL_ODE, atol=atol)
     if not sol.success:
         raise StepFailure(sol.message)
     monodromy = sol.y[2:, -1].reshape(2, 2)
@@ -256,8 +259,7 @@ def liouville_determinant(spec: SystemSpec, orbit: PeriodicOrbit2D) -> float:
 
 def orbit_averages(orbit: PeriodicOrbit2D, p: float) -> tuple[float, float]:
     """The p-averages of the two orbit components (suprema for p = inf)."""
-    if not p >= 1.0:
-        raise ValueError(f"exponent p must lie in [1, inf], got {p!r}")
+    check_exponent(p)
     if math.isinf(p):
         return orbit.component_max()
     return (periodic_mean(orbit.us ** p) ** (1.0 / p),

@@ -10,6 +10,7 @@ from pplv.jfunc import (
     INF,
     TOL_J,
     angular_integral,
+    check_exponent,
     conjugate,
     threshold_p,
     threshold_q,
@@ -34,6 +35,12 @@ class TestConjugate:
     def test_invalid(self):
         with pytest.raises(ValueError):
             conjugate(0.99)
+
+    @pytest.mark.parametrize("p", [0.99, -INF, math.nan])
+    def test_check_exponent_rejects(self, p):
+        for check in (check_exponent, conjugate, angular_integral):
+            with pytest.raises(ValueError, match="exponent must lie in"):
+                check(p)
 
     @given(st.floats(min_value=1.0 + 1e-9, max_value=1e6))
     @settings(max_examples=100, deadline=None)

@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import figure_region
-from oracles import grid_supxy, region_mask
+from oracles import grid_refine_max, grid_supxy, region_mask
 
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import equilibrium
 from pplv.jfunc import INF
 from pplv.region import (
+    RegionBounds,
+    RegionSpec,
     boundary_points,
     boundary_residual,
     compute_uv,
@@ -146,7 +152,6 @@ class TestSupLinear:
         reg = figure_region(2.0)
         res = sup_linear(reg, 2.0, 2.0)
         xmax, ymax = envelope(reg)
-        from oracles import grid_refine_max
         ref, _ = grid_refine_max(reg, lambda x, y: 2.0 * x + 2.0 * y, xmax, ymax)
         assert abs(res.value - ref) <= 1e-4 * abs(ref)
 
@@ -228,3 +233,81 @@ class TestOracleAgreement:
         assert mask.any()
         assert X[mask].max() <= xmax + 1e-9
         assert Y[mask].max() <= ymax + 1e-9
+
+
+SPREAD = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+
+@st.composite
+def regions(draw):
+    """Freestanding regions: p in [1, 20], spreads >= 0, dbar of either sign."""
+    p = draw(st.one_of(st.just(1.0), st.floats(1.0, 20.0)))
+    mins = [draw(st.floats(0.2, 3.0)) for _ in range(4)]
+    mins[2] = draw(st.one_of(st.just(0.0), st.just(mins[2])))  # e may vanish
+    spreads = [draw(SPREAD) for _ in range(4)]
+    (b_min, c_min, e_min, f_min), (b_max, c_max, e_max, f_max) = (
+        mins, [m + s for m, s in zip(mins, spreads)])
+    return RegionSpec(p=p, abar=draw(st.floats(0.05, 3.0)), dbar=draw(st.floats(-2.0, 2.0)),
+                      b_min=b_min, b_max=b_max, c_min=c_min, c_max=c_max,
+                      e_min=e_min, e_max=e_max, f_min=f_min, f_max=f_max,
+                      bounds=RegionBounds(U=draw(st.floats(0.5, 4.0)), V=draw(st.floats(0.5, 4.0))))
+
+
+class TestSupremumProperty:
+    @given(regions())
+    @settings(max_examples=40, deadline=None)
+    def test_suprema_match_grid_oracle(self, reg):
+        # A coarse oracle grid only bounds the supremum from below: its best
+        # sample can lie far inside a flat maximum or a small region (see the
+        # exact cases below).  The bound from above is that the argmax is a
+        # member and the value is the objective there.
+        xmax, ymax = envelope(reg)
+        for res, objective in (
+            (sup_xy(reg), lambda x, y: x * y),
+            (sup_linear(reg, reg.b_max, reg.f_max), lambda x, y: reg.b_max * x + reg.f_max * y),
+        ):
+            ref, _ = grid_refine_max(reg, objective, xmax, ymax, n=300)
+            if ref is None:
+                continue
+            assert not res.empty
+            assert res.value >= ref - 1e-12 * abs(ref)
+            assert res.value == pytest.approx(objective(*res.argmax), rel=1e-12)
+            assert cp_contains(reg, res.argmax[0], res.argmax[1], tol=1e-9)
+
+    def test_flat_maximum_on_unit_disk(self):
+        # x^2 + y^2 <= 1 bounds the slices from above near the diagonal
+        reg = RegionSpec(p=2.0, abar=1.0, dbar=0.0, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
+                         e_min=1.0, e_max=1.0, f_min=1.0, f_max=1.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        assert sup_linear(reg, 1.0, 1.0).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert sup_xy(reg).value == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("dbar, empty", [(0.5, False), (-0.5, True)])
+    def test_prey_free_predator_bound(self, dbar, empty):
+        # e = 0: constraint (3) reads f*y**2 <= dbar for every x
+        reg = RegionSpec(p=2.0, abar=1.0, dbar=dbar, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
+                         e_min=0.0, e_max=0.0, f_min=1.0, f_max=1.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        res = sup_xy(reg)
+        assert res.empty is empty
+        if not empty:
+            assert res.value == pytest.approx(0.5, rel=1e-12)
+
+    def test_segment_searched_along_its_length(self):
+        # b, c constant: constraints (1) and (2) coincide on x + y = 1, cut
+        # to 1/2 <= x <= 2/3 by y <= x and y >= x/2
+        reg = RegionSpec(p=1.0, abar=1.0, dbar=0.0, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
+                         e_min=1.0, e_max=1.0, f_min=1.0, f_max=2.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        res = sup_xy(reg)
+        assert res.degenerate
+        assert res.value == pytest.approx(0.25, rel=1e-12)
+
+    def test_small_triangle_corner(self):
+        # the two top lines meet at (5/7, 1/28), the corner of a small triangle
+        reg = RegionSpec(p=1.0, abar=2.0, dbar=-0.5, b_min=2.75, b_max=2.75, c_min=1.0, c_max=2.0,
+                         e_min=0.75, e_max=0.75, f_min=1.0, f_max=2.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        res = sup_xy(reg)
+        assert res.value == pytest.approx(5.0 / 196.0, rel=1e-12)
+        assert res.argmax == pytest.approx((5.0 / 7.0, 1.0 / 28.0), rel=1e-9)

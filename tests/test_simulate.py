@@ -149,6 +149,24 @@ class TestFloquet:
         ref_mods = sorted(abs(m) for m in np.linalg.eigvals(ref))
         assert mods == pytest.approx(ref_mods, abs=1e-8)
 
+    def test_strongly_contracting_monodromy_resolved(self, eq30):
+        # At T = 6.5 the multipliers are ~2e-6 and ~6e-12, below an
+        # absolute tolerance of 1e-12 on the fundamental matrix.
+        T = 6.5
+        spec = ConstantSystem(T=T, a=eq30.a, b=eq30.b, c=eq30.c,
+                              d=eq30.d, e=eq30.e, f=eq30.f).to_system_spec()
+        u, v = equilibrium(eq30)
+        jac = np.array([[-eq30.b * u, -eq30.c * u],
+                        [eq30.e * v, -eq30.f * v]])
+        ref = expm(jac * T)
+        flo = floquet(spec, constant_orbit(u, v, T=T))
+        mults = sorted(flo.multipliers, key=abs)
+        ref_mults = sorted(np.linalg.eigvals(ref), key=abs)
+        for m, r in zip(mults, ref_mults):
+            assert abs(m - r) <= 1e-7 * abs(r)
+        det = np.linalg.det(flo.monodromy)
+        assert abs(det - np.linalg.det(ref)) <= 1e-7 * abs(np.linalg.det(ref))
+
     def test_near_diagonal_decoupled_multipliers(self):
         spec = const_spec(1.0, 1.0, 1e-9, 1.0, 1e-9, 1.0)
         sysc = ConstantSystem(T=1.0, a=1.0, b=1.0, c=1e-9, d=1.0, e=1e-9, f=1.0)
