@@ -169,6 +169,8 @@ def envelope(region: RegionSpec) -> tuple[float, float]:
     """
     if region.p == INF:
         return region.bounds.U, region.bounds.V
+    if region.p != 1.0 and (region.bounds.U <= 0 or region.bounds.V <= 0):
+        return 0.0, 0.0
     xmax = _x_ceiling(region)
     if xmax <= 0:
         return 0.0, 0.0

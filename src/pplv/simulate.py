@@ -1,12 +1,19 @@
 """Direct numerical verification of the planar system.
 
 Integrates the system with an embedded adaptive Runge-Kutta 4(5) pair,
-locates coexistence states as fixed points of the period map by Newton
-iteration with a finite-difference Jacobian, computes Floquet multipliers
-from the monodromy matrix of the variational equation, and checks the
-a-priori component bounds and region membership on every found orbit.
-Orbit means use the trapezoid rule on the uniform sample grid; orbit
-suprema come from the trigonometric interpolant of the samples.
+locates coexistence states as fixed points of the period map, computes
+Floquet multipliers from the monodromy matrix of the variational
+equation, and checks the a-priori component bounds and region membership
+on every found orbit.  Orbit means use the trapezoid rule on the uniform
+sample grid; orbit suprema come from the trigonometric interpolant of the
+samples.
+
+The fixed-point search is shooting Newton in log coordinates
+(xi, eta) = (log u, log v), where the open quadrant is all of the plane
+(Seydel, *Practical Bifurcation and Stability Analysis*, Springer 2010).
+Its Jacobian is the exact monodromy of the log-variational equation,
+integrated alongside the map, and every live start advances in the same
+vectorized integration.
 """
 
 from __future__ import annotations
@@ -28,8 +35,13 @@ TOL_FLOQUET = 1e-8
 TOL_PERIODIC_2D = 1e-9
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-FD_STEP = 1e-7
 _BOUNDARY_FRACTION = 1e-8
+_ORBIT_SAMPLES = 512
+# Newton steps are clamped to this sup norm in log coordinates, and an
+# iterate with a log coordinate beyond _LOG_LIMIT is retired before the
+# exponential in the right-hand side can overflow.
+_MAX_LOG_STEP = 2.0
+_LOG_LIMIT = 50.0
 # Oversampling factor of the trigonometric interpolant behind component_max.
 _MAX_REFINE = 8
 
@@ -100,19 +112,38 @@ class FloquetData:
     classification: str
 
 
+def _coefficients(spec: SystemSpec):
+    """Evaluator of the six coefficients [a, b, c, d, e, f] at a time t.
+
+    The coefficients are built once into one table, a row per coefficient
+    and columns 1, cos(k*w*t), sin(k*w*t) over the harmonics k in use, so
+    each evaluation is one matrix-vector product.
+    """
+    coefs = (spec.a, spec.b, spec.c, spec.d, spec.e, spec.f)
+    ks = sorted({k for coef in coefs for k, _, _ in coef.harmonics})
+    col = {k: i for i, k in enumerate(ks)}
+    table = np.zeros((6, 1 + 2 * len(ks)))
+    for row, coef in enumerate(coefs):
+        table[row, 0] = coef.mean
+        for k, ck, sk in coef.harmonics:
+            table[row, 1 + col[k]] = ck
+            table[row, 1 + len(ks) + col[k]] = sk
+    wk = (2.0 * math.pi / spec.T) * np.array(ks, dtype=float)
+
+    def at(t: float) -> list[float]:
+        phase = wk * t
+        return (table @ np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))).tolist()
+
+    return at
+
+
 def _rhs(spec: SystemSpec):
-    T = spec.T
-    a, b, c, d, e, f = spec.a, spec.b, spec.c, spec.d, spec.e, spec.f
+    coefs = _coefficients(spec)
 
     def rhs(t, y):
         u, v = y
-        at = a.evaluate(T, t)
-        bt = b.evaluate(T, t)
-        ct = c.evaluate(T, t)
-        dt = d.evaluate(T, t)
-        et = e.evaluate(T, t)
-        ft = f.evaluate(T, t)
-        return (u * (at - bt * u - ct * v), v * (dt + et * u - ft * v))
+        a, b, c, d, e, f = coefs(t)
+        return (u * (a - b * u - c * v), v * (d + e * u - f * v))
 
     return rhs
 
@@ -138,42 +169,110 @@ def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
     return sol.y[:, -1].copy()
 
 
-def find_coexistence(spec: SystemSpec, guess: Sequence[float],
-                     n_samples: int = 512) -> PeriodicOrbit2D:
-    """Newton iteration on the period map around ``guess``.
+def _log_period_map(spec: SystemSpec, z: np.ndarray):
+    """The period map and its monodromy in log coordinates for n starts.
 
-    The Jacobian of the map is approximated by forward differences with
-    step 1e-7 * (1 + |component|); convergence requires the fixed-point
-    residual to fall below 1e-10 in the sup norm.
+    ``z`` is (2, n): xi = log u and eta = log v per start.  Along each
+    trajectory the fundamental matrix Phi of the log-variational equation,
+    Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is integrated
+    too, and all 6n components go through one RK45 solve.  Returns the
+    (2, 3, n) state at t = T, whose row j holds the log of component j and
+    row j of Phi(T), and per start None or the message of a failed
+    integration.  A failed solve of several starts is repeated start by
+    start, so one failing start does not take the others down.
     """
-    x = np.asarray(guess, dtype=float).copy()
-    eye = np.eye(2)
-    residual = math.inf
-    for _ in range(NEWTON_MAX_ITER):
-        if np.any(x <= 0) or not np.all(np.isfinite(x)):
-            raise NonPositive(f"Newton iterate {x} left the open quadrant")
-        px = poincare_map(spec, x)
-        fvec = px - x
-        residual = float(np.max(np.abs(fvec)))
-        if residual <= NEWTON_TOL:
-            break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = FD_STEP * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (poincare_map(spec, xp) - px) / h
-        amat = jac - eye
-        try:
-            dx = np.linalg.solve(amat, -fvec)
-        except np.linalg.LinAlgError:
-            # near-singular map Jacobian: fall back to a damped least-squares step
-            dx = np.linalg.lstsq(amat, -fvec, rcond=None)[0]
-        x = x + dx
-    else:
-        raise NoConvergence(
-            f"no fixed point after {NEWTON_MAX_ITER} iterations (residual {residual:.3e})")
+    n = z.shape[1]
+    coefs = _coefficients(spec)
 
+    def rhs(t, y):
+        # row j: log of component j, then row j of Phi, each over the starts
+        rows = y.reshape(2, 3, n)
+        a, b, c, d, e, f = coefs(t)
+        uv = np.exp(rows[:, 0])
+        # with A = [[-b, -c], [e, -f]] the log field is (a, d) + A (u, v)
+        # and the log-variational matrix is A diag(u, v)
+        w = rows * uv[:, None, :]
+        w[:, 0] = uv
+        out = np.array([[-b, -c], [e, -f]]) @ w.reshape(2, 3 * n)
+        out[0, :n] += a
+        out[1, :n] += d
+        return out.ravel()
+
+    y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)), axis=1)
+    sol = solve_ivp(rhs, (0.0, spec.T), y0.ravel(), method="RK45",
+                    rtol=TOL_ODE, atol=1e-12, t_eval=[spec.T])
+    if sol.success:
+        return sol.y[:, -1].reshape(2, 3, n), [None] * n
+    if n == 1:
+        return np.full((2, 3, 1), np.nan), [sol.message]
+    parts = [_log_period_map(spec, z[:, j:j + 1]) for j in range(n)]
+    return (np.concatenate([end for end, _ in parts], axis=2),
+            [msg for _, msgs in parts for msg in msgs])
+
+
+def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
+    """Newton iteration on the period map from every guess at once.
+
+    Each iteration advances all live starts in one ``_log_period_map``
+    solve and takes, per start, the step dz solving (Phi(T) - I) dz =
+    -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  A start converges
+    when its fixed-point residual in (u, v) falls to ``NEWTON_TOL`` in the
+    sup norm.  Returns, per guess, either (x, residual) with x the
+    converged (u, v), or the NonPositive, NoConvergence or StepFailure
+    that retired it.
+    """
+    outcomes: list = [None] * len(guesses)
+    z = np.zeros((2, len(guesses)))
+    live = []
+    for j, g in enumerate(guesses):
+        if np.all(g > 0) and np.all(np.isfinite(g)):
+            z[:, j] = np.log(g)
+            live.append(j)
+        else:
+            outcomes[j] = NonPositive(f"Newton iterate {g} left the open quadrant")
+    residual = [math.inf] * len(guesses)
+    eye = np.eye(2)
+    for _ in range(NEWTON_MAX_ITER):
+        for j in live:
+            if not np.all(np.abs(z[:, j]) <= _LOG_LIMIT):
+                outcomes[j] = NoConvergence(
+                    f"Newton iterate diverged (log state {z[:, j]})")
+        live = [j for j in live if outcomes[j] is None]
+        if not live:
+            break
+        end, failures = _log_period_map(spec, z[:, live])
+        for i, j in enumerate(live):
+            if failures[i] is not None:
+                outcomes[j] = StepFailure(failures[i])
+                continue
+            x = np.exp(z[:, j])
+            fvec = end[:, 0, i] - z[:, j]
+            residual[j] = float(np.max(np.abs(np.exp(end[:, 0, i]) - x)))
+            if residual[j] <= NEWTON_TOL:
+                outcomes[j] = (x, residual[j])
+                continue
+            amat = end[:, 1:, i] - eye
+            try:
+                dz = np.linalg.solve(amat, -fvec)
+            except np.linalg.LinAlgError:
+                # singular monodromy - I: fall back to a least-squares step
+                dz = np.linalg.lstsq(amat, -fvec, rcond=None)[0]
+            step = float(np.max(np.abs(dz)))
+            if step > _MAX_LOG_STEP:
+                dz *= _MAX_LOG_STEP / step
+            z[:, j] += dz
+    for j, outcome in enumerate(outcomes):
+        if outcome is None:
+            outcomes[j] = NoConvergence(
+                f"no fixed point after {NEWTON_MAX_ITER} iterations "
+                f"(residual {residual[j]:.3e})")
+    return outcomes
+
+
+def _sample_orbit(spec: SystemSpec, x: np.ndarray, residual: float,
+                  n_samples: int) -> PeriodicOrbit2D:
+    """The orbit through the converged fixed point ``x``, sampled by one
+    unbatched solve at the module tolerances."""
     ts = np.linspace(0.0, spec.T, n_samples + 1)
     sol = integrate(spec, x, 0.0, spec.T, t_eval=ts)
     us, vs = sol.y[0], sol.y[1]
@@ -191,18 +290,20 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float],
                            periodicity_residual=per_res, newton_residual=residual)
 
 
-def _jacobian(spec: SystemSpec, t: float, u: float, v: float) -> np.ndarray:
-    T = spec.T
-    at = spec.a.evaluate(T, t)
-    bt = spec.b.evaluate(T, t)
-    ct = spec.c.evaluate(T, t)
-    dt = spec.d.evaluate(T, t)
-    et = spec.e.evaluate(T, t)
-    ft = spec.f.evaluate(T, t)
-    return np.array([
-        [at - 2.0 * bt * u - ct * v, -ct * u],
-        [et * v, dt + et * u - 2.0 * ft * v],
-    ])
+def find_coexistence(spec: SystemSpec, guess: Sequence[float],
+                     n_samples: int = _ORBIT_SAMPLES) -> PeriodicOrbit2D:
+    """Newton iteration on the period map around ``guess``.
+
+    The one-guess call of the batched log-coordinate Newton (see the
+    module docstring); convergence requires the fixed-point residual in
+    (u, v) to fall below 1e-10 in the sup norm.  Raises NonPositive,
+    NoConvergence or StepFailure when the search fails, and NonPositive
+    when it converges onto a one-species boundary state.
+    """
+    outcome = _newton(spec, [np.asarray(guess, dtype=float)])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return _sample_orbit(spec, *outcome, n_samples)
 
 
 def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
@@ -212,14 +313,16 @@ def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
     the orbit start with identity initial matrix; the classification uses
     a strict band of width 1e-8 around the unit circle.
     """
-    rhs = _rhs(spec)
+    coefs = _coefficients(spec)
 
     def aug(t, z):
         u, v = z[0], z[1]
-        du, dv = rhs(t, (u, v))
-        amat = _jacobian(spec, t, u, v)
-        dx = amat @ z[2:].reshape(2, 2)
-        return np.concatenate(([du, dv], dx.ravel()))
+        a, b, c, d, e, f = coefs(t)
+        jac = np.array([[a - 2.0 * b * u - c * v, -c * u],
+                        [e * v, d + e * u - 2.0 * f * v]])
+        dx = jac @ z[2:].reshape(2, 2)
+        return np.concatenate(([u * (a - b * u - c * v), v * (d + e * u - f * v)],
+                               dx.ravel()))
 
     z0 = np.concatenate((orbit.start, np.eye(2).ravel()))
     # Multipliers of strongly contracting orbits reach ~1e-12 and below, so
@@ -323,11 +426,12 @@ def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D,
 def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20, seed: int = 0,
                                 extra_guesses: Sequence[Sequence[float]] = ()
                                 ) -> list[PeriodicOrbit2D]:
-    """Newton searches from deterministic random seeds in the bound box.
+    """Newton search from deterministic random seeds in the bound box.
 
-    Starting points are drawn uniformly from (0, U] x (0, V]; failed or
-    escaping searches are dropped; distinct orbits are deduplicated by
-    their starting points (distance below 1e-6) and ordered
+    Starting points are drawn uniformly from (0, U] x (0, V] and advance
+    together in one batched Newton; failed or escaping searches are
+    dropped; converged starts are deduplicated (distance below 1e-6)
+    before each distinct orbit is sampled, and the orbits are ordered
     lexicographically for schedule independence.
     """
     bounds = compute_uv(spec)
@@ -338,14 +442,18 @@ def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20, seed: int 
     for _ in range(n_starts):
         guesses.append(np.array([bounds.U * (1.0 - rng.random()),
                                  bounds.V * (1.0 - rng.random())]))
+    starts: list[tuple[np.ndarray, float]] = []
+    for outcome in _newton(spec, guesses):
+        if isinstance(outcome, Exception):
+            continue
+        if any(np.max(np.abs(outcome[0] - x)) < 1e-6 for x, _ in starts):
+            continue
+        starts.append(outcome)
     orbits: list[PeriodicOrbit2D] = []
-    for g in guesses:
+    for x, residual in starts:
         try:
-            orbit = find_coexistence(spec, g)
-        except (NoConvergence, NonPositive, StepFailure):
+            orbits.append(_sample_orbit(spec, x, residual, _ORBIT_SAMPLES))
+        except (NonPositive, StepFailure):
             continue
-        if any(np.max(np.abs(orbit.start - o.start)) < 1e-6 for o in orbits):
-            continue
-        orbits.append(orbit)
     orbits.sort(key=lambda o: (o.us[0], o.vs[0]))
     return orbits

@@ -246,6 +246,16 @@ class TestCommands:
         assert "asymptotically_stable" in text
         assert "region membership p = inf" in text
 
+    def test_simulate_saddle_found_unstable(self, tmp_path, saddle_spec):
+        cfg_path = write_cfg(tmp_path, format_config(saddle_spec))
+        out = io.StringIO()
+        code = run_command(make_cfg("simulate", cfg_path,
+                                    output_dir=tmp_path / "o"), out)
+        assert code == EXIT_INCONCLUSIVE
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "1 distinct orbit(s) found"
+        assert any(line.endswith("-> unstable") for line in lines)
+
     def test_simulate_no_coexistence_exit_3(self, tmp_path):
         text = EQ30_CFG.replace("[d]\nkind = const\nvalue = 2.0203",
                                 "[d]\nkind = const\nvalue = -10")

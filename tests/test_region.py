@@ -234,6 +234,16 @@ class TestOracleAgreement:
         assert X[mask].max() <= xmax + 1e-9
         assert Y[mask].max() <= ymax + 1e-9
 
+    @pytest.mark.parametrize("U, V", [(-1.0, 1.0), (0.0, 1.0), (1.0, -1.0), (1.0, 0.0)])
+    def test_envelope_of_nonpositive_bounds_is_empty(self, U, V):
+        # for p > 1 the constraints take powers of x/U and y/V, which are not
+        # real for U or V <= 0: the region is empty, not an error
+        reg = RegionSpec(p=2.0, abar=1.0, dbar=0.5, b_min=1.0, b_max=2.0,
+                         c_min=1.0, c_max=2.0, e_min=1.0, e_max=2.0,
+                         f_min=1.0, f_max=2.0, bounds=RegionBounds(U, V))
+        assert envelope(reg) == (0.0, 0.0)
+        assert sup_xy(reg).empty
+
 
 SPREAD = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
 

@@ -2,12 +2,14 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import pplv
+from pplv import simulate
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import ConstantSystem, equilibrium
 from pplv.criteria import intertwined_test
@@ -113,10 +115,12 @@ class TestFindCoexistence:
         with pytest.raises((NoConvergence, NonPositive, StepFailure)):
             find_coexistence(spec, (1.0, 1.0))
 
-    def test_semitrivial_convergence_rejected(self, saddle_spec):
-        # seeds deep in the prey-extinction basin slide onto the boundary
-        with pytest.raises((NonPositive, NoConvergence, StepFailure)):
-            find_coexistence(saddle_spec, (1e-6, 0.4))
+    def test_semitrivial_seed_reaches_interior_orbit(self, saddle_spec):
+        # a seed deep in the prey-extinction basin: in log coordinates the
+        # boundary u = 0 is infinitely far, and Newton reaches the saddle
+        orbit = find_coexistence(saddle_spec, (1e-6, 0.4))
+        assert np.max(np.abs(orbit.start - (0.04870, 0.48906))) < 1e-5
+        assert orbit.us.min() > 0.04
 
     def test_uniformly_tiny_component_rejected(self, classical_spec):
         # the prey-only state is a fixed point of the period map; Newton
@@ -286,6 +290,60 @@ class TestMultistart:
         assert len(orbits) == 1
         flo = floquet(eq30_spec_t01, orbits[0])
         assert flo.classification == ASYMPTOTICALLY_STABLE
+
+
+class TestBatchedNewton:
+    def test_saddle_multistart_finds_unstable_orbit(self, saddle_spec):
+        orbits = find_coexistence_multistart(saddle_spec, 20, 0)
+        assert len(orbits) == 1
+        orbit = orbits[0]
+        assert orbit.us.min() > 0.04
+        flo = floquet(saddle_spec, orbit)
+        assert flo.classification == UNSTABLE
+        assert verify_predictions(saddle_spec, orbit).all_ok
+        det = np.linalg.det(flo.monodromy)
+        ref = liouville_determinant(saddle_spec, orbit)
+        assert abs(det - ref) <= 1e-6 * abs(ref)
+        alone = find_coexistence(saddle_spec, orbit.start)
+        assert np.max(np.abs(alone.start - orbit.start)) <= 1e-9
+
+    def test_one_batched_solve_per_iteration(self, perturbed_spec, monkeypatch):
+        calls = []
+        real = simulate.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "solve_ivp", counting)
+        orbits = find_coexistence_multistart(perturbed_spec, n_starts=20, seed=0)
+        assert len(orbits) == 1
+        # one batched solve per Newton iteration, one sampling solve per orbit
+        assert len(calls) <= simulate.NEWTON_MAX_ITER + len(orbits)
+        assert calls[0] == 6 * 20  # all 20 starts in the first solve
+
+    def test_batch_invariance(self, perturbed_spec):
+        orbits = find_coexistence_multistart(perturbed_spec, n_starts=20, seed=0)
+        for orbit in orbits:
+            alone = find_coexistence(perturbed_spec, orbit.start)
+            assert np.max(np.abs(alone.start - orbit.start)) <= 1e-9
+
+    def test_failed_start_does_not_stop_the_batch(self, perturbed_spec, monkeypatch):
+        # the solve fails whenever the start (7, 7) is in it
+        real = simulate.solve_ivp
+        bad = math.log(7.0)
+
+        def failing(fun, span, y0, **kwargs):
+            if len(y0) % 6 == 0 and np.any(y0[:len(y0) // 6] == bad):
+                return SimpleNamespace(success=False, message="step size too small")
+            return real(fun, span, y0, **kwargs)
+
+        monkeypatch.setattr(simulate, "solve_ivp", failing)
+        orbits = find_coexistence_multistart(perturbed_spec, n_starts=0,
+                                             extra_guesses=[(2.0, 2.0), (7.0, 7.0)])
+        assert len(orbits) == 1
+        with pytest.raises(StepFailure):
+            find_coexistence(perturbed_spec, (7.0, 7.0))
 
 
 class TestComponentMax:
