@@ -73,5 +73,6 @@ from .simulate import (
     poincare_map,
     verify_predictions,
 )
+from .summary import SystemSummary, summarize
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from . import constant_case, criteria, jfunc, simulate
 from .coeffs import PeriodicCoefficient, SystemSpec
 from .existence import classify_boundary
-from .region import boundary_points, boundary_residual, compute_uv, region_spec, sup_xy
+from .region import boundary_points, boundary_residual, region_spec, sup_xy
 
 EXIT_STABLE = 0
 EXIT_ERROR = 1
@@ -324,10 +324,11 @@ def cmd_scan(cfg: RunConfig, out) -> int:
 
 def cmd_region(cfg: RunConfig, out, n_per_curve: int = 256) -> int:
     spec = _load_spec(cfg)
-    bounds = compute_uv(spec)
+    region1 = region_spec(spec, 1.0)
+    bounds = region1.bounds
     print(f"U = {_fmt(bounds.U)}   V = {_fmt(bounds.V)}", file=out)
     for p in cfg.exponents():
-        reg = region_spec(spec, p)
+        reg = region1.at(p)
         pts, empty = boundary_points(reg, n_per_curve)
         sup = sup_xy(reg)
         rows = []
@@ -452,15 +453,16 @@ def cmd_example1(cfg: RunConfig, out) -> int:
     print("direct region-coupled tests:", file=out)
     direct_ps = [1.0, p_star, jfunc.INF]
     any_sign_issue = not (pattern.sign_ok_1 and pattern.sign_ok_star)
-    for p in direct_ps:
-        res = criteria.intertwined_test(spec, p)
-        print(_result_lines(res), file=out)
-    res_weak = criteria.weak_intertwined_test(spec, jfunc.INF)
+    report = criteria.scan_p(spec, direct_ps)
+    for res in report.results:
+        if res.name == "intertwined":
+            print(_result_lines(res), file=out)
+    res_weak = next(res for res in report.results
+                    if res.name == "weak_intertwined" and res.p == jfunc.INF)
     print(_result_lines(res_weak), file=out)
     if any_sign_issue:
         print(constant_case.DISCREPANCY_NOTE, file=out)
 
-    report = criteria.scan_p(spec, direct_ps)
     print(f"conclusion: {report.conclusion}", file=out)
     if cfg.emit_csv:
         rows = [[_p_token(p), _fmt(h), str(int(ok)), _fmt(g), _fmt(delta)]

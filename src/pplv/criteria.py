@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import jfunc
-from .coeffs import SystemSpec, lp_norm, ratio_extrema, stats
-from .existence import BoundaryClassification, classify_boundary
-from .region import region_spec, sup_linear, sup_xy
+from .coeffs import SystemSpec, ratio_extrema
+from .existence import BoundaryClassification
+from .region import RegionSpec, SupResult, sup_linear, sup_xy
+from .summary import SystemSummary, norm_envelopes, summarize
 
 BORDERLINE_TOL = 1e-12
 
@@ -84,14 +85,48 @@ def condition19(spec: SystemSpec) -> TestResult:
     return _result("condition19", None, lhs=lhs, rhs=rhs, strict=True)
 
 
-def _norm_envelopes(spec: SystemSpec, p: float) -> tuple[float, float]:
-    # alpha_p = ||a||_p / b_min,  beta_p = ||d||_p / f_min + (e_max/f_min) * alpha_p
-    b_min = stats(spec.b, spec.T).minimum
-    f_min = stats(spec.f, spec.T).minimum
-    e_max = stats(spec.e, spec.T).maximum
-    alpha = lp_norm(spec.a, spec.T, p) / b_min
-    beta = lp_norm(spec.d, spec.T, p) / f_min + (e_max / f_min) * alpha
-    return alpha, beta
+def _unified_lp(summary: SystemSummary, p: float, rp: RegionSpec, sxy: SupResult,
+                threshold: float) -> TestResult:
+    spec, r1 = summary.spec, summary.region1
+    q = jfunc.conjugate(p)
+    alpha_p, beta_p = summary.envelopes1 if p == 1.0 else norm_envelopes(spec, r1, p)
+    alpha_1, beta_1 = summary.envelopes1
+    tq = spec.T ** (1.0 / q)  # T^0 = 1 when q is infinite
+    lhs = tq * math.sqrt(max(r1.c_max * r1.e_max * alpha_p * beta_p, 0.0)) \
+        + 0.5 * (r1.b_max * alpha_1 + r1.f_max * beta_1)
+    return _result("unified_lp", p, lhs=lhs, rhs=threshold)
+
+
+def _intertwined(name: str, summary: SystemSummary, p: float, sxy: SupResult,
+                 slin: SupResult, threshold: float) -> TestResult:
+    diags = []
+    if not summary.classification.coexistence_exists:
+        diags.append("vacuous: no coexistence state exists")
+    if sxy.empty or slin.empty:
+        diags.append("empty region: vacuously satisfied")
+        return _result(name, p, lhs=0.0, rhs=threshold, diagnostics=diags)
+    r1 = summary.region1
+    lhs = summary.spec.T * (math.sqrt(max(r1.c_max * r1.e_max * sxy.value, 0.0))
+                            + 0.5 * slin.value)
+    return _result(name, p, lhs=lhs, rhs=threshold, diagnostics=diags)
+
+
+def _intertwined_at(summary: SystemSummary, p: float, rp: RegionSpec, sxy: SupResult,
+                    threshold: float) -> TestResult:
+    return _intertwined("intertwined", summary, p, sxy, summary.sup_linear1, threshold)
+
+
+def _weak_intertwined_at(summary: SystemSummary, p: float, rp: RegionSpec, sxy: SupResult,
+                         threshold: float) -> TestResult:
+    r1 = summary.region1
+    slin = summary.sup_linear1 if p == 1.0 else sup_linear(rp, r1.b_max, r1.f_max)
+    return _intertwined("weak_intertwined", summary, p, sxy, slin, threshold)
+
+
+def _inputs(summary: SystemSummary, p: float) -> tuple:
+    """(summary, p, p-region, its x*y supremum, threshold): what every test at p reads."""
+    rp = summary.region1.at(p)
+    return summary, p, rp, sup_xy(rp), jfunc.threshold_p(p)
 
 
 def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
@@ -102,44 +137,7 @@ def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
     against the p-threshold, with alpha/beta the independent norm
     envelopes of the two components.
     """
-    q = jfunc.conjugate(p)
-    T = spec.T
-    c_max = stats(spec.c, T).maximum
-    e_max = stats(spec.e, T).maximum
-    b_max = stats(spec.b, T).maximum
-    f_max = stats(spec.f, T).maximum
-    alpha_p, beta_p = _norm_envelopes(spec, p)
-    alpha_1, beta_1 = _norm_envelopes(spec, 1.0)
-    tq = T ** (1.0 / q)  # T^0 = 1 when q is infinite
-    lhs = tq * math.sqrt(max(c_max * e_max * alpha_p * beta_p, 0.0)) \
-        + 0.5 * (b_max * alpha_1 + f_max * beta_1)
-    return _result("unified_lp", p, lhs=lhs, rhs=jfunc.threshold_p(p))
-
-
-def _coexistence_diagnostics(spec: SystemSpec) -> tuple[str, ...]:
-    cls = classify_boundary(spec)
-    if not cls.coexistence_exists:
-        return ("vacuous: no coexistence state exists",)
-    return ()
-
-
-def _intertwined(name: str, spec: SystemSpec, p: float, p_linear: float) -> TestResult:
-    diags = list(_coexistence_diagnostics(spec))
-    T = spec.T
-    c_max = stats(spec.c, T).maximum
-    e_max = stats(spec.e, T).maximum
-    b_max = stats(spec.b, T).maximum
-    f_max = stats(spec.f, T).maximum
-    rp = region_spec(spec, p)
-    r_lin = rp if p_linear == p else region_spec(spec, p_linear)
-    sxy = sup_xy(rp)
-    slin = sup_linear(r_lin, b_max, f_max)
-    rhs = jfunc.threshold_p(p)
-    if sxy.empty or slin.empty:
-        diags.append("empty region: vacuously satisfied")
-        return _result(name, p, lhs=0.0, rhs=rhs, diagnostics=diags)
-    lhs = T * (math.sqrt(max(c_max * e_max * sxy.value, 0.0)) + 0.5 * slin.value)
-    return _result(name, p, lhs=lhs, rhs=rhs, diagnostics=diags)
+    return _unified_lp(*_inputs(summarize(spec), p))
 
 
 def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
@@ -149,12 +147,12 @@ def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
                 + (1/2) * sup(b_max*x + f_max*y over the 1-region) ).
     An empty region is a vacuous pass: no coexistence state can exist.
     """
-    return _intertwined("intertwined", spec, p, 1.0)
+    return _intertwined_at(*_inputs(summarize(spec), p))
 
 
 def weak_intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Variant with both suprema over the same p-region."""
-    return _intertwined("weak_intertwined", spec, p, p)
+    return _weak_intertwined_at(*_inputs(summarize(spec), p))
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,8 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     """
     if not grid:
         raise ValueError("exponent grid must be nonempty")
-    cls = classify_boundary(spec)
+    summary = summarize(spec)
+    cls = summary.classification
     r18 = condition18(spec)
     r19 = condition19(spec)
     results: list[TestResult] = [r18, r19]
@@ -185,8 +184,9 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     best_margin = -math.inf
     any_lp_pass = False
     for p in grid:
-        for res in (unified_lp_test(spec, p), intertwined_test(spec, p),
-                    weak_intertwined_test(spec, p)):
+        inputs = _inputs(summary, p)
+        for res in (_unified_lp(*inputs), _intertwined_at(*inputs),
+                    _weak_intertwined_at(*inputs)):
             results.append(res)
             if res.passed:
                 any_lp_pass = True

@@ -12,6 +12,7 @@ y-slices (see :func:`_sup_over_region`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,7 +42,8 @@ class RegionSpec:
     Holds the coefficient means (abar, dbar), the extrema of the four
     positive coefficients, and the component bounds.  Constructed from a
     SystemSpec via :func:`region_spec`, or directly for freestanding
-    parameter studies.
+    parameter studies.  Only p varies between the regions of one system,
+    so :meth:`at` derives each of them from the p = 1 region.
     """
 
     p: float
@@ -67,6 +69,10 @@ class RegionSpec:
         ):
             if lo > hi:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
+
+    def at(self, p: float) -> "RegionSpec":
+        """The region of the same system at exponent ``p``."""
+        return dataclasses.replace(self, p=p)
 
 
 @dataclass(frozen=True)

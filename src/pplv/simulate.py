@@ -402,15 +402,15 @@ _SLACK_TOL = 1e-6
 def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D,
                        ps: Sequence[float] = DEFAULT_MEMBERSHIP_PS) -> PredictionReport:
     """Check max u <= U, max v <= V and p-average membership for each p."""
-    bounds = compute_uv(spec)
+    region1 = region_spec(spec, 1.0)
+    bounds = region1.bounds
     u_max, v_max = orbit.component_max()
     u_slack = bounds.U - u_max
     v_slack = bounds.V - v_max
     memberships = []
     for p in ps:
-        reg = region_spec(spec, p)
         u_avg, v_avg = orbit_averages(orbit, p)
-        slack = cp_slack(reg, u_avg, v_avg)
+        slack = cp_slack(region1.at(p), u_avg, v_avg)
         ok = (u_avg > 0 and v_avg > 0 and slack >= -_SLACK_TOL)
         memberships.append(MembershipCheck(p=p, u_avg=u_avg, v_avg=v_avg,
                                            slack=slack, ok=ok))

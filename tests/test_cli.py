@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,45 @@ value = 0.9898
 kind = const
 value = 2
 """
+
+
+EXAMPLE1_DEMO = [
+    "constants: a=2.0102000000000002 b=1 c=0.0051000000000000004 d=2.0203000000000002 "
+    "e=0.98980000000000001 f=2 T=1",
+    "equilibrium / singleton 1-region point: (2.0000002543580031, 1.9999501258817758)",
+    "k = (b*x1 + f*y1)/2 = 2.9999502530607773",
+    "p        h(p)                      sign_ok   G(p)                      delta(p)",
+    "1        198.07933244511915        False     3.2932764156070675        3.2932764156070675",
+    "2        800.27408403458367        False     -744.79810587244538       -1493.3186977820792",
+    "200      6.8415311198622474e+113   True      2.0512194582870347e+65    2.7082332808767559e+125",
+    "sign pattern (G(1) > 0, G(2) < 0, G(200) > 0): (True, True, True)",
+    "large-p dominance check (V > r^2/U): True",
+    "  note: sign_ok false at p=1",
+    "  note: sign_ok false at p=2",
+    "direct region-coupled tests:",
+    "  intertwined        p=1     lhs=3.1420467661780891       rhs=2                        "
+    "margin=-1.1420467661780891      FAIL",
+    "  intertwined        p=2     lhs=3.1423618341555764       rhs=2.6220575542912954       "
+    "margin=-0.52030427986428096     FAIL",
+    "  intertwined        p=inf   lhs=3.1425883108869797       rhs=3.1415926535897931       "
+    "margin=-0.00099565729718653628  FAIL",
+    "  weak_intertwined   p=inf   lhs=3.1527360378286606       rhs=3.1415926535897931       "
+    "margin=-0.011143384238867515    FAIL",
+    "note: sign_ok=false at one or more exponents; there the squared reduction behind G(p) "
+    "does not preserve the inequality direction and a negative G(p) does not certify the "
+    "direct test; the direct region-based margins are authoritative.",
+    "conclusion: globally_stable_via_18_19",
+]
+
+_NUMBER = re.compile(r"-?\d+\.\d+(?:e[+-]\d+)?")
+
+
+def _tokens_match(line: str, expected: str, rel: float = 1e-12) -> bool:
+    """Equal text, with every decimal number equal within ``rel``."""
+    if _NUMBER.sub("#", line) != _NUMBER.sub("#", expected):
+        return False
+    return all(float(a) == pytest.approx(float(b), rel=rel)
+               for a, b in zip(_NUMBER.findall(line), _NUMBER.findall(expected)))
 
 
 def write_cfg(tmp_path: Path, text: str = EQ30_CFG, name: str = "sys.cfg") -> Path:
@@ -289,6 +329,17 @@ class TestCommands:
         assert "conclusion: globally_stable_via_18_19" in text
         row200 = next(ln.split() for ln in text.splitlines() if ln.startswith("200 "))
         assert row200[1:4] == ["inf", "True", "-inf"]
+
+    def test_example1_demo_lines(self, tmp_path):
+        # The direct tests are read from the one scan_p report; the lines are
+        # those the four separate intertwined calls printed.
+        out = io.StringIO()
+        code = run_command(make_cfg("example1", None, output_dir=tmp_path / "o"), out)
+        assert code == EXIT_STABLE
+        got = out.getvalue().splitlines()
+        assert len(got) == len(EXAMPLE1_DEMO)
+        for line, expected in zip(got, EXAMPLE1_DEMO):
+            assert _tokens_match(line, expected), (line, expected)
 
     def test_missing_config_is_error(self, tmp_path):
         with pytest.raises(ValidationError):
