@@ -33,6 +33,11 @@ TOL_QUAD = 1e-10
 _TWO_PI = 2.0 * math.pi
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Tanh-sinh nodes beyond u = 3.2 lie within 4e-17 (relative) of the ends.
+_TS_UMAX = 3.2
+# Above this exponent an L^p norm equals its upper bound max|coef| * T**(1/p)
+# to about 1e-13 relative, and the scaled integrand would round badly.
+_LARGE_P = 1e15
 
 
 class NegativeIntegrand(ValueError):
@@ -219,36 +224,55 @@ def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
     return CoeffStats(float(vals.min()), float(vals.max()), coef.c0)
 
 
-def _composite_gauss(fn: Callable, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :] * vals))
+def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes that step h = 2**-level adds to the tanh-sinh rule on [-1, 1].
+
+    Returns each node's distance from the nearer end, 1 - tanh(s) with
+    s = pi/2*sinh(u) at u = k*h (odd k past level 0), computed without
+    cancellation, and its weight pi/2*cosh(u)/cosh(s)**2; the node at -u
+    has the same distance from the other end and the same weight.  Both
+    are written with exp alone.
+    """
+    h = 2.0 ** -level
+    k = np.arange(1, int(_TS_UMAX / h) + 1)
+    if level > 0:
+        k = k[k % 2 == 1]
+    eu = np.exp(k * h)
+    q = np.exp(-0.5 * math.pi * (eu - 1.0 / eu))  # exp(-2*s)
+    return 2.0 * q / (1.0 + q), math.pi * (eu + 1.0 / eu) * q / (1.0 + q) ** 2
 
 
-def gauss_integral(fn: Callable, a: float, b: float, tol: float = TOL_QUAD,
-                   panels: int = 64, max_doublings: int = 6) -> float:
-    """Composite 8-node Gauss-Legendre with panel doubling until the
-    doubling correction falls below ``tol`` (absolute)."""
-    if b <= a:
-        return 0.0
-    prev = _composite_gauss(fn, a, b, panels)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = _composite_gauss(fn, a, b, panels)
-        if abs(cur - prev) <= tol:
-            return cur
+_TS_RULES = tuple(_tanh_sinh_level(level) for level in range(8))
+
+
+def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Sum of the integrals of ``fn`` over the pieces [a_i, b_i].
+
+    Tanh-sinh quadrature (Takahasi & Mori 1974) halves its step until two
+    successive sums agree within ``tol`` (absolute).  Its nodes cluster
+    doubly exponentially at both ends of each piece, so an endpoint
+    singularity or a narrow peak at an end is resolved without grading.
+    """
+    half = 0.5 * (b - a)
+    total = 0.5 * math.pi * float(np.sum(half * fn(a + half)))
+    prev = None
+    for level, (dist, weight) in enumerate(_TS_RULES):
+        offset = half[:, None] * dist[None, :]
+        vals = fn(np.concatenate(((a[:, None] + offset).ravel(), (b[:, None] - offset).ravel())))
+        n = offset.size
+        total += float(np.sum((half[:, None] * weight[None, :]).ravel() * (vals[:n] + vals[n:])))
+        cur = total * 2.0 ** -level
+        if prev is not None and abs(cur - prev) <= tol:
+            break
         prev = cur
-    return prev
+    return cur
 
 
 def lp_average(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD) -> float:
     """The p-average ((1/T) * integral of coef**p) ** (1/p); max for p = inf.
 
-    The coefficient must be non-negative on [0, T]; values inside the
-    extremum tolerance band are clipped to zero before powering.
+    The coefficient must be non-negative on [0, T] (within the extremum
+    tolerance); then this is ``lp_norm(coef, T, p) / T**(1/p)``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -259,38 +283,40 @@ def lp_average(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_Q
             f"coefficient attains {s.minimum:.3e} < 0 on [0, T]; "
             "p-averages are defined for non-negative functions"
         )
-    if math.isinf(p):
-        return s.maximum
-    if coef.kind == "constant":
-        return max(coef.value, 0.0)
-    fn = lambda t: np.maximum(coef.evaluate(T, t), 0.0) ** p
-    integral = gauss_integral(fn, 0.0, T, tol=tol)
-    return (integral / T) ** (1.0 / p)
+    return lp_norm(coef, T, p, tol) / T ** (1.0 / p)
 
 
 def lp_norm(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD) -> float:
     """L^p norm over one period, (integral of |coef|**p) ** (1/p).
 
     Unlike :func:`lp_average` this is total: the integrand is |coef|, so
-    sign-changing coefficients are allowed.  The integral is split at the
-    zeros of the coefficient to keep the panels smooth.
+    sign-changing coefficients are allowed.  With M = max |coef|, taken at
+    the zeros of the derivative as in :func:`stats`, the norm is computed
+    as M * (integral of (|coef|/M)**p) ** (1/p): the integrand lies in
+    [0, 1], so it neither overflows nor underflows to zero at large p.
+    The period is cut at the zeros of the coefficient and of its
+    derivative, so each piece runs between a zero and an extremum of
+    |coef|: the |t - t0|**p singularity at a zero and the peak of width
+    ~T/sqrt(p) at a maximum both sit at an end, where tanh-sinh
+    quadrature resolves them.  ``tol`` bounds the scaled integral.
+    Above p = 1e15 the bound M * T**(1/p) is returned.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     check_exponent(p)
-    if math.isinf(p):
-        s = stats(coef, T)
-        return max(abs(s.minimum), abs(s.maximum))
     if coef.kind == "constant":
         return abs(coef.value) * T ** (1.0 / p)
-    cuts = [0.0, *np.sort(_root_times(_laurent(coef, _degree(coef)), T)), T]
-    piece = lambda t: np.abs(coef.evaluate(T, t)) ** p
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0:
-            continue
-        total += gauss_integral(piece, a, b, tol=tol, panels=max(8, int(64 * (b - a) / T)))
-    return total ** (1.0 / p)
+    laurent = _laurent(coef, _degree(coef))
+    crit = _root_times(_derivative(laurent), T)
+    peak = float(np.abs(coef.evaluate(T, np.append(crit, 0.0))).max())
+    if math.isinf(p) or peak == 0.0:
+        return peak
+    if p > _LARGE_P:
+        return peak * T ** (1.0 / p)
+    cuts = np.sort(np.concatenate(([0.0, T], crit, _root_times(laurent, T))))
+    integral = _tanh_sinh(lambda t: (np.abs(coef.evaluate(T, t)) / peak) ** p,
+                          cuts[:-1], cuts[1:], tol)
+    return peak * integral ** (1.0 / p)
 
 
 def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) -> tuple[float, float]:

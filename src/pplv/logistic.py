@@ -83,9 +83,11 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
         w(t) = exp(-A(t)) * (w0 + integral_0^t damping * exp(A)),
         w0   = integral_0^T damping * exp(A) / (exp(A(T)) - 1).
 
-    All exponentials are rescaled by exp(-max A) so large T*growth cannot
-    overflow.  A(t) is exact (trig antiderivatives); the damping integral
-    uses cumulative 8-node Gauss panels on a uniform grid of ``n`` cells.
+    All exponentials are rescaled by exp(-max A), and A(T) is taken as
+    T * mean(growth) exactly, so any T * mean(growth) up to ~709 works, as
+    small as the smallest double.  A(t) is exact (trig antiderivatives);
+    the damping integral uses cumulative 8-node Gauss panels on a uniform
+    grid of ``n`` cells.
     """
     lam = growth.mean
     if lam <= 0:
@@ -95,7 +97,9 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     ts = np.linspace(0.0, T, n + 1)
     A = np.asarray(growth.antiderivative(T, ts), dtype=float)
     K = float(np.max(A))
-    a0 = A[-1]  # = T * lam > 0
+    # A(T) = T * lam exactly; the harmonics' sin(2*pi*k) rounds to ~1e-16,
+    # which would flip the sign of a tiny T * lam
+    a0 = T * lam
 
     # B(t) = integral_0^t damping(s) * exp(A(s) - K) ds, cumulatively.
     mid = 0.5 * (ts[:-1] + ts[1:])
@@ -108,10 +112,10 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
                    * integrand.reshape(nodes.shape), axis=1)
     B = np.concatenate(([0.0], np.cumsum(panel)))
 
-    # r = exp(-a0) / (1 - exp(-a0)), stable for both tiny and huge a0.
-    r = math.exp(-a0) / (-math.expm1(-a0))
-    w = np.exp(K - A) * (B[-1] * r + B)
-    theta = 1.0 / w
+    # theta = 1/w = exp(A - K) * s / (B(T) + s * B) with s = exp(a0) - 1:
+    # no factor 1/s, which exceeds the double range for a0 below 1/DBL_MAX.
+    s = math.expm1(a0)
+    theta = np.exp(A - K) * s / (B[-1] + s * B)
     return PeriodicOrbit1D(T=T, ts=ts, values=theta)
 
 

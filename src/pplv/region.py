@@ -8,6 +8,12 @@ quadrant by four inequalities; for p = inf it degenerates to the box
 linear functionals over these regions.  For finite p the region is convex,
 so each supremum is a one-dimensional unimodal search along the top of its
 y-slices (see :func:`_sup_over_region`).
+
+The box is a valid but coarser enclosure than the finite-p regions, which
+approach it at the rate |log(abar/U)|/p.  Every finite-p region can be
+empty while the box is not: on the generated system analyze_trig/3/42
+(perfbench) the p = inf region is the whole box.  An empty region means
+that no coexistence state exists, so the two disagree only then.
 """
 
 from __future__ import annotations

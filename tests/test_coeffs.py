@@ -254,6 +254,53 @@ class TestLpNorm:
             T ** (1.0 / p) * lp_average(coef, T, p), rel=1e-10)
 
 
+class TestLpNormLargeP:
+    @staticmethod
+    def exact_norm(c0, amp, T, p):
+        # (c0 + amp*sin)**p over a period, by the binomial expansion: only
+        # even powers of sin survive, with mean C(2m, m)/4**m.
+        import mpmath as mp
+        mp.mp.dps = 40
+        c0, amp = mp.mpf(c0), mp.mpf(amp)
+        total = sum(mp.binomial(p, 2 * m) * c0 ** (p - 2 * m) * amp ** (2 * m)
+                    * mp.binomial(2 * m, m) / mp.mpf(4) ** m for m in range(p // 2 + 1))
+        return float((T * total) ** (mp.mpf(1) / p))
+
+    @pytest.mark.parametrize("c0, amp", [(0.5, 0.05), (1.5, 0.5)])
+    @pytest.mark.parametrize("p", [2, 1000, 3000])
+    def test_matches_binomial_expansion(self, c0, amp, p):
+        # max |coef| < 1 underflowed to 0 and > 1 overflowed to inf unscaled
+        T = 2.0
+        got = lp_norm(TRIG(c0, [(1, 0.0, amp)]), T, float(p))
+        assert got == pytest.approx(self.exact_norm(c0, amp, T, p), rel=1e-12)
+
+    @pytest.mark.parametrize("coef", [TRIG(0.5, [(1, 0.0, 0.05)]),
+                                      TRIG(1.5, [(1, 0.0, 0.5)]),
+                                      TRIG(0.2, [(1, 0.3, 1.0), (3, -0.4, 0.2)])])
+    def test_tends_to_sup_norm(self, coef):
+        T = 0.7
+        sup = lp_norm(coef, T, math.inf)
+        prev = 0.0
+        for p in (10.0, 1e3, 1e4, 1e6, 1e9, 1e15, 1e16, 1e300):
+            norm = lp_norm(coef, T, p)
+            assert math.isfinite(norm)
+            # ||f||_p / T**(1/p) is non-decreasing in p and bounded by the sup
+            avg = norm / T ** (1.0 / p)
+            assert prev <= avg * (1 + 1e-13) and avg <= sup * (1 + 1e-13)
+            prev = avg
+        assert lp_norm(coef, T, 1e6) == pytest.approx(sup, rel=2e-5)
+
+    def test_peak_between_zeros_resolved(self):
+        # a narrow maximum inside a sign-changing coefficient
+        coef = TRIG(0.2, [(1, 0.0, 1.0)])
+        p = 1e5
+        norm = lp_norm(coef, 1.0, p)
+        assert norm == pytest.approx(1.2, rel=1e-4) and norm < 1.2
+
+    def test_zero_coefficient(self):
+        assert lp_norm(TRIG(0.0, [(2, 0.0, 0.0)]), 1.0, 3.0) == 0.0
+
+
 class TestRatioExtrema:
     def test_constants(self):
         assert ratio_extrema(C(2.0102), C(1.0), 1.0) == pytest.approx((2.0102, 2.0102))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pplv.coeffs import PeriodicCoefficient, SystemSpec, stats
 from pplv.constant_case import ConstantSystem, equilibrium, linear_term
@@ -260,3 +262,106 @@ def test_huge_conjugate_exponent_flagged(eq30_spec):
     res = unified_lp_test(eq30_spec, 1.0 + 1e-7)
     assert res.q > 1e6
     assert any("treated as infinite" in d for d in res.diagnostics)
+
+
+TRIG = PeriodicCoefficient.trig
+
+# Integrating |coef|**p unscaled made ||a||_p underflow to 0 here for
+# p >= 1500, which turned the failing unified test into a pass and the
+# verdict into unique_asymptotically_stable.
+LARGE_P_FLIP = SystemSpec(T=2.0, a=TRIG(0.5, [(1, 0.0, 0.05)]), b=C(0.3), c=C(0.3),
+                          d=TRIG(0.5, [(1, 0.05, 0.0)]), e=C(1.0), f=C(1.0))
+
+# Seeded trig system whose coefficients exceed 1: ||d||_p overflowed to inf.
+LARGE_P_OVERFLOW = SystemSpec(
+    T=0.110731877,
+    a=TRIG(1.707722829, [(1, -0.176935739, 0.113960732)]),
+    b=TRIG(1.972502708, [(3, 0.065950893, 0.341536558)]),
+    c=TRIG(1.189582625, [(3, -0.060217006, 0.131778367)]),
+    d=TRIG(1.287000884, [(3, -0.44546238, 0.500729287)]),
+    e=TRIG(0.735320108, [(4, 0.055839981, -0.157153232)]),
+    f=TRIG(0.663367964, [(2, -0.060017453, -0.112549834)]))
+
+
+class TestLargeP:
+    @pytest.mark.parametrize("p", [1000.0, 2000.0, 1e4, INF])
+    def test_verdict_does_not_flip(self, p):
+        report = scan_p(LARGE_P_FLIP, [p])
+        assert report.conclusion == INCONCLUSIVE
+        unified = next(r for r in report.results if r.name == "unified_lp")
+        assert unified.margin == pytest.approx(-1.81, abs=0.01)
+
+    def test_no_overflow_above_one(self):
+        res = unified_lp_test(LARGE_P_OVERFLOW, 2000.0)
+        assert math.isfinite(res.lhs) and math.isfinite(res.margin)
+        assert res.lhs == pytest.approx(unified_lp_test(LARGE_P_OVERFLOW, INF).lhs, rel=1e-2)
+
+
+def _harmonics(draw, amplitude):
+    ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    weights = [draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))) for _ in ks]
+    scale = amplitude / max(sum(abs(c) + abs(s) for c, s in weights), 1e-12)
+    return [(k, c * scale, s * scale) for k, (c, s) in zip(ks, weights)]
+
+
+@st.composite
+def trig_systems(draw):
+    """Random 1-3-harmonic trig systems; b, c, e, f stay above 0.2*c0."""
+    def positive():
+        c0 = draw(st.floats(0.5, 2.0))
+        return TRIG(c0, _harmonics(draw, draw(st.floats(0.0, 0.8)) * c0))
+    T = math.exp(draw(st.floats(math.log(0.1), math.log(3.0))))
+    # The p-region reaches the p = inf box at the rate |log(abar/U)|/p, which
+    # is ~7e-4 at p = 1e6 for abar = 1e-290; means of a within 1e-6 of zero
+    # are covered by TestTinyMean instead.
+    abar = draw(st.floats(-1.0, -1e-6) | st.floats(1e-6, 3.0))
+    a = TRIG(abar, _harmonics(draw, draw(st.floats(0.0, 3.0))))
+    d = TRIG(draw(st.floats(-1.5, 1.5)), _harmonics(draw, draw(st.floats(0.0, 2.0))))
+    return SystemSpec(T=T, a=a, b=positive(), c=positive(), d=d, e=positive(), f=positive())
+
+
+class TestExponentContinuity:
+    """Margins are finite and continuous in p, up to p = inf.
+
+    Near p = 1 the margins move by ~1e-9 * |log(x/U)| times the size of
+    the lhs, and at large p by ~log(p)/p times it (||f||_p approaches
+    max|f| at that rate), so both tolerances are relative to max(1, |lhs|).
+    """
+
+    @given(trig_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_margins_finite_and_continuous(self, spec):
+        grid = [1.0, 1.0 + 1e-9, 2.0, 1e3, 1e6, INF]
+        report = scan_p(spec, grid)
+        res = {(r.name, r.p): r for r in report.results}
+        assert all(math.isfinite(r.margin) and math.isfinite(r.lhs) for r in report.results)
+        region1 = region_spec(spec, 1.0)
+        nonempty = not (sup_xy(region1.at(1e6)).empty or sup_xy(region1.at(INF)).empty)
+        for name in ("unified_lp", "intertwined", "weak_intertwined"):
+            at1, near1 = res[name, 1.0], res[name, 1.0 + 1e-9]
+            assert near1.margin == pytest.approx(at1.margin, abs=1e-7 * max(1.0, abs(at1.lhs)))
+            if name == "unified_lp" or nonempty:
+                big, inf = res[name, 1e6], res[name, INF]
+                assert big.margin == pytest.approx(inf.margin, abs=1e-4 * max(1.0, abs(inf.lhs)))
+
+
+class TestTinyMean:
+    """mean(a) many orders below the amplitude of a.
+
+    The logistic state took A(T) from the antiderivative, whose sin(2*pi)
+    rounds to ~1e-16: for T * mean(a) below that, the sign flipped and the
+    state came out negative (ValueError).
+    """
+
+    @pytest.mark.parametrize("abar", [2e-290, 1e-17, 1e-6])
+    def test_scan_is_finite(self, abar):
+        spec = SystemSpec(T=1.0, a=TRIG(abar, [(1, 1.0, 0.0)]), b=C(1.0), c=C(1.0),
+                          d=C(0.0), e=C(1.0), f=C(1.0))
+        report = scan_p(spec, [1.0, 2.0, 1e6, INF])
+        theta = report.classification.theta_lambda
+        assert theta is not None and theta.minimum > 0
+        assert all(math.isfinite(r.margin) for r in report.results)
+        # the p-region approaches the box at the rate |log(abar/U)| / p
+        big = next(r for r in report.results if r.name == "intertwined" and r.p == 1e6)
+        inf = next(r for r in report.results if r.name == "intertwined" and r.p == INF)
+        assert abs(big.lhs - inf.lhs) <= 2.0 * abs(math.log(abar)) / 1e6 * inf.lhs
