@@ -230,16 +230,16 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     Returns each node's distance from the nearer end, 1 - tanh(s) with
     s = pi/2*sinh(u) at u = k*h (odd k past level 0), computed without
     cancellation, and its weight pi/2*cosh(u)/cosh(s)**2; the node at -u
-    has the same distance from the other end and the same weight.  Both
-    are written with exp alone.
+    has the same distance from the other end and the same weight.
     """
     h = 2.0 ** -level
-    k = np.arange(1, int(_TS_UMAX / h) + 1)
-    if level > 0:
-        k = k[k % 2 == 1]
-    eu = np.exp(k * h)
-    q = np.exp(-0.5 * math.pi * (eu - 1.0 / eu))  # exp(-2*s)
-    return 2.0 * q / (1.0 + q), math.pi * (eu + 1.0 / eu) * q / (1.0 + q) ** 2
+    dist, weight = [], []
+    for k in range(1, int(_TS_UMAX / h) + 1, 1 if level == 0 else 2):
+        eu = math.exp(k * h)
+        q = math.exp(-0.5 * math.pi * (eu - 1.0 / eu))  # exp(-2*s)
+        dist.append(2.0 * q / (1.0 + q))
+        weight.append(math.pi * (eu + 1.0 / eu) * q / (1.0 + q) ** 2)
+    return np.array(dist), np.array(weight)
 
 
 _TS_RULES = tuple(_tanh_sinh_level(level) for level in range(8))

@@ -307,7 +307,8 @@ def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], flo
     x_hi = _x_ceiling(region)
     if x_lo > x_hi:
         return empty
-    tol = 1e-13 * max(x_hi, 1.0)
+    # relative to the x-range, so a narrow region keeps 13 digits of its x*y
+    tol = max(1e-13 * x_hi, math.ulp(x_hi))
     scale = 1.0 + abs(region.abar) + abs(region.dbar)
 
     def gap(x: float) -> float:

@@ -82,7 +82,7 @@ def _tokens_match(line: str, expected: str, rel: float = 1e-12) -> bool:
     """Equal text, with every decimal number equal within ``rel``."""
     if _NUMBER.sub("#", line) != _NUMBER.sub("#", expected):
         return False
-    return all(float(a) == pytest.approx(float(b), rel=rel)
+    return all(float(a) == pytest.approx(float(b), rel=rel, abs=0)
                for a, b in zip(_NUMBER.findall(line), _NUMBER.findall(expected)))
 
 

@@ -313,6 +313,15 @@ class TestSupremumProperty:
         assert res.degenerate
         assert res.value == pytest.approx(0.25, rel=1e-12)
 
+    def test_narrow_segment_keeps_relative_accuracy(self):
+        # e = 0 pins y = dbar; x runs up to (abar - dbar)/b_min = 1/24.  An
+        # x tolerance of 1e-13 absolute left x*y 1.6e-12 short of its value.
+        dbar = 1.4529129263320746e-135
+        reg = RegionSpec(p=1.0, abar=0.125, dbar=dbar, b_min=3.0, b_max=4.0, c_min=1.0,
+                         c_max=1.0, e_min=0.0, e_max=0.0, f_min=1.0, f_max=1.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        assert sup_xy(reg).value == pytest.approx((0.125 - dbar) / 3.0 * dbar, rel=1e-13, abs=0)
+
     def test_small_triangle_corner(self):
         # the two top lines meet at (5/7, 1/28), the corner of a small triangle
         reg = RegionSpec(p=1.0, abar=2.0, dbar=-0.5, b_min=2.75, b_max=2.75, c_min=1.0, c_max=2.0,
