@@ -12,6 +12,10 @@ Four families of tests are evaluated:
 
 Passing any of the latter three at some p implies the coexistence state is
 unique and asymptotically stable.
+
+The exponent-independent inputs come from one :class:`SystemSummary` per
+system; per exponent, the threshold and the supremum of x*y over the
+p-region are computed once and shared by the three tests.
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
         w0   = integral_0^T damping * exp(A) / (exp(A(T)) - 1).
 
     All exponentials are rescaled by exp(-max A), and A(T) is taken as
-    T * mean(growth) exactly, so any T * mean(growth) up to ~709 works, as
-    small as the smallest double.  A(t) is exact (trig antiderivatives);
+    T * mean(growth) exactly, so T * mean(growth) may lie anywhere from the
+    smallest positive double up to ~709.  A(t) is exact (trig antiderivatives);
     the damping integral uses cumulative 8-node Gauss panels on a uniform
     grid of ``n`` cells.
     """
