@@ -83,11 +83,11 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
         w(t) = exp(-A(t)) * (w0 + integral_0^t damping * exp(A)),
         w0   = integral_0^T damping * exp(A) / (exp(A(T)) - 1).
 
-    All exponentials are rescaled by exp(-max A), and A(T) is taken as
-    T * mean(growth) exactly, so T * mean(growth) may lie anywhere from the
-    smallest positive double up to ~709.  A(t) is exact (trig antiderivatives);
-    the damping integral uses cumulative 8-node Gauss panels on a uniform
-    grid of ``n`` cells.
+    The solution is formed in log space and A(T) is taken as T * mean(growth)
+    exactly, so T * mean(growth) may be any positive double: neither
+    exp(A) nor exp(A(T)) - 1 has to be representable.  A(t) is exact (trig
+    antiderivatives); the damping integral uses 8-node Gauss panels on a
+    uniform grid of ``n`` cells, accumulated by log-sum-exp.
     """
     lam = growth.mean
     if lam <= 0:
@@ -96,26 +96,30 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
 
     ts = np.linspace(0.0, T, n + 1)
     A = np.asarray(growth.antiderivative(T, ts), dtype=float)
-    K = float(np.max(A))
     # A(T) = T * lam exactly; the harmonics' sin(2*pi*k) rounds to ~1e-16,
     # which would flip the sign of a tiny T * lam
     a0 = T * lam
 
-    # B(t) = integral_0^t damping(s) * exp(A(s) - K) ds, cumulatively.
-    mid = 0.5 * (ts[:-1] + ts[1:])
-    half = 0.5 * (ts[1:] - ts[:-1])
-    nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
+    # log of each Gauss panel's integral of damping * exp(A), scaled by the larger
+    # cell-end value of A (A exceeds it inside the cell by at most max|growth| * h)
+    half = 0.5 * T / n
+    nodes = 0.5 * (ts[:-1] + ts[1:])[:, None] + half * _GAUSS_NODES
     flat = nodes.ravel()
-    integrand = damping.evaluate(T, flat) * np.exp(
-        np.asarray(growth.antiderivative(T, flat), dtype=float) - K)
-    panel = np.sum(half[:, None] * _GAUSS_WEIGHTS[None, :]
-                   * integrand.reshape(nodes.shape), axis=1)
-    B = np.concatenate(([0.0], np.cumsum(panel)))
+    An = np.asarray(growth.antiderivative(T, flat), dtype=float).reshape(nodes.shape)
+    peak = np.maximum(A[:-1], A[1:])
+    panel = half * ((damping.evaluate(T, flat).reshape(nodes.shape)
+                     * np.exp(An - peak[:, None])) @ _GAUSS_WEIGHTS)
+    if not np.all(panel > 0):
+        raise ValueError("damping must be strictly positive over the period")
+    log_panel = peak + np.log(panel)
 
-    # theta = 1/w = exp(A - K) * s / (B(T) + s * B) with s = exp(a0) - 1:
-    # no factor 1/s, which exceeds the double range for a0 below 1/DBL_MAX.
-    s = math.expm1(a0)
-    theta = np.exp(A - K) * s / (B[-1] + s * B)
+    # theta = exp(A) / (B(T) / s + B) with B(t) = integral_0^t damping * exp(A) and
+    # s = exp(a0) - 1, formed in logs: neither exp(A) nor s need be representable
+    top = float(np.max(log_panel))
+    log_bt = top + math.log(float(np.sum(np.exp(log_panel - top))))
+    log_s = a0 + math.log(-math.expm1(-a0))
+    log_w = np.logaddexp.accumulate(np.concatenate(([log_bt - log_s], log_panel)))
+    theta = np.exp(A - log_w)
     return PeriodicOrbit1D(T=T, ts=ts, values=theta)
 
 

@@ -191,36 +191,40 @@ def envelope(region: RegionSpec) -> tuple[float, float]:
     return xmax, max(min(top_a_start, top_d_end), 0.0)
 
 
+# Position of each finite-p boundary curve among the constraints (1)-(4).
+_CURVE_INDEX = {"a_lower": 0, "a_upper": 1, "d_lower": 2, "d_upper": 3}
+
+
+def _constraints(region: RegionSpec, x: float, y: float) -> tuple[float, float, float, float]:
+    """Signed values of the constraints (1)-(4) at (x, y) for finite p:
+    non-negative where each holds, zero on its boundary curve."""
+    p, abar, dbar = region.p, region.abar, region.dbar
+    if p == 1.0:
+        px, py = x, y
+    else:
+        U, V = region.bounds.U, region.bounds.V
+        px = U * (x / U) ** p
+        py = V * (y / V) ** p
+    return (
+        abar - (region.b_min * px + region.c_min * py),
+        region.b_max * x + region.c_max * y - abar,
+        dbar - (-region.e_max * x + region.f_min * py),
+        -region.e_min * px + region.f_max * y - dbar,
+    )
+
+
 def cp_slack(region: RegionSpec, x: float, y: float) -> float:
     """Minimal slack of the defining inequalities at (x, y).
 
     Positive inside, negative outside; positivity of x and y themselves is
     not part of the slack and is checked by :func:`cp_contains`.
     """
-    p = region.p
     U, V = region.bounds.U, region.bounds.V
-    if p == INF:
+    if region.p == INF:
         return min(U - x, V - y)
-    if x < 0 or y < 0:
+    if x < 0 or y < 0 or (region.p != 1.0 and (U <= 0 or V <= 0)):
         return -math.inf
-    if p == 1.0:
-        lhs1 = region.b_min * x + region.c_min * y
-        lhs3 = -region.e_max * x + region.f_min * y
-        rhs4 = -region.e_min * x + region.f_max * y
-    else:
-        if U <= 0 or V <= 0:
-            return -math.inf
-        px = U * (x / U) ** p
-        py = V * (y / V) ** p
-        lhs1 = region.b_min * px + region.c_min * py
-        lhs3 = -region.e_max * x + region.f_min * py
-        rhs4 = -region.e_min * px + region.f_max * y
-    return min(
-        region.abar - lhs1,
-        region.b_max * x + region.c_max * y - region.abar,
-        region.dbar - lhs3,
-        rhs4 - region.dbar,
-    )
+    return min(_constraints(region, x, y))
 
 
 def cp_contains(region: RegionSpec, x: float, y: float, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -350,26 +354,13 @@ def sup_linear(region: RegionSpec, coef_x: float, coef_y: float) -> SupResult:
 
 def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> float:
     """|defining equality| of the labeled boundary curve at (x, y)."""
-    p = region.p
-    U, V = region.bounds.U, region.bounds.V
     if label == "x_equals_U":
-        return abs(x - U)
+        return abs(x - region.bounds.U)
     if label == "y_equals_V":
-        return abs(y - V)
-    if p == 1.0:
-        px, py = x, y
-    else:
-        px = U * (x / U) ** p
-        py = V * (y / V) ** p
-    if label == "a_lower":
-        return abs(region.b_min * px + region.c_min * py - region.abar)
-    if label == "a_upper":
-        return abs(region.b_max * x + region.c_max * y - region.abar)
-    if label == "d_lower":
-        return abs(-region.e_max * x + region.f_min * py - region.dbar)
-    if label == "d_upper":
-        return abs(-region.e_min * px + region.f_max * y - region.dbar)
-    raise ValueError(f"unknown boundary label {label!r}")
+        return abs(y - region.bounds.V)
+    if label not in _CURVE_INDEX:
+        raise ValueError(f"unknown boundary label {label!r}")
+    return abs(_constraints(region, x, y)[_CURVE_INDEX[label]])
 
 
 def boundary_points(region: RegionSpec, n: int) -> tuple[list[tuple[str, float, float]], bool]:

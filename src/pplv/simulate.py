@@ -4,9 +4,9 @@ Integrates the system with an embedded adaptive Runge-Kutta 4(5) pair,
 locates coexistence states as fixed points of the period map, computes
 Floquet multipliers from the monodromy matrix of the variational
 equation, and checks the a-priori component bounds and region membership
-on every found orbit.  Orbit means use the trapezoid rule on the uniform
-sample grid; orbit suprema come from the trigonometric interpolant of the
-samples.
+on every found orbit; one solve per orbit gives its samples and its
+monodromy.  Orbit means use the trapezoid rule on the uniform sample grid;
+orbit suprema come from the trigonometric interpolant of the samples.
 
 The fixed-point search is shooting Newton in log coordinates
 (xi, eta) = (log u, log v), where the open quadrant is all of the plane
@@ -42,6 +42,9 @@ _ORBIT_SAMPLES = 512
 # exponential in the right-hand side can overflow.
 _MAX_LOG_STEP = 2.0
 _LOG_LIMIT = 50.0
+# Multipliers of strongly contracting orbits reach ~1e-12 and below, so the
+# fundamental matrix gets a far smaller absolute tolerance than (u, v).
+_ATOL = np.array([1e-12, 1e-12, 1e-20, 1e-20, 1e-20, 1e-20])
 # Oversampling factor of the trigonometric interpolant behind component_max.
 _MAX_REFINE = 8
 
@@ -65,7 +68,8 @@ class NonPositive(RuntimeError):
 @dataclass(frozen=True)
 class PeriodicOrbit2D:
     """A T-periodic coexistence orbit (both components positive) sampled
-    on a closed uniform grid."""
+    on a closed uniform grid, and its monodromy matrix from the same solve
+    (see :func:`integrate`)."""
 
     T: float
     ts: np.ndarray
@@ -73,6 +77,7 @@ class PeriodicOrbit2D:
     vs: np.ndarray
     periodicity_residual: float
     newton_residual: float
+    monodromy: np.ndarray
 
     def __post_init__(self) -> None:
         check_uniform_grid(self.T, self.ts)
@@ -137,36 +142,53 @@ def _coefficients(spec: SystemSpec):
     return at
 
 
-def _rhs(spec: SystemSpec):
-    coefs = _coefficients(spec)
+@dataclass(frozen=True)
+class Trajectory:
+    """The states (u, v) at the output times, as the two rows of ``y``,
+    and the fundamental matrix at the end of the span."""
 
-    def rhs(t, y):
-        u, v = y
-        a, b, c, d, e, f = coefs(t)
-        return (u * (a - b * u - c * v), v * (d + e * u - f * v))
-
-    return rhs
+    y: np.ndarray
+    fundamental: np.ndarray
 
 
 def integrate(spec: SystemSpec, state0: Sequence[float], t0: float, t1: float,
-              t_eval: Optional[np.ndarray] = None, rtol: float = TOL_ODE):
-    """Adaptive RK45 solution of the system from ``state0`` over [t0, t1]."""
+              t_eval: Optional[np.ndarray] = None) -> Trajectory:
+    """Adaptive RK45 solution of the system from ``state0`` over [t0, t1].
+
+    The state and the 2x2 fundamental matrix X of the variational equation,
+    X' = J(t, u, v) X with X(t0) = I, advance in one solve.  The states are
+    returned at ``t_eval``, or at the solver's steps when it is None, and X
+    at ``t1``: over one period from a periodic start, the monodromy matrix.
+    """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     state0 = np.asarray(state0, dtype=float)
     if np.any(state0 <= 0):
         raise NonPositive(f"initial state {state0} is not in the open quadrant")
-    sol = solve_ivp(_rhs(spec), (t0, t1), state0, method="RK45",
-                    rtol=rtol, atol=1e-12, t_eval=t_eval, dense_output=False)
+    coefs = _coefficients(spec)
+
+    def rhs(t, z):
+        u, v = z[0], z[1]
+        a, b, c, d, e, f = coefs(t)
+        jac = np.array([[a - 2.0 * b * u - c * v, -c * u],
+                        [e * v, d + e * u - 2.0 * f * v]])
+        dx = jac @ z[2:].reshape(2, 2)
+        return np.concatenate(([u * (a - b * u - c * v), v * (d + e * u - f * v)],
+                               dx.ravel()))
+
+    z0 = np.concatenate((state0, np.eye(2).ravel()))
+    sol = solve_ivp(rhs, (t0, t1), z0, method="RK45", rtol=TOL_ODE, atol=_ATOL,
+                    dense_output=t_eval is not None)
     if not sol.success:
         raise StepFailure(sol.message)
-    return sol
+    # X(t1) is the solver's last step, not a value of the interpolant
+    return Trajectory(y=sol.y[:2] if t_eval is None else sol.sol(t_eval)[:2],
+                      fundamental=sol.y[2:, -1].reshape(2, 2))
 
 
 def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
     """Solution value at t = T starting from ``state0`` at t = 0."""
-    sol = integrate(spec, state0, 0.0, spec.T)
-    return sol.y[:, -1].copy()
+    return integrate(spec, state0, 0.0, spec.T).y[:, -1].copy()
 
 
 def _log_period_map(spec: SystemSpec, z: np.ndarray):
@@ -269,13 +291,11 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
     return outcomes
 
 
-def _sample_orbit(spec: SystemSpec, x: np.ndarray, residual: float,
-                  n_samples: int) -> PeriodicOrbit2D:
-    """The orbit through the converged fixed point ``x``, sampled by one
-    unbatched solve at the module tolerances."""
-    ts = np.linspace(0.0, spec.T, n_samples + 1)
-    sol = integrate(spec, x, 0.0, spec.T, t_eval=ts)
-    us, vs = sol.y[0], sol.y[1]
+def _sample_orbit(spec: SystemSpec, x: np.ndarray, residual: float) -> PeriodicOrbit2D:
+    """The orbit through the converged fixed point ``x``, from one :func:`integrate`."""
+    ts = np.linspace(0.0, spec.T, _ORBIT_SAMPLES + 1)
+    traj = integrate(spec, x, 0.0, spec.T, t_eval=ts)
+    us, vs = traj.y
     if np.any(us <= 0) or np.any(vs <= 0):
         raise NonPositive("converged orbit is not strictly positive")
     # Newton happily converges onto the one-species boundary states, whose
@@ -287,11 +307,11 @@ def _sample_orbit(spec: SystemSpec, x: np.ndarray, residual: float,
         raise NonPositive("converged to a boundary (one-species) state")
     per_res = float(max(abs(us[-1] - us[0]), abs(vs[-1] - vs[0])))
     return PeriodicOrbit2D(T=spec.T, ts=ts, us=us, vs=vs,
-                           periodicity_residual=per_res, newton_residual=residual)
+                           periodicity_residual=per_res, newton_residual=residual,
+                           monodromy=traj.fundamental)
 
 
-def find_coexistence(spec: SystemSpec, guess: Sequence[float],
-                     n_samples: int = _ORBIT_SAMPLES) -> PeriodicOrbit2D:
+def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2D:
     """Newton iteration on the period map around ``guess``.
 
     The one-guess call of the batched log-coordinate Newton (see the
@@ -303,36 +323,16 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float],
     outcome = _newton(spec, [np.asarray(guess, dtype=float)])[0]
     if isinstance(outcome, Exception):
         raise outcome
-    return _sample_orbit(spec, *outcome, n_samples)
+    return _sample_orbit(spec, *outcome)
 
 
 def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
-    """Monodromy matrix and multipliers of the variational equation.
+    """Multipliers and stability class of the orbit's monodromy matrix.
 
-    The orbit and the 2x2 fundamental matrix are integrated together from
-    the orbit start with identity initial matrix; the classification uses
-    a strict band of width 1e-8 around the unit circle.
+    No integration: the monodromy was computed with the orbit samples.  The
+    classification uses a strict band of width 1e-8 around the unit circle.
     """
-    coefs = _coefficients(spec)
-
-    def aug(t, z):
-        u, v = z[0], z[1]
-        a, b, c, d, e, f = coefs(t)
-        jac = np.array([[a - 2.0 * b * u - c * v, -c * u],
-                        [e * v, d + e * u - 2.0 * f * v]])
-        dx = jac @ z[2:].reshape(2, 2)
-        return np.concatenate(([u * (a - b * u - c * v), v * (d + e * u - f * v)],
-                               dx.ravel()))
-
-    z0 = np.concatenate((orbit.start, np.eye(2).ravel()))
-    # Multipliers of strongly contracting orbits reach ~1e-12 and below, so
-    # the fundamental matrix gets a far smaller absolute tolerance than (u, v).
-    atol = np.array([1e-12, 1e-12, 1e-20, 1e-20, 1e-20, 1e-20])
-    sol = solve_ivp(aug, (0.0, spec.T), z0, method="RK45", rtol=TOL_ODE, atol=atol)
-    if not sol.success:
-        raise StepFailure(sol.message)
-    monodromy = sol.y[2:, -1].reshape(2, 2)
-    mults = np.linalg.eigvals(monodromy)
+    mults = np.linalg.eigvals(orbit.monodromy)
     moduli = np.abs(mults)
     if np.all(moduli < 1.0 - TOL_FLOQUET):
         cls = ASYMPTOTICALLY_STABLE
@@ -340,7 +340,7 @@ def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
         cls = UNSTABLE
     else:
         cls = LINEARLY_STABLE_NONSTRICT
-    return FloquetData(monodromy=monodromy,
+    return FloquetData(monodromy=orbit.monodromy,
                        multipliers=(complex(mults[0]), complex(mults[1])),
                        classification=cls)
 
@@ -452,7 +452,7 @@ def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20, seed: int 
     orbits: list[PeriodicOrbit2D] = []
     for x, residual in starts:
         try:
-            orbits.append(_sample_orbit(spec, x, residual, _ORBIT_SAMPLES))
+            orbits.append(_sample_orbit(spec, x, residual))
         except (NonPositive, StepFailure):
             continue
     orbits.sort(key=lambda o: (o.us[0], o.vs[0]))

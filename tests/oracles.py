@@ -35,29 +35,40 @@ def grid_refine_max(region: RegionSpec, objective, xmax: float, ymax: float,
                     n: int = 2000, rounds: int = 3):
     """Masked grid maximum with window refinement around the best cell.
 
+    Each round shrinks the window to +-2 cells around the best sample.
+    Whenever a scan finds a better sample, the window re-centres on it and
+    scans again, until the best sample stops moving; so the window can
+    follow a flat maximum along a curved boundary or into a thin corner.
     Returns (value, (x, y)) or (None, None) when no feasible point is seen.
     """
     x_lo, x_hi, y_lo, y_hi = 0.0, xmax, 0.0, ymax
     best = None
     arg = None
     for r in range(rounds + 1):
-        xs = np.linspace(x_lo, x_hi, n)
-        ys = np.linspace(y_lo, y_hi, n)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        mask = region_mask(region, X, Y)
-        if not mask.any():
-            break
-        vals = np.where(mask, objective(X, Y), -np.inf)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        if best is None or vals[i, j] > best:
+        while True:
+            xs = np.linspace(x_lo, x_hi, n)
+            ys = np.linspace(y_lo, y_hi, n)
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            vals = np.where(region_mask(region, X, Y), objective(X, Y), -np.inf)
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            if not vals[i, j] > (-np.inf if best is None else best):
+                break
             best = float(vals[i, j])
             arg = (float(X[i, j]), float(Y[i, j]))
+            hx, hy = 0.5 * (x_hi - x_lo), 0.5 * (y_hi - y_lo)
+            c = 0.5 * (n - 1)
+            if max(abs(i - c), abs(j - c)) > 0.5 * c:
+                hx, hy = 2 * hx, 2 * hy
+            x_lo, x_hi = max(0.0, arg[0] - hx), min(xmax, arg[0] + hx)
+            y_lo, y_hi = max(0.0, arg[1] - hy), min(ymax, arg[1] + hy)
+        if best is None:
+            break
         dx = (x_hi - x_lo) / (n - 1)
         dy = (y_hi - y_lo) / (n - 1)
-        x_lo = max(0.0, X[i, j] - 2 * dx)
-        x_hi = min(xmax, X[i, j] + 2 * dx)
-        y_lo = max(0.0, Y[i, j] - 2 * dy)
-        y_hi = min(ymax, Y[i, j] + 2 * dy)
+        x_lo = max(0.0, arg[0] - 2 * dx)
+        x_hi = min(xmax, arg[0] + 2 * dx)
+        y_lo = max(0.0, arg[1] - 2 * dy)
+        y_hi = min(ymax, arg[1] + 2 * dy)
     return best, arg
 
 

@@ -382,6 +382,19 @@ class TestMain:
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_main_analyze_long_period(self, tmp_path, capsys):
+        # T * mean(a) = 800 overflowed exp in the periodic logistic states
+        C = PeriodicCoefficient.constant
+        text = format_config(SystemSpec(T=400.0, a=C(2.0), b=C(1.0), c=C(1.0),
+                                        d=C(0.5), e=C(1.0), f=C(1.0)))
+        cfg_path = write_cfg(tmp_path, text)
+        code = main(["--command", "analyze", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_INCONCLUSIVE
+        out = capsys.readouterr().out
+        assert "coexistence states exist: True" in out
+        assert "conclusion: inconclusive" in out
+
     def test_main_analyze(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
         code = main(["--command", "analyze", "--config", str(cfg_path),

@@ -107,3 +107,25 @@ def test_tiny_mean_growth(growth):
     assert orbit.minimum > 0
     # u' = u*(a - u) has mean(a) = mean(theta) when b = 1
     assert weighted_average(C(1.0), orbit) == pytest.approx(growth.mean, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("T", [400.0, 1e4])
+def test_constant_state_beyond_exp_range(T):
+    # T * mean(growth) = 800 and 2e4: exp(A) and expm1(T * mean) overflow
+    orbit = periodic_logistic(C(2.0), C(1.0), T)
+    # 1e4 leaves cells 4.9 wide, where the 8-node Gauss panels of exp(2t)
+    # are accurate to ~1e-8
+    assert np.max(np.abs(orbit.values - 2.0)) <= 1e-7 * 2.0
+
+
+def test_trig_growth_beyond_exp_range():
+    # T * mean(growth) = 1000 with growth changing sign for part of the period
+    growth = TRIG(2.5, [(1, 0.0, 3.0)])
+    orbit = periodic_logistic(growth, C(1.0), 400.0)
+    assert orbit.minimum > 0
+    assert weighted_average(C(1.0), orbit) == pytest.approx(2.5, rel=1e-12)
+
+
+def test_sign_changing_damping_rejected():
+    with pytest.raises(ValueError, match="damping"):
+        periodic_logistic(C(1.0), TRIG(0.1, [(1, 1.0, 0.0)]), 1.0)

@@ -27,6 +27,12 @@ from pplv.region import (
 
 C = PeriodicCoefficient.constant
 
+# p = 2 with every coefficient and U, V equal to 1: x^2 + y^2 <= 1 bounds the
+# slices from above near the diagonal
+UNIT_DISK = RegionSpec(p=2.0, abar=1.0, dbar=0.0, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
+                       e_min=1.0, e_max=1.0, f_min=1.0, f_max=1.0,
+                       bounds=RegionBounds(U=1.0, V=1.0))
+
 
 def const_spec(a, b, c, d, e, f, T=1.0):
     return SystemSpec(T=T, a=C(a), b=C(b), c=C(c), d=C(d), e=C(e), f=C(f))
@@ -223,6 +229,22 @@ class TestOracleAgreement:
         ref, _ = grid_supxy(reg, xmax, ymax)
         assert abs(res.value - ref) <= 1e-4 * ref
 
+    def test_oracle_follows_flat_maximum(self):
+        # the best first sample lies far along the circle from the maximum
+        xmax, ymax = envelope(UNIT_DISK)
+        ref, _ = grid_refine_max(UNIT_DISK, lambda x, y: x + y, xmax, ymax, n=300)
+        assert ref == pytest.approx(math.sqrt(2.0), rel=1e-6)
+
+    def test_oracle_reaches_thin_corner(self):
+        # p = 1 triangle (3/4, 0), (5/7, 1/28), (~0.7128, ~0.0355), far thinner
+        # than the first grid; x*y peaks at the corner (5/7, 1/28)
+        reg = RegionSpec(p=1.0, abar=0.75, dbar=-0.5, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.05,
+                         e_min=0.5, e_max=1.0, f_min=6.0, f_max=6.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        xmax, ymax = envelope(reg)
+        ref, _ = grid_refine_max(reg, lambda x, y: x * y, xmax, ymax, n=300)
+        assert ref == pytest.approx(5.0 / 7.0 / 28.0, rel=1e-6)
+
     def test_envelope_encloses_feasible_points(self):
         reg = figure_region(2.0)
         xmax, ymax = envelope(reg)
@@ -285,10 +307,7 @@ class TestSupremumProperty:
             assert cp_contains(reg, res.argmax[0], res.argmax[1], tol=1e-9)
 
     def test_flat_maximum_on_unit_disk(self):
-        # x^2 + y^2 <= 1 bounds the slices from above near the diagonal
-        reg = RegionSpec(p=2.0, abar=1.0, dbar=0.0, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
-                         e_min=1.0, e_max=1.0, f_min=1.0, f_max=1.0,
-                         bounds=RegionBounds(U=1.0, V=1.0))
+        reg = UNIT_DISK
         assert sup_linear(reg, 1.0, 1.0).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert sup_xy(reg).value == pytest.approx(0.5, rel=1e-12)
 

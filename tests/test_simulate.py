@@ -43,14 +43,16 @@ def const_spec(a, b, c, d, e, f, T=1.0):
 def constant_orbit(u, v, T=1.0, n=64):
     ts = np.linspace(0.0, T, n + 1)
     return PeriodicOrbit2D(T=T, ts=ts, us=np.full(n + 1, u), vs=np.full(n + 1, v),
-                           periodicity_residual=0.0, newton_residual=0.0)
+                           periodicity_residual=0.0, newton_residual=0.0,
+                           monodromy=np.eye(2))
 
 
 def sampled_orbit(u, v, T, n):
     """Orbit of the periodic functions ``u``, ``v`` sampled on the n-cell grid."""
     ts = np.linspace(0.0, T, n + 1)
     return PeriodicOrbit2D(T=T, ts=ts, us=u(ts), vs=v(ts),
-                           periodicity_residual=0.0, newton_residual=0.0)
+                           periodicity_residual=0.0, newton_residual=0.0,
+                           monodromy=np.eye(2))
 
 
 class TestIntegrate:
@@ -163,7 +165,7 @@ class TestFloquet:
         jac = np.array([[-eq30.b * u, -eq30.c * u],
                         [eq30.e * v, -eq30.f * v]])
         ref = expm(jac * T)
-        flo = floquet(spec, constant_orbit(u, v, T=T))
+        flo = floquet(spec, find_coexistence(spec, (u, v)))
         mults = sorted(flo.multipliers, key=abs)
         ref_mults = sorted(np.linalg.eigvals(ref), key=abs)
         for m, r in zip(mults, ref_mults):
@@ -322,6 +324,31 @@ class TestBatchedNewton:
         assert len(calls) <= simulate.NEWTON_MAX_ITER + len(orbits)
         assert calls[0] == 6 * 20  # all 20 starts in the first solve
 
+    @pytest.mark.parametrize("name", ["perturbed_spec", "saddle_spec"])
+    def test_one_solve_per_orbit_after_newton(self, name, request, monkeypatch):
+        spec = request.getfixturevalue(name)
+        solves, iterations = [], []
+        real_solve, real_map = simulate.solve_ivp, simulate._log_period_map
+
+        def counting_solve(*args, **kwargs):
+            solves.append(len(args[2]))
+            return real_solve(*args, **kwargs)
+
+        def counting_map(spec, z):
+            iterations.append(z.shape[1])
+            return real_map(spec, z)
+
+        monkeypatch.setattr(simulate, "solve_ivp", counting_solve)
+        monkeypatch.setattr(simulate, "_log_period_map", counting_map)
+        orbits = find_coexistence_multistart(spec, n_starts=20, seed=0)
+        assert orbits
+        searched = len(solves)
+        for orbit in orbits:
+            floquet(spec, orbit)
+        # floquet reads the monodromy of the sampling solve
+        assert len(solves) == searched
+        assert len(solves) <= len(iterations) + len(orbits)
+
     def test_batch_invariance(self, perturbed_spec):
         orbits = find_coexistence_multistart(perturbed_spec, n_starts=20, seed=0)
         for orbit in orbits:
@@ -369,20 +396,22 @@ class TestOrbitValidation:
     def test_uniform_grid_required(self, ts):
         with pytest.raises(ValueError, match="grid"):
             PeriodicOrbit2D(T=1.0, ts=ts, us=np.ones(5), vs=np.ones(5),
-                            periodicity_residual=0.0, newton_residual=0.0)
+                            periodicity_residual=0.0, newton_residual=0.0,
+                            monodromy=np.eye(2))
 
     def test_positive_samples_required(self):
         ts = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             PeriodicOrbit2D(T=1.0, ts=ts, us=np.array([1, 1, -1, 1, 1.0]),
                             vs=np.ones(5), periodicity_residual=0.0,
-                            newton_residual=0.0)
+                            newton_residual=0.0, monodromy=np.eye(2))
 
     def test_periodicity_residual_bounded(self):
         ts = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             PeriodicOrbit2D(T=1.0, ts=ts, us=np.ones(5), vs=np.ones(5),
-                            periodicity_residual=1e-3, newton_residual=0.0)
+                            periodicity_residual=1e-3, newton_residual=0.0,
+                            monodromy=np.eye(2))
 
 
 def test_import_skips_scipy_interpolate():
