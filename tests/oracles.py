@@ -36,15 +36,16 @@ def grid_refine_max(region: RegionSpec, objective, xmax: float, ymax: float,
     """Masked grid maximum with window refinement around the best cell.
 
     Each round shrinks the window to +-2 cells around the best sample.
-    Whenever a scan finds a better sample, the window re-centres on it and
-    scans again, until the best sample stops moving; so the window can
-    follow a flat maximum along a curved boundary or into a thin corner.
+    Whenever a scan finds a better sample, the window re-centres on it,
+    doubling if the sample lay in its outer quarter, and scans again until
+    the best sample stops moving; so the window can follow a flat maximum
+    along a curved boundary or into a thin corner.
     Returns (value, (x, y)) or (None, None) when no feasible point is seen.
     """
     x_lo, x_hi, y_lo, y_hi = 0.0, xmax, 0.0, ymax
     best = None
     arg = None
-    for r in range(rounds + 1):
+    for _ in range(rounds + 1):
         while True:
             xs = np.linspace(x_lo, x_hi, n)
             ys = np.linspace(y_lo, y_hi, n)
