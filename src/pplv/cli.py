@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import constant_case, criteria, jfunc, simulate
 from .coeffs import PeriodicCoefficient, SystemSpec
@@ -332,9 +335,10 @@ def cmd_region(cfg: RunConfig, out, n_per_curve: int = 256) -> int:
         pts, empty = boundary_points(reg, n_per_curve)
         sup = sup_xy(reg)
         rows = []
-        for label, x, y in pts:
-            if boundary_residual(reg, label, x, y) <= 1e-9:
-                rows.append([label, _fmt(x), _fmt(y)])
+        for label, group in itertools.groupby(pts, key=lambda pt: pt[0]):
+            xy = [pt[1:] for pt in group]
+            on_curve = boundary_residual(reg, label, *np.array(xy).T) <= 1e-9
+            rows += [[label, _fmt(x), _fmt(y)] for (x, y), ok in zip(xy, on_curve) if ok]
         path = cfg.output_dir / f"region_p{_p_token(p)}.csv"
         _write_csv(path, ["curve_label", "x", "y"], rows)
         status = "empty" if empty else f"sup xy = {_fmt(sup.value)}"

@@ -353,7 +353,7 @@ def sup_linear(region: RegionSpec, coef_x: float, coef_y: float) -> SupResult:
 
 
 def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> float:
-    """|defining equality| of the labeled boundary curve at (x, y)."""
+    """|defining equality| of the labeled boundary curve at (x, y), scalars or arrays."""
     if label == "x_equals_U":
         return abs(x - region.bounds.U)
     if label == "y_equals_V":
