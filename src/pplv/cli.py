@@ -332,7 +332,7 @@ def cmd_region(cfg: RunConfig, out, n_per_curve: int = 256) -> int:
     print(f"U = {_fmt(bounds.U)}   V = {_fmt(bounds.V)}", file=out)
     for p in cfg.exponents():
         reg = region1.at(p)
-        pts, empty = boundary_points(reg, n_per_curve)
+        pts = boundary_points(reg, n_per_curve)
         sup = sup_xy(reg)
         rows = []
         for label, group in itertools.groupby(pts, key=lambda pt: pt[0]):
@@ -341,7 +341,7 @@ def cmd_region(cfg: RunConfig, out, n_per_curve: int = 256) -> int:
             rows += [[label, _fmt(x), _fmt(y)] for (x, y), ok in zip(xy, on_curve) if ok]
         path = cfg.output_dir / f"region_p{_p_token(p)}.csv"
         _write_csv(path, ["curve_label", "x", "y"], rows)
-        status = "empty" if empty else f"sup xy = {_fmt(sup.value)}"
+        status = "empty" if sup.empty else f"sup xy = {_fmt(sup.value)}"
         print(f"p = {_p_token(p)}: {len(rows)} boundary points -> {path} ({status})", file=out)
     return EXIT_STABLE
 

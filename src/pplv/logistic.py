@@ -87,13 +87,18 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     exactly, so T * mean(growth) may be any positive double: neither
     exp(A) nor exp(A(T)) - 1 has to be representable.  A(t) is exact (trig
     antiderivatives); the damping integral uses 8-node Gauss panels on a
-    uniform grid of ``n`` cells, accumulated by log-sum-exp.
+    uniform grid, accumulated by log-sum-exp.  The grid has ``n`` cells, or
+    ceil(T * max|growth|) when that is more, so that A changes by at most
+    1 over a cell; max|growth| is taken as its bound |mean| plus the
+    harmonic amplitudes.
     """
     lam = growth.mean
     if lam <= 0:
         raise NoPositiveSolution(
             f"mean growth {lam:.6g} <= 0: no positive periodic solution")
 
+    max_growth = abs(lam) + sum(math.hypot(ck, sk) for _, ck, sk in growth.harmonics)
+    n = max(n, math.ceil(T * max_growth))
     ts = np.linspace(0.0, T, n + 1)
     A = np.asarray(growth.antiderivative(T, ts), dtype=float)
     # A(T) = T * lam exactly; the harmonics' sin(2*pi*k) rounds to ~1e-16,

@@ -363,16 +363,17 @@ def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> flo
     return abs(_constraints(region, x, y)[_CURVE_INDEX[label]])
 
 
-def boundary_points(region: RegionSpec, n: int) -> tuple[list[tuple[str, float, float]], bool]:
-    """``n`` samples per labeled boundary curve, plus the emptiness flag.
+def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]]:
+    """``n`` samples per labeled boundary curve.
 
     Finite p yields four curves (the defining equalities); p = inf yields
     the two box edges through the corner (U, V).  Every returned point
     satisfies its defining equality to machine accuracy and has y >= 0.
+    The curves are sampled whether or not the region is empty; whether it
+    is, ``sup_xy(region).empty`` tells.
     """
     if n < 2:
         raise ValueError("need at least two samples per curve")
-    empty = sup_xy(region).empty
     pts: list[tuple[str, float, float]] = []
     p = region.p
     U, V = region.bounds.U, region.bounds.V
@@ -383,10 +384,10 @@ def boundary_points(region: RegionSpec, n: int) -> tuple[list[tuple[str, float, 
                 pts.append(("x_equals_U", U, float(yv)))
             for xv in np.linspace(0.0, U, n):
                 pts.append(("y_equals_V", float(xv), V))
-        return pts, empty
+        return pts
 
     if region.abar <= 0 or (p != 1.0 and (U <= 0 or V <= 0)):
-        return pts, empty
+        return pts
     xmax = _x_ceiling(region)
 
     # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0;
@@ -407,4 +408,4 @@ def boundary_points(region: RegionSpec, n: int) -> tuple[list[tuple[str, float, 
             for xv in np.linspace(x_start, x_end, n):
                 yv = _curves(region, float(xv))[index]
                 pts.append((label, float(xv), max(yv, 0.0)))
-    return pts, empty
+    return pts

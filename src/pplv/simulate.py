@@ -1,19 +1,23 @@
 """Direct numerical verification of the planar system.
 
-Integrates the system with an embedded adaptive Runge-Kutta 4(5) pair,
-locates coexistence states as fixed points of the period map, computes
-Floquet multipliers from the monodromy matrix of the variational
-equation, and checks the a-priori component bounds and region membership
-on every found orbit; one solve per orbit gives its samples and its
-monodromy.  Orbit means use the trapezoid rule on the uniform sample grid;
-orbit suprema come from the trigonometric interpolant of the samples.
+Integrates the system with the adaptive Dormand-Prince 8(5,3) pair
+(DOP853: Hairer, Norsett & Wanner, *Solving Ordinary Differential
+Equations I*, Springer 1993), locates coexistence states as fixed points
+of the period map, computes Floquet multipliers from the monodromy matrix
+of the variational equation, and checks the a-priori component bounds
+and region membership on every found orbit; one solve per orbit gives its
+samples and its monodromy.  Orbit means use the trapezoid rule on the
+uniform sample grid; orbit suprema come from the trigonometric
+interpolant of the samples.
 
 The fixed-point search is shooting Newton in log coordinates
 (xi, eta) = (log u, log v), where the open quadrant is all of the plane
 (Seydel, *Practical Bifurcation and Stability Analysis*, Springer 2010).
 Its Jacobian is the exact monodromy of the log-variational equation,
 integrated alongside the map, and every live start advances in the same
-vectorized integration.
+vectorized integration.  Every coexistence orbit lies in the a-priori box
+u <= U, v <= V, so a start that leaves it by more than two steps is
+retired.
 """
 
 from __future__ import annotations
@@ -39,9 +43,15 @@ _BOUNDARY_FRACTION = 1e-8
 _ORBIT_SAMPLES = 512
 # Newton steps are clamped to this sup norm in log coordinates, and an
 # iterate with a log coordinate beyond _LOG_LIMIT is retired before the
-# exponential in the right-hand side can overflow.
+# exponential in the right-hand side can overflow.  Every coexistence orbit
+# satisfies u <= U and v <= V, so an iterate more than _BOX_MARGIN above
+# log U or log V is retired too.  On forced saddle systems, searches from
+# starts inside the box climb up to ~2.6 steps above it before they turn
+# back to the orbit: a one-step margin retired 96% of them and lost the
+# orbit on some systems, two steps keep at least 6 of 20 random starts.
 _MAX_LOG_STEP = 2.0
 _LOG_LIMIT = 50.0
+_BOX_MARGIN = 2.0 * _MAX_LOG_STEP
 # Multipliers of strongly contracting orbits reach ~1e-12 and below, so the
 # fundamental matrix gets a far smaller absolute tolerance than (u, v).
 _ATOL = np.array([1e-12, 1e-12, 1e-20, 1e-20, 1e-20, 1e-20])
@@ -153,7 +163,7 @@ class Trajectory:
 
 def integrate(spec: SystemSpec, state0: Sequence[float], t0: float, t1: float,
               t_eval: Optional[np.ndarray] = None) -> Trajectory:
-    """Adaptive RK45 solution of the system from ``state0`` over [t0, t1].
+    """Adaptive DOP853 solution of the system from ``state0`` over [t0, t1].
 
     The state and the 2x2 fundamental matrix X of the variational equation,
     X' = J(t, u, v) X with X(t0) = I, advance in one solve.  The states are
@@ -177,7 +187,7 @@ def integrate(spec: SystemSpec, state0: Sequence[float], t0: float, t1: float,
                                dx.ravel()))
 
     z0 = np.concatenate((state0, np.eye(2).ravel()))
-    sol = solve_ivp(rhs, (t0, t1), z0, method="RK45", rtol=TOL_ODE, atol=_ATOL,
+    sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853", rtol=TOL_ODE, atol=_ATOL,
                     dense_output=t_eval is not None)
     if not sol.success:
         raise StepFailure(sol.message)
@@ -197,7 +207,7 @@ def _log_period_map(spec: SystemSpec, z: np.ndarray):
     ``z`` is (2, n): xi = log u and eta = log v per start.  Along each
     trajectory the fundamental matrix Phi of the log-variational equation,
     Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is integrated
-    too, and all 6n components go through one RK45 solve.  Returns the
+    too, and all 6n components go through one DOP853 solve.  Returns the
     (2, 3, n) state at t = T, whose row j holds the log of component j and
     row j of Phi(T), and per start None or the message of a failed
     integration.  A failed solve of several starts is repeated start by
@@ -221,7 +231,7 @@ def _log_period_map(spec: SystemSpec, z: np.ndarray):
         return out.ravel()
 
     y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)), axis=1)
-    sol = solve_ivp(rhs, (0.0, spec.T), y0.ravel(), method="RK45",
+    sol = solve_ivp(rhs, (0.0, spec.T), y0.ravel(), method="DOP853",
                     rtol=TOL_ODE, atol=1e-12, t_eval=[spec.T])
     if sol.success:
         return sol.y[:, -1].reshape(2, 3, n), [None] * n
@@ -232,14 +242,17 @@ def _log_period_map(spec: SystemSpec, z: np.ndarray):
             [msg for _, msgs in parts for msg in msgs])
 
 
-def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
+def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
+            bounds: RegionBounds) -> list:
     """Newton iteration on the period map from every guess at once.
 
     Each iteration advances all live starts in one ``_log_period_map``
     solve and takes, per start, the step dz solving (Phi(T) - I) dz =
     -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  A start converges
     when its fixed-point residual in (u, v) falls to ``NEWTON_TOL`` in the
-    sup norm.  Returns, per guess, either (x, residual) with x the
+    sup norm.  When ``bounds`` are positive, a start whose log iterate
+    exceeds (log U, log V) by more than ``_BOX_MARGIN`` is retired before
+    its next solve.  Returns, per guess, either (x, residual) with x the
     converged (u, v), or the NonPositive, NoConvergence or StepFailure
     that retired it.
     """
@@ -254,11 +267,16 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
             outcomes[j] = NonPositive(f"Newton iterate {g} left the open quadrant")
     residual = [math.inf] * len(guesses)
     eye = np.eye(2)
+    log_box = np.log([bounds.U, bounds.V]) if bounds.U > 0 and bounds.V > 0 else None
     for _ in range(NEWTON_MAX_ITER):
         for j in live:
             if not np.all(np.abs(z[:, j]) <= _LOG_LIMIT):
                 outcomes[j] = NoConvergence(
                     f"Newton iterate diverged (log state {z[:, j]})")
+            elif log_box is not None and np.any(z[:, j] > log_box + _BOX_MARGIN):
+                outcomes[j] = NoConvergence(
+                    f"Newton iterate left the a-priori box (log state {z[:, j]}, "
+                    f"log (U, V) = {log_box})")
         live = [j for j in live if outcomes[j] is None]
         if not live:
             break
@@ -315,12 +333,13 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2
     """Newton iteration on the period map around ``guess``.
 
     The one-guess call of the batched log-coordinate Newton (see the
-    module docstring); convergence requires the fixed-point residual in
+    module docstring), retired once it leaves the a-priori box from
+    :func:`compute_uv`; convergence requires the fixed-point residual in
     (u, v) to fall below 1e-10 in the sup norm.  Raises NonPositive,
     NoConvergence or StepFailure when the search fails, and NonPositive
     when it converges onto a one-species boundary state.
     """
-    outcome = _newton(spec, [np.asarray(guess, dtype=float)])[0]
+    outcome = _newton(spec, [np.asarray(guess, dtype=float)], compute_uv(spec))[0]
     if isinstance(outcome, Exception):
         raise outcome
     return _sample_orbit(spec, *outcome)
@@ -443,7 +462,7 @@ def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20, seed: int 
         guesses.append(np.array([bounds.U * (1.0 - rng.random()),
                                  bounds.V * (1.0 - rng.random())]))
     starts: list[tuple[np.ndarray, float]] = []
-    for outcome in _newton(spec, guesses):
+    for outcome in _newton(spec, guesses, bounds):
         if isinstance(outcome, Exception):
             continue
         if any(np.max(np.abs(outcome[0] - x)) < 1e-6 for x, _ in starts):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import pplv.cli
+import pplv.region
 from pplv.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NO_COEXISTENCE,
@@ -242,6 +244,20 @@ class TestCommands:
         pts = {(x, y) for _, x, y in rows}
         corner = ("2.0102000000000002", "2.0049979800000002")
         assert corner in pts
+
+    def test_region_one_sup_xy_per_exponent(self, tmp_path, monkeypatch):
+        calls = []
+        real = pplv.region.sup_xy
+
+        def counting(region):
+            calls.append(region.p)
+            return real(region)
+
+        monkeypatch.setattr(pplv.region, "sup_xy", counting)
+        monkeypatch.setattr(pplv.cli, "sup_xy", counting)
+        run_command(make_cfg("region", write_cfg(tmp_path), p_list=(1.0, 2.0, INF),
+                             output_dir=tmp_path / "artifacts"), io.StringIO())
+        assert calls == [1.0, 2.0, INF]
 
     def test_jfunc_table_bounds(self, tmp_path):
         outdir = tmp_path / "artifacts"

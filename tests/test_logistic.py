@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -109,13 +111,14 @@ def test_tiny_mean_growth(growth):
     assert weighted_average(C(1.0), orbit) == pytest.approx(growth.mean, rel=1e-6, abs=0)
 
 
-@pytest.mark.parametrize("T", [400.0, 1e4])
+@pytest.mark.parametrize("T", [400.0, 1e4, 1e5])
 def test_constant_state_beyond_exp_range(T):
-    # T * mean(growth) = 800 and 2e4: exp(A) and expm1(T * mean) overflow
+    # T * mean(growth) = 800, 2e4 and 2e5: exp(A) and expm1(T * mean)
+    # overflow, and 2048 cells would let A rise by up to 98 over one Gauss
+    # panel; the grid grows so that it rises by at most 1
     orbit = periodic_logistic(C(2.0), C(1.0), T)
-    # 1e4 leaves cells 4.9 wide, where the 8-node Gauss panels of exp(2t)
-    # are accurate to ~1e-8
-    assert np.max(np.abs(orbit.values - 2.0)) <= 1e-7 * 2.0
+    assert len(orbit.ts) - 1 == max(DEFAULT_GRID, math.ceil(2.0 * T))
+    assert np.max(np.abs(orbit.values - 2.0)) <= 1e-10 * 2.0
 
 
 def test_trig_growth_beyond_exp_range():

@@ -165,8 +165,8 @@ class TestSupLinear:
 class TestBoundaryPoints:
     def test_demo_p2_counts_and_residuals(self, eq30_spec):
         reg = region_spec(eq30_spec, 2.0)
-        pts, empty = boundary_points(reg, 100)
-        assert not empty
+        pts = boundary_points(reg, 100)
+        assert not sup_xy(reg).empty
         assert len(pts) == 400
         labels = {lab for lab, _, _ in pts}
         assert labels == {"a_lower", "a_upper", "d_lower", "d_upper"}
@@ -175,7 +175,7 @@ class TestBoundaryPoints:
 
     def test_residuals_against_raw_forms(self, eq30_spec):
         reg = region_spec(eq30_spec, 2.0)
-        pts, _ = boundary_points(reg, 50)
+        pts = boundary_points(reg, 50)
         U, V, p = reg.bounds.U, reg.bounds.V, reg.p
         for lab, x, y in pts:
             if lab == "a_lower":
@@ -187,15 +187,15 @@ class TestBoundaryPoints:
 
     def test_box_corner_present_at_p_inf(self, eq30_spec):
         reg = region_spec(eq30_spec, INF)
-        pts, _ = boundary_points(reg, 11)
+        pts = boundary_points(reg, 11)
         corner = (reg.bounds.U, reg.bounds.V)
         hits = [pt for _, x, y in pts for pt in [(x, y)] if pt == corner]
         assert len(hits) >= 2  # end of one edge, start of the other
 
     def test_figure_parameters_form_bounded_curves(self):
         reg = figure_region(1.0)
-        pts, empty = boundary_points(reg, 64)
-        assert not empty
+        pts = boundary_points(reg, 64)
+        assert not sup_xy(reg).empty
         xs = [x for _, x, _ in pts]
         ys = [y for _, y, _ in pts]
         assert max(xs) <= envelope(reg)[0] + 1e-12
@@ -207,7 +207,7 @@ class TestBoundaryPoints:
         # negative mean of d clips two curves at y = 0; each still carries
         # n samples on its admissible range
         reg = region_spec(classical_spec, 2.0)
-        pts, _ = boundary_points(reg, 40)
+        pts = boundary_points(reg, 40)
         counts = {}
         for lab, x, y in pts:
             counts[lab] = counts.get(lab, 0) + 1

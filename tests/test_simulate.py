@@ -15,6 +15,7 @@ from pplv.constant_case import ConstantSystem, equilibrium
 from pplv.criteria import intertwined_test
 from pplv.jfunc import INF
 from pplv.logistic import periodic_logistic
+from pplv.region import RegionBounds, compute_uv
 from pplv.simulate import (
     ASYMPTOTICALLY_STABLE,
     UNSTABLE,
@@ -371,6 +372,50 @@ class TestBatchedNewton:
         assert len(orbits) == 1
         with pytest.raises(StepFailure):
             find_coexistence(perturbed_spec, (7.0, 7.0))
+
+
+class TestBoxRetirement:
+    def test_far_guess_retired_before_solving(self, saddle_spec, monkeypatch):
+        # log v = 49 lies far above log V = 9.85; without the box Newton
+        # spends all its iterations out there before giving up
+        calls = []
+        real = simulate._log_period_map
+
+        def counting(spec, z):
+            calls.append(z.shape[1])
+            return real(spec, z)
+
+        monkeypatch.setattr(simulate, "_log_period_map", counting)
+        with pytest.raises(NoConvergence, match="a-priori box"):
+            find_coexistence(saddle_spec, (1.0, math.e ** 49))
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("excess, retired", [(0.9, False), (1.1, True)])
+    def test_margin_is_two_full_steps(self, saddle_spec, monkeypatch, excess, retired):
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
+        bounds = compute_uv(saddle_spec)
+        guess = np.array([1.0, bounds.V * math.exp(excess * 2.0 * simulate._MAX_LOG_STEP)])
+        outcome = simulate._newton(saddle_spec, [guess], bounds)[0]
+        assert isinstance(outcome, NoConvergence)
+        assert ("a-priori box" in str(outcome)) == retired
+
+    def test_saddle_kept_by_random_starts(self):
+        # a forced saddle system whose random starts all climb more than one
+        # step above log V on their way to the orbit
+        spec = SystemSpec(T=6.76333085, a=TRIG(1.093558895, [(1, 0.0, 0.94142464)]),
+                          b=C(0.009119026), c=C(1.047122093), d=C(-1.055792509),
+                          e=C(1.072105693), f=C(0.010953599))
+        orbits = find_coexistence_multistart(spec)
+        assert len(orbits) == 1
+        assert floquet(spec, orbits[0]).classification == UNSTABLE
+
+    def test_no_box_without_positive_bounds(self, saddle_spec, monkeypatch):
+        # U <= 0: only the |log| limit of 50 retires iterates, as before
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
+        guess = np.array([1.0, math.e ** 49])
+        outcome = simulate._newton(saddle_spec, [guess], RegionBounds(U=-1.0, V=1.0))[0]
+        assert isinstance(outcome, NoConvergence)
+        assert "no fixed point after 1 iterations" in str(outcome)
 
 
 class TestComponentMax:
