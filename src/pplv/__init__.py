@@ -38,7 +38,7 @@ from .criteria import (
     unified_lp_test,
     weak_intertwined_test,
 )
-from .existence import BoundaryClassification, classify_boundary, coexistence_exists
+from .existence import BoundaryClassification, classify_boundary
 from .jfunc import INF, angular_integral, conjugate, threshold_p, threshold_q
 from .logistic import (
     NoPositiveSolution,

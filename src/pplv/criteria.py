@@ -60,8 +60,6 @@ def _result(name: str, p: Optional[float], lhs: float, rhs: float,
         diags.append("borderline")
     passed = margin > 0.0 if strict else margin >= 0.0
     q = None if p is None else jfunc.conjugate(p)
-    if q is not None and math.isfinite(q) and q > 1e6:
-        diags.append("conjugate exponent treated as infinite")
     return TestResult(name=name, p=p, q=q, lhs=lhs, rhs=rhs,
                       margin=margin, passed=passed, diagnostics=tuple(diags))
 
@@ -89,8 +87,7 @@ def condition19(spec: SystemSpec) -> TestResult:
     return _result("condition19", None, lhs=lhs, rhs=rhs, strict=True)
 
 
-def _unified_lp(summary: SystemSummary, p: float, rp: RegionSpec, sxy: SupResult,
-                threshold: float) -> TestResult:
+def _unified_lp(summary: SystemSummary, p: float, threshold: float) -> TestResult:
     spec, r1 = summary.spec, summary.region1
     q = jfunc.conjugate(p)
     alpha_p, beta_p = summary.envelopes1 if p == 1.0 else norm_envelopes(spec, r1, p)
@@ -115,7 +112,7 @@ def _intertwined(name: str, summary: SystemSummary, p: float, sxy: SupResult,
     return _result(name, p, lhs=lhs, rhs=threshold, diagnostics=diags)
 
 
-def _intertwined_at(summary: SystemSummary, p: float, rp: RegionSpec, sxy: SupResult,
+def _intertwined_at(summary: SystemSummary, p: float, sxy: SupResult,
                     threshold: float) -> TestResult:
     return _intertwined("intertwined", summary, p, sxy, summary.sup_linear1, threshold)
 
@@ -127,10 +124,10 @@ def _weak_intertwined_at(summary: SystemSummary, p: float, rp: RegionSpec, sxy: 
     return _intertwined("weak_intertwined", summary, p, sxy, slin, threshold)
 
 
-def _inputs(summary: SystemSummary, p: float) -> tuple:
-    """(summary, p, p-region, its x*y supremum, threshold): what every test at p reads."""
+def _region_at(summary: SystemSummary, p: float) -> tuple[RegionSpec, SupResult]:
+    """The p-region and its x*y supremum, which both intertwined tests read."""
     rp = summary.region1.at(p)
-    return summary, p, rp, sup_xy(rp), jfunc.threshold_p(p)
+    return rp, sup_xy(rp)
 
 
 def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
@@ -141,7 +138,7 @@ def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
     against the p-threshold, with alpha/beta the independent norm
     envelopes of the two components.
     """
-    return _unified_lp(*_inputs(summarize(spec), p))
+    return _unified_lp(summarize(spec), p, jfunc.threshold_p(p))
 
 
 def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
@@ -151,12 +148,15 @@ def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
                 + (1/2) * sup(b_max*x + f_max*y over the 1-region) ).
     An empty region is a vacuous pass: no coexistence state can exist.
     """
-    return _intertwined_at(*_inputs(summarize(spec), p))
+    summary = summarize(spec)
+    _, sxy = _region_at(summary, p)
+    return _intertwined_at(summary, p, sxy, jfunc.threshold_p(p))
 
 
 def weak_intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Variant with both suprema over the same p-region."""
-    return _weak_intertwined_at(*_inputs(summarize(spec), p))
+    summary = summarize(spec)
+    return _weak_intertwined_at(summary, p, *_region_at(summary, p), jfunc.threshold_p(p))
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,11 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     best_margin = -math.inf
     any_lp_pass = False
     for p in grid:
-        inputs = _inputs(summary, p)
-        for res in (_unified_lp(*inputs), _intertwined_at(*inputs),
-                    _weak_intertwined_at(*inputs)):
+        rp, sxy = _region_at(summary, p)
+        threshold = jfunc.threshold_p(p)
+        for res in (_unified_lp(summary, p, threshold),
+                    _intertwined_at(summary, p, sxy, threshold),
+                    _weak_intertwined_at(summary, p, rp, sxy, threshold)):
             results.append(res)
             if res.passed:
                 any_lp_pass = True

@@ -100,8 +100,3 @@ def classify_boundary(spec: SystemSpec) -> BoundaryClassification:
         diagnostics=tuple(diagnostics),
     )
 
-
-def coexistence_exists(spec: SystemSpec) -> tuple[bool, tuple[float, float]]:
-    """True iff the system admits a coexistence state, plus the two slacks."""
-    cls = classify_boundary(spec)
-    return cls.coexistence_exists, cls.margins

@@ -4,21 +4,25 @@ Every stability test in this package compares a system-dependent left-hand
 side against a threshold that depends only on the exponent p (through its
 conjugate q).  The threshold is built from the angular integral
 
-    angular_integral(q) = integral over [0, 2*pi] of
-                          (|cos t|**(2q) + |sin t|**(2q)) ** (-1/q) dt,
+    J(q) = integral over [0, 2*pi] of
+           (|cos t|**(2q) + |sin t|**(2q)) ** (-1/q) dt.
 
-which equals 2*pi at q = 1 and tends to 8 as q -> inf.
+By the 8-fold symmetry of the integrand, r = tan t on [0, pi/4] gives
+J(q) = 8 * integral_0^1 (1 + r**(2q)) ** (-1/q) dr, and s = r**(2q) turns
+that into Euler's integral (DLMF 15.6.1):
+
+    J(q) = 8 * 2F1(1/q, 1/(2q); 1 + 1/(2q); -1),
+
+which equals 2*pi at q = 1 and exactly 8 at q = inf, where 1/q = 0.
 """
 
 from __future__ import annotations
 
 import math
 
-INF = math.inf
+from scipy.special import hyp2f1
 
-TOL_J = 1e-9
-_SIMPSON_MAX_DEPTH = 30
-_LARGE_Q_CUTOFF = 1e6
+INF = math.inf
 
 
 def check_exponent(p: float) -> None:
@@ -37,57 +41,15 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _integrand(theta: float, q: float) -> float:
-    # Factored as m**-2 * (1 + r**(2q))**(-1/q) with m = max(|cos|, |sin|)
-    # and r = min/max, so r**(2q) underflows harmlessly instead of the sum
-    # collapsing at large q.  On [0, pi/4] we have m = cos, r = tan.
-    c = math.cos(theta)
-    r = math.tan(theta)
-    return (1.0 + r ** (2.0 * q)) ** (-1.0 / q) / (c * c)
-
-
-def _adaptive_simpson(f, a: float, b: float, fa: float, fm: float, fb: float,
-                      whole: float, tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth >= _SIMPSON_MAX_DEPTH or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1))
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 0)
-
-
-def angular_integral(q: float, tol: float = TOL_J) -> float:
-    """The angular integral over [0, 2*pi]; exactly 8 at q = inf.
-
-    By the 8-fold symmetry of the integrand only [0, pi/4] is integrated,
-    which keeps the |.| kinks at multiples of pi/2 out of the panels.
-    Finite q above 1e6 is indistinguishable from the limit at the working
-    tolerance and short-circuits to 8.
-    """
+def angular_integral(q: float) -> float:
+    """J(q) = 8 * 2F1(1/q, 1/(2q); 1 + 1/(2q); -1); exactly 8 at q = inf."""
     check_exponent(q)
-    if math.isinf(q) or q > _LARGE_Q_CUTOFF:
-        return 8.0
-    return 8.0 * adaptive_simpson(lambda t: _integrand(t, q), 0.0, 0.25 * math.pi, tol / 8.0)
+    k = 1.0 / q
+    return float(8.0 * hyp2f1(k, 0.5 * k, 1.0 + 0.5 * k, -1.0))
 
 
 def threshold_q(q: float) -> float:
     """angular_integral(q) / 2**(2 - 1/q); strictly decreasing in q."""
-    if math.isinf(q):
-        return 2.0
     return angular_integral(q) / 2.0 ** (2.0 - 1.0 / q)
 
 

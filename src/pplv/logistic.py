@@ -22,6 +22,7 @@ from .coeffs import PeriodicCoefficient, _GAUSS_NODES, _GAUSS_WEIGHTS
 
 TOL_PERIODIC = 1e-9
 DEFAULT_GRID = 2048
+_TINY = float(np.finfo(float).tiny)
 
 
 def check_uniform_grid(T: float, ts: np.ndarray) -> None:
@@ -125,6 +126,9 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     log_s = a0 + math.log(-math.expm1(-a0))
     log_w = np.logaddexp.accumulate(np.concatenate(([log_bt - log_s], log_panel)))
     theta = np.exp(A - log_w)
+    # where theta lies below the double range (growth negative over a long
+    # stretch) exp rounds it to 0; store the smallest normal double instead
+    theta[theta == 0.0] = _TINY
     return PeriodicOrbit1D(T=T, ts=ts, values=theta)
 
 

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pplv.cli
 import pplv.region
@@ -56,8 +58,8 @@ EXAMPLE1_DEMO = [
     "k = (b*x1 + f*y1)/2 = 2.9999502530607773",
     "p        h(p)                      sign_ok   G(p)                      delta(p)",
     "1        198.07933244511915        False     3.2932764156070675        3.2932764156070675",
-    "2        800.27408403458367        False     -744.79810587244538       -1493.3186977820792",
-    "200      6.8415311198622474e+113   True      2.0512194582870347e+65    2.7082332808767559e+125",
+    "2        800.27408402760159        False     -744.7981031483082        -1493.3186923201897",
+    "200      6.8415310211151307e+113   True      2.0512194582870349e+65    2.7082332808767563e+125",
     "sign pattern (G(1) > 0, G(2) < 0, G(200) > 0): (True, True, True)",
     "large-p dominance check (V > r^2/U): True",
     "  note: sign_ok false at p=1",
@@ -65,12 +67,12 @@ EXAMPLE1_DEMO = [
     "direct region-coupled tests:",
     "  intertwined        p=1     lhs=3.1420467661780891       rhs=2                        "
     "margin=-1.1420467661780891      FAIL",
-    "  intertwined        p=2     lhs=3.1423618341555764       rhs=2.6220575542912954       "
-    "margin=-0.52030427986428096     FAIL",
-    "  intertwined        p=inf   lhs=3.1425883108869797       rhs=3.1415926535897931       "
-    "margin=-0.00099565729718653628  FAIL",
-    "  weak_intertwined   p=inf   lhs=3.1527360378286606       rhs=3.1415926535897931       "
-    "margin=-0.011143384238867515    FAIL",
+    "  intertwined        p=2     lhs=3.1423618341555764       rhs=2.6220575542921196       "
+    "margin=-0.52030427986345673     FAIL",
+    "  intertwined        p=inf   lhs=3.1425883108869797       rhs=3.1415926535897922       "
+    "margin=-0.00099565729718742446  FAIL",
+    "  weak_intertwined   p=inf   lhs=3.1527360378286606       rhs=3.1415926535897922       "
+    "margin=-0.011143384238868403    FAIL",
     "note: sign_ok=false at one or more exponents; there the squared reduction behind G(p) "
     "does not preserve the inequality direction and a negative G(p) does not certify the "
     "direct test; the direct region-based margins are authoritative.",
@@ -164,6 +166,25 @@ class TestRoundTrip:
                           d=PeriodicCoefficient.constant(-0.1),
                           e=PeriodicCoefficient.constant(2.718281828459045),
                           f=PeriodicCoefficient.constant(3.0))
+        assert parse_config(format_config(spec)) == spec
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_random_trig_systems(self, data):
+        amp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+        def coef(positive):
+            ks = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+            hs = [(k, data.draw(amp), data.draw(amp)) for k in ks]
+            if positive:  # c0 above the harmonics' total amplitude keeps it positive
+                c0 = sum(abs(ck) + abs(sk) for _, ck, sk in hs) + data.draw(
+                    st.floats(min_value=0.01, max_value=5.0))
+            else:
+                c0 = data.draw(st.floats(min_value=-5.0, max_value=5.0))
+            return PeriodicCoefficient.trig(c0, hs)
+
+        spec = SystemSpec(T=data.draw(st.floats(min_value=1e-3, max_value=1e3)),
+                          **{name: coef(name in "bcef") for name in "abcdef"})
         assert parse_config(format_config(spec)) == spec
 
 

@@ -19,7 +19,7 @@ from pplv.constant_case import (
     sign_scan,
 )
 from pplv.criteria import intertwined_test
-from pplv.existence import coexistence_exists
+from pplv.existence import classify_boundary
 from pplv.jfunc import threshold_p
 from pplv.region import boundary_residual, cp_contains, region_spec, sup_xy
 
@@ -201,7 +201,7 @@ class TestGuardedEquivalence:
             T = rng.uniform(0.2, 2.0)
             sysc = ConstantSystem(T=T, a=a, b=b, c=c, d=d, e=e, f=f)
             spec = sysc.to_system_spec()
-            if not coexistence_exists(spec)[0]:
+            if not classify_boundary(spec).coexistence_exists:
                 continue
             for p in (1.5, 2.0, 4.0):
                 mq, ok = _quadratic_max(sysc, p)

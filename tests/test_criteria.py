@@ -19,7 +19,7 @@ from pplv.criteria import (
     unified_lp_test,
     weak_intertwined_test,
 )
-from pplv.jfunc import INF
+from pplv.jfunc import INF, threshold_p
 from pplv.region import compute_uv, region_spec, sup_linear, sup_xy
 
 C = PeriodicCoefficient.constant
@@ -257,11 +257,13 @@ class TestScanP:
 
 
 def test_huge_conjugate_exponent_flagged(eq30_spec):
-    # p barely above 1 conjugates to q > 1e6, which is evaluated as the
-    # infinite-exponent limit and flagged
-    res = unified_lp_test(eq30_spec, 1.0 + 1e-7)
+    # p barely above 1 conjugates to q > 1e6; the threshold is evaluated
+    # there like anywhere else, so nothing is flagged
+    p = 1.0 + 1e-7
+    res = unified_lp_test(eq30_spec, p)
     assert res.q > 1e6
-    assert any("treated as infinite" in d for d in res.diagnostics)
+    assert res.rhs == threshold_p(p)
+    assert res.diagnostics == ()
 
 
 TRIG = PeriodicCoefficient.trig

@@ -3,7 +3,7 @@ import pytest
 
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import ConstantSystem, equilibrium
-from pplv.existence import classify_boundary, coexistence_exists
+from pplv.existence import classify_boundary
 
 C = PeriodicCoefficient.constant
 
@@ -40,26 +40,27 @@ def test_demo_constants_have_both_semitrivial_states(eq30_spec):
 
 class TestCoexistenceExists:
     def test_classical_set(self):
-        ok, margins = coexistence_exists(const_spec(1, 1, 1, -0.5, 1, 1))
-        assert ok
+        cls = classify_boundary(const_spec(1, 1, 1, -0.5, 1, 1))
+        margins = cls.margins
+        assert cls.coexistence_exists
         assert margins[0] == pytest.approx(0.5, abs=1e-9)  # -0.5 + 1
         assert margins[1] == pytest.approx(1.0)  # lam itself (mu <= 0)
 
     def test_all_negative_growth(self):
-        ok, _ = coexistence_exists(const_spec(-1, 1, 1, -1, 1, 1))
-        assert not ok
+        assert not classify_boundary(const_spec(-1, 1, 1, -1, 1, 1)).coexistence_exists
 
     def test_demo_constants(self, eq30_spec):
-        ok, margins = coexistence_exists(eq30_spec)
-        assert ok
+        cls = classify_boundary(eq30_spec)
+        margins = cls.margins
+        assert cls.coexistence_exists
         assert margins[0] == pytest.approx(2.0203 + 0.9898 * 2.0102, abs=1e-8)
         assert margins[1] == pytest.approx(2.0102 - 0.0051 * (2.0203 / 2.0), abs=1e-8)
 
     def test_strong_predator_death_blocks_coexistence(self, eq30_spec):
         spec = const_spec(2.0102, 1.0, 0.0051, -10.0, 0.9898, 2.0)
-        ok, margins = coexistence_exists(spec)
-        assert not ok
-        assert margins[0] < 0
+        cls = classify_boundary(spec)
+        assert not cls.coexistence_exists
+        assert cls.margins[0] < 0
 
 
 def test_mutual_exclusion_of_stability_and_coexistence():
@@ -83,7 +84,7 @@ def test_constant_cross_check_equilibrium_positivity():
         a, d = rng.uniform(-2, 2, size=2)
         b, c, e, f = rng.uniform(0.2, 2.0, size=4)
         spec = const_spec(a, b, c, d, e, f)
-        ok, _ = coexistence_exists(spec)
+        ok = classify_boundary(spec).coexistence_exists
         x, y = equilibrium(ConstantSystem(T=1.0, a=a, b=b, c=c, d=d, e=e, f=f))
         assert ok == (x > 0 and y > 0)
 
@@ -93,3 +94,13 @@ def test_margin_replacement_diagnostic_when_lambda_nonpositive():
     assert not cls.coexistence_exists
     assert any("prey-only state absent" in d for d in cls.diagnostics)
     assert cls.margins[0] == pytest.approx(-0.3)
+
+
+def test_underflowing_logistic_state_keeps_margins():
+    # a < 0 over part of a long period drives theta_lambda below the double
+    # range there; the margins are mu + mean(a) = 3 and mean(a) - mu = 2
+    spec = SystemSpec(T=1e5, a=PeriodicCoefficient.trig(2.5, [(1, 0.0, 3.0)]),
+                      b=C(1), c=C(1), d=C(0.5), e=C(1), f=C(1))
+    cls = classify_boundary(spec)
+    assert cls.coexistence_exists
+    assert cls.margins == pytest.approx((3.0, 2.0), abs=1e-9)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from scipy.special import ellipk
 
 from pplv.jfunc import (
     INF,
-    TOL_J,
     angular_integral,
     check_exponent,
     conjugate,
@@ -17,6 +17,16 @@ from pplv.jfunc import (
 )
 
 Q_GRID = [1.0 + 0.25 * i for i in range(197)]  # 1, 1.25, ..., 50
+REFERENCE_Q = [1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6, 2e6, INF]
+
+
+def reference_j(q):
+    """8 * integral_0^1 (1 + r**(2q))**(-1/q) dr at 30 digits; 8 at q = inf."""
+    if math.isinf(q):
+        return mp.mpf(8)
+    with mp.workdps(30):
+        qm = mp.mpf(q)
+        return 8 * mp.quad(lambda r: (1 + r ** (2 * qm)) ** (-1 / qm), [0, 1])
 
 
 class TestConjugate:
@@ -56,7 +66,13 @@ class TestAngularIntegral:
         assert angular_integral(INF) == 8.0
 
     def test_large_finite_q_short_circuits(self):
-        assert angular_integral(2e6) == 8.0
+        # no cutoff: the gap to the limit 8 (~8e-13 here) is resolved, not rounded to 0
+        gap = 8.0 - angular_integral(2e6)
+        assert gap == pytest.approx(float(8 - reference_j(2e6)), rel=1e-2)
+
+    @pytest.mark.parametrize("q", REFERENCE_Q)
+    def test_matches_mpmath_reference(self, q):
+        assert angular_integral(q) == pytest.approx(float(reference_j(q)), rel=1e-14)
 
     def test_q2_matches_elliptic_integral(self):
         # cos^4 + sin^4 = 1 - sin(2t)^2/2 reduces the integral to 4*K(m=1/2)
@@ -80,12 +96,18 @@ class TestAngularIntegral:
 
 
 class TestThresholds:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0, INF])
+    def test_threshold_p_matches_mpmath_reference(self, p):
+        q = conjugate(p)
+        expected = reference_j(q) / mp.mpf(2) ** (2 - (0 if math.isinf(q) else 1 / mp.mpf(q)))
+        assert threshold_p(p) == pytest.approx(float(expected), rel=1e-14)
+
     def test_threshold_q_endpoints(self):
         assert threshold_q(1.0) == pytest.approx(math.pi, abs=1e-10)
         assert threshold_q(INF) == 2.0
 
     def test_threshold_p_endpoints(self):
-        assert threshold_p(1.0) == pytest.approx(2.0, abs=1e-10)
+        assert threshold_p(1.0) == 2.0
         assert threshold_p(INF) == pytest.approx(math.pi, abs=1e-10)
 
     def test_threshold_p2_value(self):
@@ -96,17 +118,17 @@ class TestThresholds:
         grid = Q_GRID + [INF]
         vals = [threshold_q(q) for q in grid]
         for lo, hi in zip(vals, vals[1:]):
-            assert lo - hi > 10.0 * TOL_J
+            assert lo - hi > 1e-8
 
     def test_threshold_p_strictly_increasing(self):
         # mirror of the q grid: conjugates of (1, 50] plus both endpoints
         grid = [1.0] + [conjugate(q) for q in reversed(Q_GRID[1:])] + [INF]
         vals = [threshold_p(p) for p in grid]
         for lo, hi in zip(vals, vals[1:]):
-            assert hi - lo > 10.0 * TOL_J
+            assert hi - lo > 1e-8
 
     def test_threshold_p_range_bounds(self):
         ps = [1.0, 1.01, 1.5, 2.0, 5.0, 20.0, 400.0, INF]
         for p in ps:
             v = threshold_p(p)
-            assert 2.0 - TOL_J <= v <= math.pi + TOL_J
+            assert 2.0 - 1e-15 <= v <= math.pi + 1e-15
