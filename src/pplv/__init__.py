@@ -8,11 +8,9 @@ period-map fixed points and Floquet multipliers.
 
 from .coeffs import (
     CoeffStats,
-    NegativeIntegrand,
     PeriodicCoefficient,
     SystemSpec,
     ZeroDenominator,
-    lp_average,
     lp_norm,
     ratio_extrema,
     stats,
@@ -68,7 +66,6 @@ from .simulate import (
     find_coexistence,
     find_coexistence_multistart,
     floquet,
-    integrate,
     orbit_averages,
     poincare_map,
     verify_predictions,

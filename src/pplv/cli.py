@@ -120,7 +120,7 @@ def parse_config(text: str) -> SystemSpec:
             if len(parts) != 3:
                 raise ParseError("harmonic needs 'k, cos, sin'", lineno, vcol)
             kf = _parse_float(parts[0], lineno, vcol)
-            if kf != int(kf) or kf < 1:
+            if not 1 <= kf < math.inf or kf != int(kf):
                 raise ParseError("harmonic index must be a positive integer", lineno, vcol)
             sections[current]["harmonics"].append(
                 (int(kf), _parse_float(parts[1], lineno, vcol), _parse_float(parts[2], lineno, vcol)))
@@ -150,16 +150,17 @@ def parse_config(text: str) -> SystemSpec:
         if kind == "const":
             if "value" not in sec:
                 raise ValidationError(f"section [{name}]: const coefficient needs 'value'")
-            coeffs[name] = PeriodicCoefficient.constant(sec["value"][0])
+            build, args = PeriodicCoefficient.constant, (sec["value"][0],)
         elif kind == "trig":
             if "c0" not in sec:
                 raise ValidationError(f"section [{name}]: trig coefficient needs 'c0'")
-            try:
-                coeffs[name] = PeriodicCoefficient.trig(sec["c0"][0], sec["harmonics"])
-            except ValueError as exc:
-                raise ValidationError(f"section [{name}]: {exc}") from None
+            build, args = PeriodicCoefficient.trig, (sec["c0"][0], sec["harmonics"])
         else:
             raise ValidationError(f"section [{name}]: unknown kind {kind!r}")
+        try:
+            coeffs[name] = build(*args)
+        except ValueError as exc:
+            raise ValidationError(f"section [{name}]: {exc}") from None
 
     try:
         return SystemSpec(T=T, **coeffs)
@@ -218,7 +219,7 @@ def parse_p_list(text: str) -> tuple[float, ...]:
             value = float(token)
         except ValueError:
             raise ValidationError(f"bad exponent {token!r} in p list") from None
-        if value < 1.0:
+        if not value >= 1.0:
             raise ValidationError(f"exponents must be >= 1, got {token}")
         out.append(value)
     if not out:
@@ -237,7 +238,11 @@ def _p_token(p: float) -> str:
 def _load_spec(cfg: RunConfig) -> SystemSpec:
     if cfg.system_file is None:
         raise ValidationError(f"command {cfg.command!r} requires --config")
-    return parse_config(cfg.system_file.read_text())
+    try:
+        text = cfg.system_file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{cfg.system_file}: not UTF-8 text ({exc})") from None
+    return parse_config(text)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:

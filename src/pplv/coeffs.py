@@ -27,7 +27,6 @@ import numpy as np
 
 from .jfunc import check_exponent
 
-TOL_EXTREMUM = 1e-10
 TOL_QUAD = 1e-10
 
 _TWO_PI = 2.0 * math.pi
@@ -38,10 +37,6 @@ _TS_UMAX = 3.2
 # Above this exponent an L^p norm equals its upper bound max|coef| * T**(1/p)
 # to about 1e-13 relative, and the scaled integrand would round badly.
 _LARGE_P = 1e15
-
-
-class NegativeIntegrand(ValueError):
-    """The p-th power average was requested for a sign-changing function."""
 
 
 class ZeroDenominator(ValueError):
@@ -212,7 +207,7 @@ def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
     """Extrema and exact mean over one period.
 
     The extrema are the coefficient's values at the zeros of its derivative
-    (and at t = 0), exact up to rounding and well within ``TOL_EXTREMUM``.
+    (and at t = 0), exact up to rounding.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -268,37 +263,19 @@ def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> float:
     return cur
 
 
-def lp_average(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD) -> float:
-    """The p-average ((1/T) * integral of coef**p) ** (1/p); max for p = inf.
-
-    The coefficient must be non-negative on [0, T] (within the extremum
-    tolerance); then this is ``lp_norm(coef, T, p) / T**(1/p)``.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    check_exponent(p)
-    s = stats(coef, T)
-    if s.minimum < -TOL_EXTREMUM:
-        raise NegativeIntegrand(
-            f"coefficient attains {s.minimum:.3e} < 0 on [0, T]; "
-            "p-averages are defined for non-negative functions"
-        )
-    return lp_norm(coef, T, p, tol) / T ** (1.0 / p)
-
-
-def lp_norm(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD) -> float:
+def lp_norm(coef: PeriodicCoefficient, T: float, p: float) -> float:
     """L^p norm over one period, (integral of |coef|**p) ** (1/p).
 
-    Unlike :func:`lp_average` this is total: the integrand is |coef|, so
-    sign-changing coefficients are allowed.  With M = max |coef|, taken at
-    the zeros of the derivative as in :func:`stats`, the norm is computed
-    as M * (integral of (|coef|/M)**p) ** (1/p): the integrand lies in
+    The integrand is |coef|, so sign-changing coefficients are allowed.
+    With M = max |coef|, taken at the zeros of the derivative as in
+    :func:`stats`, the norm is computed as
+    M * (integral of (|coef|/M)**p) ** (1/p): the integrand lies in
     [0, 1], so it neither overflows nor underflows to zero at large p.
     The period is cut at the zeros of the coefficient and of its
     derivative, so each piece runs between a zero and an extremum of
     |coef|: the |t - t0|**p singularity at a zero and the peak of width
     ~T/sqrt(p) at a maximum both sit at an end, where tanh-sinh
-    quadrature resolves them.  ``tol`` bounds the scaled integral.
+    quadrature resolves them.  ``TOL_QUAD`` bounds the scaled integral.
     Above p = 1e15 the bound M * T**(1/p) is returned.
     """
     if T <= 0:
@@ -315,7 +292,7 @@ def lp_norm(coef: PeriodicCoefficient, T: float, p: float, tol: float = TOL_QUAD
         return peak * T ** (1.0 / p)
     cuts = np.sort(np.concatenate(([0.0, T], crit, _root_times(laurent, T))))
     integral = _tanh_sinh(lambda t: (np.abs(coef.evaluate(T, t)) / peak) ** p,
-                          cuts[:-1], cuts[1:], tol)
+                          cuts[:-1], cuts[1:], TOL_QUAD)
     return peak * integral ** (1.0 / p)
 
 
@@ -323,7 +300,7 @@ def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) 
     """(min, max) of num(t)/den(t) over [0, T].
 
     The extrema are the ratio's values at the zeros of n'd - nd' (and at
-    t = 0), exact up to rounding and well within ``TOL_EXTREMUM``.
+    t = 0), exact up to rounding.
     """
     if T <= 0:
         raise ValueError("T must be positive")

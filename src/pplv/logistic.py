@@ -123,7 +123,10 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     # s = exp(a0) - 1, formed in logs: neither exp(A) nor s need be representable
     top = float(np.max(log_panel))
     log_bt = top + math.log(float(np.sum(np.exp(log_panel - top))))
-    log_s = a0 + math.log(-math.expm1(-a0))
+    # below the normal range T * lam loses bits (and may round to 0), while
+    # s = T * lam there to double precision
+    log_s = (a0 + math.log(-math.expm1(-a0)) if a0 >= _TINY
+             else math.log(T) + math.log(lam))
     log_w = np.logaddexp.accumulate(np.concatenate(([log_bt - log_s], log_panel)))
     theta = np.exp(A - log_w)
     # where theta lies below the double range (growth negative over a long

@@ -5,26 +5,30 @@ Integrates the system with the adaptive Dormand-Prince 8(5,3) pair
 Equations I*, Springer 1993), locates coexistence states as fixed points
 of the period map, computes Floquet multipliers from the monodromy matrix
 of the variational equation, and checks the a-priori component bounds
-and region membership on every found orbit; one solve per orbit gives its
-samples and its monodromy.  Orbit means use the trapezoid rule on the
-uniform sample grid; orbit suprema come from the trigonometric
-interpolant of the samples.
+and region membership on every found orbit.  Orbit means use the
+trapezoid rule on the uniform sample grid; orbit suprema come from the
+trigonometric interpolant of the samples.
 
-The fixed-point search is shooting Newton in log coordinates
-(xi, eta) = (log u, log v), where the open quadrant is all of the plane
-(Seydel, *Practical Bifurcation and Stability Analysis*, Springer 2010).
-Its Jacobian is the exact monodromy of the log-variational equation,
-integrated alongside the map, and every live start advances in the same
-vectorized integration.  Every coexistence orbit lies in the a-priori box
-u <= U, v <= V, so a start that leaves it by more than two steps is
-retired.
+All integration is one flow: the system in log coordinates
+(xi, eta) = (log u, log v), where the open quadrant is all of the plane,
+with the fundamental matrix Phi of its variational equation.  Period-map
+Newton reads it at t = T with absolute tolerance 1e-12 on the state and
+on Phi; each converged orbit is solved once more, with 1e-20 on Phi, for
+its samples (positive by construction) and its monodromy.
+
+The fixed-point search is shooting Newton (Seydel, *Practical Bifurcation
+and Stability Analysis*, Springer 2010).  Its Jacobian is the exact
+monodromy of the log-variational equation, integrated alongside the map,
+and every live start advances in the same vectorized integration.  Every
+coexistence orbit lies in the a-priori box u <= U, v <= V, so a start
+that leaves it by more than two steps is retired.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -52,9 +56,13 @@ _ORBIT_SAMPLES = 512
 _MAX_LOG_STEP = 2.0
 _LOG_LIMIT = 50.0
 _BOX_MARGIN = 2.0 * _MAX_LOG_STEP
+# Absolute tolerances of the log-coordinate solve: _ATOL_LOG on (log u,
+# log v), and on the log-variational matrix Phi too while Newton searches.
 # Multipliers of strongly contracting orbits reach ~1e-12 and below, so the
-# fundamental matrix gets a far smaller absolute tolerance than (u, v).
-_ATOL = np.array([1e-12, 1e-12, 1e-20, 1e-20, 1e-20, 1e-20])
+# sampling solve, which gives the monodromy, takes _ATOL_MONODROMY on Phi;
+# Newton, whose Jacobian only steers, took 15-45% more evaluations with it.
+_ATOL_LOG = 1e-12
+_ATOL_MONODROMY = 1e-20
 # Oversampling factor of the trigonometric interpolant behind component_max.
 _MAX_REFINE = 8
 
@@ -78,8 +86,14 @@ class NonPositive(RuntimeError):
 @dataclass(frozen=True)
 class PeriodicOrbit2D:
     """A T-periodic coexistence orbit (both components positive) sampled
-    on a closed uniform grid, and its monodromy matrix from the same solve
-    (see :func:`integrate`)."""
+    on a closed uniform grid, and its monodromy matrix
+    X = d(u, v)(T) / d(u, v)(0).
+
+    Both come from one solve in log coordinates, the one Newton uses (see
+    :func:`_log_flow`), with absolute tolerances 1e-12 on (log u, log v)
+    and 1e-20 on the log-variational matrix Phi, and
+    X = diag(u(T), v(T)) Phi(T) diag(1/u(0), 1/v(0)).
+    """
 
     T: float
     ts: np.ndarray
@@ -127,119 +141,103 @@ class FloquetData:
     classification: str
 
 
-def _coefficients(spec: SystemSpec):
-    """Evaluator of the six coefficients [a, b, c, d, e, f] at a time t.
+def _log_field(spec: SystemSpec):
+    """Evaluator of the log-coordinate field at a time t.
 
-    The coefficients are built once into one table, a row per coefficient
-    and columns 1, cos(k*w*t), sin(k*w*t) over the harmonics k in use, so
-    each evaluation is one matrix-vector product.
+    In (xi, eta) = (log u, log v) the system reads (xi, eta)' = r + A (u, v)
+    with r = (a, d) and A = [[-b, -c], [e, -f]].  The six entries of r and
+    A are built once into one table, a row per entry and columns 1,
+    cos(k*w*t), sin(k*w*t) over the harmonics k in use, so each evaluation
+    is one matrix-vector product that returns r as a column and A.
     """
-    coefs = (spec.a, spec.b, spec.c, spec.d, spec.e, spec.f)
-    ks = sorted({k for coef in coefs for k, _, _ in coef.harmonics})
+    rows = ((spec.a, 1.0), (spec.d, 1.0), (spec.b, -1.0),
+            (spec.c, -1.0), (spec.e, 1.0), (spec.f, -1.0))
+    ks = sorted({k for coef, _ in rows for k, _, _ in coef.harmonics})
     col = {k: i for i, k in enumerate(ks)}
     table = np.zeros((6, 1 + 2 * len(ks)))
-    for row, coef in enumerate(coefs):
-        table[row, 0] = coef.mean
+    for row, (coef, sign) in enumerate(rows):
+        table[row, 0] = sign * coef.mean
         for k, ck, sk in coef.harmonics:
-            table[row, 1 + col[k]] = ck
-            table[row, 1 + len(ks) + col[k]] = sk
+            table[row, 1 + col[k]] = sign * ck
+            table[row, 1 + len(ks) + col[k]] = sign * sk
     wk = (2.0 * math.pi / spec.T) * np.array(ks, dtype=float)
+    # the basis column, refilled in place at each call
+    basis = np.ones(1 + 2 * len(ks))
+    cos, sin = basis[1:1 + len(ks)], basis[1 + len(ks):]
 
-    def at(t: float) -> list[float]:
+    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
         phase = wk * t
-        return (table @ np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))).tolist()
+        np.cos(phase, out=cos)
+        np.sin(phase, out=sin)
+        vals = table @ basis
+        return vals[:2, None], vals[2:].reshape(2, 2)
 
     return at
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """The states (u, v) at the output times, as the two rows of ``y``,
-    and the fundamental matrix at the end of the span."""
+def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], atol_phi: float):
+    """The flow in log coordinates and its log-variational matrix for n starts.
 
-    y: np.ndarray
-    fundamental: np.ndarray
-
-
-def integrate(spec: SystemSpec, state0: Sequence[float], t0: float, t1: float,
-              t_eval: Optional[np.ndarray] = None) -> Trajectory:
-    """Adaptive DOP853 solution of the system from ``state0`` over [t0, t1].
-
-    The state and the 2x2 fundamental matrix X of the variational equation,
-    X' = J(t, u, v) X with X(t0) = I, advance in one solve.  The states are
-    returned at ``t_eval``, or at the solver's steps when it is None, and X
-    at ``t1``: over one period from a periodic start, the monodromy matrix.
-    """
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    state0 = np.asarray(state0, dtype=float)
-    if np.any(state0 <= 0):
-        raise NonPositive(f"initial state {state0} is not in the open quadrant")
-    coefs = _coefficients(spec)
-
-    def rhs(t, z):
-        u, v = z[0], z[1]
-        a, b, c, d, e, f = coefs(t)
-        jac = np.array([[a - 2.0 * b * u - c * v, -c * u],
-                        [e * v, d + e * u - 2.0 * f * v]])
-        dx = jac @ z[2:].reshape(2, 2)
-        return np.concatenate(([u * (a - b * u - c * v), v * (d + e * u - f * v)],
-                               dx.ravel()))
-
-    z0 = np.concatenate((state0, np.eye(2).ravel()))
-    sol = solve_ivp(rhs, (t0, t1), z0, method="DOP853", rtol=TOL_ODE, atol=_ATOL,
-                    dense_output=t_eval is not None)
-    if not sol.success:
-        raise StepFailure(sol.message)
-    # X(t1) is the solver's last step, not a value of the interpolant
-    return Trajectory(y=sol.y[:2] if t_eval is None else sol.sol(t_eval)[:2],
-                      fundamental=sol.y[2:, -1].reshape(2, 2))
-
-
-def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
-    """Solution value at t = T starting from ``state0`` at t = 0."""
-    return integrate(spec, state0, 0.0, spec.T).y[:, -1].copy()
-
-
-def _log_period_map(spec: SystemSpec, z: np.ndarray):
-    """The period map and its monodromy in log coordinates for n starts.
-
-    ``z`` is (2, n): xi = log u and eta = log v per start.  Along each
-    trajectory the fundamental matrix Phi of the log-variational equation,
-    Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is integrated
-    too, and all 6n components go through one DOP853 solve.  Returns the
-    (2, 3, n) state at t = T, whose row j holds the log of component j and
-    row j of Phi(T), and per start None or the message of a failed
+    ``z`` is (2, n): xi = log u and eta = log v per start at t = 0.  Along
+    each trajectory the fundamental matrix Phi of the log-variational
+    equation, Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is
+    integrated too, and all 6n components go through one DOP853 solve up to
+    ``ts[-1]``, with absolute tolerance ``_ATOL_LOG`` on (xi, eta) and
+    ``atol_phi`` on Phi.  Returns the (2, 3, n, len(ts)) states at the
+    output times ``ts``, whose [j, 0] holds the log of component j and
+    [j, 1:] row j of Phi, and per start None or the message of a failed
     integration.  A failed solve of several starts is repeated start by
     start, so one failing start does not take the others down.
     """
     n = z.shape[1]
-    coefs = _coefficients(spec)
+    field = _log_field(spec)
 
     def rhs(t, y):
-        # row j: log of component j, then row j of Phi, each over the starts
+        # [j, 0]: log of component j, then row j of Phi, each over the starts
         rows = y.reshape(2, 3, n)
-        a, b, c, d, e, f = coefs(t)
-        uv = np.exp(rows[:, 0])
-        # with A = [[-b, -c], [e, -f]] the log field is (a, d) + A (u, v)
-        # and the log-variational matrix is A diag(u, v)
-        w = rows * uv[:, None, :]
-        w[:, 0] = uv
-        out = np.array([[-b, -c], [e, -f]]) @ w.reshape(2, 3 * n)
-        out[0, :n] += a
-        out[1, :n] += d
+        r, A = field(t)
+        uv = np.exp(rows[:, :1])
+        # the log field is r + A (u, v) and the log-variational matrix is A diag(u, v)
+        w = rows * uv
+        w[:, :1] = uv
+        out = A @ w.reshape(2, 3 * n)
+        state = out[:, :n]
+        np.add(state, r, out=state)
         return out.ravel()
 
     y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)), axis=1)
-    sol = solve_ivp(rhs, (0.0, spec.T), y0.ravel(), method="DOP853",
-                    rtol=TOL_ODE, atol=1e-12, t_eval=[spec.T])
+    atol = np.full((2, 3, n), atol_phi)
+    atol[:, 0] = _ATOL_LOG
+    sol = solve_ivp(rhs, (0.0, ts[-1]), y0.ravel(), method="DOP853",
+                    rtol=TOL_ODE, atol=atol.ravel(), t_eval=ts)
     if sol.success:
-        return sol.y[:, -1].reshape(2, 3, n), [None] * n
+        return sol.y.reshape(2, 3, n, len(ts)), [None] * n
     if n == 1:
-        return np.full((2, 3, 1), np.nan), [sol.message]
-    parts = [_log_period_map(spec, z[:, j:j + 1]) for j in range(n)]
-    return (np.concatenate([end for end, _ in parts], axis=2),
+        return np.full((2, 3, 1, len(ts)), np.nan), [sol.message]
+    parts = [_log_flow(spec, z[:, j:j + 1], ts, atol_phi) for j in range(n)]
+    return (np.concatenate([states for states, _ in parts], axis=2),
             [msg for _, msgs in parts for msg in msgs])
+
+
+def _log_period_map(spec: SystemSpec, z: np.ndarray):
+    """The period map and its log-variational monodromy for the n starts ``z``.
+
+    :func:`_log_flow` read at t = T with absolute tolerance ``_ATOL_LOG``
+    on Phi too: the (2, 3, n) states at t = T and the failure messages.
+    """
+    states, failures = _log_flow(spec, z, [spec.T], _ATOL_LOG)
+    return states[..., -1], failures
+
+
+def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
+    """Solution value at t = T starting from ``state0`` at t = 0."""
+    state0 = np.asarray(state0, dtype=float)
+    if np.any(state0 <= 0):
+        raise NonPositive(f"initial state {state0} is not in the open quadrant")
+    end, failures = _log_period_map(spec, np.log(state0)[:, None])
+    if failures[0] is not None:
+        raise StepFailure(failures[0])
+    return np.exp(end[:, 0, 0])
 
 
 def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
@@ -252,9 +250,9 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     when its fixed-point residual in (u, v) falls to ``NEWTON_TOL`` in the
     sup norm.  When ``bounds`` are positive, a start whose log iterate
     exceeds (log U, log V) by more than ``_BOX_MARGIN`` is retired before
-    its next solve.  Returns, per guess, either (x, residual) with x the
-    converged (u, v), or the NonPositive, NoConvergence or StepFailure
-    that retired it.
+    its next solve.  Returns, per guess, either (z, residual) with z the
+    converged (log u, log v), or the NonPositive, NoConvergence or
+    StepFailure that retired it.
     """
     outcomes: list = [None] * len(guesses)
     z = np.zeros((2, len(guesses)))
@@ -289,7 +287,7 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             fvec = end[:, 0, i] - z[:, j]
             residual[j] = float(np.max(np.abs(np.exp(end[:, 0, i]) - x)))
             if residual[j] <= NEWTON_TOL:
-                outcomes[j] = (x, residual[j])
+                outcomes[j] = (z[:, j].copy(), residual[j])
                 continue
             amat = end[:, 1:, i] - eye
             try:
@@ -309,13 +307,15 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     return outcomes
 
 
-def _sample_orbit(spec: SystemSpec, x: np.ndarray, residual: float) -> PeriodicOrbit2D:
-    """The orbit through the converged fixed point ``x``, from one :func:`integrate`."""
+def _sample_orbit(spec: SystemSpec, z: np.ndarray, residual: float) -> PeriodicOrbit2D:
+    """The orbit through the converged log start ``z`` and its monodromy,
+    from one :func:`_log_flow` solve."""
     ts = np.linspace(0.0, spec.T, _ORBIT_SAMPLES + 1)
-    traj = integrate(spec, x, 0.0, spec.T, t_eval=ts)
-    us, vs = traj.y
-    if np.any(us <= 0) or np.any(vs <= 0):
-        raise NonPositive("converged orbit is not strictly positive")
+    states, failures = _log_flow(spec, z[:, None], ts, _ATOL_MONODROMY)
+    if failures[0] is not None:
+        raise StepFailure(failures[0])
+    uv = np.exp(states[:, 0, 0])
+    us, vs = uv
     # Newton happily converges onto the one-species boundary states, whose
     # vanishing component shows up as roundoff-level positive values; those
     # are not coexistence states.
@@ -324,9 +324,10 @@ def _sample_orbit(spec: SystemSpec, x: np.ndarray, residual: float) -> PeriodicO
             or np.min(vs) <= _BOUNDARY_FRACTION * scale:
         raise NonPositive("converged to a boundary (one-species) state")
     per_res = float(max(abs(us[-1] - us[0]), abs(vs[-1] - vs[0])))
+    # X = diag(u(T), v(T)) Phi(T) diag(1/u(0), 1/v(0))
     return PeriodicOrbit2D(T=spec.T, ts=ts, us=us, vs=vs,
                            periodicity_residual=per_res, newton_residual=residual,
-                           monodromy=traj.fundamental)
+                           monodromy=uv[:, -1:] * states[:, 1:, 0, -1] / uv[:, 0])
 
 
 def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2D:
@@ -465,13 +466,14 @@ def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20, seed: int 
     for outcome in _newton(spec, guesses, bounds):
         if isinstance(outcome, Exception):
             continue
-        if any(np.max(np.abs(outcome[0] - x)) < 1e-6 for x, _ in starts):
+        x = np.exp(outcome[0])
+        if any(np.max(np.abs(x - np.exp(z))) < 1e-6 for z, _ in starts):
             continue
         starts.append(outcome)
     orbits: list[PeriodicOrbit2D] = []
-    for x, residual in starts:
+    for z, residual in starts:
         try:
-            orbits.append(_sample_orbit(spec, x, residual))
+            orbits.append(_sample_orbit(spec, z, residual))
         except (NonPositive, StepFailure):
             continue
     orbits.sort(key=lambda o: (o.us[0], o.vs[0]))

@@ -415,6 +415,34 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p, config", [
+        ("nan", None),
+        ("nan", EQ30_CFG),
+        (None, EQ30_CFG.replace("value = 2.0102", "value = inf")),
+        (None, EQ30_CFG.replace("value = 2.0102", "value = 1e400")),
+        (None, EQ30_CFG.replace("kind = const\nvalue = 2.0102",
+                                "kind = trig\nc0 = 2\nharmonic = inf, 0, 0.1")),
+        (None, EQ30_CFG.replace("kind = const\nvalue = 2.0102",
+                                "kind = trig\nc0 = 2\nharmonic = 1e400, 0, 0.1")),
+        (None, b"[system]\nT = 1 \xff\n"),
+    ], ids=["jfunc-p-nan", "analyze-p-nan", "const-inf", "const-1e400",
+            "harmonic-inf", "harmonic-1e400", "not-utf8"])
+    def test_bad_input_is_an_error_not_a_traceback(self, tmp_path, capsys, p, config):
+        argv = ["--out", str(tmp_path / "o")]
+        if config is None:
+            argv += ["--command", "jfunc"]
+        else:
+            path = tmp_path / "sys.cfg"
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            else:
+                path.write_text(config)
+            argv += ["--command", "analyze", "--config", str(path)]
+        if p is not None:
+            argv += ["--p", p]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])
         assert code == 1

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from oracles import sampled_extrema
 
 from pplv.coeffs import (
-    NegativeIntegrand,
     PeriodicCoefficient,
     SystemSpec,
     ZeroDenominator,
-    lp_average,
     lp_norm,
     ratio_extrema,
     stats,
@@ -188,30 +186,29 @@ class TestExtremaAgainstSampling:
 
 
 class TestLpAverage:
+    """The p-average ((1/T) * integral of coef**p) ** (1/p), read as
+    lp_norm / T**(1/p)."""
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 7.0, math.inf])
     def test_constant_is_fixed_point(self, p):
-        assert lp_average(C(3.25), 2.0, p) == pytest.approx(3.25, abs=1e-12)
+        assert lp_norm(C(3.25), 2.0, p) / 2.0 ** (1.0 / p) == pytest.approx(3.25, abs=1e-12)
 
     def test_offset_sine_p2_closed_form(self):
         # mean of (1 + 0.5 sin)^2 over one period is 1 + 0.5^2/2 = 1.125
         coef = TRIG(1.0, [(1, 0.0, 0.5)])
-        assert lp_average(coef, 1.0, 2.0) == pytest.approx(math.sqrt(1.125), abs=1e-10)
+        assert lp_norm(coef, 1.0, 2.0) == pytest.approx(math.sqrt(1.125), abs=1e-10)
 
     def test_offset_sine_p_inf(self):
         coef = TRIG(1.0, [(1, 0.0, 0.5)])
-        assert lp_average(coef, 1.0, math.inf) == pytest.approx(1.5, abs=1e-10)
-
-    def test_negative_integrand_rejected(self):
-        with pytest.raises(NegativeIntegrand):
-            lp_average(TRIG(0.0, [(1, 0.0, 1.0)]), 1.0, 2.0)
+        assert lp_norm(coef, 1.0, math.inf) == pytest.approx(1.5, abs=1e-10)
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
-            lp_average(C(1.0), 1.0, 0.5)
+            lp_norm(C(1.0), 1.0, 0.5)
 
     def test_p1_equals_mean(self):
         coef = TRIG(1.3, [(1, 0.4, -0.2), (3, 0.1, 0.1)])
-        assert lp_average(coef, 2.0, 1.0) == pytest.approx(coef.mean, abs=TOL_QUAD)
+        assert lp_norm(coef, 2.0, 1.0) / 2.0 == pytest.approx(coef.mean, abs=TOL_QUAD)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_in_p(self, seed):
@@ -221,7 +218,7 @@ class TestLpAverage:
         coef = TRIG(c0, [(1, amps[0], 0.0), (2, 0.0, amps[1])])
         T = rng.uniform(0.5, 3.0)
         ps = [1.0, 1.5, 2.0, 4.0, 10.0, math.inf]
-        vals = [lp_average(coef, T, p) for p in ps]
+        vals = [lp_norm(coef, T, p) / T ** (1.0 / p) for p in ps]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + TOL_QUAD
 
@@ -247,11 +244,11 @@ class TestLpNorm:
         assert lp_norm(coef, 1.0, math.inf) == pytest.approx(1.4, abs=1e-10)
 
     def test_norm_consistent_with_average(self):
+        # mean of (2 + 0.5 cos)^3 over one period is 2^3 + 3 * 2 * 0.5^2 / 2 = 8.75
         coef = TRIG(2.0, [(1, 0.5, 0.0)])
         T = 2.0
         p = 3.0
-        assert lp_norm(coef, T, p) == pytest.approx(
-            T ** (1.0 / p) * lp_average(coef, T, p), rel=1e-10)
+        assert lp_norm(coef, T, p) == pytest.approx((T * 8.75) ** (1.0 / p), rel=1e-10)
 
 
 class TestLpNormLargeP:

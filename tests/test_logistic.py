@@ -100,12 +100,15 @@ def test_orbit_rejects_nonuniform_grid(ts):
         PeriodicOrbit1D(T=1.0, ts=ts, values=np.ones_like(ts))
 
 
-@pytest.mark.parametrize("growth", [C(1e-311), TRIG(1e-311, [(1, 0.0, 0.0)]),
-                                    TRIG(2e-290, [(1, 1.0, 0.0)]), TRIG(1e-17, [(2, 0.0, 0.5)])])
-def test_tiny_mean_growth(growth):
+@pytest.mark.parametrize("growth, T", [
+    (C(1e-311), 1.0), (TRIG(1e-311, [(1, 0.0, 0.0)]), 1.0), (TRIG(2e-290, [(1, 1.0, 0.0)]), 1.0),
+    (TRIG(1e-17, [(2, 0.0, 0.5)]), 1.0), (C(5e-324), 0.3),
+], ids=[f"growth{i}" for i in range(5)])
+def test_tiny_mean_growth(growth, T):
     # A(T) rounded to the sign of sin(2*pi) ~ -2.4e-16 and 1/expm1(T*lam)
-    # overflowed: both made the state non-positive
-    orbit = periodic_logistic(growth, C(1.0), 1.0)
+    # overflowed: both made the state non-positive; T * lam = 1.5e-324
+    # rounds to 0, whose log s was a math domain error
+    orbit = periodic_logistic(growth, C(1.0), T)
     assert orbit.minimum > 0
     # u' = u*(a - u) has mean(a) = mean(theta) when b = 1
     assert weighted_average(C(1.0), orbit) == pytest.approx(growth.mean, rel=1e-6, abs=0)

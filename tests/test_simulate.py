@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import pplv
@@ -26,7 +28,6 @@ from pplv.simulate import (
     find_coexistence,
     find_coexistence_multistart,
     floquet,
-    integrate,
     liouville_determinant,
     orbit_averages,
     poincare_map,
@@ -56,32 +57,27 @@ def sampled_orbit(u, v, T, n):
                            monodromy=np.eye(2))
 
 
-class TestIntegrate:
+class TestPoincareMap:
     def test_demo_equilibrium_attracts(self, eq30, eq30_spec):
         eq = np.array(equilibrium(eq30))
-        ts = np.linspace(0.0, 5.0, 51)
-        sol = integrate(eq30_spec, (2.0, 2.0), 0.0, 5.0, t_eval=ts)
-        dist = np.max(np.abs(sol.y - eq[:, None]), axis=0)
-        assert dist.max() < 1e-4          # never leaves the small neighborhood
+        state, dist = np.array([2.0, 2.0]), []
+        for _ in range(5):
+            state = poincare_map(eq30_spec, state)
+            dist.append(np.max(np.abs(state - eq)))
+        assert max(dist) < 1e-4           # never leaves the small neighborhood
         assert dist[-1] < 1e-6            # contracts onto the equilibrium
 
     def test_decoupled_limit_approaches_logistic_attractor(self):
-        spec = const_spec(1.0, 1.0, 1e-12, -0.5, 1e-12, 1.0)
-        sol = integrate(spec, (0.5, 0.3), 0.0, 30.0)
-        assert sol.y[0, -1] == pytest.approx(1.0, abs=1e-6)  # a/b
-        assert sol.y[1, -1] < 1e-4  # predator dies out
+        spec = const_spec(1.0, 1.0, 1e-12, -0.5, 1e-12, 1.0, T=30.0)
+        u, v = poincare_map(spec, (0.5, 0.3))
+        assert u == pytest.approx(1.0, abs=1e-6)  # a/b
+        assert v < 1e-4  # predator dies out
 
     def test_boundary_initial_state_rejected(self, eq30_spec):
         theta = periodic_logistic(eq30_spec.a, eq30_spec.b, eq30_spec.T)
         with pytest.raises(NonPositive):
-            integrate(eq30_spec, (theta.values[0], 0.0), 0.0, 1.0)
+            poincare_map(eq30_spec, (theta.values[0], 0.0))
 
-    def test_bad_time_span_rejected(self, eq30_spec):
-        with pytest.raises(ValueError):
-            integrate(eq30_spec, (1.0, 1.0), 1.0, 0.5)
-
-
-class TestPoincareMap:
     def test_fixed_point_returns_itself(self, eq30, eq30_spec):
         eq = np.array(equilibrium(eq30))
         out = poincare_map(eq30_spec, eq)
@@ -90,14 +86,6 @@ class TestPoincareMap:
     def test_generic_point_moves(self, eq30_spec):
         out = poincare_map(eq30_spec, (1.0, 1.0))
         assert np.max(np.abs(out - np.array([1.0, 1.0]))) > 1e-3
-
-    def test_translation_invariance_for_constants(self, eq30_spec):
-        # constant coefficients make the field autonomous, so the period map
-        # equals the flow started at any other time
-        start = (1.7, 2.2)
-        direct = poincare_map(eq30_spec, start)
-        shifted = integrate(eq30_spec, start, 0.3, 0.3 + eq30_spec.T)
-        assert np.allclose(direct, shifted.y[:, -1], atol=1e-8)
 
 
 class TestFindCoexistence:
@@ -416,6 +404,35 @@ class TestBoxRetirement:
         outcome = simulate._newton(saddle_spec, [guess], RegionBounds(U=-1.0, V=1.0))[0]
         assert isinstance(outcome, NoConvergence)
         assert "no fixed point after 1 iterations" in str(outcome)
+
+
+DEMO = {"a": 2.0102, "b": 1.0, "c": 0.0051, "d": 2.0203, "e": 0.9898, "f": 2.0}
+
+
+@st.composite
+def perturbed_demo_systems(draw):
+    """The demo constants with one or two harmonics of up to 10% on a and d."""
+    n = draw(st.integers(1, 2))
+    coefs = {name: C(value) for name, value in DEMO.items()}
+    for name in "ad":
+        ks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n, unique=True))
+        amp = st.floats(-0.1, 0.1).map(lambda x: x * DEMO[name])
+        coefs[name] = TRIG(DEMO[name], [(k, draw(amp), draw(amp)) for k in ks])
+    return SystemSpec(T=draw(st.floats(0.5, 2.0)), **coefs)
+
+
+class TestOrbitInvariants:
+    @given(perturbed_demo_systems())
+    @settings(max_examples=20, deadline=None)
+    def test_multistart_orbits_check_out(self, spec):
+        orbits = find_coexistence_multistart(spec)
+        assert orbits
+        for orbit in orbits:
+            det = np.linalg.det(orbit.monodromy)
+            ref = liouville_determinant(spec, orbit)
+            assert abs(det - ref) <= 1e-6 * abs(ref)
+            assert np.max(np.abs(poincare_map(spec, orbit.start) - orbit.start)) <= 1e-9
+            assert verify_predictions(spec, orbit).all_ok
 
 
 class TestComponentMax:
