@@ -39,6 +39,7 @@ from .criteria import (
 from .existence import BoundaryClassification, classify_boundary
 from .jfunc import INF, angular_integral, conjugate, threshold_p, threshold_q
 from .logistic import (
+    GridTooLarge,
     NoPositiveSolution,
     PeriodicOrbit1D,
     periodic_logistic,

@@ -33,6 +33,7 @@ import numpy as np
 from . import constant_case, criteria, jfunc, simulate
 from .coeffs import PeriodicCoefficient, SystemSpec
 from .existence import classify_boundary
+from .logistic import GridTooLarge
 from .region import boundary_points, boundary_residual, region_spec, sup_xy
 
 EXIT_STABLE = 0
@@ -174,9 +175,9 @@ def format_config(spec: SystemSpec) -> str:
     for name in "abcdef":
         coef: PeriodicCoefficient = getattr(spec, name)
         lines.append(f"[{name}]")
-        if coef.kind == "constant":
+        if not coef.harmonics:
             lines.append("kind = const")
-            lines.append(f"value = {_fmt(coef.value)}")
+            lines.append(f"value = {_fmt(coef.c0)}")
         else:
             lines.append("kind = trig")
             lines.append(f"c0 = {_fmt(coef.c0)}")
@@ -290,17 +291,13 @@ def _print_report(report: criteria.StabilityReport, out) -> None:
     print(f"conclusion: {report.conclusion}", file=out)
 
 
-def _results_csv_rows(report: criteria.StabilityReport) -> list[list[str]]:
-    rows = []
-    for res in report.results:
-        rows.append([
-            res.name,
-            "-" if res.p is None else _p_token(res.p),
-            _fmt(res.lhs), _fmt(res.rhs), _fmt(res.margin),
-            "1" if res.passed else "0",
-            ";".join(res.diagnostics),
-        ])
-    return rows
+def _write_results_csv(cfg: RunConfig, report: criteria.StabilityReport) -> None:
+    rows = [[res.name, "-" if res.p is None else _p_token(res.p),
+             _fmt(res.lhs), _fmt(res.rhs), _fmt(res.margin),
+             "1" if res.passed else "0", ";".join(res.diagnostics)]
+            for res in report.results]
+    _write_csv(cfg.output_dir / "results.csv",
+               ["name", "p", "lhs", "rhs", "margin", "passed", "diagnostics"], rows)
 
 
 def cmd_analyze(cfg: RunConfig, out) -> int:
@@ -308,9 +305,7 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
     report = criteria.scan_p(spec, cfg.exponents())
     _print_report(report, out)
     if cfg.emit_csv:
-        _write_csv(cfg.output_dir / "results.csv",
-                   ["name", "p", "lhs", "rhs", "margin", "passed", "diagnostics"],
-                   _results_csv_rows(report))
+        _write_results_csv(cfg, report)
     return _conclusion_exit(report.conclusion)
 
 
@@ -324,9 +319,7 @@ def cmd_scan(cfg: RunConfig, out) -> int:
               f"{_fmt(res.margin)},{int(res.passed)}", file=out)
     print(f"conclusion: {report.conclusion}", file=out)
     if cfg.emit_csv:
-        _write_csv(cfg.output_dir / "results.csv",
-                   ["name", "p", "lhs", "rhs", "margin", "passed", "diagnostics"],
-                   _results_csv_rows(report))
+        _write_results_csv(cfg, report)
     return _conclusion_exit(report.conclusion)
 
 
@@ -429,11 +422,11 @@ def cmd_example1(cfg: RunConfig, out) -> int:
     if cfg.system_file is not None:
         spec = _load_spec(cfg)
         for name in "abcdef":
-            if getattr(spec, name).kind != "constant":
+            if getattr(spec, name).harmonics:
                 raise ValidationError("example1 requires constant coefficients")
         sys_ = constant_case.ConstantSystem(
-            T=spec.T, a=spec.a.value, b=spec.b.value, c=spec.c.value,
-            d=spec.d.value, e=spec.e.value, f=spec.f.value)
+            T=spec.T, a=spec.a.mean, b=spec.b.mean, c=spec.c.mean,
+            d=spec.d.mean, e=spec.e.mean, f=spec.f.mean)
     else:
         sys_ = constant_case.demo_constants()
 
@@ -521,13 +514,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emit_csv=args.csv,
         )
         return run_command(cfg)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (simulate.NoConvergence, simulate.NonPositive, simulate.StepFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ParseError, ValidationError, GridTooLarge, OSError,
+            simulate.NoConvergence, simulate.NonPositive, simulate.StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,12 +1,14 @@
 """Periodic coefficient functions and their basic measurements.
 
-A system is driven by six T-periodic coefficients.  Two coefficient kinds
-are supported: constants and finite trigonometric polynomials
+A system is driven by six T-periodic coefficients, each a finite
+trigonometric polynomial
 
     c0 + sum_k  cos_k * cos(2*pi*k*t/T) + sin_k * sin(2*pi*k*t/T),
 
-which are exactly T-periodic, have exact means (c0) and exact
-antiderivatives, and are cheap to evaluate densely.
+which is exactly T-periodic, has an exact mean (c0) and an exact
+antiderivative, and is cheap to evaluate densely.  A constant is the
+polynomial of degree 0; ``stats``, ``ratio_extrema`` and ``lp_norm``
+answer it in closed form without root finding or quadrature.
 
 Extrema and zeros are exact up to rounding.  With z = exp(2*pi*i*t/T) a
 trig polynomial of degree n is z**-n times an ordinary polynomial of
@@ -50,56 +52,46 @@ def _require_finite(name: str, x: float) -> None:
 
 @dataclass(frozen=True)
 class PeriodicCoefficient:
-    """One T-periodic coefficient, either a constant or a trig polynomial.
+    """One T-periodic coefficient: a trig polynomial, a constant when it has
+    no harmonics.
 
     The period itself is not stored here; all evaluations take it as an
     argument so the same coefficient object can be reused at any period.
     """
 
-    kind: str
-    value: float = 0.0
     c0: float = 0.0
     harmonics: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "trigonometric"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "constant":
-            _require_finite("value", self.value)
-        else:
-            _require_finite("c0", self.c0)
-            seen: set[int] = set()
-            for k, ck, sk in self.harmonics:
-                if int(k) != k or k < 1:
-                    raise ValueError(f"harmonic index must be a positive integer, got {k!r}")
-                if k in seen:
-                    raise ValueError(f"duplicate harmonic index {k}")
-                seen.add(int(k))
-                _require_finite("cos coefficient", ck)
-                _require_finite("sin coefficient", sk)
+        _require_finite("c0", self.c0)
+        seen: set[int] = set()
+        for k, ck, sk in self.harmonics:
+            if int(k) != k or k < 1:
+                raise ValueError(f"harmonic index must be a positive integer, got {k!r}")
+            if k in seen:
+                raise ValueError(f"duplicate harmonic index {k}")
+            seen.add(int(k))
+            _require_finite("cos coefficient", ck)
+            _require_finite("sin coefficient", sk)
 
     @classmethod
     def constant(cls, value: float) -> "PeriodicCoefficient":
-        return cls(kind="constant", value=float(value))
+        return cls(c0=float(value))
 
     @classmethod
     def trig(
         cls, c0: float, harmonics: Iterable[tuple[int, float, float]] = ()
     ) -> "PeriodicCoefficient":
         hs = tuple((int(k), float(ck), float(sk)) for k, ck, sk in harmonics)
-        return cls(kind="trigonometric", c0=float(c0), harmonics=hs)
+        return cls(c0=float(c0), harmonics=hs)
 
     @property
     def mean(self) -> float:
         """Exact average over one period."""
-        return self.value if self.kind == "constant" else self.c0
+        return self.c0
 
     def evaluate(self, T: float, t):
         """Value at time(s) ``t``; accepts scalars or arrays, T-periodic."""
-        if self.kind == "constant":
-            if np.isscalar(t):
-                return self.value
-            return np.full(np.shape(t), self.value, dtype=float)
         t = np.asarray(t, dtype=float)
         omega = _TWO_PI / T
         out = np.full(t.shape, self.c0, dtype=float)
@@ -110,8 +102,6 @@ class PeriodicCoefficient:
 
     def antiderivative(self, T: float, t):
         """Exact integral from 0 to ``t``."""
-        if self.kind == "constant":
-            return self.value * np.asarray(t, dtype=float) if not np.isscalar(t) else self.value * t
         t = np.asarray(t, dtype=float)
         omega = _TWO_PI / T
         out = self.c0 * t
@@ -211,9 +201,8 @@ def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if coef.kind == "constant":
-        v = coef.value
-        return CoeffStats(v, v, v)
+    if not coef.harmonics:
+        return CoeffStats(coef.c0, coef.c0, coef.c0)
     ts = np.append(_root_times(_derivative(_laurent(coef, _degree(coef))), T), 0.0)
     vals = coef.evaluate(T, ts)
     return CoeffStats(float(vals.min()), float(vals.max()), coef.c0)
@@ -281,8 +270,8 @@ def lp_norm(coef: PeriodicCoefficient, T: float, p: float) -> float:
     if T <= 0:
         raise ValueError("T must be positive")
     check_exponent(p)
-    if coef.kind == "constant":
-        return abs(coef.value) * T ** (1.0 / p)
+    if not coef.harmonics:
+        return abs(coef.c0) * T ** (1.0 / p)
     laurent = _laurent(coef, _degree(coef))
     crit = _root_times(_derivative(laurent), T)
     peak = float(np.abs(coef.evaluate(T, np.append(crit, 0.0))).max())
@@ -306,8 +295,8 @@ def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) 
         raise ValueError("T must be positive")
     if stats(den, T).minimum <= 0:
         raise ZeroDenominator("denominator must be strictly positive on [0, T]")
-    if num.kind == "constant" and den.kind == "constant":
-        r = num.value / den.value
+    if not (num.harmonics or den.harmonics):
+        r = num.c0 / den.c0
         return r, r
     n = max(_degree(num), _degree(den))
     cn, cd = _laurent(num, n), _laurent(den, n)

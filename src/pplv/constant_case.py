@@ -118,15 +118,7 @@ def h_of_p(sys: ConstantSystem, p: float) -> tuple[float, bool]:
     return float(h), sign_ok
 
 
-def g_of_p(sys: ConstantSystem, p: float) -> float:
-    """G(p) = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1).
-
-    The two terms can exceed the difference by many orders of magnitude
-    (the demo constants give terms near 1.6e5 whose difference is about
-    +3.3 at p = 1), so the combination is accumulated in extended
-    precision before rounding once to double.
-    """
-    h, _ = _h(sys, p)
+def _g(sys: ConstantSystem, p: float, h: np.longdouble) -> float:
     ld = np.longdouble
     a, b, c = ld(sys.a), ld(sys.b), ld(sys.c)
     U, V = ld(sys.U), ld(sys.V)
@@ -135,9 +127,24 @@ def g_of_p(sys: ConstantSystem, p: float) -> float:
     return float(term1 - term2)
 
 
+def g_of_p(sys: ConstantSystem, p: float) -> float:
+    """G(p) = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1).
+
+    The two terms can exceed the difference by many orders of magnitude
+    (the demo constants give terms near 1.6e5 whose difference is about
+    +3.3 at p = 1), so the combination is accumulated in extended
+    precision before rounding once to double.
+    """
+    return _g(sys, p, _h(sys, p)[0])
+
+
+def _discriminant(sys: ConstantSystem, p: float, g: float) -> float:
+    return float(np.longdouble(sys.V) ** (np.longdouble(p) - 1) * np.longdouble(g))
+
+
 def discriminant(sys: ConstantSystem, p: float) -> float:
     """V**(p-1) * G(p); shares the sign of G(p) since V > 0 where defined."""
-    return float(np.longdouble(sys.V) ** (np.longdouble(p) - 1) * np.longdouble(g_of_p(sys, p)))
+    return _discriminant(sys, p, g_of_p(sys, p))
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ class SignPattern:
 
 
 def check25(sys: ConstantSystem, p_star: float, p_large: float = P_LARGE_DEFAULT) -> SignPattern:
-    """Evaluate (G(1) > 0, G(p_star) < 0, G(p_large) > 0).
+    """Evaluate (G(1) > 0, G(p_star) < 0, G(p_large) > 0) from one sign scan.
 
     The large-p probe is cross-checked against the asymptotic dominance
     criterion V > r**2 / U with r = |threshold(inf)/T - k| / sqrt(c*e),
@@ -165,12 +172,9 @@ def check25(sys: ConstantSystem, p_star: float, p_large: float = P_LARGE_DEFAULT
     """
     if not (1.0 < p_star < math.inf):
         raise ValueError("p_star must lie in (1, inf)")
-    g1 = g_of_p(sys, 1.0)
-    gstar = g_of_p(sys, p_star)
-    glarge = g_of_p(sys, p_large)
-    _, ok1 = h_of_p(sys, 1.0)
-    _, okstar = h_of_p(sys, p_star)
-    r = abs(math.pi / sys.T - linear_term(sys)) / math.sqrt(sys.c * sys.e)
+    scan = sign_scan(sys, (1.0, p_star, p_large))
+    (_, _, ok1, g1, _), (_, _, okstar, gstar, _), (_, _, _, glarge, _) = scan.rows
+    r = abs(math.pi / sys.T - scan.k) / math.sqrt(sys.c * sys.e)
     ratio_ok = sys.V > r * r / sys.U
     diags = []
     if not ok1:
@@ -199,10 +203,12 @@ class SignScan:
 
 
 def sign_scan(sys: ConstantSystem, ps) -> SignScan:
+    """h, sign_ok, G and the discriminant at each exponent; h once per row."""
     rows = []
     for p in ps:
-        h, ok = h_of_p(sys, p)
-        rows.append((float(p), h, ok, g_of_p(sys, p), discriminant(sys, p)))
+        h, ok = _h(sys, p)
+        g = _g(sys, p, h)
+        rows.append((float(p), float(h), ok, g, _discriminant(sys, p, g)))
     return SignScan(k=linear_term(sys), rows=tuple(rows))
 
 

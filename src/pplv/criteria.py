@@ -26,11 +26,9 @@ from typing import Optional, Sequence
 
 from . import jfunc
 from .coeffs import SystemSpec, ratio_extrema
-from .existence import BoundaryClassification
-from .region import RegionSpec, SupResult, sup_linear, sup_xy
+from .existence import BORDERLINE_TOL, BoundaryClassification
+from .region import SupResult, sup_linear, sup_xy
 from .summary import SystemSummary, norm_envelopes, summarize
-
-BORDERLINE_TOL = 1e-12
 
 NO_COEXISTENCE = "no_coexistence"
 GLOBALLY_STABLE_VIA_18_19 = "globally_stable_via_18_19"
@@ -44,7 +42,6 @@ class TestResult:
 
     name: str
     p: Optional[float]
-    q: Optional[float]
     lhs: float
     rhs: float
     margin: float
@@ -59,8 +56,7 @@ def _result(name: str, p: Optional[float], lhs: float, rhs: float,
     if abs(margin) <= BORDERLINE_TOL:
         diags.append("borderline")
     passed = margin > 0.0 if strict else margin >= 0.0
-    q = None if p is None else jfunc.conjugate(p)
-    return TestResult(name=name, p=p, q=q, lhs=lhs, rhs=rhs,
+    return TestResult(name=name, p=p, lhs=lhs, rhs=rhs,
                       margin=margin, passed=passed, diagnostics=tuple(diags))
 
 
@@ -87,17 +83,6 @@ def condition19(spec: SystemSpec) -> TestResult:
     return _result("condition19", None, lhs=lhs, rhs=rhs, strict=True)
 
 
-def _unified_lp(summary: SystemSummary, p: float, threshold: float) -> TestResult:
-    spec, r1 = summary.spec, summary.region1
-    q = jfunc.conjugate(p)
-    alpha_p, beta_p = summary.envelopes1 if p == 1.0 else norm_envelopes(spec, r1, p)
-    alpha_1, beta_1 = summary.envelopes1
-    tq = spec.T ** (1.0 / q)  # T^0 = 1 when q is infinite
-    lhs = tq * math.sqrt(max(r1.c_max * r1.e_max * alpha_p * beta_p, 0.0)) \
-        + 0.5 * (r1.b_max * alpha_1 + r1.f_max * beta_1)
-    return _result("unified_lp", p, lhs=lhs, rhs=threshold)
-
-
 def _intertwined(name: str, summary: SystemSummary, p: float, sxy: SupResult,
                  slin: SupResult, threshold: float) -> TestResult:
     diags = []
@@ -112,51 +97,52 @@ def _intertwined(name: str, summary: SystemSummary, p: float, sxy: SupResult,
     return _result(name, p, lhs=lhs, rhs=threshold, diagnostics=diags)
 
 
-def _intertwined_at(summary: SystemSummary, p: float, sxy: SupResult,
-                    threshold: float) -> TestResult:
-    return _intertwined("intertwined", summary, p, sxy, summary.sup_linear1, threshold)
+def _exponent_tests(summary: SystemSummary, p: float) -> tuple[TestResult, TestResult, TestResult]:
+    """The unified L^p, intertwined and weak intertwined tests at exponent p.
 
+    unified_lp:        lhs = T**(1/q) * sqrt(c_max*e_max*alpha_p*beta_p)
+                             + (1/2) * (b_max*alpha_1 + f_max*beta_1),
+                       with alpha/beta the independent norm envelopes of
+                       the two components;
+    intertwined:       lhs = T * ( sqrt(c_max*e_max * sup(x*y over the p-region))
+                                   + (1/2) * sup(b_max*x + f_max*y over the 1-region) );
+    weak_intertwined:  the same with both suprema over the p-region.
 
-def _weak_intertwined_at(summary: SystemSummary, p: float, rp: RegionSpec, sxy: SupResult,
-                         threshold: float) -> TestResult:
-    r1 = summary.region1
-    slin = summary.sup_linear1 if p == 1.0 else sup_linear(rp, r1.b_max, r1.f_max)
-    return _intertwined("weak_intertwined", summary, p, sxy, slin, threshold)
+    Each is compared with the p-threshold.  An empty region is a vacuous
+    pass: no coexistence state can exist.  The threshold and the x*y
+    supremum are computed once and shared.
+    """
+    spec, r1 = summary.spec, summary.region1
+    threshold = jfunc.threshold_p(p)
 
+    alpha_p, beta_p = summary.envelopes1 if p == 1.0 else norm_envelopes(spec, r1, p)
+    alpha_1, beta_1 = summary.envelopes1
+    tq = spec.T ** (1.0 / jfunc.conjugate(p))  # T^0 = 1 when q is infinite
+    lhs = tq * math.sqrt(max(r1.c_max * r1.e_max * alpha_p * beta_p, 0.0)) \
+        + 0.5 * (r1.b_max * alpha_1 + r1.f_max * beta_1)
+    unified = _result("unified_lp", p, lhs=lhs, rhs=threshold)
 
-def _region_at(summary: SystemSummary, p: float) -> tuple[RegionSpec, SupResult]:
-    """The p-region and its x*y supremum, which both intertwined tests read."""
-    rp = summary.region1.at(p)
-    return rp, sup_xy(rp)
+    rp = r1.at(p)
+    sxy = sup_xy(rp)
+    slin_p = summary.sup_linear1 if p == 1.0 else sup_linear(rp, r1.b_max, r1.f_max)
+    return (unified,
+            _intertwined("intertwined", summary, p, sxy, summary.sup_linear1, threshold),
+            _intertwined("weak_intertwined", summary, p, sxy, slin_p, threshold))
 
 
 def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
-    """Norm-envelope test at exponent p.
-
-    lhs = T**(1/q) * sqrt(c_max*e_max*alpha_p*beta_p)
-          + (1/2) * (b_max*alpha_1 + f_max*beta_1)
-    against the p-threshold, with alpha/beta the independent norm
-    envelopes of the two components.
-    """
-    return _unified_lp(summarize(spec), p, jfunc.threshold_p(p))
+    """Norm-envelope test at exponent p (see :func:`_exponent_tests`)."""
+    return _exponent_tests(summarize(spec), p)[0]
 
 
 def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
-    """Region-coupled test at exponent p.
-
-    lhs = T * ( sqrt(c_max*e_max * sup(x*y over the p-region))
-                + (1/2) * sup(b_max*x + f_max*y over the 1-region) ).
-    An empty region is a vacuous pass: no coexistence state can exist.
-    """
-    summary = summarize(spec)
-    _, sxy = _region_at(summary, p)
-    return _intertwined_at(summary, p, sxy, jfunc.threshold_p(p))
+    """Region-coupled test at exponent p (see :func:`_exponent_tests`)."""
+    return _exponent_tests(summarize(spec), p)[1]
 
 
 def weak_intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Variant with both suprema over the same p-region."""
-    summary = summarize(spec)
-    return _weak_intertwined_at(summary, p, *_region_at(summary, p), jfunc.threshold_p(p))
+    return _exponent_tests(summarize(spec), p)[2]
 
 
 @dataclass(frozen=True)
@@ -188,11 +174,7 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     best_margin = -math.inf
     any_lp_pass = False
     for p in grid:
-        rp, sxy = _region_at(summary, p)
-        threshold = jfunc.threshold_p(p)
-        for res in (_unified_lp(summary, p, threshold),
-                    _intertwined_at(summary, p, sxy, threshold),
-                    _weak_intertwined_at(summary, p, rp, sxy, threshold)):
+        for res in _exponent_tests(summary, p):
             results.append(res)
             if res.passed:
                 any_lp_pass = True

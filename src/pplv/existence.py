@@ -14,6 +14,7 @@ from typing import Optional
 from .coeffs import SystemSpec
 from .logistic import PeriodicOrbit1D, periodic_logistic, weighted_average
 
+# A margin within this of zero is flagged borderline, here and in the criteria.
 BORDERLINE_TOL = 1e-12
 
 

@@ -22,6 +22,9 @@ from .coeffs import PeriodicCoefficient, _GAUSS_NODES, _GAUSS_WEIGHTS
 
 TOL_PERIODIC = 1e-9
 DEFAULT_GRID = 2048
+# Cells the grid may grow to so that A changes by at most 1 per cell.  At the
+# cap one state takes ~0.6 s and ~350 MB (2-core x86 VM, numpy 2).
+MAX_GRID = 2 ** 20
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -47,6 +50,10 @@ def periodic_mean(samples: np.ndarray) -> float:
 
 class NoPositiveSolution(ValueError):
     """No positive periodic solution exists (mean growth is not positive)."""
+
+
+class GridTooLarge(ValueError):
+    """T * max|growth| asks for more than ``MAX_GRID`` grid cells."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,8 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     uniform grid, accumulated by log-sum-exp.  The grid has ``n`` cells, or
     ceil(T * max|growth|) when that is more, so that A changes by at most
     1 over a cell; max|growth| is taken as its bound |mean| plus the
-    harmonic amplitudes.
+    harmonic amplitudes.  More than ``MAX_GRID`` cells raise
+    :class:`GridTooLarge`.
     """
     lam = growth.mean
     if lam <= 0:
@@ -99,7 +107,11 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
             f"mean growth {lam:.6g} <= 0: no positive periodic solution")
 
     max_growth = abs(lam) + sum(math.hypot(ck, sk) for _, ck, sk in growth.harmonics)
-    n = max(n, math.ceil(T * max_growth))
+    cells = T * max_growth
+    if not cells <= MAX_GRID:
+        raise GridTooLarge(f"T * max|growth| = {cells:.3e} needs more than the "
+                           f"{MAX_GRID} grid cells allowed for the periodic logistic state")
+    n = max(n, math.ceil(cells))
     ts = np.linspace(0.0, T, n + 1)
     A = np.asarray(growth.antiderivative(T, ts), dtype=float)
     # A(T) = T * lam exactly; the harmonics' sin(2*pi*k) rounds to ~1e-16,

@@ -88,6 +88,8 @@ class SupResult:
     ``empty`` is a flagged state, not an error: an empty region means no
     coexistence state can exist.  ``degenerate`` marks regions that have
     collapsed to (numerically) zero width: a single point or a segment.
+    A region whose x-range overflows the doubles has ``value`` inf and a
+    NaN argmax.
     """
 
     value: float
@@ -263,12 +265,15 @@ def _feasible_end(gap: Callable[[float], float], inside: float, end: float, tol:
     """Last x from ``inside`` (gap >= 0) towards ``end`` with gap >= 0.
 
     The gap is concave, so it is monotone between the two and bisection
-    finds the crossing.
+    finds the crossing.  The number of halvings that brings the bracket
+    within ``tol`` is fixed up front, and the midpoint is formed so that it
+    cannot overflow.
     """
     if gap(end) >= 0.0:
         return end
-    while abs(end - inside) > tol:
-        mid = 0.5 * (inside + end)
+    width = abs(end - inside)
+    for _ in range(math.ceil(math.log2(width / tol)) if width > tol else 0):
+        mid = 0.5 * inside + 0.5 * end
         if gap(mid) >= 0.0:
             inside = mid
         else:
@@ -311,6 +316,9 @@ def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], flo
     x_hi = _x_ceiling(region)
     if x_lo > x_hi:
         return empty
+    if not math.isfinite(x_hi):
+        # the x-range overflows: no finite bound on the objective is known
+        return SupResult(math.inf, (math.nan, math.nan), empty=False)
     # relative to the x-range, so a narrow region keeps 13 digits of its x*y
     tol = max(1e-13 * x_hi, math.ulp(x_hi))
     scale = 1.0 + abs(region.abar) + abs(region.dbar)

@@ -219,33 +219,23 @@ def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], atol_phi: fl
             [msg for _, msgs in parts for msg in msgs])
 
 
-def _log_period_map(spec: SystemSpec, z: np.ndarray):
-    """The period map and its log-variational monodromy for the n starts ``z``.
-
-    :func:`_log_flow` read at t = T with absolute tolerance ``_ATOL_LOG``
-    on Phi too: the (2, 3, n) states at t = T and the failure messages.
-    """
-    states, failures = _log_flow(spec, z, [spec.T], _ATOL_LOG)
-    return states[..., -1], failures
-
-
 def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
     """Solution value at t = T starting from ``state0`` at t = 0."""
     state0 = np.asarray(state0, dtype=float)
     if np.any(state0 <= 0):
         raise NonPositive(f"initial state {state0} is not in the open quadrant")
-    end, failures = _log_period_map(spec, np.log(state0)[:, None])
+    states, failures = _log_flow(spec, np.log(state0)[:, None], [spec.T], _ATOL_LOG)
     if failures[0] is not None:
         raise StepFailure(failures[0])
-    return np.exp(end[:, 0, 0])
+    return np.exp(states[:, 0, 0, -1])
 
 
 def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             bounds: RegionBounds) -> list:
     """Newton iteration on the period map from every guess at once.
 
-    Each iteration advances all live starts in one ``_log_period_map``
-    solve and takes, per start, the step dz solving (Phi(T) - I) dz =
+    Each iteration advances all live starts to t = T in one
+    :func:`_log_flow` solve and takes, per start, the step dz solving (Phi(T) - I) dz =
     -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  A start converges
     when its fixed-point residual in (u, v) falls to ``NEWTON_TOL`` in the
     sup norm.  When ``bounds`` are positive, a start whose log iterate
@@ -278,7 +268,8 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
         live = [j for j in live if outcomes[j] is None]
         if not live:
             break
-        end, failures = _log_period_map(spec, z[:, live])
+        states, failures = _log_flow(spec, z[:, live], [spec.T], _ATOL_LOG)
+        end = states[..., -1]
         for i, j in enumerate(live):
             if failures[i] is not None:
                 outcomes[j] = StepFailure(failures[i])

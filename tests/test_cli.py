@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import pplv.cli
 import pplv.region
 from pplv.cli import (
+    EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_NO_COEXISTENCE,
     EXIT_STABLE,
@@ -107,15 +110,16 @@ class TestParseConfig:
     def test_demo_constants(self):
         spec = parse_config(EQ30_CFG)
         assert spec.T == 1.0
-        assert spec.a.value == 2.0102
-        assert spec.f.value == 2.0
+        assert spec.a.mean == 2.0102
+        assert spec.f.mean == 2.0
+        assert spec.a.harmonics == spec.f.harmonics == ()
 
     def test_trig_coefficient(self):
         text = EQ30_CFG.replace(
             "[a]\nkind = const\nvalue = 2.0102",
             "[a]\nkind = trig\nc0 = 2.0102\nharmonic = 1, 0, 0.01")
         spec = parse_config(text)
-        assert spec.a.kind == "trigonometric"
+        assert spec.a.mean == 2.0102
         assert spec.a.harmonics == ((1, 0.0, 0.01),)
 
     def test_negative_c_rejected(self):
@@ -149,7 +153,7 @@ class TestParseConfig:
         text = "# header\n\n" + EQ30_CFG.replace("value = 2.0102",
                                                  "value = 2.0102  # prey growth")
         spec = parse_config(text)
-        assert spec.a.value == 2.0102
+        assert spec.a.mean == 2.0102
 
 
 class TestRoundTrip:
@@ -442,6 +446,34 @@ class TestMain:
             argv += ["--p", p]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("config", [
+        EQ30_CFG.replace("value = 2.0102", "value = 1e308"),
+        EQ30_CFG.replace("value = 2.0102", "value = 1e308").replace(
+            "[b]\nkind = const\nvalue = 1\n", "[b]\nkind = const\nvalue = 1e-5\n"),
+        EQ30_CFG.replace("T = 1\n", "T = 1e300\n"),
+    ], ids=["a-1e308", "a-1e308-b-1e-5", "T-1e300"])
+    @pytest.mark.parametrize("command", ["region", "analyze", "simulate", "example1"])
+    def test_extreme_input_ends_in_report_or_error(self, tmp_path, command, config):
+        # a = 1e308 once hung the region search, and with b = 1e-5 it makes U
+        # inf; T * max|growth| of 1e300 or more asks for a logistic grid far
+        # beyond any array.  Run as the console script: there overflow
+        # RuntimeWarnings are printed, not raised.  A run over 10 s fails.
+        cfg_path = write_cfg(tmp_path, config)
+        src = str(Path(pplv.cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); from pplv.cli import main; "
+             "sys.exit(main(sys.argv[2:]))", src,
+             "--command", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=10.0)
+        assert "Traceback" not in run.stderr
+        errors = [ln for ln in run.stderr.splitlines() if ln.startswith("error:")]
+        if run.returncode == EXIT_ERROR:
+            assert len(errors) == 1
+        else:
+            assert run.returncode in (EXIT_STABLE, EXIT_INCONCLUSIVE, EXIT_NO_COEXISTENCE)
+            assert not errors
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])

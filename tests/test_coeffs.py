@@ -73,6 +73,11 @@ class TestEvaluate:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("v", [0.0, -1.5, 2.0102, 1e-300])
+    def test_constant_is_degree_zero_trig(self, v):
+        assert C(v) == TRIG(v)
+        assert C(v).harmonics == ()
+
     def test_duplicate_harmonic_rejected(self):
         with pytest.raises(ValueError):
             TRIG(1.0, [(1, 0.1, 0.0), (1, 0.0, 0.2)])

@@ -8,6 +8,7 @@ from oracles import region_mask
 from pplv.constant_case import (
     ConstantSystem,
     DISCREPANCY_NOTE,
+    P_LARGE_DEFAULT,
     SignScan,
     check25,
     demo_constants,
@@ -145,6 +146,13 @@ class TestCheck25:
         sysc = ConstantSystem(T=0.1, a=0.1, b=1, c=1, d=0.1, e=1, f=1)
         pat = check25(sysc, 2.0)
         assert not pat.g1_positive
+
+    @pytest.mark.parametrize("T", [1.0, 0.1])
+    def test_g_values_are_g_of_p(self, eq30, T):
+        sysc = ConstantSystem(T=T, a=eq30.a, b=eq30.b, c=eq30.c, d=eq30.d, e=eq30.e, f=eq30.f)
+        pat = check25(sysc, 2.0)
+        assert (pat.g1, pat.gstar, pat.glarge) == (
+            g_of_p(sysc, 1.0), g_of_p(sysc, 2.0), g_of_p(sysc, P_LARGE_DEFAULT))
 
     def test_pstar_bounds(self, eq30):
         with pytest.raises(ValueError):

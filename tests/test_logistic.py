@@ -7,6 +7,8 @@ from scipy.integrate import solve_ivp
 from pplv.coeffs import PeriodicCoefficient
 from pplv.logistic import (
     DEFAULT_GRID,
+    MAX_GRID,
+    GridTooLarge,
     NoPositiveSolution,
     PeriodicOrbit1D,
     periodic_logistic,
@@ -122,6 +124,13 @@ def test_constant_state_beyond_exp_range(T):
     orbit = periodic_logistic(C(2.0), C(1.0), T)
     assert len(orbit.ts) - 1 == max(DEFAULT_GRID, math.ceil(2.0 * T))
     assert np.max(np.abs(orbit.values - 2.0)) <= 1e-10 * 2.0
+
+
+@pytest.mark.parametrize("growth, T", [(C(2.0), 1e300), (C(1e308), 1.0),
+                                       (C(2.0), MAX_GRID / 2.0 + 1.0)])
+def test_grid_beyond_cap_rejected(growth, T):
+    with pytest.raises(GridTooLarge):
+        periodic_logistic(growth, C(1.0), T)
 
 
 def test_trig_growth_beyond_exp_range():

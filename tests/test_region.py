@@ -127,6 +127,23 @@ class TestSupXY:
         assert res.argmax[0] <= xmax + 1e-9
         assert res.argmax[1] <= ymax + 1e-9
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 10.0])
+    def test_huge_growth_ends(self, p):
+        # abar = 1e308: the old bisection midpoint (inside + end) / 2
+        # overflowed to inf and never met its tolerance
+        res = sup_xy(region_spec(const_spec(1e308, 1, 0.0051, 2.0203, 0.9898, 2), p))
+        assert not res.empty
+        assert res.value == math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_overflowing_x_range_is_unbounded(self, p):
+        reg = region_spec(const_spec(1e308, 1e-5, 0.0051, 2.0203, 0.9898, 2), p)
+        assert reg.bounds.U == math.inf
+        res = sup_xy(reg)
+        assert not res.empty
+        assert res.value == math.inf
+        assert all(math.isnan(v) for v in res.argmax)
+
     def test_empty_region_flagged(self):
         res = sup_xy(region_spec(const_spec(-1, 1, 1, -1, 1, 1), 2.0))
         assert res.empty

@@ -317,18 +317,16 @@ class TestBatchedNewton:
     def test_one_solve_per_orbit_after_newton(self, name, request, monkeypatch):
         spec = request.getfixturevalue(name)
         solves, iterations = [], []
-        real_solve, real_map = simulate.solve_ivp, simulate._log_period_map
+        real_solve = simulate.solve_ivp
 
         def counting_solve(*args, **kwargs):
             solves.append(len(args[2]))
+            # a Newton iteration reads its solve at t = T only
+            if len(kwargs["t_eval"]) == 1:
+                iterations.append(len(args[2]))
             return real_solve(*args, **kwargs)
 
-        def counting_map(spec, z):
-            iterations.append(z.shape[1])
-            return real_map(spec, z)
-
         monkeypatch.setattr(simulate, "solve_ivp", counting_solve)
-        monkeypatch.setattr(simulate, "_log_period_map", counting_map)
         orbits = find_coexistence_multistart(spec, n_starts=20, seed=0)
         assert orbits
         searched = len(solves)
@@ -367,13 +365,13 @@ class TestBoxRetirement:
         # log v = 49 lies far above log V = 9.85; without the box Newton
         # spends all its iterations out there before giving up
         calls = []
-        real = simulate._log_period_map
+        real = simulate.solve_ivp
 
-        def counting(spec, z):
-            calls.append(z.shape[1])
-            return real(spec, z)
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_log_period_map", counting)
+        monkeypatch.setattr(simulate, "solve_ivp", counting)
         with pytest.raises(NoConvergence, match="a-priori box"):
             find_coexistence(saddle_spec, (1.0, math.e ** 49))
         assert len(calls) <= 1
