@@ -16,7 +16,6 @@ from .coeffs import (
     stats,
 )
 from .constant_case import (
-    ConstantSystem,
     SingularSystem,
     check25,
     demo_constants,

@@ -373,9 +373,7 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
 
     extra = []
     try:
-        eq = constant_case.equilibrium(constant_case.ConstantSystem(
-            T=spec.T, a=spec.a.mean, b=spec.b.mean, c=spec.c.mean,
-            d=spec.d.mean, e=spec.e.mean, f=spec.f.mean))
+        eq = constant_case.equilibrium(spec)
         if eq[0] > 0 and eq[1] > 0:
             extra.append(eq)
     except ValueError:
@@ -419,56 +417,47 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
 
 
 def cmd_example1(cfg: RunConfig, out) -> int:
-    if cfg.system_file is not None:
-        spec = _load_spec(cfg)
-        for name in "abcdef":
-            if getattr(spec, name).harmonics:
-                raise ValidationError("example1 requires constant coefficients")
-        sys_ = constant_case.ConstantSystem(
-            T=spec.T, a=spec.a.mean, b=spec.b.mean, c=spec.c.mean,
-            d=spec.d.mean, e=spec.e.mean, f=spec.f.mean)
+    if cfg.system_file is None:
+        spec = constant_case.demo_constants()
     else:
-        sys_ = constant_case.demo_constants()
+        spec = _load_spec(cfg)
+        if any(getattr(spec, name).harmonics for name in "abcdef"):
+            raise ValidationError("example1 requires constant coefficients")
 
+    # everything is computed before the first line is printed, so a run
+    # that ends in an error prints nothing
     p_star = next((p for p in cfg.exponents() if 1.0 < p < jfunc.INF), 2.0)
-    x1, y1 = constant_case.equilibrium(sys_)
-    k = constant_case.linear_term(sys_)
-    print(f"constants: a={_fmt(sys_.a)} b={_fmt(sys_.b)} c={_fmt(sys_.c)} "
-          f"d={_fmt(sys_.d)} e={_fmt(sys_.e)} f={_fmt(sys_.f)} T={_fmt(sys_.T)}", file=out)
+    report = criteria.scan_p(spec, [1.0, p_star, jfunc.INF])
+    pattern = constant_case.check25(spec, p_star)
+    x1, y1 = constant_case.equilibrium(spec)
+    a, b, c, d, e, f = (_fmt(getattr(spec, name).mean) for name in "abcdef")
+    print(f"constants: a={a} b={b} c={c} d={d} e={e} f={f} T={_fmt(spec.T)}", file=out)
     print(f"equilibrium / singleton 1-region point: ({_fmt(x1)}, {_fmt(y1)})", file=out)
-    print(f"k = (b*x1 + f*y1)/2 = {_fmt(k)}", file=out)
+    print(f"k = (b*x1 + f*y1)/2 = {_fmt(pattern.scan.k)}", file=out)
 
-    scan_ps = [1.0, p_star, constant_case.P_LARGE_DEFAULT]
-    scan = constant_case.sign_scan(sys_, scan_ps)
     print("p        h(p)                      sign_ok   G(p)                      delta(p)", file=out)
-    for p, h, ok, g, delta in scan.rows:
+    for p, h, ok, g, delta in pattern.scan.rows:
         print(f"{_p_token(p):<8} {_fmt(h):<25} {str(ok):<9} {_fmt(g):<25} {_fmt(delta)}", file=out)
-
-    pattern = constant_case.check25(sys_, p_star)
     print(f"sign pattern (G(1) > 0, G({_p_token(p_star)}) < 0, G({_p_token(constant_case.P_LARGE_DEFAULT)}) > 0): "
           f"({pattern.g1_positive}, {pattern.gstar_negative}, {pattern.glarge_positive})", file=out)
     print(f"large-p dominance check (V > r^2/U): {pattern.limit_positive_by_ratio}", file=out)
     for note in pattern.diagnostics:
         print(f"  note: {note}", file=out)
 
-    spec = sys_.to_system_spec()
     print("direct region-coupled tests:", file=out)
-    direct_ps = [1.0, p_star, jfunc.INF]
-    any_sign_issue = not (pattern.sign_ok_1 and pattern.sign_ok_star)
-    report = criteria.scan_p(spec, direct_ps)
     for res in report.results:
         if res.name == "intertwined":
             print(_result_lines(res), file=out)
     res_weak = next(res for res in report.results
                     if res.name == "weak_intertwined" and res.p == jfunc.INF)
     print(_result_lines(res_weak), file=out)
-    if any_sign_issue:
+    if not (pattern.sign_ok_1 and pattern.sign_ok_star):
         print(constant_case.DISCREPANCY_NOTE, file=out)
 
     print(f"conclusion: {report.conclusion}", file=out)
     if cfg.emit_csv:
         rows = [[_p_token(p), _fmt(h), str(int(ok)), _fmt(g), _fmt(delta)]
-                for p, h, ok, g, delta in scan.rows]
+                for p, h, ok, g, delta in pattern.scan.rows]
         _write_csv(cfg.output_dir / "example1.csv",
                    ["p", "h", "sign_ok", "G", "delta"], rows)
     return _conclusion_exit(report.conclusion)
@@ -514,7 +503,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emit_csv=args.csv,
         )
         return run_command(cfg)
-    except (ParseError, ValidationError, GridTooLarge, OSError,
+    except (ParseError, ValidationError, GridTooLarge, OSError, constant_case.SingularSystem,
             simulate.NoConvergence, simulate.NonPositive, simulate.StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

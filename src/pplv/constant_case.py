@@ -1,10 +1,11 @@
 """Closed-form machinery for systems with constant coefficients.
 
-With constant coefficients the p = 1 region collapses to the single point
-(x1, y1) solving  b*x1 + c*y1 = a,  -e*x1 + f*y1 = d,  which is also the
-coexistence equilibrium when positive.  The region-coupled test then
-reduces to a scalar quadratic in w = x**p whose discriminant sign G(p)
-can be scanned over p.  The reduction squares the inequality
+A constant system is a :class:`SystemSpec` whose coefficients have no
+harmonics.  With constant coefficients the p = 1 region collapses to the
+single point (x1, y1) solving  b*x1 + c*y1 = a,  -e*x1 + f*y1 = d,  which
+is also the coexistence equilibrium when positive.  The region-coupled
+test then reduces to a scalar quadratic in w = x**p whose discriminant
+sign G(p) can be scanned over p.  The reduction squares the inequality
 
     sqrt(c*e*x*y) <= threshold(p)/T - k,      k = (b*x1 + f*y1)/2,
 
@@ -13,6 +14,11 @@ non-negative; every consumer receives that flag (``sign_ok``) alongside
 the value.  When sign_ok is false the G-sign classification and the
 direct region-based test are NOT equivalent and the direct margins are
 authoritative.
+
+:func:`equilibrium` and :func:`linear_term` read the coefficient means,
+so for a periodic system they give the equilibrium of the averaged
+system.  The G machinery needs constant coefficients and raises
+``ValueError`` on a coefficient with harmonics.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 
 from . import jfunc
 from .coeffs import PeriodicCoefficient, SystemSpec
+from .region import RegionBounds, compute_uv
 
 P_LARGE_DEFAULT = 200.0
 
@@ -39,74 +46,72 @@ class SingularSystem(ValueError):
     """b*f + c*e vanished; the equilibrium system is singular."""
 
 
-@dataclass(frozen=True)
-class ConstantSystem:
-    """Constant-coefficient system; b, c, e, f strictly positive."""
+def equilibrium(spec: SystemSpec) -> tuple[float, float]:
+    """((a*f - c*d)/(b*f + c*e), (a*e + b*d)/(b*f + c*e)) of the means.
 
-    T: float
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self) -> None:
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError("T must be a positive finite real")
-        for name in "bcef":
-            if not getattr(self, name) > 0:
-                raise ValueError(f"coefficient {name} must be strictly positive")
-
-    def to_system_spec(self) -> SystemSpec:
-        const = PeriodicCoefficient.constant
-        return SystemSpec(T=self.T, a=const(self.a), b=const(self.b), c=const(self.c),
-                          d=const(self.d), e=const(self.e), f=const(self.f))
-
-    @property
-    def U(self) -> float:
-        return self.a / self.b
-
-    @property
-    def V(self) -> float:
-        return self.d / self.f + (self.e / self.f) * self.U
-
-
-def equilibrium(sys: ConstantSystem) -> tuple[float, float]:
-    """((a*f - c*d)/(b*f + c*e), (a*e + b*d)/(b*f + c*e)).
-
-    This is the unique point of the p = 1 region and, when componentwise
-    positive, the coexistence equilibrium.
+    For constant coefficients this is the unique point of the p = 1 region
+    and, when componentwise positive, the coexistence equilibrium.
     """
-    det = sys.b * sys.f + sys.c * sys.e
+    a, b, c, d, e, f = (getattr(spec, name).mean for name in "abcdef")
+    det = b * f + c * e
     if det == 0.0:
         raise SingularSystem("b*f + c*e = 0")
-    x1 = (sys.a * sys.f - sys.c * sys.d) / det
-    y1 = (sys.a * sys.e + sys.b * sys.d) / det
+    x1 = (a * f - c * d) / det
+    y1 = (a * e + b * d) / det
     return x1, y1
 
 
-def linear_term(sys: ConstantSystem) -> float:
+def linear_term(spec: SystemSpec) -> float:
     """k = (b*x1 + f*y1) / 2, the constant part of the test left-hand side.
 
     Carried at full precision: rounding it visibly (e.g. to 3.0 for the
     bundled demo constants) flips the sign of G(1).
     """
-    x1, y1 = equilibrium(sys)
-    return 0.5 * (sys.b * x1 + sys.f * y1)
+    x1, y1 = equilibrium(spec)
+    return 0.5 * (spec.b.mean * x1 + spec.f.mean * y1)
 
 
-def _h(sys: ConstantSystem, p: float) -> tuple[np.longdouble, bool]:
-    # h(p) in extended precision, where it stays finite far beyond the
-    # double range (the demo constants at T = 0.1 give h(200) ~ 1e1040).
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError("p must be finite and >= 1")
+@dataclass(frozen=True)
+class SignScan:
+    """Tabulated G-scan: one row per exponent, plus the shared constant k
+    and the component bounds."""
+
+    k: float
+    bounds: RegionBounds
+    rows: tuple[tuple[float, float, bool, float, float], ...]  # (p, h, sign_ok, G, delta)
+
+
+def sign_scan(spec: SystemSpec, ps) -> SignScan:
+    """h(p), sign_ok, G(p) and the discriminant at each exponent.
+
+    k, U and V are computed once per scan.  h is evaluated in extended
+    precision, where it stays finite far beyond the double range (the demo
+    constants at T = 0.1 give h(200) ~ 1e1040), and G, whose two terms can
+    exceed their difference by many orders of magnitude (the demo
+    constants give terms near 1.6e5 whose difference is about +3.3 at
+    p = 1), is accumulated there before rounding once to double.
+    """
+    for name in "abcdef":
+        if getattr(spec, name).harmonics:
+            raise ValueError(f"coefficient {name} is not constant")
+    k = linear_term(spec)
+    bounds = compute_uv(spec)
     ld = np.longdouble
-    rhs = ld(jfunc.threshold_p(p)) / ld(sys.T) - ld(linear_term(sys))
-    return (rhs * rhs / (ld(sys.c) * ld(sys.e))) ** ld(p), bool(rhs >= 0)
+    a, b, c, e = (ld(getattr(spec, name).c0) for name in "abce")
+    U, V = ld(bounds.U), ld(bounds.V)
+    rows = []
+    for p in ps:
+        if not (math.isfinite(p) and p >= 1.0):
+            raise ValueError("p must be finite and >= 1")
+        rhs = ld(jfunc.threshold_p(p)) / ld(spec.T) - ld(k)
+        h = (rhs * rhs / (c * e)) ** ld(p)
+        g = float((a / c) ** 2 * V ** (ld(p) - 1) - 4 * (b / c) * h / U ** (ld(p) - 1))
+        delta = float(V ** (ld(p) - 1) * ld(g))
+        rows.append((float(p), float(h), bool(rhs >= 0), g, delta))
+    return SignScan(k=k, bounds=bounds, rows=tuple(rows))
 
 
-def h_of_p(sys: ConstantSystem, p: float) -> tuple[float, bool]:
+def h_of_p(spec: SystemSpec, p: float) -> tuple[float, bool]:
     """h(p) = [ (threshold(p)/T - k)**2 / (c*e) ] ** p and the sign flag.
 
     ``sign_ok`` records whether threshold(p)/T - k >= 0, i.e. whether the
@@ -114,42 +119,23 @@ def h_of_p(sys: ConstantSystem, p: float) -> tuple[float, bool]:
     value itself is total (the formula uses an even power); it is ``inf``
     where h exceeds the double range.
     """
-    h, sign_ok = _h(sys, p)
-    return float(h), sign_ok
+    _, h, sign_ok, _, _ = sign_scan(spec, (p,)).rows[0]
+    return h, sign_ok
 
 
-def _g(sys: ConstantSystem, p: float, h: np.longdouble) -> float:
-    ld = np.longdouble
-    a, b, c = ld(sys.a), ld(sys.b), ld(sys.c)
-    U, V = ld(sys.U), ld(sys.V)
-    term1 = (a / c) ** 2 * V ** (ld(p) - 1)
-    term2 = 4 * (b / c) * h / U ** (ld(p) - 1)
-    return float(term1 - term2)
+def g_of_p(spec: SystemSpec, p: float) -> float:
+    """G(p) = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1)."""
+    return sign_scan(spec, (p,)).rows[0][3]
 
 
-def g_of_p(sys: ConstantSystem, p: float) -> float:
-    """G(p) = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1).
-
-    The two terms can exceed the difference by many orders of magnitude
-    (the demo constants give terms near 1.6e5 whose difference is about
-    +3.3 at p = 1), so the combination is accumulated in extended
-    precision before rounding once to double.
-    """
-    return _g(sys, p, _h(sys, p)[0])
-
-
-def _discriminant(sys: ConstantSystem, p: float, g: float) -> float:
-    return float(np.longdouble(sys.V) ** (np.longdouble(p) - 1) * np.longdouble(g))
-
-
-def discriminant(sys: ConstantSystem, p: float) -> float:
+def discriminant(spec: SystemSpec, p: float) -> float:
     """V**(p-1) * G(p); shares the sign of G(p) since V > 0 where defined."""
-    return _discriminant(sys, p, g_of_p(sys, p))
+    return sign_scan(spec, (p,)).rows[0][4]
 
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Outcome of the three-point sign scan of G."""
+    """Outcome of the three-point sign scan of G, with the scan itself."""
 
     g1_positive: bool
     gstar_negative: bool
@@ -161,9 +147,10 @@ class SignPattern:
     sign_ok_star: bool
     limit_positive_by_ratio: bool
     diagnostics: tuple[str, ...]
+    scan: SignScan
 
 
-def check25(sys: ConstantSystem, p_star: float, p_large: float = P_LARGE_DEFAULT) -> SignPattern:
+def check25(spec: SystemSpec, p_star: float, p_large: float = P_LARGE_DEFAULT) -> SignPattern:
     """Evaluate (G(1) > 0, G(p_star) < 0, G(p_large) > 0) from one sign scan.
 
     The large-p probe is cross-checked against the asymptotic dominance
@@ -172,10 +159,10 @@ def check25(sys: ConstantSystem, p_star: float, p_large: float = P_LARGE_DEFAULT
     """
     if not (1.0 < p_star < math.inf):
         raise ValueError("p_star must lie in (1, inf)")
-    scan = sign_scan(sys, (1.0, p_star, p_large))
+    scan = sign_scan(spec, (1.0, p_star, p_large))
     (_, _, ok1, g1, _), (_, _, okstar, gstar, _), (_, _, _, glarge, _) = scan.rows
-    r = abs(math.pi / sys.T - scan.k) / math.sqrt(sys.c * sys.e)
-    ratio_ok = sys.V > r * r / sys.U
+    r = abs(math.pi / spec.T - scan.k) / math.sqrt(spec.c.c0 * spec.e.c0)
+    ratio_ok = scan.bounds.V > r * r / scan.bounds.U
     diags = []
     if not ok1:
         diags.append("sign_ok false at p=1")
@@ -191,28 +178,13 @@ def check25(sys: ConstantSystem, p_star: float, p_large: float = P_LARGE_DEFAULT
         sign_ok_1=ok1, sign_ok_star=okstar,
         limit_positive_by_ratio=ratio_ok,
         diagnostics=tuple(diags),
+        scan=scan,
     )
 
 
-@dataclass(frozen=True)
-class SignScan:
-    """Tabulated G-scan: one row per exponent, plus the shared constant k."""
-
-    k: float
-    rows: tuple[tuple[float, float, bool, float, float], ...]  # (p, h, sign_ok, G, delta)
-
-
-def sign_scan(sys: ConstantSystem, ps) -> SignScan:
-    """h, sign_ok, G and the discriminant at each exponent; h once per row."""
-    rows = []
-    for p in ps:
-        h, ok = _h(sys, p)
-        g = _g(sys, p, h)
-        rows.append((float(p), float(h), ok, g, _discriminant(sys, p, g)))
-    return SignScan(k=linear_term(sys), rows=tuple(rows))
-
-
-def demo_constants() -> ConstantSystem:
+def demo_constants() -> SystemSpec:
     """Bundled constants for which the sign scan certifies stability at
     p* = 2 while both endpoint tests (p = 1 and p = inf) fail."""
-    return ConstantSystem(T=1.0, a=2.0102, b=1.0, c=0.0051, d=2.0203, e=0.9898, f=2.0)
+    const = PeriodicCoefficient.constant
+    return SystemSpec(T=1.0, a=const(2.0102), b=const(1.0), c=const(0.0051),
+                      d=const(2.0203), e=const(0.9898), f=const(2.0))

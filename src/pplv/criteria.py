@@ -51,8 +51,13 @@ class TestResult:
 
 def _result(name: str, p: Optional[float], lhs: float, rhs: float,
             strict: bool = False, diagnostics: Sequence[str] = ()) -> TestResult:
-    margin = rhs - lhs
     diags = list(diagnostics)
+    if not math.isfinite(lhs):
+        # an overflowed supremum times an underflowed coefficient product
+        # gives NaN: no finite bound on the lhs is known, so the test fails
+        diags.append("lhs is not finite")
+        lhs = math.inf
+    margin = rhs - lhs
     if abs(margin) <= BORDERLINE_TOL:
         diags.append("borderline")
     passed = margin > 0.0 if strict else margin >= 0.0

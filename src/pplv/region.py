@@ -140,7 +140,8 @@ def region_spec(spec: SystemSpec, p: float) -> RegionSpec:
 
 
 def _curves(region: RegionSpec, x: float) -> tuple[float, float, float, float]:
-    """(top_a, top_d, lo_a, lo_d) at x; -inf marks an undefined top curve.
+    """(top_a, lo_a, top_d, lo_d) at x, the boundaries of constraints (1)-(4);
+    -inf marks an undefined top curve.
 
     Python's float power raises OverflowError where numpy returns inf, so
     callers keep x within [0, _x_ceiling(region)].
@@ -150,18 +151,18 @@ def _curves(region: RegionSpec, x: float) -> tuple[float, float, float, float]:
     base = region.dbar + region.e_max * x
     if p == 1.0:
         top_a = (region.abar - region.b_min * x) / region.c_min
-        return top_a, base / region.f_min, lo_a, (region.dbar + region.e_min * x) / region.f_max
+        return top_a, lo_a, base / region.f_min, (region.dbar + region.e_min * x) / region.f_max
     U, V = region.bounds.U, region.bounds.V
     powx = U * (x / U) ** p
     rem = region.abar - region.b_min * powx
     top_a = V * (rem / (region.c_min * V)) ** (1.0 / p) if rem >= 0 else -math.inf
     top_d = V * (base / (region.f_min * V)) ** (1.0 / p) if base >= 0 else -math.inf
-    return top_a, top_d, lo_a, (region.dbar + region.e_min * powx) / region.f_max
+    return top_a, lo_a, top_d, (region.dbar + region.e_min * powx) / region.f_max
 
 
 def _slice(region: RegionSpec, x: float) -> tuple[float, float]:
     """Admissible y-interval (ylo, yhi) of the slice at x; empty if ylo > yhi."""
-    top_a, top_d, lo_a, lo_d = _curves(region, x)
+    top_a, lo_a, top_d, lo_d = _curves(region, x)
     return max(lo_a, lo_d, 0.0), min(top_a, top_d)
 
 
@@ -189,11 +190,12 @@ def envelope(region: RegionSpec) -> tuple[float, float]:
     if xmax <= 0:
         return 0.0, 0.0
     top_a_start = _curves(region, 0.0)[0]
-    top_d_end = _curves(region, xmax)[1]
+    top_d_end = _curves(region, xmax)[2]
     return xmax, max(min(top_a_start, top_d_end), 0.0)
 
 
-# Position of each finite-p boundary curve among the constraints (1)-(4).
+# Position of each finite-p boundary curve among the constraints (1)-(4),
+# in the tuples of both _curves and _constraints.
 _CURVE_INDEX = {"a_lower": 0, "a_upper": 1, "d_lower": 2, "d_upper": 3}
 
 
@@ -398,21 +400,21 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
         return pts
     xmax = _x_ceiling(region)
 
-    # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0;
-    # the index picks it out of _curves: top_a, top_d, lo_a, lo_d.
+    # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0.
     if region.dbar >= 0 or region.e_min <= 0:
         x_first = 0.0
     elif p == 1.0:
         x_first = -region.dbar / region.e_min
     else:
         x_first = U * (-region.dbar / (region.e_min * U)) ** (1.0 / p)
-    for label, index, x_start, x_end in (
-        ("a_lower", 0, 0.0, xmax),
-        ("a_upper", 2, 0.0, min(xmax, region.abar / region.b_max)),
-        ("d_lower", 1, max(0.0, -region.dbar / region.e_max), xmax),
-        ("d_upper", 3, x_first, xmax),
+    for label, x_start, x_end in (
+        ("a_lower", 0.0, xmax),
+        ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),
+        ("d_lower", max(0.0, -region.dbar / region.e_max), xmax),
+        ("d_upper", x_first, xmax),
     ):
         if x_start <= x_end:
+            index = _CURVE_INDEX[label]
             for xv in np.linspace(x_start, x_end, n):
                 yv = _curves(region, float(xv))[index]
                 pts.append((label, float(xv), max(yv, 0.0)))

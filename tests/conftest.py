@@ -1,27 +1,35 @@
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
-from pplv import ConstantSystem, PeriodicCoefficient, SystemSpec
+from pplv import PeriodicCoefficient, SystemSpec
 from pplv.region import RegionBounds, RegionSpec
 
 C = PeriodicCoefficient.constant
 TRIG = PeriodicCoefficient.trig
 
 
+def const_spec(a, b, c, d, e, f, T=1.0) -> SystemSpec:
+    """The system with constant coefficients a, ..., f and period T."""
+    return SystemSpec(T=T, a=C(a), b=C(b), c=C(c), d=C(d), e=C(e), f=C(f))
+
+
 @pytest.fixture(scope="session")
 def eq30():
-    """The bundled demonstration constants (sign scan conclusive at p* = 2)."""
-    return ConstantSystem(T=1.0, a=2.0102, b=1.0, c=0.0051, d=2.0203, e=0.9898, f=2.0)
+    """The bundled demonstration constants (sign scan conclusive at p* = 2),
+    as plain numbers."""
+    return SimpleNamespace(T=1.0, a=2.0102, b=1.0, c=0.0051, d=2.0203, e=0.9898, f=2.0)
 
 
 @pytest.fixture(scope="session")
 def eq30_spec(eq30):
-    return eq30.to_system_spec()
+    return const_spec(**vars(eq30))
 
 
 @pytest.fixture(scope="session")
-def eq30_spec_t01(eq30):
-    return ConstantSystem(T=0.1, a=eq30.a, b=eq30.b, c=eq30.c,
-                          d=eq30.d, e=eq30.e, f=eq30.f).to_system_spec()
+def eq30_spec_t01(eq30_spec):
+    return dataclasses.replace(eq30_spec, T=0.1)
 
 
 @pytest.fixture(scope="session")

@@ -133,12 +133,13 @@ def test_criterion_03_sign_pattern():
 
 
 def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
-    x1, y1 = equilibrium(eq30)
-    k = linear_term(eq30)
+    x1, y1 = equilibrium(eq30_spec)
+    k = linear_term(eq30_spec)
     ce = eq30.c * eq30.e
+    bounds = compute_uv(eq30_spec)
     refs = {
         1.0: math.sqrt(ce * x1 * y1) + k,
-        INF: math.sqrt(ce * eq30.U * eq30.V) + k,
+        INF: math.sqrt(ce * bounds.U * bounds.V) + k,
     }
     reg2 = region_spec(eq30_spec, 2.0)
     xmax, ymax = envelope(reg2)
@@ -151,8 +152,8 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
         assert not res.passed
         assert res.lhs == pytest.approx(refs[p], abs=1e-4)
         assert res.rhs == pytest.approx(rhs_expected[p], abs=1e-6)
-    assert h_of_p(eq30, 1.0)[1] is False
-    assert h_of_p(eq30, 2.0)[1] is False
+    assert h_of_p(eq30_spec, 1.0)[1] is False
+    assert h_of_p(eq30_spec, 2.0)[1] is False
 
     # the discrepancy note is emitted by the demo pipeline
     buf = io.StringIO()
@@ -168,7 +169,7 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
     assert 0.5 * sup_lin.value == pytest.approx(k, abs=1e-6)
     for p in (1.0, 2.0):
         h_direct = ((threshold_p(p) / eq30.T - k) ** 2 / ce) ** p
-        assert h_of_p(eq30, p)[0] == pytest.approx(h_direct, rel=1e-6)
+        assert h_of_p(eq30_spec, p)[0] == pytest.approx(h_direct, rel=1e-6)
     sup1 = sup_xy(reg1)
     assert sup1.value == pytest.approx(x1 * y1, abs=1e-6)
     ok(4, "direct test margins reproduce the derived values; note emitted")

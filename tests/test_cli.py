@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import pplv.cli
 import pplv.region
+from pplv import constant_case
 from pplv.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -52,6 +53,10 @@ value = 0.9898
 kind = const
 value = 2
 """
+
+# b*f + c*e rounds to 0; c_max*e_max underflows to 0 while U*V overflows
+TINY_BCEF_CFG = re.sub(r"^value = (1|0\.0051|0\.9898|2)$", "value = 1e-200", EQ30_CFG,
+                       flags=re.MULTILINE)
 
 
 EXAMPLE1_DEMO = [
@@ -382,6 +387,19 @@ class TestCommands:
         for line, expected in zip(got, EXAMPLE1_DEMO):
             assert _tokens_match(line, expected), (line, expected)
 
+    def test_example1_makes_one_sign_scan(self, tmp_path, monkeypatch):
+        calls = []
+        real = constant_case.sign_scan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(constant_case, "sign_scan", counting)
+        code = run_command(make_cfg("example1", None, output_dir=tmp_path / "o"), io.StringIO())
+        assert code == EXIT_STABLE
+        assert len(calls) == 1
+
     def test_missing_config_is_error(self, tmp_path):
         with pytest.raises(ValidationError):
             run_command(make_cfg("analyze", None, output_dir=tmp_path), io.StringIO())
@@ -452,13 +470,17 @@ class TestMain:
         EQ30_CFG.replace("value = 2.0102", "value = 1e308").replace(
             "[b]\nkind = const\nvalue = 1\n", "[b]\nkind = const\nvalue = 1e-5\n"),
         EQ30_CFG.replace("T = 1\n", "T = 1e300\n"),
-    ], ids=["a-1e308", "a-1e308-b-1e-5", "T-1e300"])
+        TINY_BCEF_CFG,
+    ], ids=["a-1e308", "a-1e308-b-1e-5", "T-1e300", "bcef-1e-200"])
     @pytest.mark.parametrize("command", ["region", "analyze", "simulate", "example1"])
     def test_extreme_input_ends_in_report_or_error(self, tmp_path, command, config):
         # a = 1e308 once hung the region search, and with b = 1e-5 it makes U
         # inf; T * max|growth| of 1e300 or more asks for a logistic grid far
-        # beyond any array.  Run as the console script: there overflow
-        # RuntimeWarnings are printed, not raised.  A run over 10 s fails.
+        # beyond any array; b = c = e = f = 1e-200 makes the equilibrium
+        # singular and an lhs 0 * inf.  Run as the console script: there
+        # overflow RuntimeWarnings are printed, not raised.  A run over 10 s
+        # fails.  A run that ends in an error prints no report before it, and
+        # no lhs or margin is NaN.
         cfg_path = write_cfg(tmp_path, config)
         src = str(Path(pplv.cli.__file__).resolve().parents[1])
         run = subprocess.run(
@@ -471,9 +493,12 @@ class TestMain:
         errors = [ln for ln in run.stderr.splitlines() if ln.startswith("error:")]
         if run.returncode == EXIT_ERROR:
             assert len(errors) == 1
+            assert run.stdout == ""
         else:
             assert run.returncode in (EXIT_STABLE, EXIT_INCONCLUSIVE, EXIT_NO_COEXISTENCE)
             assert not errors
+        if command == "analyze":
+            assert not [ln for ln in run.stdout.splitlines() if "nan" in ln]
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import const_spec
 from oracles import region_mask
 
 from pplv.constant_case import (
-    ConstantSystem,
     DISCREPANCY_NOTE,
     P_LARGE_DEFAULT,
     SignScan,
@@ -22,7 +23,7 @@ from pplv.constant_case import (
 from pplv.criteria import intertwined_test
 from pplv.existence import classify_boundary
 from pplv.jfunc import threshold_p
-from pplv.region import boundary_residual, cp_contains, region_spec, sup_xy
+from pplv.region import boundary_residual, compute_uv, cp_contains, region_spec, sup_xy
 
 # frozen 50-digit reference values for the demo constants
 X1_REF = 2.0000002543580029441
@@ -35,8 +36,8 @@ G2_REF = -744.79810314713788771
 
 
 class TestEquilibrium:
-    def test_demo_against_linear_solve(self, eq30):
-        x1, y1 = equilibrium(eq30)
+    def test_demo_against_linear_solve(self, eq30, eq30_spec):
+        x1, y1 = equilibrium(eq30_spec)
         mat = np.array([[eq30.b, eq30.c], [-eq30.e, eq30.f]])
         ref = np.linalg.solve(mat, [eq30.a, eq30.d])
         assert x1 == pytest.approx(ref[0], rel=1e-14)
@@ -45,91 +46,85 @@ class TestEquilibrium:
         assert y1 == pytest.approx(Y1_REF, rel=1e-14)
 
     def test_simple_integers(self):
-        assert equilibrium(ConstantSystem(T=1, a=3, b=1, c=1, d=1, e=1, f=1)) \
-            == pytest.approx((1.0, 2.0))
+        assert equilibrium(const_spec(3, 1, 1, 1, 1, 1)) == pytest.approx((1.0, 2.0))
 
     def test_classical(self):
-        assert equilibrium(ConstantSystem(T=1, a=1, b=1, c=1, d=-0.5, e=1, f=1)) \
-            == pytest.approx((0.75, 0.25))
+        assert equilibrium(const_spec(1, 1, 1, -0.5, 1, 1)) == pytest.approx((0.75, 0.25))
 
-    def test_linear_term_never_rounded(self, eq30):
-        k = linear_term(eq30)
+    def test_linear_term_never_rounded(self, eq30_spec):
+        k = linear_term(eq30_spec)
         assert k == pytest.approx(K_REF, rel=1e-14)
         assert k != 3.0  # rounding k to 3 flips the sign of G(1)
 
 
 class TestHOfP:
-    def test_demo_p1(self, eq30):
-        h, ok = h_of_p(eq30, 1.0)
+    def test_demo_p1(self, eq30_spec):
+        h, ok = h_of_p(eq30_spec, 1.0)
         assert h == pytest.approx(H1_REF, rel=1e-10)
         assert ok is False  # threshold(1) = 2 < k
 
-    def test_demo_p2(self, eq30):
-        h, ok = h_of_p(eq30, 2.0)
+    def test_demo_p2(self, eq30_spec):
+        h, ok = h_of_p(eq30_spec, 2.0)
         assert h == pytest.approx(H2_REF, rel=1e-7)
         assert ok is False
 
     def test_zero_base_when_threshold_matches_k(self):
-        sysc = ConstantSystem(T=1, a=3, b=1, c=1, d=1, e=1, f=1)
-        k = linear_term(sysc)  # = 2.5
+        k = linear_term(const_spec(3, 1, 1, 1, 1, 1))  # = 2.5
         t_match = threshold_p(2.0) / k * (1.0 - 1e-12)
-        tuned = ConstantSystem(T=t_match, a=3, b=1, c=1, d=1, e=1, f=1)
+        tuned = const_spec(3, 1, 1, 1, 1, 1, T=t_match)
         h, ok = h_of_p(tuned, 2.0)
         assert ok is True
         assert h < 1e-20
 
-    def test_infinite_p_rejected(self, eq30):
+    def test_infinite_p_rejected(self, eq30_spec):
         with pytest.raises(ValueError):
-            h_of_p(eq30, math.inf)
+            h_of_p(eq30_spec, math.inf)
 
-    def test_beyond_double_range_is_inf(self, eq30):
-        short = ConstantSystem(T=0.1, a=eq30.a, b=eq30.b, c=eq30.c,
-                               d=eq30.d, e=eq30.e, f=eq30.f)
-        h, ok = h_of_p(short, 200.0)
+    def test_beyond_double_range_is_inf(self, eq30_spec_t01):
+        h, ok = h_of_p(eq30_spec_t01, 200.0)
         assert h == math.inf and ok is True
-        assert g_of_p(short, 200.0) == -math.inf
+        assert g_of_p(eq30_spec_t01, 200.0) == -math.inf
 
 
 class TestGOfP:
-    def test_demo_g1_sign_and_value(self, eq30):
-        g1 = g_of_p(eq30, 1.0)
+    def test_demo_g1_sign_and_value(self, eq30, eq30_spec):
+        g1 = g_of_p(eq30_spec, 1.0)
         assert g1 > 0
         assert g1 == pytest.approx(G1_REF, rel=1e-8)
         # tiny relative margin against terms of magnitude ~1.6e5
         assert abs(g1) / ((eq30.a / eq30.c) ** 2) == pytest.approx(2.12e-5, rel=0.01)
 
-    def test_demo_g2(self, eq30):
-        g2 = g_of_p(eq30, 2.0)
+    def test_demo_g2(self, eq30_spec):
+        g2 = g_of_p(eq30_spec, 2.0)
         assert g2 < 0
         assert g2 == pytest.approx(G2_REF, rel=1e-6)
         assert g2 == pytest.approx(-744.8, rel=0.01)
 
-    def test_demo_g200_positive(self, eq30):
-        assert g_of_p(eq30, 200.0) > 0
+    def test_demo_g200_positive(self, eq30_spec):
+        assert g_of_p(eq30_spec, 200.0) > 0
 
     def test_engineered_negative_g1(self):
         # valid squaring (sign_ok) with a dominating h term
-        sysc = ConstantSystem(T=0.1, a=0.1, b=1, c=1, d=0.1, e=1, f=1)
+        sysc = const_spec(0.1, 1, 1, 0.1, 1, 1, T=0.1)
         h, ok = h_of_p(sysc, 1.0)
         assert ok is True
         assert g_of_p(sysc, 1.0) < 0
 
 
 class TestDiscriminant:
-    def test_sign_follows_g(self, eq30):
-        assert discriminant(eq30, 1.0) > 0
-        assert discriminant(eq30, 2.0) < 0
+    def test_sign_follows_g(self, eq30_spec):
+        assert discriminant(eq30_spec, 1.0) > 0
+        assert discriminant(eq30_spec, 2.0) < 0
 
     def test_positive_single_term_when_h_zero(self):
-        sysc = ConstantSystem(T=1, a=3, b=1, c=1, d=1, e=1, f=1)
-        t_match = threshold_p(2.0) / linear_term(sysc) * (1.0 - 1e-12)
-        tuned = ConstantSystem(T=t_match, a=3, b=1, c=1, d=1, e=1, f=1)
+        t_match = threshold_p(2.0) / linear_term(const_spec(3, 1, 1, 1, 1, 1)) * (1.0 - 1e-12)
+        tuned = const_spec(3, 1, 1, 1, 1, 1, T=t_match)
         assert discriminant(tuned, 2.0) > 0
 
 
 class TestCheck25:
-    def test_demo_pattern_holds_at_pstar_2(self, eq30):
-        pat = check25(eq30, 2.0)
+    def test_demo_pattern_holds_at_pstar_2(self, eq30_spec):
+        pat = check25(eq30_spec, 2.0)
         assert (pat.g1_positive, pat.gstar_negative, pat.glarge_positive) \
             == (True, True, True)
         assert pat.limit_positive_by_ratio
@@ -137,31 +132,31 @@ class TestCheck25:
         assert any("sign_ok false" in d for d in pat.diagnostics)
 
     def test_simple_integers_runs_consistently(self):
-        sysc = ConstantSystem(T=1, a=3, b=1, c=1, d=1, e=1, f=1)
+        sysc = const_spec(3, 1, 1, 1, 1, 1)
         pat = check25(sysc, 2.0)
         assert pat.g1_positive == (g_of_p(sysc, 1.0) > 0)
         assert pat.gstar_negative == (g_of_p(sysc, 2.0) < 0)
 
     def test_negative_g1_flagged(self):
-        sysc = ConstantSystem(T=0.1, a=0.1, b=1, c=1, d=0.1, e=1, f=1)
+        sysc = const_spec(0.1, 1, 1, 0.1, 1, 1, T=0.1)
         pat = check25(sysc, 2.0)
         assert not pat.g1_positive
 
     @pytest.mark.parametrize("T", [1.0, 0.1])
-    def test_g_values_are_g_of_p(self, eq30, T):
-        sysc = ConstantSystem(T=T, a=eq30.a, b=eq30.b, c=eq30.c, d=eq30.d, e=eq30.e, f=eq30.f)
+    def test_g_values_are_g_of_p(self, eq30_spec, T):
+        sysc = dataclasses.replace(eq30_spec, T=T)
         pat = check25(sysc, 2.0)
         assert (pat.g1, pat.gstar, pat.glarge) == (
             g_of_p(sysc, 1.0), g_of_p(sysc, 2.0), g_of_p(sysc, P_LARGE_DEFAULT))
 
-    def test_pstar_bounds(self, eq30):
+    def test_pstar_bounds(self, eq30_spec):
         with pytest.raises(ValueError):
-            check25(eq30, 1.0)
+            check25(eq30_spec, 1.0)
 
 
 class TestRegionCoincidence:
-    def test_equilibrium_is_the_p1_singleton(self, eq30, eq30_spec):
-        x1, y1 = equilibrium(eq30)
+    def test_equilibrium_is_the_p1_singleton(self, eq30_spec):
+        x1, y1 = equilibrium(eq30_spec)
         reg1 = region_spec(eq30_spec, 1.0)
         assert cp_contains(reg1, x1, y1)
         res = sup_xy(reg1)
@@ -171,7 +166,8 @@ class TestRegionCoincidence:
         # y^p = c^{-1} V^{p-1} (a - b U^{1-p} x^p) parametrizes the first curve
         p = 2.0
         reg = region_spec(eq30_spec, p)
-        U, V = eq30.U, eq30.V
+        bounds = compute_uv(eq30_spec)
+        U, V = bounds.U, bounds.V
         xs = np.linspace(0.1, U * 0.999, 50)
         ypow = V ** (p - 1) / eq30.c * (eq30.a - eq30.b * U ** (1 - p) * xs ** p)
         ys = np.maximum(ypow, 0.0) ** (1.0 / p)
@@ -179,11 +175,12 @@ class TestRegionCoincidence:
             assert boundary_residual(reg, "a_lower", float(x), float(y)) <= 1e-9
 
 
-def _quadratic_max(sysc: ConstantSystem, p: float, n: int = 20001):
+def _quadratic_max(spec, p: float, n: int = 20001):
     # maximum of the reduced quadratic over region-feasible curve points
-    h, ok = h_of_p(sysc, p)
-    a, b, c = sysc.a, sysc.b, sysc.c
-    U, V = sysc.U, sysc.V
+    h, ok = h_of_p(spec, p)
+    a, b, c = spec.a.mean, spec.b.mean, spec.c.mean
+    bounds = compute_uv(spec)
+    U, V = bounds.U, bounds.V
     wtop = a * U ** (p - 1) / b
     if wtop <= 0:
         return None, ok
@@ -191,7 +188,7 @@ def _quadratic_max(sysc: ConstantSystem, p: float, n: int = 20001):
     xs = ws ** (1.0 / p)
     ypow = V ** (p - 1) / c * (a - b * U ** (1.0 - p) * ws)
     ys = np.maximum(ypow, 0.0) ** (1.0 / p)
-    reg = region_spec(sysc.to_system_spec(), p)
+    reg = region_spec(spec, p)
     mask = region_mask(reg, xs, ys)
     if not mask.any():
         return None, ok
@@ -207,17 +204,17 @@ class TestGuardedEquivalence:
             a, d = rng.uniform(0.05, 3.0, size=2)
             b, c, e, f = rng.uniform(0.05, 3.0, size=4)
             T = rng.uniform(0.2, 2.0)
-            sysc = ConstantSystem(T=T, a=a, b=b, c=c, d=d, e=e, f=f)
-            spec = sysc.to_system_spec()
+            spec = const_spec(a, b, c, d, e, f, T=T)
+            bounds = compute_uv(spec)
             if not classify_boundary(spec).coexistence_exists:
                 continue
             for p in (1.5, 2.0, 4.0):
-                mq, ok = _quadratic_max(sysc, p)
+                mq, ok = _quadratic_max(spec, p)
                 if not ok or mq is None:
                     continue  # squaring direction not preserved: not asserted
                 res = intertwined_test(spec, p)
-                qscale = abs((a / c) * sysc.V ** (p - 1)
-                             * (a * sysc.U ** (p - 1) / b)) + abs(h_of_p(sysc, p)[0])
+                qscale = abs((a / c) * bounds.V ** (p - 1)
+                             * (a * bounds.U ** (p - 1) / b)) + abs(h_of_p(spec, p)[0])
                 if abs(res.margin) < 1e-6 or abs(mq) < 1e-6 * qscale:
                     continue
                 assert (res.margin >= 0) == (mq <= 0)
@@ -226,29 +223,34 @@ class TestGuardedEquivalence:
 
 
 class TestSignScan:
-    def test_rows_and_k(self, eq30):
-        scan = sign_scan(eq30, [1.0, 2.0, 200.0])
+    def test_rows_and_k(self, eq30_spec):
+        scan = sign_scan(eq30_spec, [1.0, 2.0, 200.0])
         assert isinstance(scan, SignScan)
         assert scan.k == pytest.approx(K_REF, rel=1e-14)
+        assert scan.bounds == compute_uv(eq30_spec)
         ps = [row[0] for row in scan.rows]
         assert ps == [1.0, 2.0, 200.0]
         signs = [row[3] > 0 for row in scan.rows]
         assert signs == [True, False, True]
         assert [row[2] for row in scan.rows] == [False, False, True]
 
-    def test_demo_constants_factory(self, eq30):
-        assert demo_constants() == eq30
+    def test_demo_constants_factory(self, eq30_spec):
+        assert demo_constants() == eq30_spec
 
     def test_discrepancy_note_mentions_sign_flag(self):
         assert "sign_ok" in DISCREPANCY_NOTE
         assert "authoritative" in DISCREPANCY_NOTE
 
 
-class TestValidation:
-    def test_positive_coefficients_required(self):
-        with pytest.raises(ValueError):
-            ConstantSystem(T=1, a=1, b=0.0, c=1, d=1, e=1, f=1)
+class TestSystemsWithHarmonics:
+    @pytest.mark.parametrize("fn", [h_of_p, g_of_p, discriminant, check25,
+                                    lambda spec, p: sign_scan(spec, [p])],
+                             ids=["h_of_p", "g_of_p", "discriminant", "check25", "sign_scan"])
+    def test_harmonics_rejected(self, perturbed_spec, fn):
+        with pytest.raises(ValueError, match="coefficient a is not constant"):
+            fn(perturbed_spec, 2.0)
 
-    def test_positive_period_required(self):
-        with pytest.raises(ValueError):
-            ConstantSystem(T=-1, a=1, b=1, c=1, d=1, e=1, f=1)
+    def test_equilibrium_of_the_averaged_system(self, perturbed_spec, eq30_spec):
+        # perturbed_spec adds a zero-mean harmonic to the demo constants
+        assert equilibrium(perturbed_spec) == equilibrium(eq30_spec)
+        assert linear_term(perturbed_spec) == linear_term(eq30_spec)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import const_spec
+
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
-from pplv.constant_case import ConstantSystem, equilibrium
+from pplv.constant_case import equilibrium
 from pplv.existence import classify_boundary
 
 C = PeriodicCoefficient.constant
-
-
-def const_spec(a, b, c, d, e, f, T=1.0):
-    return SystemSpec(T=T, a=C(a), b=C(b), c=C(c), d=C(d), e=C(e), f=C(f))
 
 
 def test_trivial_state_stable_when_both_means_nonpositive():
@@ -85,7 +83,7 @@ def test_constant_cross_check_equilibrium_positivity():
         b, c, e, f = rng.uniform(0.2, 2.0, size=4)
         spec = const_spec(a, b, c, d, e, f)
         ok = classify_boundary(spec).coexistence_exists
-        x, y = equilibrium(ConstantSystem(T=1.0, a=a, b=b, c=c, d=d, e=e, f=f))
+        x, y = equilibrium(spec)
         assert ok == (x > 0 and y > 0)
 
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import figure_region
+from conftest import const_spec, figure_region
 from oracles import grid_refine_max, grid_supxy, region_mask
 
-from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import equilibrium
 from pplv.jfunc import INF
 from pplv.region import (
@@ -25,17 +24,11 @@ from pplv.region import (
     sup_xy,
 )
 
-C = PeriodicCoefficient.constant
-
 # p = 2 with every coefficient and U, V equal to 1: x^2 + y^2 <= 1 bounds the
 # slices from above near the diagonal
 UNIT_DISK = RegionSpec(p=2.0, abar=1.0, dbar=0.0, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
                        e_min=1.0, e_max=1.0, f_min=1.0, f_max=1.0,
                        bounds=RegionBounds(U=1.0, V=1.0))
-
-
-def const_spec(a, b, c, d, e, f, T=1.0):
-    return SystemSpec(T=T, a=C(a), b=C(b), c=C(c), d=C(d), e=C(e), f=C(f))
 
 
 class TestComputeUV:
@@ -64,8 +57,8 @@ class TestMembership:
         reg = region_spec(eq30_spec, INF)
         assert not cp_contains(reg, reg.bounds.U + 0.01, reg.bounds.V)
 
-    def test_singleton_point_inside_at_p1(self, eq30, eq30_spec):
-        x1, y1 = equilibrium(eq30)
+    def test_singleton_point_inside_at_p1(self, eq30_spec):
+        x1, y1 = equilibrium(eq30_spec)
         reg = region_spec(eq30_spec, 1.0)
         assert cp_contains(reg, x1, y1)
 
@@ -89,15 +82,15 @@ class TestSupXY:
         assert res.argmax == (reg.bounds.U, reg.bounds.V)
         assert not res.empty
 
-    def test_constant_singleton_at_p1(self, eq30, eq30_spec):
-        x1, y1 = equilibrium(eq30)
+    def test_constant_singleton_at_p1(self, eq30_spec):
+        x1, y1 = equilibrium(eq30_spec)
         res = sup_xy(region_spec(eq30_spec, 1.0))
         assert not res.empty
         assert res.degenerate
         assert res.value == pytest.approx(x1 * y1, abs=1e-9)
 
-    def test_p2_between_singleton_and_box(self, eq30, eq30_spec):
-        x1, y1 = equilibrium(eq30)
+    def test_p2_between_singleton_and_box(self, eq30_spec):
+        x1, y1 = equilibrium(eq30_spec)
         bounds = compute_uv(eq30_spec)
         res = sup_xy(region_spec(eq30_spec, 2.0))
         assert x1 * y1 - 1e-9 <= res.value <= bounds.U * bounds.V + 1e-9
@@ -151,8 +144,8 @@ class TestSupXY:
 
 
 class TestSupLinear:
-    def test_demo_singleton(self, eq30, eq30_spec):
-        x1, y1 = equilibrium(eq30)
+    def test_demo_singleton(self, eq30_spec):
+        x1, y1 = equilibrium(eq30_spec)
         reg1 = region_spec(eq30_spec, 1.0)
         res = sup_linear(reg1, 1.0, 2.0)
         assert res.value == pytest.approx(1.0 * x1 + 2.0 * y1, abs=1e-9)

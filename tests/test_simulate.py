@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import const_spec
+
 import pplv
 from pplv import simulate
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
-from pplv.constant_case import ConstantSystem, equilibrium
+from pplv.constant_case import equilibrium
 from pplv.criteria import intertwined_test
 from pplv.jfunc import INF
 from pplv.logistic import periodic_logistic
@@ -38,10 +40,6 @@ C = PeriodicCoefficient.constant
 TRIG = PeriodicCoefficient.trig
 
 
-def const_spec(a, b, c, d, e, f, T=1.0):
-    return SystemSpec(T=T, a=C(a), b=C(b), c=C(c), d=C(d), e=C(e), f=C(f))
-
-
 def constant_orbit(u, v, T=1.0, n=64):
     ts = np.linspace(0.0, T, n + 1)
     return PeriodicOrbit2D(T=T, ts=ts, us=np.full(n + 1, u), vs=np.full(n + 1, v),
@@ -58,8 +56,8 @@ def sampled_orbit(u, v, T, n):
 
 
 class TestPoincareMap:
-    def test_demo_equilibrium_attracts(self, eq30, eq30_spec):
-        eq = np.array(equilibrium(eq30))
+    def test_demo_equilibrium_attracts(self, eq30_spec):
+        eq = np.array(equilibrium(eq30_spec))
         state, dist = np.array([2.0, 2.0]), []
         for _ in range(5):
             state = poincare_map(eq30_spec, state)
@@ -78,8 +76,8 @@ class TestPoincareMap:
         with pytest.raises(NonPositive):
             poincare_map(eq30_spec, (theta.values[0], 0.0))
 
-    def test_fixed_point_returns_itself(self, eq30, eq30_spec):
-        eq = np.array(equilibrium(eq30))
+    def test_fixed_point_returns_itself(self, eq30_spec):
+        eq = np.array(equilibrium(eq30_spec))
         out = poincare_map(eq30_spec, eq)
         assert np.max(np.abs(out - eq)) < 1e-9
 
@@ -89,9 +87,9 @@ class TestPoincareMap:
 
 
 class TestFindCoexistence:
-    def test_demo_orbit_is_equilibrium(self, eq30, eq30_spec):
+    def test_demo_orbit_is_equilibrium(self, eq30_spec):
         orbit = find_coexistence(eq30_spec, (2.0, 2.0))
-        eq = equilibrium(eq30)
+        eq = equilibrium(eq30_spec)
         assert np.max(np.abs(orbit.us - eq[0])) < 1e-8
         assert np.max(np.abs(orbit.vs - eq[1])) < 1e-8
         assert orbit.newton_residual <= 1e-10
@@ -131,7 +129,7 @@ class TestFindCoexistence:
 class TestFloquet:
     def test_demo_matches_matrix_exponential(self, eq30, eq30_spec):
         orbit = find_coexistence(eq30_spec, (2.0, 2.0))
-        u, v = equilibrium(eq30)
+        u, v = equilibrium(eq30_spec)
         jac = np.array([[-eq30.b * u, -eq30.c * u],
                         [eq30.e * v, -eq30.f * v]])
         assert np.trace(jac) == pytest.approx(-6.0, abs=0.01)
@@ -148,9 +146,8 @@ class TestFloquet:
         # At T = 6.5 the multipliers are ~2e-6 and ~6e-12, below an
         # absolute tolerance of 1e-12 on the fundamental matrix.
         T = 6.5
-        spec = ConstantSystem(T=T, a=eq30.a, b=eq30.b, c=eq30.c,
-                              d=eq30.d, e=eq30.e, f=eq30.f).to_system_spec()
-        u, v = equilibrium(eq30)
+        spec = const_spec(**{**vars(eq30), "T": T})
+        u, v = equilibrium(spec)
         jac = np.array([[-eq30.b * u, -eq30.c * u],
                         [eq30.e * v, -eq30.f * v]])
         ref = expm(jac * T)
@@ -164,8 +161,7 @@ class TestFloquet:
 
     def test_near_diagonal_decoupled_multipliers(self):
         spec = const_spec(1.0, 1.0, 1e-9, 1.0, 1e-9, 1.0)
-        sysc = ConstantSystem(T=1.0, a=1.0, b=1.0, c=1e-9, d=1.0, e=1e-9, f=1.0)
-        u, v = equilibrium(sysc)
+        u, v = equilibrium(spec)
         orbit = find_coexistence(spec, (u, v))
         flo = floquet(spec, orbit)
         mods = sorted(abs(m) for m in flo.multipliers)
@@ -196,9 +192,9 @@ class TestOrbitAverages:
         for p in (1.0, 2.0, 10.0, INF):
             assert orbit_averages(orbit, p) == pytest.approx((2.0, 2.0), abs=1e-12)
 
-    def test_demo_orbit_p2(self, eq30, eq30_spec):
+    def test_demo_orbit_p2(self, eq30_spec):
         orbit = find_coexistence(eq30_spec, (2.0, 2.0))
-        eq = equilibrium(eq30)
+        eq = equilibrium(eq30_spec)
         up, vp = orbit_averages(orbit, 2.0)
         assert up == pytest.approx(eq[0], abs=1e-9)
         assert vp == pytest.approx(eq[1], abs=1e-9)
@@ -237,11 +233,11 @@ class TestOrbitAverages:
 
 
 class TestVerifyPredictions:
-    def test_demo_orbit(self, eq30, eq30_spec):
+    def test_demo_orbit(self, eq30_spec):
         orbit = find_coexistence(eq30_spec, (2.0, 2.0))
         report = verify_predictions(eq30_spec, orbit)
         assert report.all_ok
-        assert report.u_max == pytest.approx(equilibrium(eq30)[0], abs=1e-8)
+        assert report.u_max == pytest.approx(equilibrium(eq30_spec)[0], abs=1e-8)
         assert report.bounds.U == pytest.approx(2.0102)
         assert report.u_slack > 0 and report.v_slack > 0
 
