@@ -323,14 +323,18 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     return _conclusion_exit(report.conclusion)
 
 
-def cmd_region(cfg: RunConfig, out, n_per_curve: int = 256) -> int:
+def cmd_region(cfg: RunConfig, out) -> int:
     spec = _load_spec(cfg)
     region1 = region_spec(spec, 1.0)
     bounds = region1.bounds
+    if not (math.isfinite(bounds.U) and math.isfinite(bounds.V)):
+        # the boundary curves and suprema would be built from overflowed numbers
+        raise ValidationError(
+            f"component bounds overflow: U = {_fmt(bounds.U)}, V = {_fmt(bounds.V)}")
     print(f"U = {_fmt(bounds.U)}   V = {_fmt(bounds.V)}", file=out)
     for p in cfg.exponents():
         reg = region1.at(p)
-        pts = boundary_points(reg, n_per_curve)
+        pts = boundary_points(reg, 256)
         sup = sup_xy(reg)
         rows = []
         for label, group in itertools.groupby(pts, key=lambda pt: pt[0]):
@@ -438,7 +442,8 @@ def cmd_example1(cfg: RunConfig, out) -> int:
     print("p        h(p)                      sign_ok   G(p)                      delta(p)", file=out)
     for p, h, ok, g, delta in pattern.scan.rows:
         print(f"{_p_token(p):<8} {_fmt(h):<25} {str(ok):<9} {_fmt(g):<25} {_fmt(delta)}", file=out)
-    print(f"sign pattern (G(1) > 0, G({_p_token(p_star)}) < 0, G({_p_token(constant_case.P_LARGE_DEFAULT)}) > 0): "
+    p_last = _p_token(pattern.scan.rows[-1][0])
+    print(f"sign pattern (G(1) > 0, G({_p_token(p_star)}) < 0, G({p_last}) > 0): "
           f"({pattern.g1_positive}, {pattern.gstar_negative}, {pattern.glarge_positive})", file=out)
     print(f"large-p dominance check (V > r^2/U): {pattern.limit_positive_by_ratio}", file=out)
     for note in pattern.diagnostics:

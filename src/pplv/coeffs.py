@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -193,6 +193,13 @@ def _root_times(laurent: np.ndarray, T: float) -> np.ndarray:
     return np.mod(np.angle(roots) * (T / _TWO_PI), T)
 
 
+def _critical_points(coef: PeriodicCoefficient, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times of the zeros of the derivative of ``coef``, then t = 0, and the
+    values of ``coef`` there; the extrema of ``coef`` are among these values."""
+    ts = np.append(_root_times(_derivative(_laurent(coef, _degree(coef))), T), 0.0)
+    return ts, coef.evaluate(T, ts)
+
+
 def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
     """Extrema and exact mean over one period.
 
@@ -203,8 +210,7 @@ def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
         raise ValueError("T must be positive")
     if not coef.harmonics:
         return CoeffStats(coef.c0, coef.c0, coef.c0)
-    ts = np.append(_root_times(_derivative(_laurent(coef, _degree(coef))), T), 0.0)
-    vals = coef.evaluate(T, ts)
+    _, vals = _critical_points(coef, T)
     return CoeffStats(float(vals.min()), float(vals.max()), coef.c0)
 
 
@@ -252,12 +258,13 @@ def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> float:
     return cur
 
 
-def lp_norm(coef: PeriodicCoefficient, T: float, p: float) -> float:
-    """L^p norm over one period, (integral of |coef|**p) ** (1/p).
+def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[float, ...]:
+    """L^p norms over one period, (integral of |coef|**p) ** (1/p), one per
+    exponent in ``ps``.
 
     The integrand is |coef|, so sign-changing coefficients are allowed.
     With M = max |coef|, taken at the zeros of the derivative as in
-    :func:`stats`, the norm is computed as
+    :func:`stats`, each norm is computed as
     M * (integral of (|coef|/M)**p) ** (1/p): the integrand lies in
     [0, 1], so it neither overflows nor underflows to zero at large p.
     The period is cut at the zeros of the coefficient and of its
@@ -265,24 +272,29 @@ def lp_norm(coef: PeriodicCoefficient, T: float, p: float) -> float:
     |coef|: the |t - t0|**p singularity at a zero and the peak of width
     ~T/sqrt(p) at a maximum both sit at an end, where tanh-sinh
     quadrature resolves them.  ``TOL_QUAD`` bounds the scaled integral.
+    M and the cuts do not depend on p and are computed once per call.
     Above p = 1e15 the bound M * T**(1/p) is returned.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    check_exponent(p)
+    for p in ps:
+        check_exponent(p)
     if not coef.harmonics:
-        return abs(coef.c0) * T ** (1.0 / p)
-    laurent = _laurent(coef, _degree(coef))
-    crit = _root_times(_derivative(laurent), T)
-    peak = float(np.abs(coef.evaluate(T, np.append(crit, 0.0))).max())
-    if math.isinf(p) or peak == 0.0:
-        return peak
-    if p > _LARGE_P:
-        return peak * T ** (1.0 / p)
-    cuts = np.sort(np.concatenate(([0.0, T], crit, _root_times(laurent, T))))
-    integral = _tanh_sinh(lambda t: (np.abs(coef.evaluate(T, t)) / peak) ** p,
-                          cuts[:-1], cuts[1:], TOL_QUAD)
-    return peak * integral ** (1.0 / p)
+        return tuple(abs(coef.c0) * T ** (1.0 / p) for p in ps)
+    ts, vals = _critical_points(coef, T)
+    peak = float(np.abs(vals).max())
+    cuts = np.sort(np.concatenate(([0.0, T], ts[:-1], _root_times(_laurent(coef, _degree(coef)), T))))
+    norms = []
+    for p in ps:
+        if math.isinf(p) or peak == 0.0:
+            norms.append(peak)
+        elif p > _LARGE_P:
+            norms.append(peak * T ** (1.0 / p))
+        else:
+            integral = _tanh_sinh(lambda t: (np.abs(coef.evaluate(T, t)) / peak) ** p,
+                                  cuts[:-1], cuts[1:], TOL_QUAD)
+            norms.append(peak * integral ** (1.0 / p))
+    return tuple(norms)
 
 
 def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) -> tuple[float, float]:

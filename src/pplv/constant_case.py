@@ -150,8 +150,8 @@ class SignPattern:
     scan: SignScan
 
 
-def check25(spec: SystemSpec, p_star: float, p_large: float = P_LARGE_DEFAULT) -> SignPattern:
-    """Evaluate (G(1) > 0, G(p_star) < 0, G(p_large) > 0) from one sign scan.
+def check25(spec: SystemSpec, p_star: float) -> SignPattern:
+    """Evaluate (G(1) > 0, G(p_star) < 0, G(P_LARGE_DEFAULT) > 0) from one sign scan.
 
     The large-p probe is cross-checked against the asymptotic dominance
     criterion V > r**2 / U with r = |threshold(inf)/T - k| / sqrt(c*e),
@@ -159,7 +159,7 @@ def check25(spec: SystemSpec, p_star: float, p_large: float = P_LARGE_DEFAULT) -
     """
     if not (1.0 < p_star < math.inf):
         raise ValueError("p_star must lie in (1, inf)")
-    scan = sign_scan(spec, (1.0, p_star, p_large))
+    scan = sign_scan(spec, (1.0, p_star, P_LARGE_DEFAULT))
     (_, _, ok1, g1, _), (_, _, okstar, gstar, _), (_, _, _, glarge, _) = scan.rows
     r = abs(math.pi / spec.T - scan.k) / math.sqrt(spec.c.c0 * spec.e.c0)
     ratio_ok = scan.bounds.V > r * r / scan.bounds.U

@@ -13,9 +13,10 @@ Four families of tests are evaluated:
 Passing any of the latter three at some p implies the coexistence state is
 unique and asymptotically stable.
 
-The exponent-independent inputs come from one :class:`SystemSummary` per
-system; per exponent, the threshold and the supremum of x*y over the
-p-region are computed once and shared by the three tests.
+The shared inputs come from one :class:`SystemSummary` per system, which
+also holds the norm envelopes at every exponent of the grid; per
+exponent, the threshold and the supremum of x*y over the p-region are
+computed once and shared by the three tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import jfunc
 from .coeffs import SystemSpec, ratio_extrema
 from .existence import BORDERLINE_TOL, BoundaryClassification
 from .region import SupResult, sup_linear, sup_xy
-from .summary import SystemSummary, norm_envelopes, summarize
+from .summary import SystemSummary, summarize
 
 NO_COEXISTENCE = "no_coexistence"
 GLOBALLY_STABLE_VIA_18_19 = "globally_stable_via_18_19"
@@ -120,8 +121,8 @@ def _exponent_tests(summary: SystemSummary, p: float) -> tuple[TestResult, TestR
     spec, r1 = summary.spec, summary.region1
     threshold = jfunc.threshold_p(p)
 
-    alpha_p, beta_p = summary.envelopes1 if p == 1.0 else norm_envelopes(spec, r1, p)
-    alpha_1, beta_1 = summary.envelopes1
+    alpha_p, beta_p = summary.envelopes[p]
+    alpha_1, beta_1 = summary.envelopes[1.0]
     tq = spec.T ** (1.0 / jfunc.conjugate(p))  # T^0 = 1 when q is infinite
     lhs = tq * math.sqrt(max(r1.c_max * r1.e_max * alpha_p * beta_p, 0.0)) \
         + 0.5 * (r1.b_max * alpha_1 + r1.f_max * beta_1)
@@ -137,17 +138,17 @@ def _exponent_tests(summary: SystemSummary, p: float) -> tuple[TestResult, TestR
 
 def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
     """Norm-envelope test at exponent p (see :func:`_exponent_tests`)."""
-    return _exponent_tests(summarize(spec), p)[0]
+    return _exponent_tests(summarize(spec, (p,)), p)[0]
 
 
 def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Region-coupled test at exponent p (see :func:`_exponent_tests`)."""
-    return _exponent_tests(summarize(spec), p)[1]
+    return _exponent_tests(summarize(spec, (p,)), p)[1]
 
 
 def weak_intertwined_test(spec: SystemSpec, p: float) -> TestResult:
     """Variant with both suprema over the same p-region."""
-    return _exponent_tests(summarize(spec), p)[2]
+    return _exponent_tests(summarize(spec, (p,)), p)[2]
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     """
     if not grid:
         raise ValueError("exponent grid must be nonempty")
-    summary = summarize(spec)
+    summary = summarize(spec, grid)
     cls = summary.classification
     r18 = condition18(spec)
     r19 = condition19(spec)

@@ -410,16 +410,16 @@ DEFAULT_MEMBERSHIP_PS = (1.0, 1.5, 2.0, 4.0, 10.0, INF)
 _SLACK_TOL = 1e-6
 
 
-def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D,
-                       ps: Sequence[float] = DEFAULT_MEMBERSHIP_PS) -> PredictionReport:
-    """Check max u <= U, max v <= V and p-average membership for each p."""
+def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D) -> PredictionReport:
+    """Check max u <= U, max v <= V and p-average membership for each p of
+    ``DEFAULT_MEMBERSHIP_PS``."""
     region1 = region_spec(spec, 1.0)
     bounds = region1.bounds
     u_max, v_max = orbit.component_max()
     u_slack = bounds.U - u_max
     v_slack = bounds.V - v_max
     memberships = []
-    for p in ps:
+    for p in DEFAULT_MEMBERSHIP_PS:
         u_avg, v_avg = orbit_averages(orbit, p)
         slack = cp_slack(region1.at(p), u_avg, v_avg)
         ok = (u_avg > 0 and v_avg > 0 and slack >= -_SLACK_TOL)

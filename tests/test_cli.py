@@ -54,6 +54,10 @@ kind = const
 value = 2
 """
 
+# a = 1e308 over b = 1e-5 makes U = V = inf
+HUGE_UV_CFG = EQ30_CFG.replace("value = 2.0102", "value = 1e308").replace(
+    "[b]\nkind = const\nvalue = 1\n", "[b]\nkind = const\nvalue = 1e-5\n")
+
 # b*f + c*e rounds to 0; c_max*e_max underflows to 0 while U*V overflows
 TINY_BCEF_CFG = re.sub(r"^value = (1|0\.0051|0\.9898|2)$", "value = 1e-200", EQ30_CFG,
                        flags=re.MULTILINE)
@@ -102,6 +106,20 @@ def write_cfg(tmp_path: Path, text: str = EQ30_CFG, name: str = "sys.cfg") -> Pa
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def run_console(tmp_path: Path, command: str, config: str) -> subprocess.CompletedProcess:
+    """Run ``command`` on ``config`` as the console script does, with output in
+    ``tmp_path / "o"``: there overflow RuntimeWarnings are printed, not raised.
+    A run over 10 s fails."""
+    src = str(Path(pplv.cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from pplv.cli import main; "
+         "sys.exit(main(sys.argv[2:]))", src,
+         "--command", command, "--config", str(write_cfg(tmp_path, config)),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=10.0)
 
 
 def make_cfg(command, system_file=None, p_list=(1.0, 2.0, INF),
@@ -467,8 +485,7 @@ class TestMain:
 
     @pytest.mark.parametrize("config", [
         EQ30_CFG.replace("value = 2.0102", "value = 1e308"),
-        EQ30_CFG.replace("value = 2.0102", "value = 1e308").replace(
-            "[b]\nkind = const\nvalue = 1\n", "[b]\nkind = const\nvalue = 1e-5\n"),
+        HUGE_UV_CFG,
         EQ30_CFG.replace("T = 1\n", "T = 1e300\n"),
         TINY_BCEF_CFG,
     ], ids=["a-1e308", "a-1e308-b-1e-5", "T-1e300", "bcef-1e-200"])
@@ -477,18 +494,9 @@ class TestMain:
         # a = 1e308 once hung the region search, and with b = 1e-5 it makes U
         # inf; T * max|growth| of 1e300 or more asks for a logistic grid far
         # beyond any array; b = c = e = f = 1e-200 makes the equilibrium
-        # singular and an lhs 0 * inf.  Run as the console script: there
-        # overflow RuntimeWarnings are printed, not raised.  A run over 10 s
-        # fails.  A run that ends in an error prints no report before it, and
-        # no lhs or margin is NaN.
-        cfg_path = write_cfg(tmp_path, config)
-        src = str(Path(pplv.cli.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; sys.path.insert(0, sys.argv[1]); from pplv.cli import main; "
-             "sys.exit(main(sys.argv[2:]))", src,
-             "--command", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=10.0)
+        # singular and an lhs 0 * inf.  A run that ends in an error prints no
+        # report before it, and no lhs or margin is NaN.
+        run = run_console(tmp_path, command, config)
         assert "Traceback" not in run.stderr
         errors = [ln for ln in run.stderr.splitlines() if ln.startswith("error:")]
         if run.returncode == EXIT_ERROR:
@@ -499,6 +507,16 @@ class TestMain:
             assert not errors
         if command == "analyze":
             assert not [ln for ln in run.stdout.splitlines() if "nan" in ln]
+
+    def test_region_with_overflowing_bounds_is_an_error(self, tmp_path):
+        # a = 1e308 over b = 1e-5 makes U = V = inf: region stops before it
+        # prints, samples a curve or writes a CSV
+        run = run_console(tmp_path, "region", HUGE_UV_CFG)
+        assert run.returncode == EXIT_ERROR
+        assert len([ln for ln in run.stderr.splitlines() if ln.startswith("error:")]) == 1
+        assert run.stdout == ""
+        assert "RuntimeWarning" not in run.stderr
+        assert not list((tmp_path / "o").glob("region_p*.csv"))
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])

@@ -161,7 +161,7 @@ class TestStats:
         s = stats(coef, 2.0)
         assert (s.minimum, s.maximum, s.mean) == (1.5, 1.5, 1.5)
         assert ratio_extrema(TRIG(3.0, [(2, 0.0, 0.0)]), coef, 2.0) == (2.0, 2.0)
-        assert lp_norm(coef, 2.0, 2.0) == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-12)
+        assert lp_norm(coef, 2.0, (2.0,)) == pytest.approx((1.5 * math.sqrt(2.0),), rel=1e-12)
 
 
 class TestExtremaAgainstSampling:
@@ -196,24 +196,28 @@ class TestLpAverage:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 7.0, math.inf])
     def test_constant_is_fixed_point(self, p):
-        assert lp_norm(C(3.25), 2.0, p) / 2.0 ** (1.0 / p) == pytest.approx(3.25, abs=1e-12)
+        (norm,) = lp_norm(C(3.25), 2.0, (p,))
+        assert norm / 2.0 ** (1.0 / p) == pytest.approx(3.25, abs=1e-12)
 
     def test_offset_sine_p2_closed_form(self):
         # mean of (1 + 0.5 sin)^2 over one period is 1 + 0.5^2/2 = 1.125
         coef = TRIG(1.0, [(1, 0.0, 0.5)])
-        assert lp_norm(coef, 1.0, 2.0) == pytest.approx(math.sqrt(1.125), abs=1e-10)
+        assert lp_norm(coef, 1.0, (2.0,)) == pytest.approx((math.sqrt(1.125),), abs=1e-10)
 
     def test_offset_sine_p_inf(self):
         coef = TRIG(1.0, [(1, 0.0, 0.5)])
-        assert lp_norm(coef, 1.0, math.inf) == pytest.approx(1.5, abs=1e-10)
+        assert lp_norm(coef, 1.0, (math.inf,)) == pytest.approx((1.5,), abs=1e-10)
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
-            lp_norm(C(1.0), 1.0, 0.5)
+            lp_norm(C(1.0), 1.0, (0.5,))
+        with pytest.raises(ValueError):
+            lp_norm(TRIG(1.0, [(1, 0.0, 0.5)]), 1.0, (2.0, 0.5))
 
     def test_p1_equals_mean(self):
         coef = TRIG(1.3, [(1, 0.4, -0.2), (3, 0.1, 0.1)])
-        assert lp_norm(coef, 2.0, 1.0) / 2.0 == pytest.approx(coef.mean, abs=TOL_QUAD)
+        (norm,) = lp_norm(coef, 2.0, (1.0,))
+        assert norm / 2.0 == pytest.approx(coef.mean, abs=TOL_QUAD)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_in_p(self, seed):
@@ -223,14 +227,14 @@ class TestLpAverage:
         coef = TRIG(c0, [(1, amps[0], 0.0), (2, 0.0, amps[1])])
         T = rng.uniform(0.5, 3.0)
         ps = [1.0, 1.5, 2.0, 4.0, 10.0, math.inf]
-        vals = [lp_norm(coef, T, p) / T ** (1.0 / p) for p in ps]
+        vals = [norm / T ** (1.0 / p) for p, norm in zip(ps, lp_norm(coef, T, ps))]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + TOL_QUAD
 
 
 class TestLpNorm:
     def test_constant(self):
-        assert lp_norm(C(-2.0), 3.0, 2.0) == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
+        assert lp_norm(C(-2.0), 3.0, (2.0,)) == pytest.approx((2.0 * math.sqrt(3.0),), rel=1e-12)
 
     def test_sign_changing_against_quad(self):
         from scipy.integrate import quad
@@ -239,21 +243,30 @@ class TestLpNorm:
         T = 1.0
         fn = lambda t: coef.evaluate(T, t)
         kinks = [brentq(fn, 0.4, 0.7), brentq(fn, 0.9, 1.0)]
-        for p in (1.0, 2.0, 3.5):
+        ps = (1.0, 2.0, 3.5)
+        for p, norm in zip(ps, lp_norm(coef, T, ps)):
             ref, _ = quad(lambda t: abs(coef.evaluate(T, t)) ** p, 0.0, T,
                           epsabs=1e-13, limit=200, points=kinks)
-            assert lp_norm(coef, T, p) == pytest.approx(ref ** (1.0 / p), abs=1e-9)
+            assert norm == pytest.approx(ref ** (1.0 / p), abs=1e-9)
 
     def test_inf_norm_is_abs_max(self):
         coef = TRIG(-1.0, [(1, 0.0, 0.4)])
-        assert lp_norm(coef, 1.0, math.inf) == pytest.approx(1.4, abs=1e-10)
+        assert lp_norm(coef, 1.0, (math.inf,)) == pytest.approx((1.4,), abs=1e-10)
 
     def test_norm_consistent_with_average(self):
         # mean of (2 + 0.5 cos)^3 over one period is 2^3 + 3 * 2 * 0.5^2 / 2 = 8.75
         coef = TRIG(2.0, [(1, 0.5, 0.0)])
         T = 2.0
         p = 3.0
-        assert lp_norm(coef, T, p) == pytest.approx((T * 8.75) ** (1.0 / p), rel=1e-10)
+        assert lp_norm(coef, T, (p,)) == pytest.approx(((T * 8.75) ** (1.0 / p),), rel=1e-10)
+
+
+    @pytest.mark.parametrize("coef", [TRIG(0.2, [(1, 0.0, 1.0), (2, 0.3, -0.1)]), C(-1.7)],
+                             ids=["sign-changing-trig", "constant"])
+    def test_grid_equals_one_call_per_exponent(self, coef):
+        # M and the cuts are shared across the grid; each norm is unchanged
+        ps = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 1e16, math.inf)
+        assert lp_norm(coef, 0.8, ps) == tuple(lp_norm(coef, 0.8, (p,))[0] for p in ps)
 
 
 class TestLpNormLargeP:
@@ -273,7 +286,7 @@ class TestLpNormLargeP:
     def test_matches_binomial_expansion(self, c0, amp, p):
         # max |coef| < 1 underflowed to 0 and > 1 overflowed to inf unscaled
         T = 2.0
-        got = lp_norm(TRIG(c0, [(1, 0.0, amp)]), T, float(p))
+        (got,) = lp_norm(TRIG(c0, [(1, 0.0, amp)]), T, (float(p),))
         assert got == pytest.approx(self.exact_norm(c0, amp, T, p), rel=1e-12)
 
     @pytest.mark.parametrize("coef", [TRIG(0.5, [(1, 0.0, 0.05)]),
@@ -281,26 +294,26 @@ class TestLpNormLargeP:
                                       TRIG(0.2, [(1, 0.3, 1.0), (3, -0.4, 0.2)])])
     def test_tends_to_sup_norm(self, coef):
         T = 0.7
-        sup = lp_norm(coef, T, math.inf)
+        ps = (10.0, 1e3, 1e4, 1e6, 1e9, 1e15, 1e16, 1e300)
+        *norms, sup = lp_norm(coef, T, ps + (math.inf,))
         prev = 0.0
-        for p in (10.0, 1e3, 1e4, 1e6, 1e9, 1e15, 1e16, 1e300):
-            norm = lp_norm(coef, T, p)
+        for p, norm in zip(ps, norms):
             assert math.isfinite(norm)
             # ||f||_p / T**(1/p) is non-decreasing in p and bounded by the sup
             avg = norm / T ** (1.0 / p)
             assert prev <= avg * (1 + 1e-13) and avg <= sup * (1 + 1e-13)
             prev = avg
-        assert lp_norm(coef, T, 1e6) == pytest.approx(sup, rel=2e-5)
+        assert norms[ps.index(1e6)] == pytest.approx(sup, rel=2e-5)
 
     def test_peak_between_zeros_resolved(self):
         # a narrow maximum inside a sign-changing coefficient
         coef = TRIG(0.2, [(1, 0.0, 1.0)])
         p = 1e5
-        norm = lp_norm(coef, 1.0, p)
+        (norm,) = lp_norm(coef, 1.0, (p,))
         assert norm == pytest.approx(1.2, rel=1e-4) and norm < 1.2
 
     def test_zero_coefficient(self):
-        assert lp_norm(TRIG(0.0, [(2, 0.0, 0.0)]), 1.0, 3.0) == 0.0
+        assert lp_norm(TRIG(0.0, [(2, 0.0, 0.0)]), 1.0, (3.0,)) == (0.0,)
 
 
 class TestRatioExtrema:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import pplv.coeffs
 import pplv.existence
 import pplv.jfunc
 import pplv.logistic
@@ -52,7 +53,9 @@ def _count_calls(monkeypatch, originals) -> Counter:
 
 def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic_spec):
     counts = _count_calls(monkeypatch, {
+        "_root_times": pplv.coeffs._root_times,
         "classify_boundary": pplv.existence.classify_boundary,
+        "lp_norm": pplv.coeffs.lp_norm,
         "periodic_logistic": pplv.logistic.periodic_logistic,
         "region_spec": pplv.region.region_spec,
         "sup_xy": pplv.region.sup_xy,
@@ -61,6 +64,10 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
     report = scan_p(two_harmonic_spec, GRID)
     assert report.classification.coexistence_exists
     assert counts["classify_boundary"] == 1
+    # one lp_norm call each for a and d, which finds the zeros of the
+    # coefficient and of its derivative once for the whole grid
+    assert counts["lp_norm"] == 2
+    assert counts["_root_times"] <= 22
     assert counts["periodic_logistic"] <= 2
     assert counts["region_spec"] == 1
     assert counts["sup_xy"] == len(GRID)
@@ -90,9 +97,12 @@ def test_region_at_matches_region_spec(two_harmonic_spec):
 
 
 def test_summary_holds_the_p1_quantities(two_harmonic_spec):
-    summary = summarize(two_harmonic_spec)
+    summary = summarize(two_harmonic_spec, GRID)
     r1 = summary.region1
     assert r1 == region_spec(two_harmonic_spec, 1.0)
     assert summary.sup_linear1 == sup_linear(r1, r1.b_max, r1.f_max)
-    assert summary.envelopes1 == norm_envelopes(two_harmonic_spec, r1, 1.0)
+    assert summary.envelopes == norm_envelopes(two_harmonic_spec, r1, GRID)
+    assert list(summary.envelopes) == list(GRID)
+    # p = 1 is always held: the unified test reads alpha_1 and beta_1
+    assert summarize(two_harmonic_spec, (2.0,)).envelopes[1.0] == summary.envelopes[1.0]
     assert summary.classification.coexistence_exists
