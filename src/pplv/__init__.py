@@ -19,11 +19,9 @@ from .constant_case import (
     SingularSystem,
     check25,
     demo_constants,
-    discriminant,
     equilibrium,
-    g_of_p,
-    h_of_p,
     linear_term,
+    sign_scan,
 )
 from .criteria import (
     StabilityReport,

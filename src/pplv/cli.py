@@ -43,12 +43,9 @@ EXIT_NO_COEXISTENCE = 3
 
 COMMANDS = ("analyze", "region", "jfunc", "scan", "simulate", "example1")
 
-_SECTION_KEYS = {
-    "system": {"T"},
-    "a": {"kind", "value", "c0", "harmonic"},
-}
-for _name in "bcdef":
-    _SECTION_KEYS[_name] = _SECTION_KEYS["a"]
+_KIND_KEYS = {"const": {"kind", "value"}, "trig": {"kind", "c0", "harmonic"}}
+_SECTION_KEYS = {"system": {"T"},
+                 **{name: _KIND_KEYS["const"] | _KIND_KEYS["trig"] for name in "abcdef"}}
 
 
 class ParseError(ValueError):
@@ -65,8 +62,6 @@ class ValidationError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.17g}"
 
 
@@ -85,7 +80,8 @@ def parse_config(text: str) -> SystemSpec:
 
     Raises :class:`ParseError` with line/column for malformed text and
     :class:`ValidationError` when a named invariant is violated (period
-    positivity, strict positivity of b, c, e, f, harmonic uniqueness).
+    positivity, strict positivity of b, c, e, f, harmonic uniqueness, only
+    keys of the section's kind).
     """
     sections: dict[str, dict] = {}
     current: Optional[str] = None
@@ -103,7 +99,7 @@ def parse_config(text: str) -> SystemSpec:
                 raise ParseError(f"unknown section [{name}]", lineno, indent)
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", lineno, indent)
-            sections[name] = {"harmonics": []}
+            sections[name] = {}
             current = name
             continue
         if "=" not in stripped:
@@ -123,7 +119,7 @@ def parse_config(text: str) -> SystemSpec:
             kf = _parse_float(parts[0], lineno, vcol)
             if not 1 <= kf < math.inf or kf != int(kf):
                 raise ParseError("harmonic index must be a positive integer", lineno, vcol)
-            sections[current]["harmonics"].append(
+            sections[current].setdefault("harmonic", []).append(
                 (int(kf), _parse_float(parts[1], lineno, vcol), _parse_float(parts[2], lineno, vcol)))
             continue
         if key in sections[current]:
@@ -148,16 +144,17 @@ def parse_config(text: str) -> SystemSpec:
         kind = sec.get("kind")
         if kind is None:
             raise ValidationError(f"section [{name}] is missing 'kind'")
+        stray = next((key for key in sec if key not in _KIND_KEYS[kind]), None)
+        if stray is not None:
+            raise ValidationError(f"section [{name}]: key {stray!r} does not belong to kind {kind!r}")
         if kind == "const":
             if "value" not in sec:
                 raise ValidationError(f"section [{name}]: const coefficient needs 'value'")
             build, args = PeriodicCoefficient.constant, (sec["value"][0],)
-        elif kind == "trig":
+        else:
             if "c0" not in sec:
                 raise ValidationError(f"section [{name}]: trig coefficient needs 'c0'")
-            build, args = PeriodicCoefficient.trig, (sec["c0"][0], sec["harmonics"])
-        else:
-            raise ValidationError(f"section [{name}]: unknown kind {kind!r}")
+            build, args = PeriodicCoefficient.trig, (sec["c0"][0], sec.get("harmonic", ()))
         try:
             coeffs[name] = build(*args)
         except ValueError as exc:
@@ -212,9 +209,6 @@ def parse_p_list(text: str) -> tuple[float, ...]:
     for token in text.split(","):
         token = token.strip()
         if not token:
-            continue
-        if token in ("inf", "infinity"):
-            out.append(jfunc.INF)
             continue
         try:
             value = float(token)
@@ -356,14 +350,11 @@ DEFAULT_JFUNC_GRID = tuple([1.0 + 0.25 * i for i in range(37)]  # 1 .. 10
 
 def cmd_jfunc(cfg: RunConfig, out) -> int:
     ps = cfg.exponents(default=DEFAULT_JFUNC_GRID)
-    rows = []
-    for p in ps:
-        rows.append([_p_token(p), _fmt(jfunc.threshold_p(p))])
+    values = [jfunc.threshold_p(p) for p in ps]
     path = cfg.output_dir / "jfunc.csv"
-    _write_csv(path, ["p", "scriptF"], rows)
-    print(f"{len(rows)} threshold values -> {path}", file=out)
-    print(f"threshold range: [{_fmt(float(min(float(r[1]) for r in rows)))}, "
-          f"{_fmt(float(max(float(r[1]) for r in rows)))}]", file=out)
+    _write_csv(path, ["p", "scriptF"], [[_p_token(p), _fmt(v)] for p, v in zip(ps, values)])
+    print(f"{len(values)} threshold values -> {path}", file=out)
+    print(f"threshold range: [{_fmt(min(values))}, {_fmt(max(values))}]", file=out)
     return EXIT_STABLE
 
 
@@ -391,10 +382,11 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
     all_stable = True
     all_verified = True
     for i, orbit in enumerate(orbits):
-        flo = simulate.floquet(spec, orbit)
+        flo = simulate.floquet(orbit)
         report = simulate.verify_predictions(spec, orbit)
         mods = [abs(m) for m in flo.multipliers]
-        det = flo.monodromy[0, 0] * flo.monodromy[1, 1] - flo.monodromy[0, 1] * flo.monodromy[1, 0]
+        mono = orbit.monodromy
+        det = mono[0, 0] * mono[1, 1] - mono[0, 1] * mono[1, 0]
         liou = simulate.liouville_determinant(spec, orbit)
         print(f"orbit {i}: start = ({_fmt(orbit.us[0])}, {_fmt(orbit.vs[0])})", file=out)
         print(f"  newton residual = {_fmt(orbit.newton_residual)}   "
@@ -456,7 +448,7 @@ def cmd_example1(cfg: RunConfig, out) -> int:
     res_weak = next(res for res in report.results
                     if res.name == "weak_intertwined" and res.p == jfunc.INF)
     print(_result_lines(res_weak), file=out)
-    if not (pattern.sign_ok_1 and pattern.sign_ok_star):
+    if not all(row.sign_ok for row in pattern.scan.rows[:2]):
         print(constant_case.DISCREPANCY_NOTE, file=out)
 
     print(f"conclusion: {report.conclusion}", file=out)

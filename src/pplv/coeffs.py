@@ -114,11 +114,11 @@ class PeriodicCoefficient:
 
 @dataclass(frozen=True)
 class CoeffStats:
-    """Minimum, maximum and exact mean of one coefficient over a period."""
+    """Minimum and maximum of one coefficient over a period; the exact mean
+    is :attr:`PeriodicCoefficient.mean`."""
 
     minimum: float
     maximum: float
-    mean: float
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def _critical_points(coef: PeriodicCoefficient, T: float) -> tuple[np.ndarray, n
 
 
 def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
-    """Extrema and exact mean over one period.
+    """Minimum and maximum over one period.
 
     The extrema are the coefficient's values at the zeros of its derivative
     (and at t = 0), exact up to rounding.
@@ -209,9 +209,9 @@ def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
     if T <= 0:
         raise ValueError("T must be positive")
     if not coef.harmonics:
-        return CoeffStats(coef.c0, coef.c0, coef.c0)
+        return CoeffStats(coef.c0, coef.c0)
     _, vals = _critical_points(coef, T)
-    return CoeffStats(float(vals.min()), float(vals.max()), coef.c0)
+    return CoeffStats(float(vals.min()), float(vals.max()))
 
 
 def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:

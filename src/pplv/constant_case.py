@@ -10,21 +10,22 @@ sign G(p) can be scanned over p.  The reduction squares the inequality
     sqrt(c*e*x*y) <= threshold(p)/T - k,      k = (b*x1 + f*y1)/2,
 
 so it is direction-preserving only when the right-hand side is
-non-negative; every consumer receives that flag (``sign_ok``) alongside
-the value.  When sign_ok is false the G-sign classification and the
-direct region-based test are NOT equivalent and the direct margins are
-authoritative.
+non-negative; each row of :func:`sign_scan` carries that flag
+(``sign_ok``) beside its h, G and delta.  When sign_ok is false the
+G-sign classification and the direct region-based test are NOT
+equivalent and the direct margins are authoritative.
 
 :func:`equilibrium` and :func:`linear_term` read the coefficient means,
 so for a periodic system they give the equilibrium of the averaged
-system.  The G machinery needs constant coefficients and raises
-``ValueError`` on a coefficient with harmonics.
+system.  :func:`sign_scan` and :func:`check25` need constant coefficients
+and raise ``ValueError`` on a coefficient with harmonics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,16 @@ def linear_term(spec: SystemSpec) -> float:
     return 0.5 * (spec.b.mean * x1 + spec.f.mean * y1)
 
 
+class SignRow(NamedTuple):
+    """One exponent of a G-scan; ``sign_ok`` is threshold(p)/T - k >= 0."""
+
+    p: float
+    h: float
+    sign_ok: bool
+    g: float
+    delta: float
+
+
 @dataclass(frozen=True)
 class SignScan:
     """Tabulated G-scan: one row per exponent, plus the shared constant k
@@ -78,11 +89,15 @@ class SignScan:
 
     k: float
     bounds: RegionBounds
-    rows: tuple[tuple[float, float, bool, float, float], ...]  # (p, h, sign_ok, G, delta)
+    rows: tuple[SignRow, ...]
 
 
 def sign_scan(spec: SystemSpec, ps) -> SignScan:
-    """h(p), sign_ok, G(p) and the discriminant at each exponent.
+    """h(p), sign_ok, G(p) and the discriminant delta(p) at each exponent:
+
+        h(p)     = [ (threshold(p)/T - k)**2 / (c*e) ] ** p,
+        G(p)     = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1),
+        delta(p) = V**(p-1) * G(p), which shares the sign of G(p).
 
     k, U and V are computed once per scan.  h is evaluated in extended
     precision, where it stays finite far beyond the double range (the demo
@@ -107,44 +122,18 @@ def sign_scan(spec: SystemSpec, ps) -> SignScan:
         h = (rhs * rhs / (c * e)) ** ld(p)
         g = float((a / c) ** 2 * V ** (ld(p) - 1) - 4 * (b / c) * h / U ** (ld(p) - 1))
         delta = float(V ** (ld(p) - 1) * ld(g))
-        rows.append((float(p), float(h), bool(rhs >= 0), g, delta))
+        rows.append(SignRow(float(p), float(h), bool(rhs >= 0), g, delta))
     return SignScan(k=k, bounds=bounds, rows=tuple(rows))
-
-
-def h_of_p(spec: SystemSpec, p: float) -> tuple[float, bool]:
-    """h(p) = [ (threshold(p)/T - k)**2 / (c*e) ] ** p and the sign flag.
-
-    ``sign_ok`` records whether threshold(p)/T - k >= 0, i.e. whether the
-    squaring step that produced h preserved the inequality direction.  The
-    value itself is total (the formula uses an even power); it is ``inf``
-    where h exceeds the double range.
-    """
-    _, h, sign_ok, _, _ = sign_scan(spec, (p,)).rows[0]
-    return h, sign_ok
-
-
-def g_of_p(spec: SystemSpec, p: float) -> float:
-    """G(p) = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1)."""
-    return sign_scan(spec, (p,)).rows[0][3]
-
-
-def discriminant(spec: SystemSpec, p: float) -> float:
-    """V**(p-1) * G(p); shares the sign of G(p) since V > 0 where defined."""
-    return sign_scan(spec, (p,)).rows[0][4]
 
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Outcome of the three-point sign scan of G, with the scan itself."""
+    """Outcome of the three-point sign scan of G; the G values and sign
+    flags are the rows of ``scan``."""
 
     g1_positive: bool
     gstar_negative: bool
     glarge_positive: bool
-    g1: float
-    gstar: float
-    glarge: float
-    sign_ok_1: bool
-    sign_ok_star: bool
     limit_positive_by_ratio: bool
     diagnostics: tuple[str, ...]
     scan: SignScan
@@ -160,22 +149,20 @@ def check25(spec: SystemSpec, p_star: float) -> SignPattern:
     if not (1.0 < p_star < math.inf):
         raise ValueError("p_star must lie in (1, inf)")
     scan = sign_scan(spec, (1.0, p_star, P_LARGE_DEFAULT))
-    (_, _, ok1, g1, _), (_, _, okstar, gstar, _), (_, _, _, glarge, _) = scan.rows
+    one, star, large = scan.rows
     r = abs(math.pi / spec.T - scan.k) / math.sqrt(spec.c.c0 * spec.e.c0)
     ratio_ok = scan.bounds.V > r * r / scan.bounds.U
     diags = []
-    if not ok1:
+    if not one.sign_ok:
         diags.append("sign_ok false at p=1")
-    if not okstar:
+    if not star.sign_ok:
         diags.append(f"sign_ok false at p={p_star:g}")
-    if (glarge > 0) != ratio_ok:
+    if (large.g > 0) != ratio_ok:
         diags.append("large-p sample disagrees with the asymptotic ratio check")
     return SignPattern(
-        g1_positive=g1 > 0,
-        gstar_negative=gstar < 0,
-        glarge_positive=glarge > 0,
-        g1=g1, gstar=gstar, glarge=glarge,
-        sign_ok_1=ok1, sign_ok_star=okstar,
+        g1_positive=one.g > 0,
+        gstar_negative=star.g < 0,
+        glarge_positive=large.g > 0,
         limit_positive_by_ratio=ratio_ok,
         diagnostics=tuple(diags),
         scan=scan,

@@ -134,9 +134,9 @@ class PeriodicOrbit2D:
 
 @dataclass(frozen=True)
 class FloquetData:
-    """Monodromy matrix, its eigenvalues, and the stability classification."""
+    """Eigenvalues of an orbit's monodromy matrix and the stability
+    classification."""
 
-    monodromy: np.ndarray
     multipliers: tuple[complex, complex]
     classification: str
 
@@ -337,7 +337,7 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2
     return _sample_orbit(spec, *outcome)
 
 
-def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
+def floquet(orbit: PeriodicOrbit2D) -> FloquetData:
     """Multipliers and stability class of the orbit's monodromy matrix.
 
     No integration: the monodromy was computed with the orbit samples.  The
@@ -351,8 +351,7 @@ def floquet(spec: SystemSpec, orbit: PeriodicOrbit2D) -> FloquetData:
         cls = UNSTABLE
     else:
         cls = LINEARLY_STABLE_NONSTRICT
-    return FloquetData(monodromy=orbit.monodromy,
-                       multipliers=(complex(mults[0]), complex(mults[1])),
+    return FloquetData(multipliers=(complex(mults[0]), complex(mults[1])),
                        classification=cls)
 
 

@@ -20,9 +20,8 @@ from pplv.constant_case import (
     check25,
     demo_constants,
     equilibrium,
-    g_of_p,
-    h_of_p,
     linear_term,
+    sign_scan,
 )
 from pplv.coeffs import PeriodicCoefficient, stats
 from pplv.criteria import condition18, condition19, intertwined_test, weak_intertwined_test
@@ -109,9 +108,7 @@ def _g_oracle(p: float) -> float:
 def test_criterion_03_sign_pattern():
     sysc = demo_constants()
     t0 = time.monotonic()
-    g1 = g_of_p(sysc, 1.0)
-    g2 = g_of_p(sysc, 2.0)
-    g200 = g_of_p(sysc, 200.0)
+    g1, g2, g200 = (row.g for row in sign_scan(sysc, (1.0, 2.0, 200.0)).rows)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
 
@@ -152,8 +149,9 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
         assert not res.passed
         assert res.lhs == pytest.approx(refs[p], abs=1e-4)
         assert res.rhs == pytest.approx(rhs_expected[p], abs=1e-6)
-    assert h_of_p(eq30_spec, 1.0)[1] is False
-    assert h_of_p(eq30_spec, 2.0)[1] is False
+    rows = sign_scan(eq30_spec, (1.0, 2.0)).rows
+    assert rows[0].sign_ok is False
+    assert rows[1].sign_ok is False
 
     # the discrepancy note is emitted by the demo pipeline
     buf = io.StringIO()
@@ -167,9 +165,9 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
     reg1 = region_spec(eq30_spec, 1.0)
     sup_lin = sup_linear(reg1, eq30.b, eq30.f)
     assert 0.5 * sup_lin.value == pytest.approx(k, abs=1e-6)
-    for p in (1.0, 2.0):
-        h_direct = ((threshold_p(p) / eq30.T - k) ** 2 / ce) ** p
-        assert h_of_p(eq30_spec, p)[0] == pytest.approx(h_direct, rel=1e-6)
+    for row in rows:
+        h_direct = ((threshold_p(row.p) / eq30.T - k) ** 2 / ce) ** row.p
+        assert row.h == pytest.approx(h_direct, rel=1e-6)
     sup1 = sup_xy(reg1)
     assert sup1.value == pytest.approx(x1 * y1, abs=1e-6)
     ok(4, "direct test margins reproduce the derived values; note emitted")
@@ -203,10 +201,10 @@ def test_criterion_06_component_bounds(eq30_spec, perturbed_spec, classical_spec
 
 def test_criterion_07_floquet_and_uniqueness(eq30_spec):
     orbit = find_coexistence(eq30_spec, (2.0, 2.0))
-    flo = floquet(eq30_spec, orbit)
+    flo = floquet(orbit)
     assert flo.classification == ASYMPTOTICALLY_STABLE
 
-    det = np.linalg.det(flo.monodromy)
+    det = np.linalg.det(orbit.monodromy)
     ref = liouville_determinant(eq30_spec, orbit)
     assert abs(det - ref) <= 1e-6 * abs(ref)
 
@@ -289,7 +287,7 @@ def test_criterion_11_short_period_positive_path(eq30_spec_t01):
 
     orbits = find_coexistence_multistart(eq30_spec_t01, n_starts=10, seed=0)
     assert len(orbits) == 1
-    flo = floquet(eq30_spec_t01, orbits[0])
+    flo = floquet(orbits[0])
     assert flo.classification == ASYMPTOTICALLY_STABLE
     ok(11, f"T=0.1 test passes (lhs={res.lhs:.4f} <= pi) and the orbit is "
            "Floquet-stable")

@@ -218,6 +218,7 @@ class TestRoundTrip:
 class TestParsePList:
     def test_tokens(self):
         assert parse_p_list("1, 2.5 ,inf") == (1.0, 2.5, INF)
+        assert parse_p_list("infinity,Inf") == (INF, INF)
 
     def test_below_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -517,6 +518,22 @@ class TestMain:
         assert run.stdout == ""
         assert "RuntimeWarning" not in run.stderr
         assert not list((tmp_path / "o").glob("region_p*.csv"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("kind = const\nvalue = 2.0102\nharmonic = 1, 0, 0.9", "harmonic"),
+        ("kind = const\nvalue = 2.0102\nc0 = 2.0102", "c0"),
+        ("kind = trig\nc0 = 2.0102\nvalue = 2.0102", "value"),
+    ], ids=["const-harmonic", "const-c0", "trig-value"])
+    def test_key_of_the_other_kind_is_an_error(self, tmp_path, capsys, section, key):
+        # such a key used to be dropped silently
+        path = write_cfg(tmp_path, EQ30_CFG.replace("kind = const\nvalue = 2.0102", section))
+        code = main(["--command", "analyze", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert "[a]" in errors[0] and repr(key) in errors[0]
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])

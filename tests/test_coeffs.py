@@ -114,20 +114,23 @@ class TestValidation:
 
 class TestStats:
     def test_constant(self):
-        s = stats(C(2.0), 1.0)
-        assert (s.minimum, s.maximum, s.mean) == (2.0, 2.0, 2.0)
+        coef = C(2.0)
+        s = stats(coef, 1.0)
+        assert (s.minimum, s.maximum, coef.mean) == (2.0, 2.0, 2.0)
 
     def test_offset_sine(self):
-        s = stats(TRIG(1.0, [(1, 0.0, 0.5)]), 1.0)
+        coef = TRIG(1.0, [(1, 0.0, 0.5)])
+        s = stats(coef, 1.0)
         assert s.minimum == pytest.approx(0.5, abs=1e-10)
         assert s.maximum == pytest.approx(1.5, abs=1e-10)
-        assert s.mean == 1.0
+        assert coef.mean == 1.0
 
     def test_offset_cosine(self):
-        s = stats(TRIG(2.0, [(1, 1.0, 0.0)]), 1.0)
+        coef = TRIG(2.0, [(1, 1.0, 0.0)])
+        s = stats(coef, 1.0)
         assert s.minimum == pytest.approx(1.0, abs=1e-10)
         assert s.maximum == pytest.approx(3.0, abs=1e-10)
-        assert s.mean == 2.0
+        assert coef.mean == 2.0
 
     def test_extrema_bracket_dense_samples(self):
         coef = TRIG(0.4, [(1, 0.3, -0.8), (2, -0.2, 0.15), (5, 0.05, 0.02)])
@@ -159,7 +162,7 @@ class TestStats:
     def test_all_zero_harmonics(self):
         coef = TRIG(1.5, [(1, 0.0, 0.0), (4, 0.0, 0.0)])
         s = stats(coef, 2.0)
-        assert (s.minimum, s.maximum, s.mean) == (1.5, 1.5, 1.5)
+        assert (s.minimum, s.maximum, coef.mean) == (1.5, 1.5, 1.5)
         assert ratio_extrema(TRIG(3.0, [(2, 0.0, 0.0)]), coef, 2.0) == (2.0, 2.0)
         assert lp_norm(coef, 2.0, (2.0,)) == pytest.approx((1.5 * math.sqrt(2.0),), rel=1e-12)
 

@@ -10,13 +10,11 @@ from oracles import region_mask
 from pplv.constant_case import (
     DISCREPANCY_NOTE,
     P_LARGE_DEFAULT,
+    SignRow,
     SignScan,
     check25,
     demo_constants,
-    discriminant,
     equilibrium,
-    g_of_p,
-    h_of_p,
     linear_term,
     sign_scan,
 )
@@ -33,6 +31,10 @@ H1_REF = 198.07933244511908136
 H2_REF = 800.27408402759837327
 G1_REF = 3.2932764156378433054
 G2_REF = -744.79810314713788771
+
+
+def _row(spec, p: float) -> SignRow:
+    return sign_scan(spec, (p,)).rows[0]
 
 
 class TestEquilibrium:
@@ -59,12 +61,12 @@ class TestEquilibrium:
 
 class TestHOfP:
     def test_demo_p1(self, eq30_spec):
-        h, ok = h_of_p(eq30_spec, 1.0)
+        _, h, ok, _, _ = _row(eq30_spec, 1.0)
         assert h == pytest.approx(H1_REF, rel=1e-10)
         assert ok is False  # threshold(1) = 2 < k
 
     def test_demo_p2(self, eq30_spec):
-        h, ok = h_of_p(eq30_spec, 2.0)
+        _, h, ok, _, _ = _row(eq30_spec, 2.0)
         assert h == pytest.approx(H2_REF, rel=1e-7)
         assert ok is False
 
@@ -72,54 +74,54 @@ class TestHOfP:
         k = linear_term(const_spec(3, 1, 1, 1, 1, 1))  # = 2.5
         t_match = threshold_p(2.0) / k * (1.0 - 1e-12)
         tuned = const_spec(3, 1, 1, 1, 1, 1, T=t_match)
-        h, ok = h_of_p(tuned, 2.0)
+        _, h, ok, _, _ = _row(tuned, 2.0)
         assert ok is True
         assert h < 1e-20
 
     def test_infinite_p_rejected(self, eq30_spec):
         with pytest.raises(ValueError):
-            h_of_p(eq30_spec, math.inf)
+            _row(eq30_spec, math.inf)
 
     def test_beyond_double_range_is_inf(self, eq30_spec_t01):
-        h, ok = h_of_p(eq30_spec_t01, 200.0)
+        _, h, ok, g, _ = _row(eq30_spec_t01, 200.0)
         assert h == math.inf and ok is True
-        assert g_of_p(eq30_spec_t01, 200.0) == -math.inf
+        assert g == -math.inf
 
 
 class TestGOfP:
     def test_demo_g1_sign_and_value(self, eq30, eq30_spec):
-        g1 = g_of_p(eq30_spec, 1.0)
+        g1 = _row(eq30_spec, 1.0).g
         assert g1 > 0
         assert g1 == pytest.approx(G1_REF, rel=1e-8)
         # tiny relative margin against terms of magnitude ~1.6e5
         assert abs(g1) / ((eq30.a / eq30.c) ** 2) == pytest.approx(2.12e-5, rel=0.01)
 
     def test_demo_g2(self, eq30_spec):
-        g2 = g_of_p(eq30_spec, 2.0)
+        g2 = _row(eq30_spec, 2.0).g
         assert g2 < 0
         assert g2 == pytest.approx(G2_REF, rel=1e-6)
         assert g2 == pytest.approx(-744.8, rel=0.01)
 
     def test_demo_g200_positive(self, eq30_spec):
-        assert g_of_p(eq30_spec, 200.0) > 0
+        assert _row(eq30_spec, 200.0).g > 0
 
     def test_engineered_negative_g1(self):
         # valid squaring (sign_ok) with a dominating h term
         sysc = const_spec(0.1, 1, 1, 0.1, 1, 1, T=0.1)
-        h, ok = h_of_p(sysc, 1.0)
+        _, h, ok, g, _ = _row(sysc, 1.0)
         assert ok is True
-        assert g_of_p(sysc, 1.0) < 0
+        assert g < 0
 
 
 class TestDiscriminant:
     def test_sign_follows_g(self, eq30_spec):
-        assert discriminant(eq30_spec, 1.0) > 0
-        assert discriminant(eq30_spec, 2.0) < 0
+        assert _row(eq30_spec, 1.0).delta > 0
+        assert _row(eq30_spec, 2.0).delta < 0
 
     def test_positive_single_term_when_h_zero(self):
         t_match = threshold_p(2.0) / linear_term(const_spec(3, 1, 1, 1, 1, 1)) * (1.0 - 1e-12)
         tuned = const_spec(3, 1, 1, 1, 1, 1, T=t_match)
-        assert discriminant(tuned, 2.0) > 0
+        assert _row(tuned, 2.0).delta > 0
 
 
 class TestCheck25:
@@ -128,14 +130,14 @@ class TestCheck25:
         assert (pat.g1_positive, pat.gstar_negative, pat.glarge_positive) \
             == (True, True, True)
         assert pat.limit_positive_by_ratio
-        assert pat.sign_ok_1 is False and pat.sign_ok_star is False
+        assert pat.scan.rows[0].sign_ok is False and pat.scan.rows[1].sign_ok is False
         assert any("sign_ok false" in d for d in pat.diagnostics)
 
     def test_simple_integers_runs_consistently(self):
         sysc = const_spec(3, 1, 1, 1, 1, 1)
         pat = check25(sysc, 2.0)
-        assert pat.g1_positive == (g_of_p(sysc, 1.0) > 0)
-        assert pat.gstar_negative == (g_of_p(sysc, 2.0) < 0)
+        assert pat.g1_positive == (_row(sysc, 1.0).g > 0)
+        assert pat.gstar_negative == (_row(sysc, 2.0).g < 0)
 
     def test_negative_g1_flagged(self):
         sysc = const_spec(0.1, 1, 1, 0.1, 1, 1, T=0.1)
@@ -146,8 +148,13 @@ class TestCheck25:
     def test_g_values_are_g_of_p(self, eq30_spec, T):
         sysc = dataclasses.replace(eq30_spec, T=T)
         pat = check25(sysc, 2.0)
-        assert (pat.g1, pat.gstar, pat.glarge) == (
-            g_of_p(sysc, 1.0), g_of_p(sysc, 2.0), g_of_p(sysc, P_LARGE_DEFAULT))
+        assert tuple(row.g for row in pat.scan.rows) == (
+            _row(sysc, 1.0).g, _row(sysc, 2.0).g, _row(sysc, P_LARGE_DEFAULT).g)
+
+    def test_rows_are_the_sign_scan_rows(self, eq30_spec):
+        rows = check25(eq30_spec, 2.0).scan.rows
+        assert rows == sign_scan(eq30_spec, (1.0, 2.0, P_LARGE_DEFAULT)).rows
+        assert all(row.g == row[3] for row in rows)
 
     def test_pstar_bounds(self, eq30_spec):
         with pytest.raises(ValueError):
@@ -177,7 +184,7 @@ class TestRegionCoincidence:
 
 def _quadratic_max(spec, p: float, n: int = 20001):
     # maximum of the reduced quadratic over region-feasible curve points
-    h, ok = h_of_p(spec, p)
+    _, h, ok, _, _ = _row(spec, p)
     a, b, c = spec.a.mean, spec.b.mean, spec.c.mean
     bounds = compute_uv(spec)
     U, V = bounds.U, bounds.V
@@ -214,7 +221,7 @@ class TestGuardedEquivalence:
                     continue  # squaring direction not preserved: not asserted
                 res = intertwined_test(spec, p)
                 qscale = abs((a / c) * bounds.V ** (p - 1)
-                             * (a * bounds.U ** (p - 1) / b)) + abs(h_of_p(spec, p)[0])
+                             * (a * bounds.U ** (p - 1) / b)) + abs(_row(spec, p).h)
                 if abs(res.margin) < 1e-6 or abs(mq) < 1e-6 * qscale:
                     continue
                 assert (res.margin >= 0) == (mq <= 0)
@@ -243,9 +250,8 @@ class TestSignScan:
 
 
 class TestSystemsWithHarmonics:
-    @pytest.mark.parametrize("fn", [h_of_p, g_of_p, discriminant, check25,
-                                    lambda spec, p: sign_scan(spec, [p])],
-                             ids=["h_of_p", "g_of_p", "discriminant", "check25", "sign_scan"])
+    @pytest.mark.parametrize("fn", [check25, lambda spec, p: sign_scan(spec, [p])],
+                             ids=["check25", "sign_scan"])
     def test_harmonics_rejected(self, perturbed_spec, fn):
         with pytest.raises(ValueError, match="coefficient a is not constant"):
             fn(perturbed_spec, 2.0)

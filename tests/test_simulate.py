@@ -134,9 +134,9 @@ class TestFloquet:
                         [eq30.e * v, -eq30.f * v]])
         assert np.trace(jac) == pytest.approx(-6.0, abs=0.01)
         assert np.linalg.det(jac) == pytest.approx(8.02, abs=0.01)
-        flo = floquet(eq30_spec, orbit)
+        flo = floquet(orbit)
         ref = expm(jac * eq30_spec.T)
-        assert np.max(np.abs(flo.monodromy - ref)) < 1e-8
+        assert np.max(np.abs(orbit.monodromy - ref)) < 1e-8
         assert flo.classification == ASYMPTOTICALLY_STABLE
         mods = sorted(abs(m) for m in flo.multipliers)
         ref_mods = sorted(abs(m) for m in np.linalg.eigvals(ref))
@@ -151,19 +151,20 @@ class TestFloquet:
         jac = np.array([[-eq30.b * u, -eq30.c * u],
                         [eq30.e * v, -eq30.f * v]])
         ref = expm(jac * T)
-        flo = floquet(spec, find_coexistence(spec, (u, v)))
+        orbit = find_coexistence(spec, (u, v))
+        flo = floquet(orbit)
         mults = sorted(flo.multipliers, key=abs)
         ref_mults = sorted(np.linalg.eigvals(ref), key=abs)
         for m, r in zip(mults, ref_mults):
             assert abs(m - r) <= 1e-7 * abs(r)
-        det = np.linalg.det(flo.monodromy)
+        det = np.linalg.det(orbit.monodromy)
         assert abs(det - np.linalg.det(ref)) <= 1e-7 * abs(np.linalg.det(ref))
 
     def test_near_diagonal_decoupled_multipliers(self):
         spec = const_spec(1.0, 1.0, 1e-9, 1.0, 1e-9, 1.0)
         u, v = equilibrium(spec)
         orbit = find_coexistence(spec, (u, v))
-        flo = floquet(spec, orbit)
+        flo = floquet(orbit)
         mods = sorted(abs(m) for m in flo.multipliers)
         expected = sorted((math.exp(-1.0 * u * 1.0), math.exp(-1.0 * v * 1.0)))
         assert mods == pytest.approx(expected, abs=1e-8)
@@ -171,7 +172,7 @@ class TestFloquet:
     def test_engineered_saddle_is_unstable(self, saddle_spec):
         orbit = find_coexistence(saddle_spec, (0.05, 0.49))
         assert orbit.us.min() > 0.04  # genuinely interior orbit
-        flo = floquet(saddle_spec, orbit)
+        flo = floquet(orbit)
         assert flo.classification == UNSTABLE
         dominant = max(abs(m) for m in flo.multipliers)
         assert dominant > 1.5
@@ -180,8 +181,7 @@ class TestFloquet:
         for spec, guess in ((eq30_spec, (2.0, 2.0)), (classical_spec, (0.7, 0.3)),
                             (perturbed_spec, (2.0, 2.0))):
             orbit = find_coexistence(spec, guess)
-            flo = floquet(spec, orbit)
-            det = np.linalg.det(flo.monodromy)
+            det = np.linalg.det(orbit.monodromy)
             ref = liouville_determinant(spec, orbit)
             assert abs(det - ref) <= 1e-6 * abs(ref)
 
@@ -275,7 +275,7 @@ class TestMultistart:
         assert intertwined_test(eq30_spec_t01, INF).passed
         orbits = find_coexistence_multistart(eq30_spec_t01, n_starts=10, seed=0)
         assert len(orbits) == 1
-        flo = floquet(eq30_spec_t01, orbits[0])
+        flo = floquet(orbits[0])
         assert flo.classification == ASYMPTOTICALLY_STABLE
 
 
@@ -285,10 +285,10 @@ class TestBatchedNewton:
         assert len(orbits) == 1
         orbit = orbits[0]
         assert orbit.us.min() > 0.04
-        flo = floquet(saddle_spec, orbit)
+        flo = floquet(orbit)
         assert flo.classification == UNSTABLE
         assert verify_predictions(saddle_spec, orbit).all_ok
-        det = np.linalg.det(flo.monodromy)
+        det = np.linalg.det(orbit.monodromy)
         ref = liouville_determinant(saddle_spec, orbit)
         assert abs(det - ref) <= 1e-6 * abs(ref)
         alone = find_coexistence(saddle_spec, orbit.start)
@@ -327,7 +327,7 @@ class TestBatchedNewton:
         assert orbits
         searched = len(solves)
         for orbit in orbits:
-            floquet(spec, orbit)
+            floquet(orbit)
         # floquet reads the monodromy of the sampling solve
         assert len(solves) == searched
         assert len(solves) <= len(iterations) + len(orbits)
@@ -389,7 +389,7 @@ class TestBoxRetirement:
                           e=C(1.072105693), f=C(0.010953599))
         orbits = find_coexistence_multistart(spec)
         assert len(orbits) == 1
-        assert floquet(spec, orbits[0]).classification == UNSTABLE
+        assert floquet(orbits[0]).classification == UNSTABLE
 
     def test_no_box_without_positive_bounds(self, saddle_spec, monkeypatch):
         # U <= 0: only the |log| limit of 50 retires iterates, as before
