@@ -477,8 +477,17 @@ def run_command(cfg: RunConfig, out=None) -> int:
     return _DISPATCH[cfg.command](cfg, out)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit EXIT_ERROR: its own status 2 is
+    EXIT_INCONCLUSIVE here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pplv",
         description="Stability analysis of T-periodic planar predator-prey systems")
     parser.add_argument("--config", type=Path, default=None,

@@ -9,20 +9,28 @@ conjugate q).  The threshold is built from the angular integral
 
 By the 8-fold symmetry of the integrand, r = tan t on [0, pi/4] gives
 J(q) = 8 * integral_0^1 (1 + r**(2q)) ** (-1/q) dr, and s = r**(2q) turns
-that into Euler's integral (DLMF 15.6.1):
+that into Euler's integral (DLMF 15.6.1), J(q) = 8 * 2F1(k, k/2; 1 + k/2; -1)
+with k = 1/q.  The Pfaff transformation (DLMF 15.8.1) moves the argument
+from -1 to 1/2:
 
-    J(q) = 8 * 2F1(1/q, 1/(2q); 1 + 1/(2q); -1),
+    J(q) = 8 * 2**(-k) * 2F1(k, 1; 1 + k/2; 1/2)
+         = 8 * 2**(-k) * sum over n >= 0 of (k)_n / (1 + k/2)_n / 2**n.
 
-which equals 2*pi at q = 1 and exactly 8 at q = inf, where 1/q = 0.
+Successive terms have the ratio (k + n) / (2 + k + 2n) < 1/2 for k in
+[0, 1], so the series converges to double precision in at most ~55 terms,
+which are added with ``math.fsum``.  J(1) = 2*pi, and at q = inf (k = 0)
+every term after the first vanishes, so J(inf) is exactly 8.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.special import hyp2f1
-
 INF = math.inf
+
+# The series stops after the first term below this; the terms after it sum
+# to less than it (ratio < 1/2), and the series itself is at least 1.
+_TAIL = 1e-17
 
 
 def check_exponent(p: float) -> None:
@@ -42,10 +50,15 @@ def conjugate(p: float) -> float:
 
 
 def angular_integral(q: float) -> float:
-    """J(q) = 8 * 2F1(1/q, 1/(2q); 1 + 1/(2q); -1); exactly 8 at q = inf."""
+    """J(q) = 8 * 2**(-1/q) * 2F1(1/q, 1; 1 + 1/(2q); 1/2); exactly 8 at q = inf."""
     check_exponent(q)
     k = 1.0 / q
-    return float(8.0 * hyp2f1(k, 0.5 * k, 1.0 + 0.5 * k, -1.0))
+    term, terms, n = 1.0, [1.0], 0
+    while term >= _TAIL:
+        term *= (k + n) / (2.0 + k + 2.0 * n)
+        terms.append(term)
+        n += 1
+    return 8.0 * 2.0 ** -k * math.fsum(terms)
 
 
 def threshold_q(q: float) -> float:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coeffs import SystemSpec
 from .jfunc import INF, check_exponent
@@ -173,6 +172,17 @@ def _log_field(spec: SystemSpec):
         return vals[:2, None], vals[2:].reshape(2, 2)
 
     return at
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported at its first call.
+
+    Only this module integrates, so importing the package (and running
+    every command but ``simulate``) never loads scipy.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], atol_phi: float):

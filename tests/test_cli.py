@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import re
 import subprocess
@@ -71,7 +72,7 @@ EXAMPLE1_DEMO = [
     "p        h(p)                      sign_ok   G(p)                      delta(p)",
     "1        198.07933244511915        False     3.2932764156070675        3.2932764156070675",
     "2        800.27408402760159        False     -744.7981031483082        -1493.3186923201897",
-    "200      6.8415310211151307e+113   True      2.0512194582870349e+65    2.7082332808767563e+125",
+    "200      6.8415310210949472e+113   True      2.0512194582870349e+65    2.7082332808767563e+125",
     "sign pattern (G(1) > 0, G(2) < 0, G(200) > 0): (True, True, True)",
     "large-p dominance check (V > r^2/U): True",
     "  note: sign_ok false at p=1",
@@ -534,6 +535,58 @@ class TestMain:
         errors = captured.err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: ")
         assert "[a]" in errors[0] and repr(key) in errors[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "bogus"],
+        ["--command", "jfunc", "--p", "-inf"],  # argparse reads -inf as an option
+    ], ids=["unknown-command", "p-minus-inf"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own status 2 would read as EXIT_INCONCLUSIVE
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--command" in capsys.readouterr().out
+
+    def test_criteria_commands_do_not_load_scipy(self, tmp_path):
+        # scipy is imported by the first solve of simulate, and by nothing else
+        script = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from pplv.cli import main
+argv = ["--config", sys.argv[2], "--out", sys.argv[3]]
+def run(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--command", command] + argv)
+    return code, out.getvalue()
+codes = {c: run(c)[0] for c in ("analyze", "scan", "region", "jfunc", "example1")}
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+sim_code, sim_out = run("simulate")
+print(json.dumps({"codes": codes, "loaded": loaded, "sim_code": sim_code,
+                  "sim_first": sim_out.splitlines()[0],
+                  "sim_scipy": "scipy.integrate" in sys.modules}))
+"""
+        src = str(Path(pplv.cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", script, src, str(write_cfg(tmp_path)),
+                              str(tmp_path / "o")],
+                             capture_output=True, text=True, timeout=60.0)
+        assert run.returncode == 0, run.stderr
+        got = json.loads(run.stdout)
+        assert got["codes"] == {"analyze": EXIT_STABLE, "scan": EXIT_STABLE,
+                                "region": EXIT_STABLE, "jfunc": EXIT_STABLE,
+                                "example1": EXIT_STABLE}
+        assert got["loaded"] == []
+        assert got["sim_code"] == EXIT_STABLE
+        assert got["sim_first"] == "1 distinct orbit(s) found"
+        assert got["sim_scipy"]
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])

@@ -31,6 +31,10 @@ H1_REF = 198.07933244511908136
 H2_REF = 800.27408402759837327
 G1_REF = 3.2932764156378433054
 G2_REF = -744.79810314713788771
+# h(200) raises its base to the 200th power, so the rounding of the decimal
+# constants to doubles moves it by ~1e-12: this reference is the 50-digit
+# value at the doubles nearest 2.0102, 1, 0.0051, 2.0203, 0.9898 and 2
+H200_REF = 6.8415310210949471873e113
 
 
 def _row(spec, p: float) -> SignRow:
@@ -69,6 +73,13 @@ class TestHOfP:
         _, h, ok, _, _ = _row(eq30_spec, 2.0)
         assert h == pytest.approx(H2_REF, rel=1e-7)
         assert ok is False
+
+    def test_demo_p200(self, eq30_spec):
+        # one ulp of threshold(200) moves h(200) by ~1.3e-12 relative, so this
+        # holds only near the correctly rounded threshold
+        _, h, ok, _, _ = _row(eq30_spec, 200.0)
+        assert h == pytest.approx(H200_REF, rel=1e-12)
+        assert ok is True
 
     def test_zero_base_when_threshold_matches_k(self):
         k = linear_term(const_spec(3, 1, 1, 1, 1, 1))  # = 2.5

@@ -74,6 +74,14 @@ class TestAngularIntegral:
     def test_matches_mpmath_reference(self, q):
         assert angular_integral(q) == pytest.approx(float(reference_j(q)), rel=1e-14)
 
+    @pytest.mark.parametrize("q", REFERENCE_Q + [200 / 199])
+    def test_matches_euler_integral(self, q):
+        # the closed form before the Pfaff transformation, at 40 digits
+        with mp.workdps(40):
+            k = 0 if math.isinf(q) else 1 / mp.mpf(q)
+            expected = 8 * mp.hyp2f1(k, k / 2, 1 + k / 2, -1)
+        assert angular_integral(q) == pytest.approx(float(expected), rel=1e-15)
+
     def test_q2_matches_elliptic_integral(self):
         # cos^4 + sin^4 = 1 - sin(2t)^2/2 reduces the integral to 4*K(m=1/2)
         assert angular_integral(2.0) == pytest.approx(4.0 * ellipk(0.5), abs=1e-8)
