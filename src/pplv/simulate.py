@@ -2,12 +2,13 @@
 
 Integrates the system with the adaptive Dormand-Prince 8(5,3) pair
 (DOP853: Hairer, Norsett & Wanner, *Solving Ordinary Differential
-Equations I*, Springer 1993), locates coexistence states as fixed points
-of the period map, computes Floquet multipliers from the monodromy matrix
-of the variational equation, and checks the a-priori component bounds
-and region membership on every found orbit.  Orbit means use the
-trapezoid rule on the uniform sample grid; orbit suprema come from the
-trigonometric interpolant of the samples.
+Equations I*, Springer 1993) of :mod:`pplv._dop853`, so it needs numpy
+only; scipy serves the tests as an oracle.  It locates coexistence
+states as fixed points of the period map, computes Floquet multipliers
+from the monodromy matrix of the variational equation, and checks the
+a-priori component bounds and region membership on every found orbit.
+Orbit means use the trapezoid rule on the uniform sample grid; orbit
+suprema come from the trigonometric interpolant of the samples.
 
 All integration is one flow: the system in log coordinates
 (xi, eta) = (log u, log v), where the open quadrant is all of the plane,
@@ -32,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._dop853 import Field, solve_ivp
 from .coeffs import SystemSpec
 from .jfunc import INF, check_exponent
 from .logistic import check_uniform_grid, periodic_mean
@@ -140,49 +142,56 @@ class FloquetData:
     classification: str
 
 
-def _log_field(spec: SystemSpec):
-    """Evaluator of the log-coordinate field at a time t.
+class _LogField(Field):
+    """The log-coordinate field of ``n`` starts and their log-variational
+    matrices, as a :class:`Field` of the DOP853 solver.
 
-    In (xi, eta) = (log u, log v) the system reads (xi, eta)' = r + A (u, v)
-    with r = (a, d) and A = [[-b, -c], [e, -f]].  The six entries of r and
-    A are built once into one table, a row per entry and columns 1,
-    cos(k*w*t), sin(k*w*t) over the harmonics k in use, so each evaluation
-    is one matrix-vector product that returns r as a column and A.
+    In (xi, eta) = (log u, log v) the system reads (xi, eta)' = A (u, v) + r
+    with A = [[-b, -c], [e, -f]] and r = (a, d).  The six entries of A and
+    r are built once into one table, a row per entry and columns 1,
+    cos(k*w*t), sin(k*w*t) over the harmonics k in use, so their values at
+    all stage times of a step come from one product: ``at`` returns one
+    (2, 3) block [A | r] per time.  The state is (2, 3, n): [j, 0] holds
+    the log of component j and [j, 1:] row j of Phi, over the starts.
     """
-    rows = ((spec.a, 1.0), (spec.d, 1.0), (spec.b, -1.0),
-            (spec.c, -1.0), (spec.e, 1.0), (spec.f, -1.0))
-    ks = sorted({k for coef, _ in rows for k, _, _ in coef.harmonics})
-    col = {k: i for i, k in enumerate(ks)}
-    table = np.zeros((6, 1 + 2 * len(ks)))
-    for row, (coef, sign) in enumerate(rows):
-        table[row, 0] = sign * coef.mean
-        for k, ck, sk in coef.harmonics:
-            table[row, 1 + col[k]] = sign * ck
-            table[row, 1 + len(ks) + col[k]] = sign * sk
-    wk = (2.0 * math.pi / spec.T) * np.array(ks, dtype=float)
-    # the basis column, refilled in place at each call
-    basis = np.ones(1 + 2 * len(ks))
-    cos, sin = basis[1:1 + len(ks)], basis[1 + len(ks):]
 
-    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        phase = wk * t
-        np.cos(phase, out=cos)
-        np.sin(phase, out=sin)
-        vals = table @ basis
-        return vals[:2, None], vals[2:].reshape(2, 2)
+    def __init__(self, spec: SystemSpec, n: int) -> None:
+        rows = ((spec.b, -1.0), (spec.c, -1.0), (spec.a, 1.0),
+                (spec.e, 1.0), (spec.f, -1.0), (spec.d, 1.0))
+        ks = sorted({k for coef, _ in rows for k, _, _ in coef.harmonics})
+        col = {k: i for i, k in enumerate(ks)}
+        self.table = np.zeros((6, 1 + 2 * len(ks)))
+        for row, (coef, sign) in enumerate(rows):
+            self.table[row, 0] = sign * coef.mean
+            for k, ck, sk in coef.harmonics:
+                self.table[row, 1 + col[k]] = sign * ck
+                self.table[row, 1 + len(ks) + col[k]] = sign * sk
+        self.wk = (2.0 * math.pi / spec.T) * np.array(ks, dtype=float)
+        self.n = n
+        # w stacks (u, v) and diag(u, v) Phi over a row of ones under the
+        # states and zeros under Phi, so [A | r] w is the log field
+        # A (u, v) + r and the log-variational derivative A diag(u, v) Phi
+        self.w = np.zeros((3, 3 * n))
+        self.w[2, :n] = 1.0
+        uv_phi = self.w[:2].reshape(2, 3, n)
+        self.uv, self.uv_phi = uv_phi[:, :1], uv_phi[:, 1:]
 
-    return at
+    def at(self, times: np.ndarray) -> np.ndarray:
+        nk = len(self.wk)
+        basis = np.empty((len(times), 1 + 2 * nk, 1))
+        basis[:, 0] = 1.0
+        phase = np.multiply.outer(times, self.wk)
+        np.cos(phase, out=basis[:, 1:1 + nk, 0])
+        np.sin(phase, out=basis[:, 1 + nk:, 0])
+        # a stack of matrix-vector products, one per time: each sums in the
+        # same order as a product at that time alone
+        return np.matmul(self.table, basis).reshape(len(times), 2, 3)
 
-
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported at its first call.
-
-    Only this module integrates, so importing the package (and running
-    every command but ``simulate``) never loads scipy.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
+    def into(self, coefs: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        rows = y.reshape(2, 3, self.n)
+        np.exp(rows[:, :1], out=self.uv)
+        np.multiply(rows[:, 1:], self.uv, out=self.uv_phi)
+        np.matmul(coefs, self.w, out=out.reshape(2, 3 * self.n))
 
 
 def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], atol_phi: float):
@@ -200,25 +209,10 @@ def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], atol_phi: fl
     start, so one failing start does not take the others down.
     """
     n = z.shape[1]
-    field = _log_field(spec)
-
-    def rhs(t, y):
-        # [j, 0]: log of component j, then row j of Phi, each over the starts
-        rows = y.reshape(2, 3, n)
-        r, A = field(t)
-        uv = np.exp(rows[:, :1])
-        # the log field is r + A (u, v) and the log-variational matrix is A diag(u, v)
-        w = rows * uv
-        w[:, :1] = uv
-        out = A @ w.reshape(2, 3 * n)
-        state = out[:, :n]
-        np.add(state, r, out=state)
-        return out.ravel()
-
     y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)), axis=1)
     atol = np.full((2, 3, n), atol_phi)
     atol[:, 0] = _ATOL_LOG
-    sol = solve_ivp(rhs, (0.0, ts[-1]), y0.ravel(), method="DOP853",
+    sol = solve_ivp(_LogField(spec, n), (0.0, ts[-1]), y0.ravel(),
                     rtol=TOL_ODE, atol=atol.ravel(), t_eval=ts)
     if sol.success:
         return sol.y.reshape(2, 3, n, len(ts)), [None] * n

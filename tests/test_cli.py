@@ -556,7 +556,7 @@ class TestMain:
         assert "--command" in capsys.readouterr().out
 
     def test_criteria_commands_do_not_load_scipy(self, tmp_path):
-        # scipy is imported by the first solve of simulate, and by nothing else
+        # no command loads scipy, simulate included: it integrates in-package
         script = """\
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -568,11 +568,10 @@ def run(command):
         code = main(["--command", command] + argv)
     return code, out.getvalue()
 codes = {c: run(c)[0] for c in ("analyze", "scan", "region", "jfunc", "example1")}
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 sim_code, sim_out = run("simulate")
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps({"codes": codes, "loaded": loaded, "sim_code": sim_code,
-                  "sim_first": sim_out.splitlines()[0],
-                  "sim_scipy": "scipy.integrate" in sys.modules}))
+                  "sim_first": sim_out.splitlines()[0]}))
 """
         src = str(Path(pplv.cli.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", script, src, str(write_cfg(tmp_path)),
@@ -586,7 +585,6 @@ print(json.dumps({"codes": codes, "loaded": loaded, "sim_code": sim_code,
         assert got["loaded"] == []
         assert got["sim_code"] == EXIT_STABLE
         assert got["sim_first"] == "1 distinct orbit(s) found"
-        assert got["sim_scipy"]
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])
