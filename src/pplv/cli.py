@@ -21,20 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import constant_case, criteria, jfunc, simulate
 from .coeffs import PeriodicCoefficient, SystemSpec
 from .existence import classify_boundary
 from .logistic import GridTooLarge
-from .region import boundary_points, boundary_residual, region_spec, sup_xy
+from .region import boundary_points, region_spec, sup_xy
 
 EXIT_STABLE = 0
 EXIT_ERROR = 1
@@ -129,14 +126,14 @@ def parse_config(text: str) -> SystemSpec:
                 raise ParseError(f"kind must be 'const' or 'trig', got {value!r}", lineno, vcol)
             sections[current][key] = value
         else:
-            sections[current][key] = (_parse_float(value, lineno, vcol), lineno, vcol)
+            sections[current][key] = _parse_float(value, lineno, vcol)
 
     missing = [s for s in ("system", "a", "b", "c", "d", "e", "f") if s not in sections]
     if missing:
         raise ValidationError(f"missing sections: {', '.join(missing)}")
     if "T" not in sections["system"]:
         raise ValidationError("missing key 'T' in [system]")
-    T = sections["system"]["T"][0]
+    T = sections["system"]["T"]
 
     coeffs = {}
     for name in "abcdef":
@@ -150,11 +147,11 @@ def parse_config(text: str) -> SystemSpec:
         if kind == "const":
             if "value" not in sec:
                 raise ValidationError(f"section [{name}]: const coefficient needs 'value'")
-            build, args = PeriodicCoefficient.constant, (sec["value"][0],)
+            build, args = PeriodicCoefficient.constant, (sec["value"],)
         else:
             if "c0" not in sec:
                 raise ValidationError(f"section [{name}]: trig coefficient needs 'c0'")
-            build, args = PeriodicCoefficient.trig, (sec["c0"][0], sec.get("harmonic", ()))
+            build, args = PeriodicCoefficient.trig, (sec["c0"], sec.get("harmonic", ()))
         try:
             coeffs[name] = build(*args)
         except ValueError as exc:
@@ -328,13 +325,8 @@ def cmd_region(cfg: RunConfig, out) -> int:
     print(f"U = {_fmt(bounds.U)}   V = {_fmt(bounds.V)}", file=out)
     for p in cfg.exponents():
         reg = region1.at(p)
-        pts = boundary_points(reg, 256)
         sup = sup_xy(reg)
-        rows = []
-        for label, group in itertools.groupby(pts, key=lambda pt: pt[0]):
-            xy = [pt[1:] for pt in group]
-            on_curve = boundary_residual(reg, label, *np.array(xy).T) <= 1e-9
-            rows += [[label, _fmt(x), _fmt(y)] for (x, y), ok in zip(xy, on_curve) if ok]
+        rows = [[label, _fmt(x), _fmt(y)] for label, x, y in boundary_points(reg, 256)]
         path = cfg.output_dir / f"region_p{_p_token(p)}.csv"
         _write_csv(path, ["curve_label", "x", "y"], rows)
         status = "empty" if sup.empty else f"sup xy = {_fmt(sup.value)}"
@@ -366,14 +358,7 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
         print(f"margins: {_fmt(cls.margins[0])}, {_fmt(cls.margins[1])}", file=out)
         return EXIT_NO_COEXISTENCE
 
-    extra = []
-    try:
-        eq = constant_case.equilibrium(spec)
-        if eq[0] > 0 and eq[1] > 0:
-            extra.append(eq)
-    except ValueError:
-        pass
-    orbits = simulate.find_coexistence_multistart(spec, extra_guesses=extra)
+    orbits = simulate.find_coexistence_multistart(spec)
     if not orbits:
         print("Newton could not locate a coexistence orbit from any start", file=out)
         return EXIT_INCONCLUSIVE

@@ -115,8 +115,8 @@ def _exponent_tests(summary: SystemSummary, p: float) -> tuple[TestResult, TestR
     weak_intertwined:  the same with both suprema over the p-region.
 
     Each is compared with the p-threshold.  An empty region is a vacuous
-    pass: no coexistence state can exist.  The threshold and the x*y
-    supremum are computed once and shared.
+    pass: no coexistence state can exist.  The threshold, the x*y supremum
+    and the p-region, searched once for both suprema, are shared.
     """
     spec, r1 = summary.spec, summary.region1
     threshold = jfunc.threshold_p(p)
@@ -130,7 +130,7 @@ def _exponent_tests(summary: SystemSummary, p: float) -> tuple[TestResult, TestR
 
     rp = r1.at(p)
     sxy = sup_xy(rp)
-    slin_p = summary.sup_linear1 if p == 1.0 else sup_linear(rp, r1.b_max, r1.f_max)
+    slin_p = summary.sup_linear1 if p == 1.0 else sup_linear(rp)
     return (unified,
             _intertwined("intertwined", summary, p, sxy, summary.sup_linear1, threshold),
             _intertwined("weak_intertwined", summary, p, sxy, slin_p, threshold))
@@ -156,7 +156,6 @@ class StabilityReport:
     """Everything the scan over exponents produced."""
 
     classification: BoundaryClassification
-    uniqueness_18_19: tuple[bool, bool]
     results: tuple[TestResult, ...]
     best_p: Optional[float]
     conclusion: str
@@ -199,7 +198,6 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
 
     return StabilityReport(
         classification=cls,
-        uniqueness_18_19=(r18.passed, r19.passed),
         results=tuple(results),
         best_p=best_p,
         conclusion=conclusion,

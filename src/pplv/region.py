@@ -5,9 +5,9 @@ to a bounded planar region built from coefficient extrema and the a-priori
 component bounds (U, V).  For finite p the region is cut out of the open
 quadrant by four inequalities; for p = inf it degenerates to the box
 (0, U] x (0, V].  The stability tests need the suprema of x*y and of
-linear functionals over these regions.  For finite p the region is convex,
-so each supremum is a one-dimensional unimodal search along the top of its
-y-slices (see :func:`_sup_over_region`).
+b_max*x + f_max*y over these regions.  For finite p the region is convex,
+so one search of its slices, shared by both suprema, bounds them in x, and
+each supremum is a unimodal search along the top of those slices.
 
 The box is a valid but coarser enclosure than the finite-p regions, which
 approach it at the rate |log(abar/U)|/p.  Every finite-p region can be
@@ -19,9 +19,10 @@ that no coexistence state exists, so the two disagree only then.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +40,16 @@ class RegionBounds:
 
     U: float
     V: float
+
+
+class _Slices(NamedTuple):
+    """Where the suprema over a region lie: the x-interval (xa, xb, tol) of
+    its non-empty slices, or the one ``point`` every supremum takes (the box
+    corner at p = inf, a touching point, or NaN if the x-range overflows)."""
+
+    degenerate: bool
+    point: Optional[tuple[float, float]] = None
+    interval: tuple[float, float, float] = (math.nan,) * 3
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,57 @@ class RegionSpec:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
 
     def at(self, p: float) -> "RegionSpec":
-        """The region of the same system at exponent ``p``."""
-        return dataclasses.replace(self, p=p)
+        """The region of the same system at exponent ``p``; ``self`` if p is its own."""
+        return self if p == self.p else dataclasses.replace(self, p=p)
+
+    @functools.cached_property
+    def _slices(self) -> Optional[_Slices]:
+        """Where the slices are non-empty, searched once per region; None if empty.
+
+        For p >= 1 each of the four constraints is a convex function bounded
+        by a constant, so the region is convex and its slice gap
+        yhi(x) - ylo(x) is concave in x.  Golden-section search finds the
+        widest slice: below -BOUNDARY_TOL (scaled) the region is empty,
+        within BOUNDARY_TOL of zero it is degenerate, and a slightly
+        negative widest slice is taken as the point where the region
+        touches.  Otherwise bisection on the two monotone sides of the gap
+        finds the x-interval where the gap is >= 0.
+        """
+        U, V = self.bounds.U, self.bounds.V
+        if self.p == INF:
+            return None if U <= 0 or V <= 0 else _Slices(False, (U, V))
+        if self.abar <= 0 or (self.p != 1.0 and (U <= 0 or V <= 0)):
+            return None
+        # top_d is undefined left of -dbar/e_max once p > 1 (everywhere if
+        # dbar < 0 = e_max, where the gap is -inf and the region empty)
+        x_lo = max(0.0, -self.dbar / self.e_max) if self.p != 1.0 and self.e_max > 0 else 0.0
+        x_hi = _x_ceiling(self)
+        if x_lo > x_hi:
+            return None
+        if not math.isfinite(x_hi):
+            # the x-range overflows: no finite bound on any objective is known
+            return _Slices(False, (math.nan, math.nan))
+        # relative to the x-range, so a narrow region keeps 13 digits of its x*y
+        tol = max(1e-13 * x_hi, math.ulp(x_hi))
+        scale = 1.0 + abs(self.abar) + abs(self.dbar)
+
+        def gap(x: float) -> float:
+            ylo, yhi = _slice(self, x)
+            return yhi - ylo
+
+        x_g, gap_max = _golden_max_f(gap, x_lo, x_hi, tol)
+        if gap_max < -BOUNDARY_TOL * scale:
+            return None
+        if gap_max < 0.0:
+            # touching within tolerance: the region is the point of widest slice
+            ylo, yhi = _slice(self, x_g)
+            y_g = 0.5 * (ylo + yhi)
+            return None if y_g <= 0 or x_g <= 0 else _Slices(True, (x_g, y_g))
+        # a degenerate region can still be a segment where two constraints
+        # coincide, so it is searched like any other
+        xa = _feasible_end(gap, x_g, x_lo, tol)
+        xb = _feasible_end(gap, x_g, x_hi, tol)
+        return _Slices(gap_max <= BOUNDARY_TOL * scale, interval=(xa, xb, tol))
 
 
 @dataclass(frozen=True)
@@ -286,68 +346,21 @@ def _feasible_end(gap: Callable[[float], float], inside: float, end: float, tol:
 def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], float]) -> SupResult:
     """Maximize an objective that is increasing in y over the region.
 
-    For p >= 1 each of the four constraints is a convex function bounded by
-    a constant, so the region is convex and its slice gap yhi(x) - ylo(x)
-    is concave in x.  Golden-section search finds the widest slice: below
-    -BOUNDARY_TOL (scaled) the region is empty, within BOUNDARY_TOL of zero
-    it is degenerate, and a slightly negative widest slice is taken as the
-    point where the region touches.  Otherwise bisection on the two
-    monotone sides of the gap finds the x-interval where the gap is >= 0.
-    The maximum of each slice lies on its top, y = yhi(x), which is concave
-    and non-negative on that interval, so x*yhi(x) is log-concave and a
-    linear objective with positive y coefficient is concave.  Either is
-    unimodal, and one more golden-section search along the top curve finds
-    the supremum; it approaches an end of the interval from inside, so the
-    argmax stays in the open quadrant.
+    Each slice's maximum lies on its top, y = yhi(x), which is concave and
+    non-negative on the x-interval of ``region._slices``: x*yhi(x) is
+    log-concave and a linear objective with positive y coefficient concave.
+    One golden-section search along the top, which nears the interval's ends
+    from inside only, finds the supremum with its argmax in the open quadrant.
     """
-    if region.p == INF:
-        U, V = region.bounds.U, region.bounds.V
-        if U <= 0 or V <= 0:
-            return SupResult(0.0, (math.nan, math.nan), empty=True)
-        return SupResult(float(objective(U, V)), (U, V), empty=False)
-
-    empty = SupResult(0.0, (math.nan, math.nan), empty=True)
-    if region.abar <= 0:
-        return empty
-    if region.p != 1.0 and (region.bounds.U <= 0 or region.bounds.V <= 0):
-        return empty
-
-    # top_d is undefined left of -dbar/e_max once p > 1 (everywhere if
-    # dbar < 0 = e_max, where the gap is -inf and the region empty)
-    x_lo = max(0.0, -region.dbar / region.e_max) if region.p != 1.0 and region.e_max > 0 else 0.0
-    x_hi = _x_ceiling(region)
-    if x_lo > x_hi:
-        return empty
-    if not math.isfinite(x_hi):
-        # the x-range overflows: no finite bound on the objective is known
-        return SupResult(math.inf, (math.nan, math.nan), empty=False)
-    # relative to the x-range, so a narrow region keeps 13 digits of its x*y
-    tol = max(1e-13 * x_hi, math.ulp(x_hi))
-    scale = 1.0 + abs(region.abar) + abs(region.dbar)
-
-    def gap(x: float) -> float:
-        ylo, yhi = _slice(region, x)
-        return yhi - ylo
-
-    x_g, gap_max = _golden_max_f(gap, x_lo, x_hi, tol)
-    if gap_max < -BOUNDARY_TOL * scale:
-        return empty
-    degenerate = gap_max <= BOUNDARY_TOL * scale
-    if gap_max < 0.0:
-        # touching within tolerance: the region is the point of widest slice
-        ylo, yhi = _slice(region, x_g)
-        y_g = 0.5 * (ylo + yhi)
-        if y_g <= 0 or x_g <= 0:
-            return empty
-        return SupResult(float(objective(x_g, y_g)), (x_g, y_g), empty=False, degenerate=True)
-
-    # a degenerate region can still be a segment where two constraints
-    # coincide, so it is searched like any other
-    xa = _feasible_end(gap, x_g, x_lo, tol)
-    xb = _feasible_end(gap, x_g, x_hi, tol)
-    x_best, v_best = _golden_max_f(lambda x: objective(x, _slice(region, x)[1]), xa, xb, tol)
-    return SupResult(float(v_best), (x_best, _slice(region, x_best)[1]), empty=False,
-                     degenerate=degenerate)
+    found = region._slices
+    if found is None:
+        return SupResult(0.0, (math.nan, math.nan), empty=True)
+    if found.point is not None:
+        value = math.inf if math.isnan(found.point[0]) else float(objective(*found.point))
+        return SupResult(value, found.point, empty=False, degenerate=found.degenerate)
+    x, value = _golden_max_f(lambda t: objective(t, _slice(region, t)[1]), *found.interval)
+    return SupResult(float(value), (x, _slice(region, x)[1]), empty=False,
+                     degenerate=found.degenerate)
 
 
 def sup_xy(region: RegionSpec) -> SupResult:
@@ -355,11 +368,9 @@ def sup_xy(region: RegionSpec) -> SupResult:
     return _sup_over_region(region, lambda x, y: x * y)
 
 
-def sup_linear(region: RegionSpec, coef_x: float, coef_y: float) -> SupResult:
-    """sup { coef_x*x + coef_y*y } over the region (coef_y must be > 0)."""
-    if coef_y <= 0:
-        raise ValueError("linear objective must be increasing in y")
-    return _sup_over_region(region, lambda x, y: coef_x * x + coef_y * y)
+def sup_linear(region: RegionSpec) -> SupResult:
+    """sup { b_max*x + f_max*y } over the region, with its own b_max, f_max."""
+    return _sup_over_region(region, lambda x, y: region.b_max * x + region.f_max * y)
 
 
 def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> float:
@@ -377,10 +388,11 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
     """``n`` samples per labeled boundary curve.
 
     Finite p yields four curves (the defining equalities); p = inf yields
-    the two box edges through the corner (U, V).  Every returned point
-    satisfies its defining equality to machine accuracy and has y >= 0.
-    The curves are sampled whether or not the region is empty; whether it
-    is, ``sup_xy(region).empty`` tells.
+    the two box edges through the corner (U, V).  Each sample's y is
+    clamped at 0 and the sample dropped unless that y is finite, so every
+    point satisfies its defining equality to machine accuracy; the
+    ``region`` command writes exactly these.  The curves are sampled
+    whether or not the region is empty; ``sup_xy(region).empty`` tells.
     """
     if n < 2:
         raise ValueError("need at least two samples per curve")
@@ -416,6 +428,7 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
         if x_start <= x_end:
             index = _CURVE_INDEX[label]
             for xv in np.linspace(x_start, x_end, n):
-                yv = _curves(region, float(xv))[index]
-                pts.append((label, float(xv), max(yv, 0.0)))
+                yv = max(_curves(region, float(xv))[index], 0.0)
+                if math.isfinite(yv):
+                    pts.append((label, float(xv), yv))
     return pts

@@ -35,6 +35,7 @@ import numpy as np
 
 from ._dop853 import Field, solve_ivp
 from .coeffs import SystemSpec
+from .constant_case import SingularSystem, equilibrium
 from .jfunc import INF, check_exponent
 from .logistic import check_uniform_grid, periodic_mean
 from .region import RegionBounds, compute_uv, cp_slack, region_spec
@@ -437,25 +438,27 @@ def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D) -> PredictionRe
     )
 
 
-def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20, seed: int = 0,
-                                extra_guesses: Sequence[Sequence[float]] = ()
-                                ) -> list[PeriodicOrbit2D]:
-    """Newton search from deterministic random seeds in the bound box.
+def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20,
+                                seed: int = 0) -> list[PeriodicOrbit2D]:
+    """Newton search from the averaged equilibrium and random seeds.
 
-    Starting points are drawn uniformly from (0, U] x (0, V] and advance
-    together in one batched Newton; failed or escaping searches are
-    dropped; converged starts are deduplicated (distance below 1e-6)
-    before each distinct orbit is sampled, and the orbits are ordered
-    lexicographically for schedule independence.
+    The equilibrium of the averaged system, unless that is singular, and
+    ``n_starts`` points drawn uniformly from (0, U] x (0, V] advance together
+    in one batched Newton; failed or escaping searches (a non-positive
+    start fails unsolved) are dropped; converged starts are deduplicated
+    (distance below 1e-6) before each distinct orbit is sampled, and the
+    orbits are ordered lexicographically for schedule independence.
     """
     bounds = compute_uv(spec)
     if bounds.U <= 0 or bounds.V <= 0:
         return []
+    try:
+        guesses = [np.array(equilibrium(spec))]
+    except SingularSystem:
+        guesses = []
     rng = np.random.default_rng(seed)
-    guesses = [np.asarray(g, dtype=float) for g in extra_guesses]
-    for _ in range(n_starts):
-        guesses.append(np.array([bounds.U * (1.0 - rng.random()),
-                                 bounds.V * (1.0 - rng.random())]))
+    guesses += [np.array([bounds.U * (1.0 - rng.random()), bounds.V * (1.0 - rng.random())])
+                for _ in range(n_starts)]
     starts: list[tuple[np.ndarray, float]] = []
     for outcome in _newton(spec, guesses, bounds):
         if isinstance(outcome, Exception):

@@ -55,6 +55,6 @@ def summarize(spec: SystemSpec, grid: Sequence[float]) -> SystemSummary:
         spec=spec,
         classification=classify_boundary(spec),
         region1=region1,
-        sup_linear1=sup_linear(region1, region1.b_max, region1.f_max),
+        sup_linear1=sup_linear(region1),
         envelopes=norm_envelopes(spec, region1, tuple(dict.fromkeys((1.0, *grid)))),
     )

@@ -163,7 +163,7 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
 
     # internal consistency between the region, threshold and closed-form paths
     reg1 = region_spec(eq30_spec, 1.0)
-    sup_lin = sup_linear(reg1, eq30.b, eq30.f)
+    sup_lin = sup_linear(reg1)
     assert 0.5 * sup_lin.value == pytest.approx(k, abs=1e-6)
     for row in rows:
         h_direct = ((threshold_p(row.p) / eq30.T - k) ** 2 / ce) ** row.p
@@ -266,7 +266,7 @@ def test_criterion_10_endpoint_reductions(eq30_spec):
     b_max = stats(eq30_spec.b, T).maximum
     f_max = stats(eq30_spec.f, T).maximum
     direct1 = T * (math.sqrt(c_max * e_max * sup_xy(reg1).value)
-                   + 0.5 * sup_linear(reg1, b_max, f_max).value)
+                   + 0.5 * sup_linear(reg1).value)
     assert abs(res1.lhs - direct1) <= 1e-12
     assert abs(res1.rhs - 2.0) <= 1e-12
 

@@ -284,6 +284,40 @@ class TestCommands:
             for label, xs, ys in rows[1:]:
                 assert boundary_residual(reg, label, float(xs), float(ys)) <= 1e-9
 
+    def test_region_writes_every_sample_at_large_a(self, tmp_path):
+        # a = 1e8: an absolute 1e-9 residual check once dropped 18 of these
+        # points at p = 1 and 238 at p = 2
+        config = EQ30_CFG.replace("value = 2.0102", "value = 1e8")
+        outdir = tmp_path / "artifacts"
+        out = io.StringIO()
+        run_command(make_cfg("region", write_cfg(tmp_path, config), p_list=(1.0, 2.0),
+                             output_dir=outdir), out)
+        assert "p = 1: 1024 boundary points" in out.getvalue()
+        assert "p = 2: 1024 boundary points" in out.getvalue()
+        spec = parse_config(config)
+        for p, fname in ((1.0, "region_p1.csv"), (2.0, "region_p2.csv")):
+            with (outdir / fname).open() as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == 1024
+            reg = region_spec(spec, p)
+            scale = reg.abar + abs(reg.dbar)
+            for label, xs, ys in rows:
+                assert boundary_residual(reg, label, float(xs), float(ys)) <= 1e-12 * scale
+
+    def test_region_at_huge_a_writes_finite_values_without_warnings(self, tmp_path):
+        # boundary_residual itself overflows at this scale, so only
+        # finiteness is checked
+        run = run_console(tmp_path, "region", EQ30_CFG.replace("value = 2.0102", "value = 1e308"))
+        assert run.returncode == EXIT_STABLE
+        assert "RuntimeWarning" not in run.stderr
+        paths = sorted((tmp_path / "o").glob("region_p*.csv"))
+        assert len(paths) == 3
+        for path in paths:
+            with path.open() as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows
+            assert all(math.isfinite(float(v)) for _, *xy in rows for v in xy)
+
     def test_region_corner_present_at_inf(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         outdir = tmp_path / "artifacts"

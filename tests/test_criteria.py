@@ -173,8 +173,10 @@ class TestEndpointConsistency:
         f_max = stats(eq30_spec.f, 1.0).maximum
         c_max = stats(eq30_spec.c, 1.0).maximum
         e_max = stats(eq30_spec.e, 1.0).maximum
+        # sup_linear maximizes b_max*x + f_max*y with the region's own maxima
+        assert (reg1.b_max, reg1.f_max) == (b_max, f_max)
         direct = 1.0 * (math.sqrt(c_max * e_max * sup_xy(reg1).value)
-                        + 0.5 * sup_linear(reg1, b_max, f_max).value)
+                        + 0.5 * sup_linear(reg1).value)
         assert res.lhs == pytest.approx(direct, abs=1e-12)
         assert res.rhs == 2.0
 
@@ -212,7 +214,8 @@ class TestScanP:
     def test_demo_conclusion_is_global_stability(self, eq30_spec):
         report = scan_p(eq30_spec, [1.0, 2.0, INF])
         assert report.conclusion == GLOBALLY_STABLE_VIA_18_19
-        assert report.uniqueness_18_19 == (True, True)
+        assert [(r.name, r.passed) for r in report.results[:2]] == [
+            ("condition18", True), ("condition19", True)]
         inter = [r for r in report.results if r.name == "intertwined"]
         assert len(inter) == 3
         assert all(not r.passed for r in inter)

@@ -147,26 +147,26 @@ class TestSupLinear:
     def test_demo_singleton(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
         reg1 = region_spec(eq30_spec, 1.0)
-        res = sup_linear(reg1, 1.0, 2.0)
+        res = sup_linear(reg1)
         assert res.value == pytest.approx(1.0 * x1 + 2.0 * y1, abs=1e-9)
 
     def test_interval_region_linear_solve(self):
         # b_L = b_M etc. so the p = 1 region is the segment point (1, 2)
         spec = const_spec(3, 1, 1, 1, 1, 1)
         reg1 = region_spec(spec, 1.0)
-        res = sup_linear(reg1, 1.0, 1.0)
+        res = sup_linear(reg1)
         assert res.value == pytest.approx(3.0, abs=1e-9)
         assert res.argmax[0] == pytest.approx(1.0, abs=1e-6)
         assert res.argmax[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_empty_region(self):
         reg1 = region_spec(const_spec(-1, 1, 1, -1, 1, 1), 1.0)
-        res = sup_linear(reg1, 1.0, 1.0)
+        res = sup_linear(reg1)
         assert res.empty
 
     def test_matches_grid_oracle_on_spread_region(self):
         reg = figure_region(2.0)
-        res = sup_linear(reg, 2.0, 2.0)
+        res = sup_linear(reg)
         xmax, ymax = envelope(reg)
         ref, _ = grid_refine_max(reg, lambda x, y: 2.0 * x + 2.0 * y, xmax, ymax)
         assert abs(res.value - ref) <= 1e-4 * abs(ref)
@@ -306,7 +306,7 @@ class TestSupremumProperty:
         xmax, ymax = envelope(reg)
         for res, objective in (
             (sup_xy(reg), lambda x, y: x * y),
-            (sup_linear(reg, reg.b_max, reg.f_max), lambda x, y: reg.b_max * x + reg.f_max * y),
+            (sup_linear(reg), lambda x, y: reg.b_max * x + reg.f_max * y),
         ):
             ref, _ = grid_refine_max(reg, objective, xmax, ymax, n=300)
             if ref is None:
@@ -318,7 +318,7 @@ class TestSupremumProperty:
 
     def test_flat_maximum_on_unit_disk(self):
         reg = UNIT_DISK
-        assert sup_linear(reg, 1.0, 1.0).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert sup_linear(reg).value == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert sup_xy(reg).value == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("dbar, empty", [(0.5, False), (-0.5, True)])

@@ -307,7 +307,8 @@ class TestBatchedNewton:
         assert len(orbits) == 1
         # one batched solve per Newton iteration, one sampling solve per orbit
         assert len(calls) <= simulate.NEWTON_MAX_ITER + len(orbits)
-        assert calls[0] == 6 * 20  # all 20 starts in the first solve
+        # the averaged equilibrium and all 20 random starts in the first solve
+        assert calls[0] == 6 * 21
 
     @pytest.mark.parametrize("name", ["perturbed_spec", "saddle_spec"])
     def test_one_solve_per_orbit_after_newton(self, name, request, monkeypatch):
@@ -348,9 +349,15 @@ class TestBatchedNewton:
                 return SimpleNamespace(success=False, message="step size too small")
             return real(fun, span, y0, **kwargs)
 
+        real_newton = simulate._newton
+
+        def two_starts(spec, guesses, bounds):
+            return real_newton(spec, [np.array([2.0, 2.0]), np.array([7.0, 7.0])], bounds)
+
         monkeypatch.setattr(simulate, "solve_ivp", failing)
-        orbits = find_coexistence_multistart(perturbed_spec, n_starts=0,
-                                             extra_guesses=[(2.0, 2.0), (7.0, 7.0)])
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_newton", two_starts)
+            orbits = find_coexistence_multistart(perturbed_spec, n_starts=0)
         assert len(orbits) == 1
         with pytest.raises(StepFailure):
             find_coexistence(perturbed_spec, (7.0, 7.0))

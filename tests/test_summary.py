@@ -53,6 +53,7 @@ def _count_calls(monkeypatch, originals) -> Counter:
 
 def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic_spec):
     counts = _count_calls(monkeypatch, {
+        "_feasible_end": pplv.region._feasible_end,
         "_root_times": pplv.coeffs._root_times,
         "classify_boundary": pplv.existence.classify_boundary,
         "lp_norm": pplv.coeffs.lp_norm,
@@ -72,6 +73,8 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
     assert counts["region_spec"] == 1
     assert counts["sup_xy"] == len(GRID)
     assert counts["threshold_p"] == len(GRID)
+    # one search of each finite-p region, whose two ends bound both suprema
+    assert counts["_feasible_end"] == 2 * sum(p != INF for p in GRID)
 
 
 @pytest.mark.parametrize("name", ["two_harmonic_spec", "eq30_spec", "classical_spec",
@@ -100,7 +103,7 @@ def test_summary_holds_the_p1_quantities(two_harmonic_spec):
     summary = summarize(two_harmonic_spec, GRID)
     r1 = summary.region1
     assert r1 == region_spec(two_harmonic_spec, 1.0)
-    assert summary.sup_linear1 == sup_linear(r1, r1.b_max, r1.f_max)
+    assert summary.sup_linear1 == sup_linear(r1)
     assert summary.envelopes == norm_envelopes(two_harmonic_spec, r1, GRID)
     assert list(summary.envelopes) == list(GRID)
     # p = 1 is always held: the unified test reads alpha_1 and beta_1
