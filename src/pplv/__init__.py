@@ -48,7 +48,6 @@ from .region import (
     SupResult,
     boundary_points,
     compute_uv,
-    cp_contains,
     cp_slack,
     region_spec,
     sup_linear,

@@ -246,8 +246,8 @@ class Field:
 
 @dataclass(frozen=True)
 class Solution:
-    """``y`` has one column per output time ``t``; on failure, the columns
-    reached before it."""
+    """``y`` has one column per output time reached, ``t``; on failure, the
+    columns reached before it."""
 
     t: np.ndarray
     y: np.ndarray
@@ -279,13 +279,12 @@ def _initial_step(field: Field, t0: float, y0: np.ndarray, f0: np.ndarray, t_bou
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval=None) -> Solution:
+def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval) -> Solution:
     """Integrate y' = f(t, y) forward from ``t_span[0]`` to ``t_span[1]`` >=
     ``t_span[0]``, with f given by ``field``.
 
     ``atol`` is a scalar or one value per component.  Returns the solution
-    at the strictly increasing output times ``t_eval`` within ``t_span``,
-    or at every accepted step when it is None.
+    at the strictly increasing output times ``t_eval`` within ``t_span``.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
@@ -295,13 +294,10 @@ def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval=None) -> So
     field.into(field.at(np.array([t0]))[0], y, K[0])
     nfev = 1
 
-    if t_eval is None:
-        out_t, out_y = [t0], [y.copy()]
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        ys = np.empty((n, t_eval.size))
-        done = int(np.searchsorted(t_eval, t0, side="right"))
-        ys[:, :done] = y[:, None]
+    t_eval = np.asarray(t_eval, dtype=float)
+    ys = np.empty((n, t_eval.size))
+    done = int(np.searchsorted(t_eval, t0, side="right"))
+    ys[:, :done] = y[:, None]
 
     h_abs = 0.0
     if t_bound > t0:
@@ -372,25 +368,18 @@ def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval=None) -> So
         if not success:
             break
 
-        if t_eval is None:
-            out_t.append(t_new)
-            out_y.append(y_new.copy())
-        else:
-            end = int(np.searchsorted(t_eval, t_new, side="right"))
-            inside = end - 1 if end > done and t_eval[end - 1] == t_new else end
-            if inside > done:
-                _dense_stages(field, coefs, K, y, h)
-                nfev += N_STAGES_EXTENDED - N_STAGES - 1
-                ys[:, done:inside] = _interpolate(K, y, y_new, h,
-                                                  (t_eval[done:inside] - t) / h)
-            ys[:, inside:end] = y_new[:, None]
-            done = end
+        end = int(np.searchsorted(t_eval, t_new, side="right"))
+        inside = end - 1 if end > done and t_eval[end - 1] == t_new else end
+        if inside > done:
+            _dense_stages(field, coefs, K, y, h)
+            nfev += N_STAGES_EXTENDED - N_STAGES - 1
+            ys[:, done:inside] = _interpolate(K, y, y_new, h, (t_eval[done:inside] - t) / h)
+        ys[:, inside:end] = y_new[:, None]
+        done = end
         t = t_new
         y, y_new = y_new, y
         K[0] = K[N_STAGES]
 
-    if t_eval is None:
-        return Solution(np.array(out_t), np.stack(out_y, axis=1), nfev, success, message)
     return Solution(t_eval[:done], ys[:, :done], nfev, success, message)
 
 

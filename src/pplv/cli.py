@@ -163,23 +163,6 @@ def parse_config(text: str) -> SystemSpec:
         raise ValidationError(str(exc)) from None
 
 
-def format_config(spec: SystemSpec) -> str:
-    """Inverse of :func:`parse_config`; numbers carry 17 significant digits."""
-    lines = ["[system]", f"T = {_fmt(spec.T)}"]
-    for name in "abcdef":
-        coef: PeriodicCoefficient = getattr(spec, name)
-        lines.append(f"[{name}]")
-        if not coef.harmonics:
-            lines.append("kind = const")
-            lines.append(f"value = {_fmt(coef.c0)}")
-        else:
-            lines.append("kind = trig")
-            lines.append(f"c0 = {_fmt(coef.c0)}")
-            for k, ck, sk in coef.harmonics:
-                lines.append(f"harmonic = {k}, {_fmt(ck)}, {_fmt(sk)}")
-    return "\n".join(lines) + "\n"
-
-
 DEFAULT_P_LIST = (1.0, 2.0, math.inf)
 
 

@@ -84,12 +84,14 @@ class SignRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SignScan:
-    """Tabulated G-scan: one row per exponent, plus the shared constant k
-    and the component bounds."""
+    """Tabulated G-scan: one row per exponent, plus the shared constant k,
+    the component bounds and the exponents whose h or G left the extended
+    range (``overflow``)."""
 
     k: float
     bounds: RegionBounds
     rows: tuple[SignRow, ...]
+    overflow: tuple[float, ...] = ()
 
 
 def sign_scan(spec: SystemSpec, ps) -> SignScan:
@@ -104,7 +106,9 @@ def sign_scan(spec: SystemSpec, ps) -> SignScan:
     constants at T = 0.1 give h(200) ~ 1e1040), and G, whose two terms can
     exceed their difference by many orders of magnitude (the demo
     constants give terms near 1.6e5 whose difference is about +3.3 at
-    p = 1), is accumulated there before rounding once to double.
+    p = 1), is accumulated there before rounding once to double.  A row
+    whose terms overflow even there, or turn NaN, lists its exponent in
+    ``overflow``; a value that only rounds to inf in double is not listed.
     """
     for name in "abcdef":
         if getattr(spec, name).harmonics:
@@ -114,16 +118,21 @@ def sign_scan(spec: SystemSpec, ps) -> SignScan:
     ld = np.longdouble
     a, b, c, e = (ld(getattr(spec, name).c0) for name in "abce")
     U, V = ld(bounds.U), ld(bounds.V)
-    rows = []
+    rows, overflow = [], []
     for p in ps:
         if not (math.isfinite(p) and p >= 1.0):
             raise ValueError("p must be finite and >= 1")
-        rhs = ld(jfunc.threshold_p(p)) / ld(spec.T) - ld(k)
-        h = (rhs * rhs / (c * e)) ** ld(p)
-        g = float((a / c) ** 2 * V ** (ld(p) - 1) - 4 * (b / c) * h / U ** (ld(p) - 1))
-        delta = float(V ** (ld(p) - 1) * ld(g))
+        errors = []
+        with np.errstate(over="call", divide="call", invalid="call",
+                         call=lambda kind, _: errors.append(kind)):
+            rhs = ld(jfunc.threshold_p(p)) / ld(spec.T) - ld(k)
+            h = (rhs * rhs / (c * e)) ** ld(p)
+            g = float((a / c) ** 2 * V ** (ld(p) - 1) - 4 * (b / c) * h / U ** (ld(p) - 1))
+            delta = float(V ** (ld(p) - 1) * ld(g))
+        if errors:
+            overflow.append(float(p))
         rows.append(SignRow(float(p), float(h), bool(rhs >= 0), g, delta))
-    return SignScan(k=k, bounds=bounds, rows=tuple(rows))
+    return SignScan(k=k, bounds=bounds, rows=tuple(rows), overflow=tuple(overflow))
 
 
 @dataclass(frozen=True)
@@ -159,6 +168,8 @@ def check25(spec: SystemSpec, p_star: float) -> SignPattern:
         diags.append(f"sign_ok false at p={p_star:g}")
     if (large.g > 0) != ratio_ok:
         diags.append("large-p sample disagrees with the asymptotic ratio check")
+    for p in scan.overflow:
+        diags.append(f"h or G overflows extended precision at p={p:g}; its sign is not determined")
     return SignPattern(
         g1_positive=one.g > 0,
         gstar_negative=star.g < 0,

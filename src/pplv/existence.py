@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coeffs import SystemSpec
-from .logistic import PeriodicOrbit1D, periodic_logistic, weighted_average
+from .logistic import periodic_logistic, weighted_average
 
 # A margin within this of zero is flagged borderline, here and in the criteria.
 BORDERLINE_TOL = 1e-12
@@ -22,16 +22,14 @@ BORDERLINE_TOL = 1e-12
 class BoundaryClassification:
     """Stability summary of the trivial and one-species periodic states.
 
-    ``lam`` and ``mu`` are the means of a and d.  The logistic states (and
-    their stability flags) are present only when the corresponding state
-    exists, i.e. when the mean is positive.  ``margins`` holds the slack of
-    the two instability inequalities that gate coexistence.
+    ``lam`` and ``mu`` are the means of a and d.  The stability flag of a
+    one-species state is present only when that state exists, i.e. when
+    the mean is positive.  ``margins`` holds the slack of the two
+    instability inequalities that gate coexistence.
     """
 
     lam: float
     mu: float
-    theta_lambda: Optional[PeriodicOrbit1D]
-    theta_mu: Optional[PeriodicOrbit1D]
     trivial_stable: bool
     prey_only_stable: Optional[bool]
     predator_only_stable: Optional[bool]
@@ -55,15 +53,12 @@ def classify_boundary(spec: SystemSpec) -> BoundaryClassification:
     mu = spec.d.mean
     diagnostics: list[str] = []
 
-    theta_lambda = periodic_logistic(spec.a, spec.b, spec.T) if lam > 0 else None
-    theta_mu = periodic_logistic(spec.d, spec.f, spec.T) if mu > 0 else None
-
     trivial_stable = lam <= 0 and mu <= 0
 
     prey_only_stable = None
     margin1 = lam  # placeholder when theta_lambda does not exist
-    if theta_lambda is not None:
-        avg_e_theta = weighted_average(spec.e, theta_lambda)
+    if lam > 0:
+        avg_e_theta = weighted_average(spec.e, periodic_logistic(spec.a, spec.b, spec.T))
         prey_only_stable = mu <= -avg_e_theta
         margin1 = mu + avg_e_theta
     else:
@@ -71,8 +66,8 @@ def classify_boundary(spec: SystemSpec) -> BoundaryClassification:
 
     predator_only_stable = None
     margin2 = lam
-    if theta_mu is not None:
-        avg_c_theta = weighted_average(spec.c, theta_mu)
+    if mu > 0:
+        avg_c_theta = weighted_average(spec.c, periodic_logistic(spec.d, spec.f, spec.T))
         predator_only_stable = lam <= avg_c_theta
         margin2 = lam - avg_c_theta
     else:
@@ -91,8 +86,6 @@ def classify_boundary(spec: SystemSpec) -> BoundaryClassification:
     return BoundaryClassification(
         lam=lam,
         mu=mu,
-        theta_lambda=theta_lambda,
-        theta_mu=theta_mu,
         trivial_stable=trivial_stable,
         prey_only_stable=prey_only_stable,
         predator_only_stable=predator_only_stable,

@@ -72,17 +72,9 @@ class PeriodicOrbit1D:
         if gap > TOL_PERIODIC * float(np.max(self.values)):
             raise ValueError(f"orbit endpoints differ by {gap:.3e}; not periodic")
 
-    @property
-    def minimum(self) -> float:
-        return float(np.min(self.values))
-
-    @property
-    def maximum(self) -> float:
-        return float(np.max(self.values))
-
 
 def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
-                      T: float, n: int = DEFAULT_GRID) -> PeriodicOrbit1D:
+                      T: float) -> PeriodicOrbit1D:
     """The unique positive T-periodic solution of u' = u*(growth - damping*u).
 
     Exists iff the mean of ``growth`` is positive.  Built from the linear
@@ -95,7 +87,8 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     exactly, so T * mean(growth) may be any positive double: neither
     exp(A) nor exp(A(T)) - 1 has to be representable.  A(t) is exact (trig
     antiderivatives); the damping integral uses 8-node Gauss panels on a
-    uniform grid, accumulated by log-sum-exp.  The grid has ``n`` cells, or
+    uniform grid, each taken in logs, so it may lie below the double range,
+    and accumulated by log-sum-exp.  The grid has ``DEFAULT_GRID`` cells, or
     ceil(T * max|growth|) when that is more, so that A changes by at most
     1 over a cell; max|growth| is taken as its bound |mean| plus the
     harmonic amplitudes.  More than ``MAX_GRID`` cells raise
@@ -111,7 +104,7 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     if not cells <= MAX_GRID:
         raise GridTooLarge(f"T * max|growth| = {cells:.3e} needs more than the "
                            f"{MAX_GRID} grid cells allowed for the periodic logistic state")
-    n = max(n, math.ceil(cells))
+    n = max(DEFAULT_GRID, math.ceil(cells))
     ts = np.linspace(0.0, T, n + 1)
     A = np.asarray(growth.antiderivative(T, ts), dtype=float)
     # A(T) = T * lam exactly; the harmonics' sin(2*pi*k) rounds to ~1e-16,
@@ -125,11 +118,17 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
     flat = nodes.ravel()
     An = np.asarray(growth.antiderivative(T, flat), dtype=float).reshape(nodes.shape)
     peak = np.maximum(A[:-1], A[1:])
-    panel = half * ((damping.evaluate(T, flat).reshape(nodes.shape)
-                     * np.exp(An - peak[:, None])) @ _GAUSS_WEIGHTS)
-    if not np.all(panel > 0):
+    weighted = (damping.evaluate(T, flat).reshape(nodes.shape)
+                * np.exp(An - peak[:, None])) @ _GAUSS_WEIGHTS
+    if not np.all(weighted > 0):
         raise ValueError("damping must be strictly positive over the period")
-    log_panel = peak + np.log(panel)
+    panel = half * weighted
+    if np.all(panel >= _TINY):
+        log_panel = peak + np.log(panel)
+    else:
+        # the product lost bits below the normal range; log(half) from T
+        # alone, since half itself may be subnormal
+        log_panel = peak + (math.log(T) - math.log(2.0 * n)) + np.log(weighted)
 
     # theta = exp(A) / (B(T) / s + B) with B(t) = integral_0^t damping * exp(A) and
     # s = exp(a0) - 1, formed in logs: neither exp(A) nor s need be representable

@@ -29,7 +29,6 @@ import numpy as np
 from .coeffs import SystemSpec, ratio_extrema, stats
 from .jfunc import INF, check_exponent
 
-MEMBERSHIP_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 
 
@@ -215,8 +214,10 @@ def _curves(region: RegionSpec, x: float) -> tuple[float, float, float, float]:
     U, V = region.bounds.U, region.bounds.V
     powx = U * (x / U) ** p
     rem = region.abar - region.b_min * powx
-    top_a = V * (rem / (region.c_min * V)) ** (1.0 / p) if rem >= 0 else -math.inf
-    top_d = V * (base / (region.f_min * V)) ** (1.0 / p) if base >= 0 else -math.inf
+    # where c_min*V or f_min*V underflows to 0, divide by the factors in turn
+    cv, fv = region.c_min * V, region.f_min * V
+    top_a = V * (rem / cv if cv else rem / region.c_min / V) ** (1.0 / p) if rem >= 0 else -math.inf
+    top_d = V * (base / fv if fv else base / region.f_min / V) ** (1.0 / p) if base >= 0 else -math.inf
     return top_a, lo_a, top_d, (region.dbar + region.e_min * powx) / region.f_max
 
 
@@ -233,25 +234,8 @@ def _x_ceiling(region: RegionSpec) -> float:
     if region.p == 1.0:
         return region.abar / region.b_min
     U = region.bounds.U
-    return U * (region.abar / (region.b_min * U)) ** (1.0 / region.p)
-
-
-def envelope(region: RegionSpec) -> tuple[float, float]:
-    """Analytic (xmax, ymax) bounds enclosing the whole region.
-
-    The first upper curve decreases and the second increases in x, so the
-    y envelope is the smaller of their maxima over [0, xmax].
-    """
-    if region.p == INF:
-        return region.bounds.U, region.bounds.V
-    if region.p != 1.0 and (region.bounds.U <= 0 or region.bounds.V <= 0):
-        return 0.0, 0.0
-    xmax = _x_ceiling(region)
-    if xmax <= 0:
-        return 0.0, 0.0
-    top_a_start = _curves(region, 0.0)[0]
-    top_d_end = _curves(region, xmax)[2]
-    return xmax, max(min(top_a_start, top_d_end), 0.0)
+    bu = region.b_min * U  # as in _curves, b_min*U may underflow to 0
+    return U * (region.abar / bu if bu else region.abar / region.b_min / U) ** (1.0 / region.p)
 
 
 # Position of each finite-p boundary curve among the constraints (1)-(4),
@@ -281,7 +265,7 @@ def cp_slack(region: RegionSpec, x: float, y: float) -> float:
     """Minimal slack of the defining inequalities at (x, y).
 
     Positive inside, negative outside; positivity of x and y themselves is
-    not part of the slack and is checked by :func:`cp_contains`.
+    not part of the slack, so callers check it apart.
     """
     U, V = region.bounds.U, region.bounds.V
     if region.p == INF:
@@ -289,13 +273,6 @@ def cp_slack(region: RegionSpec, x: float, y: float) -> float:
     if x < 0 or y < 0 or (region.p != 1.0 and (U <= 0 or V <= 0)):
         return -math.inf
     return min(_constraints(region, x, y))
-
-
-def cp_contains(region: RegionSpec, x: float, y: float, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership test; boundary points within ``tol`` count as inside."""
-    if not (x > 0 and y > 0):
-        return False
-    return cp_slack(region, x, y) >= -tol
 
 
 def _golden_max_f(fn: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -418,7 +395,8 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
     elif p == 1.0:
         x_first = -region.dbar / region.e_min
     else:
-        x_first = U * (-region.dbar / (region.e_min * U)) ** (1.0 / p)
+        eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
+        x_first = U * (-region.dbar / eu if eu else -region.dbar / region.e_min / U) ** (1.0 / p)
     for label, x_start, x_end in (
         ("a_lower", 0.0, xmax),
         ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),

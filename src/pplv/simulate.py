@@ -47,6 +47,9 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 _BOUNDARY_FRACTION = 1e-8
 _ORBIT_SAMPLES = 512
+# Random starts of the multistart search, and the seed they are drawn with.
+MULTISTART_STARTS = 20
+MULTISTART_SEED = 0
 # Newton steps are clamped to this sup norm in log coordinates, and an
 # iterate with a log coordinate beyond _LOG_LIMIT is retired before the
 # exponential in the right-hand side can overflow.  Every coexistence orbit
@@ -113,10 +116,6 @@ class PeriodicOrbit2D:
         if self.periodicity_residual > TOL_PERIODIC_2D * scale:
             raise ValueError(
                 f"periodicity residual {self.periodicity_residual:.3e} too large")
-
-    @property
-    def start(self) -> np.ndarray:
-        return np.array([self.us[0], self.vs[0]])
 
     def component_max(self) -> tuple[float, float]:
         """Componentwise suprema over the period.
@@ -400,8 +399,6 @@ class PredictionReport:
     bounds: RegionBounds
     u_max: float
     v_max: float
-    u_slack: float
-    v_slack: float
     bounds_ok: bool
     memberships: tuple[MembershipCheck, ...]
 
@@ -420,8 +417,6 @@ def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D) -> PredictionRe
     region1 = region_spec(spec, 1.0)
     bounds = region1.bounds
     u_max, v_max = orbit.component_max()
-    u_slack = bounds.U - u_max
-    v_slack = bounds.V - v_max
     memberships = []
     for p in DEFAULT_MEMBERSHIP_PS:
         u_avg, v_avg = orbit_averages(orbit, p)
@@ -432,22 +427,21 @@ def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D) -> PredictionRe
     return PredictionReport(
         bounds=bounds,
         u_max=u_max, v_max=v_max,
-        u_slack=u_slack, v_slack=v_slack,
-        bounds_ok=(u_slack >= -_SLACK_TOL and v_slack >= -_SLACK_TOL),
+        bounds_ok=(bounds.U - u_max >= -_SLACK_TOL and bounds.V - v_max >= -_SLACK_TOL),
         memberships=tuple(memberships),
     )
 
 
-def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20,
-                                seed: int = 0) -> list[PeriodicOrbit2D]:
+def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     """Newton search from the averaged equilibrium and random seeds.
 
     The equilibrium of the averaged system, unless that is singular, and
-    ``n_starts`` points drawn uniformly from (0, U] x (0, V] advance together
-    in one batched Newton; failed or escaping searches (a non-positive
-    start fails unsolved) are dropped; converged starts are deduplicated
-    (distance below 1e-6) before each distinct orbit is sampled, and the
-    orbits are ordered lexicographically for schedule independence.
+    ``MULTISTART_STARTS`` points drawn uniformly from (0, U] x (0, V] with
+    seed ``MULTISTART_SEED`` advance together in one batched Newton; failed
+    or escaping searches (a non-positive start fails unsolved) are dropped;
+    converged starts are deduplicated (distance below 1e-6) before each
+    distinct orbit is sampled, and the orbits are ordered lexicographically
+    for schedule independence.
     """
     bounds = compute_uv(spec)
     if bounds.U <= 0 or bounds.V <= 0:
@@ -456,9 +450,9 @@ def find_coexistence_multistart(spec: SystemSpec, n_starts: int = 20,
         guesses = [np.array(equilibrium(spec))]
     except SingularSystem:
         guesses = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MULTISTART_SEED)
     guesses += [np.array([bounds.U * (1.0 - rng.random()), bounds.V * (1.0 - rng.random())])
-                for _ in range(n_starts)]
+                for _ in range(MULTISTART_STARTS)]
     starts: list[tuple[np.ndarray, float]] = []
     for outcome in _newton(spec, guesses, bounds):
         if isinstance(outcome, Exception):

@@ -62,3 +62,18 @@ def figure_region(p: float) -> RegionSpec:
                       b_min=1.0, b_max=2.0, c_min=1.0, c_max=2.0,
                       e_min=1.0, e_max=2.0, f_min=1.0, f_max=2.0,
                       bounds=RegionBounds(U=2.0, V=2.0))
+
+
+def format_config(spec: SystemSpec) -> str:
+    """Config text that ``pplv.cli.parse_config`` reads back as ``spec``;
+    numbers carry 17 significant digits."""
+    lines = ["[system]", f"T = {spec.T:.17g}"]
+    for name in "abcdef":
+        coef = getattr(spec, name)
+        lines.append(f"[{name}]")
+        if not coef.harmonics:
+            lines += ["kind = const", f"value = {coef.c0:.17g}"]
+        else:
+            lines += ["kind = trig", f"c0 = {coef.c0:.17g}"]
+            lines += [f"harmonic = {k}, {ck:.17g}, {sk:.17g}" for k, ck, sk in coef.harmonics]
+    return "\n".join(lines) + "\n"

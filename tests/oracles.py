@@ -10,7 +10,28 @@ import math
 
 import numpy as np
 
-from pplv.region import RegionSpec
+from pplv.jfunc import INF
+from pplv.region import RegionSpec, _curves, _x_ceiling
+
+
+def envelope(region: RegionSpec) -> tuple[float, float]:
+    """Analytic (xmax, ymax) bounds enclosing the whole region, from the
+    library's boundary curves: only the window of the grid scans below,
+    never a reference value.
+
+    The first upper curve decreases and the second increases in x, so the
+    y envelope is the smaller of their maxima over [0, xmax].
+    """
+    if region.p == INF:
+        return region.bounds.U, region.bounds.V
+    if region.p != 1.0 and (region.bounds.U <= 0 or region.bounds.V <= 0):
+        return 0.0, 0.0
+    xmax = _x_ceiling(region)
+    if xmax <= 0:
+        return 0.0, 0.0
+    top_a_start = _curves(region, 0.0)[0]
+    top_d_end = _curves(region, xmax)[2]
+    return xmax, max(min(top_a_start, top_d_end), 0.0)
 
 
 def region_mask(region: RegionSpec, X, Y):

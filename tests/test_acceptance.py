@@ -13,9 +13,9 @@ import pytest
 from scipy.special import ellipk
 
 from conftest import figure_region
-from oracles import grid_supxy
+from oracles import envelope, grid_supxy
 
-from pplv import cli
+from pplv import cli, simulate
 from pplv.constant_case import (
     check25,
     demo_constants,
@@ -27,7 +27,7 @@ from pplv.coeffs import PeriodicCoefficient, stats
 from pplv.criteria import condition18, condition19, intertwined_test, weak_intertwined_test
 from pplv.jfunc import INF, angular_integral, conjugate, threshold_p, threshold_q
 from pplv.logistic import periodic_logistic, weighted_average
-from pplv.region import compute_uv, envelope, region_spec, sup_linear, sup_xy
+from pplv.region import compute_uv, region_spec, sup_linear, sup_xy
 from pplv.simulate import (
     ASYMPTOTICALLY_STABLE,
     find_coexistence,
@@ -208,7 +208,7 @@ def test_criterion_07_floquet_and_uniqueness(eq30_spec):
     ref = liouville_determinant(eq30_spec, orbit)
     assert abs(det - ref) <= 1e-6 * abs(ref)
 
-    orbits = find_coexistence_multistart(eq30_spec, n_starts=20, seed=0)
+    orbits = find_coexistence_multistart(eq30_spec)  # 20 random starts, seed 0
     assert len(orbits) == 1  # distinct orbits are kept at distance >= 1e-6
 
     assert condition18(eq30_spec).passed and condition19(eq30_spec).passed
@@ -279,13 +279,14 @@ def test_criterion_10_endpoint_reductions(eq30_spec):
     ok(10, "p=1 and p=inf reductions agree with the endpoint formulas to 1e-12")
 
 
-def test_criterion_11_short_period_positive_path(eq30_spec_t01):
+def test_criterion_11_short_period_positive_path(eq30_spec_t01, monkeypatch):
     res = intertwined_test(eq30_spec_t01, INF)
     assert res.passed
     assert res.lhs == pytest.approx(0.3143, abs=1e-3)
     assert res.lhs <= math.pi
 
-    orbits = find_coexistence_multistart(eq30_spec_t01, n_starts=10, seed=0)
+    monkeypatch.setattr(simulate, "MULTISTART_STARTS", 10)
+    orbits = find_coexistence_multistart(eq30_spec_t01)
     assert len(orbits) == 1
     flo = floquet(orbits[0])
     assert flo.classification == ASYMPTOTICALLY_STABLE

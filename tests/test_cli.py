@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import const_spec, format_config
+
 import pplv.cli
 import pplv.region
 from pplv import constant_case
@@ -22,7 +24,6 @@ from pplv.cli import (
     ParseError,
     RunConfig,
     ValidationError,
-    format_config,
     main,
     parse_config,
     parse_p_list,
@@ -553,6 +554,41 @@ class TestMain:
         assert run.stdout == ""
         assert "RuntimeWarning" not in run.stderr
         assert not list((tmp_path / "o").glob("region_p*.csv"))
+
+    @pytest.mark.parametrize("values", [
+        dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300),
+        dict(T=1e-300, a=0.5, b=1e-100, c=1.0, d=1.0, e=1.0, f=1.0),
+        dict(T=1.0, a=2.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0),
+    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double"])
+    @pytest.mark.parametrize("command", ["analyze", "scan", "region", "example1", "simulate"])
+    def test_extreme_constants_in_process(self, tmp_path, capsys, command, values):
+        # In process, so a RuntimeWarning is an error here.  c_min * V rounded
+        # to 0 and divided the region curves by zero; T * b / 4096 rounded to 0
+        # and read as non-positive damping; h(200) overflowed long double and
+        # warned.  Each run ends in a report or in one error line.
+        cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
+        code = main(["--command", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == EXIT_ERROR:
+            assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        else:
+            assert code in (EXIT_STABLE, EXIT_INCONCLUSIVE, EXIT_NO_COEXISTENCE)
+
+    @pytest.mark.parametrize("values, command, code, line", [
+        (dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300), "analyze", EXIT_STABLE,
+         "conclusion: globally_stable_via_18_19"),
+        # the predator-only state is stable: lam = 0.5 <= avg(c * theta_mu) = 1
+        (dict(T=1e-300, a=0.5, b=1e-100, c=1.0, d=1.0, e=1.0, f=1.0), "analyze",
+         EXIT_NO_COEXISTENCE, "conclusion: no_coexistence"),
+        (dict(T=1.0, a=2.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0), "example1", EXIT_STABLE,
+         "  note: h or G overflows extended precision at p=200; its sign is not determined"),
+    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double"])
+    def test_extreme_constants_verdicts(self, tmp_path, capsys, values, command, code, line):
+        cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
+        assert main(["--command", command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == code
+        assert line in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("section, key", [
         ("kind = const\nvalue = 2.0102\nharmonic = 1, 0, 0.9", "harmonic"),

@@ -24,6 +24,7 @@ from pplv.criteria import (
     weak_intertwined_test,
 )
 from pplv.jfunc import INF, conjugate, threshold_p
+from pplv.logistic import periodic_logistic
 from pplv.region import compute_uv, region_spec, sup_linear, sup_xy
 
 C = PeriodicCoefficient.constant
@@ -361,8 +362,7 @@ class TestTinyMean:
         spec = SystemSpec(T=1.0, a=TRIG(abar, [(1, 1.0, 0.0)]), b=C(1.0), c=C(1.0),
                           d=C(0.0), e=C(1.0), f=C(1.0))
         report = scan_p(spec, [1.0, 2.0, 1e6, INF])
-        theta = report.classification.theta_lambda
-        assert theta is not None and theta.minimum > 0
+        assert np.min(periodic_logistic(spec.a, spec.b, spec.T).values) > 0
         assert all(math.isfinite(r.margin) for r in report.results)
         # the p-region approaches the box at the rate |log(abar/U)| / p
         big = next(r for r in report.results if r.name == "intertwined" and r.p == 1e6)

@@ -6,6 +6,7 @@ from conftest import const_spec
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import equilibrium
 from pplv.existence import classify_boundary
+from pplv.logistic import periodic_logistic
 
 C = PeriodicCoefficient.constant
 
@@ -13,15 +14,15 @@ C = PeriodicCoefficient.constant
 def test_trivial_state_stable_when_both_means_nonpositive():
     cls = classify_boundary(const_spec(-1, 1, 1, -1, 1, 1))
     assert cls.trivial_stable
-    assert cls.theta_lambda is None and cls.theta_mu is None
     assert cls.prey_only_stable is None and cls.predator_only_stable is None
     assert not cls.coexistence_exists
 
 
 def test_prey_only_state_unstable_for_classical_set():
-    cls = classify_boundary(const_spec(1, 1, 1, -0.5, 1, 1))
-    assert cls.theta_lambda is not None
-    assert np.max(np.abs(cls.theta_lambda.values - 1.0)) < 1e-10
+    spec = const_spec(1, 1, 1, -0.5, 1, 1)
+    cls = classify_boundary(spec)
+    theta = periodic_logistic(spec.a, spec.b, spec.T)
+    assert np.max(np.abs(theta.values - 1.0)) < 1e-10
     # mu = -0.5 > -avg(e * theta) = -1, so the prey-only state is unstable
     assert cls.prey_only_stable is False
     assert cls.coexistence_exists
@@ -31,7 +32,6 @@ def test_demo_constants_have_both_semitrivial_states(eq30_spec):
     cls = classify_boundary(eq30_spec)
     assert cls.lam == pytest.approx(2.0102)
     assert cls.mu == pytest.approx(2.0203)
-    assert cls.theta_lambda is not None and cls.theta_mu is not None
     assert cls.prey_only_stable is False and cls.predator_only_stable is False
     assert cls.coexistence_exists
 

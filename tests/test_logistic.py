@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from pplv import logistic
 from pplv.coeffs import PeriodicCoefficient
 from pplv.logistic import (
     DEFAULT_GRID,
@@ -47,16 +48,18 @@ def test_no_positive_solution_for_nonpositive_mean():
 def test_positivity_and_periodicity():
     orbit = periodic_logistic(TRIG(0.8, [(1, 0.5, -0.3), (2, 0.0, 0.2)]),
                               TRIG(1.0, [(1, 0.0, 0.4)]), 2.0)
-    assert orbit.minimum > 0
-    assert abs(orbit.values[0] - orbit.values[-1]) <= 1e-9 * orbit.maximum
+    assert np.min(orbit.values) > 0
+    assert abs(orbit.values[0] - orbit.values[-1]) <= 1e-9 * np.max(orbit.values)
 
 
 @pytest.mark.parametrize("seed, n", [
     *(pytest.param(seed, DEFAULT_GRID, id=f"{seed}") for seed in range(10)),
     *(pytest.param(seed, 64, id=f"{seed}-n64") for seed in range(10)),
 ])
-def test_logistic_identity_randomized(seed, n):
-    # avg(damping * orbit) must equal the growth mean
+def test_logistic_identity_randomized(seed, n, monkeypatch):
+    # avg(damping * orbit) must equal the growth mean, on the default grid
+    # and on a coarse one
+    monkeypatch.setattr(logistic, "DEFAULT_GRID", n)
     rng = np.random.default_rng(seed)
     c0 = rng.uniform(0.2, 2.0)
     growth = TRIG(c0, [(1, rng.uniform(-1, 1) * c0, rng.uniform(-1, 1) * c0),
@@ -64,7 +67,8 @@ def test_logistic_identity_randomized(seed, n):
     b0 = rng.uniform(0.5, 2.0)
     damping = TRIG(b0, [(1, rng.uniform(-0.4, 0.4) * b0, rng.uniform(-0.4, 0.4) * b0)])
     T = rng.uniform(0.4, 3.0)
-    orbit = periodic_logistic(growth, damping, T, n)
+    orbit = periodic_logistic(growth, damping, T)
+    assert len(orbit.ts) == n + 1
     assert weighted_average(damping, orbit) == pytest.approx(growth.mean, abs=1e-13)
 
 
@@ -80,7 +84,7 @@ def test_against_direct_integration():
     sol = solve_ivp(rhs, (0.0, T), [orbit.values[0]], t_eval=orbit.ts,
                     rtol=1e-12, atol=1e-14)
     assert sol.success
-    assert np.max(np.abs(sol.y[0] - orbit.values)) < 1e-8 * orbit.maximum
+    assert np.max(np.abs(sol.y[0] - orbit.values)) < 1e-8 * np.max(orbit.values)
 
 
 def test_weighted_average_examples():
@@ -111,7 +115,7 @@ def test_tiny_mean_growth(growth, T):
     # overflowed: both made the state non-positive; T * lam = 1.5e-324
     # rounds to 0, whose log s was a math domain error
     orbit = periodic_logistic(growth, C(1.0), T)
-    assert orbit.minimum > 0
+    assert np.min(orbit.values) > 0
     # u' = u*(a - u) has mean(a) = mean(theta) when b = 1
     assert weighted_average(C(1.0), orbit) == pytest.approx(growth.mean, rel=1e-6, abs=0)
 
@@ -137,8 +141,16 @@ def test_trig_growth_beyond_exp_range():
     # T * mean(growth) = 1000 with growth changing sign for part of the period
     growth = TRIG(2.5, [(1, 0.0, 3.0)])
     orbit = periodic_logistic(growth, C(1.0), 400.0)
-    assert orbit.minimum > 0
+    assert np.min(orbit.values) > 0
     assert weighted_average(C(1.0), orbit) == pytest.approx(2.5, rel=1e-12)
+
+
+def test_damping_integral_below_normal_range():
+    # T = 1e-300 and damping 1e-100: each Gauss panel's integral of the damping
+    # underflows to 0 in double, which read as non-positive damping
+    orbit = periodic_logistic(C(0.5), C(1e-100), 1e-300)
+    assert np.max(np.abs(orbit.values - 5e99)) <= 1e-10 * 5e99
+    assert weighted_average(C(1e-100), orbit) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_sign_changing_damping_rejected():

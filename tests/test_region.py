@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import const_spec, figure_region
-from oracles import grid_refine_max, grid_supxy, region_mask
+from oracles import envelope, grid_refine_max, grid_supxy, region_mask
 
 from pplv.constant_case import equilibrium
 from pplv.jfunc import INF
@@ -16,9 +16,7 @@ from pplv.region import (
     boundary_points,
     boundary_residual,
     compute_uv,
-    cp_contains,
     cp_slack,
-    envelope,
     region_spec,
     sup_linear,
     sup_xy,
@@ -51,27 +49,28 @@ class TestComputeUV:
 class TestMembership:
     def test_box_corner_inside(self, eq30_spec):
         reg = region_spec(eq30_spec, INF)
-        assert cp_contains(reg, reg.bounds.U, reg.bounds.V)
+        assert cp_slack(reg, reg.bounds.U, reg.bounds.V) >= -1e-12
 
     def test_box_corner_outside(self, eq30_spec):
         reg = region_spec(eq30_spec, INF)
-        assert not cp_contains(reg, reg.bounds.U + 0.01, reg.bounds.V)
+        assert cp_slack(reg, reg.bounds.U + 0.01, reg.bounds.V) < -1e-12
 
     def test_singleton_point_inside_at_p1(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
         reg = region_spec(eq30_spec, 1.0)
-        assert cp_contains(reg, x1, y1)
+        assert x1 > 0 and y1 > 0 and cp_slack(reg, x1, y1) >= -1e-12
 
     def test_nonpositive_coordinates_excluded(self, eq30_spec):
+        # a negative coordinate has no slack; on the axis x = 0 constraint
+        # (2) needs c_max*y >= abar, which y = 1 violates
         reg = region_spec(eq30_spec, 2.0)
-        assert not cp_contains(reg, 0.0, 1.0)
-        assert not cp_contains(reg, 1.0, -0.5)
+        assert cp_slack(reg, 0.0, 1.0) < -1e-12
+        assert cp_slack(reg, 1.0, -0.5) == -math.inf
 
     def test_boundary_tolerance(self):
         reg = figure_region(1.0)
         # (0.5, 1.5) sits on b_min*x + c_min*y = abar with zero slack
         assert cp_slack(reg, 0.5, 1.5) == pytest.approx(0.0, abs=1e-12)
-        assert cp_contains(reg, 0.5, 1.5)
 
 
 class TestSupXY:
@@ -108,7 +107,7 @@ class TestSupXY:
         for p in (1.5, 2.0, 4.0, 10.0):
             reg = region_spec(eq30_spec, p)
             res = sup_xy(reg)
-            assert cp_contains(reg, res.argmax[0], res.argmax[1], tol=1e-9)
+            assert min(res.argmax) > 0 and cp_slack(reg, *res.argmax) >= -1e-9
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 10.0, 100.0])
     def test_figure_parameters_nonempty_and_bounded(self, p):
@@ -314,7 +313,7 @@ class TestSupremumProperty:
             assert not res.empty
             assert res.value >= ref - 1e-12 * abs(ref)
             assert res.value == pytest.approx(objective(*res.argmax), rel=1e-12)
-            assert cp_contains(reg, res.argmax[0], res.argmax[1], tol=1e-9)
+            assert min(res.argmax) > 0 and cp_slack(reg, *res.argmax) >= -1e-9
 
     def test_flat_maximum_on_unit_disk(self):
         reg = UNIT_DISK

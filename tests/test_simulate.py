@@ -47,6 +47,11 @@ def constant_orbit(u, v, T=1.0, n=64):
                            monodromy=np.eye(2))
 
 
+def start(orbit):
+    """The orbit's state at t = 0."""
+    return np.array([orbit.us[0], orbit.vs[0]])
+
+
 def sampled_orbit(u, v, T, n):
     """Orbit of the periodic functions ``u``, ``v`` sampled on the n-cell grid."""
     ts = np.linspace(0.0, T, n + 1)
@@ -108,7 +113,7 @@ class TestFindCoexistence:
         # a seed deep in the prey-extinction basin: in log coordinates the
         # boundary u = 0 is infinitely far, and Newton reaches the saddle
         orbit = find_coexistence(saddle_spec, (1e-6, 0.4))
-        assert np.max(np.abs(orbit.start - (0.04870, 0.48906))) < 1e-5
+        assert np.max(np.abs(start(orbit) - (0.04870, 0.48906))) < 1e-5
         assert orbit.us.min() > 0.04
 
     def test_uniformly_tiny_component_rejected(self, classical_spec):
@@ -122,7 +127,7 @@ class TestFindCoexistence:
         for spec, guess in ((eq30_spec, (2.0, 2.0)), (classical_spec, (0.7, 0.3)),
                             (perturbed_spec, (2.0, 2.0))):
             orbit = find_coexistence(spec, guess)
-            residual = np.max(np.abs(poincare_map(spec, orbit.start) - orbit.start))
+            residual = np.max(np.abs(poincare_map(spec, start(orbit)) - start(orbit)))
             assert residual <= 1e-9
 
 
@@ -239,7 +244,7 @@ class TestVerifyPredictions:
         assert report.all_ok
         assert report.u_max == pytest.approx(equilibrium(eq30_spec)[0], abs=1e-8)
         assert report.bounds.U == pytest.approx(2.0102)
-        assert report.u_slack > 0 and report.v_slack > 0
+        assert report.u_max < report.bounds.U and report.v_max < report.bounds.V
 
     def test_classical_orbit(self, classical_spec):
         orbit = find_coexistence(classical_spec, (0.7, 0.3))
@@ -265,15 +270,16 @@ class TestVerifyPredictions:
 
 class TestMultistart:
     def test_demo_unique_orbit(self, eq30_spec):
-        orbits = find_coexistence_multistart(eq30_spec, n_starts=20, seed=0)
+        orbits = find_coexistence_multistart(eq30_spec)
         assert len(orbits) == 1
-        again = find_coexistence_multistart(eq30_spec, n_starts=20, seed=0)
-        assert np.allclose(orbits[0].start, again[0].start, atol=0)
+        again = find_coexistence_multistart(eq30_spec)
+        assert np.allclose(start(orbits[0]), start(again[0]), atol=0)
 
-    def test_stability_consistency_with_criteria(self, eq30_spec_t01):
+    def test_stability_consistency_with_criteria(self, eq30_spec_t01, monkeypatch):
         # a passing criterion must come with a Floquet-stable orbit
         assert intertwined_test(eq30_spec_t01, INF).passed
-        orbits = find_coexistence_multistart(eq30_spec_t01, n_starts=10, seed=0)
+        monkeypatch.setattr(simulate, "MULTISTART_STARTS", 10)
+        orbits = find_coexistence_multistart(eq30_spec_t01)
         assert len(orbits) == 1
         flo = floquet(orbits[0])
         assert flo.classification == ASYMPTOTICALLY_STABLE
@@ -281,7 +287,7 @@ class TestMultistart:
 
 class TestBatchedNewton:
     def test_saddle_multistart_finds_unstable_orbit(self, saddle_spec):
-        orbits = find_coexistence_multistart(saddle_spec, 20, 0)
+        orbits = find_coexistence_multistart(saddle_spec)
         assert len(orbits) == 1
         orbit = orbits[0]
         assert orbit.us.min() > 0.04
@@ -291,8 +297,8 @@ class TestBatchedNewton:
         det = np.linalg.det(orbit.monodromy)
         ref = liouville_determinant(saddle_spec, orbit)
         assert abs(det - ref) <= 1e-6 * abs(ref)
-        alone = find_coexistence(saddle_spec, orbit.start)
-        assert np.max(np.abs(alone.start - orbit.start)) <= 1e-9
+        alone = find_coexistence(saddle_spec, start(orbit))
+        assert np.max(np.abs(start(alone) - start(orbit))) <= 1e-9
 
     def test_one_batched_solve_per_iteration(self, perturbed_spec, monkeypatch):
         calls = []
@@ -303,7 +309,7 @@ class TestBatchedNewton:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "solve_ivp", counting)
-        orbits = find_coexistence_multistart(perturbed_spec, n_starts=20, seed=0)
+        orbits = find_coexistence_multistart(perturbed_spec)
         assert len(orbits) == 1
         # one batched solve per Newton iteration, one sampling solve per orbit
         assert len(calls) <= simulate.NEWTON_MAX_ITER + len(orbits)
@@ -324,7 +330,7 @@ class TestBatchedNewton:
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "solve_ivp", counting_solve)
-        orbits = find_coexistence_multistart(spec, n_starts=20, seed=0)
+        orbits = find_coexistence_multistart(spec)
         assert orbits
         searched = len(solves)
         for orbit in orbits:
@@ -334,10 +340,10 @@ class TestBatchedNewton:
         assert len(solves) <= len(iterations) + len(orbits)
 
     def test_batch_invariance(self, perturbed_spec):
-        orbits = find_coexistence_multistart(perturbed_spec, n_starts=20, seed=0)
+        orbits = find_coexistence_multistart(perturbed_spec)
         for orbit in orbits:
-            alone = find_coexistence(perturbed_spec, orbit.start)
-            assert np.max(np.abs(alone.start - orbit.start)) <= 1e-9
+            alone = find_coexistence(perturbed_spec, start(orbit))
+            assert np.max(np.abs(start(alone) - start(orbit))) <= 1e-9
 
     def test_failed_start_does_not_stop_the_batch(self, perturbed_spec, monkeypatch):
         # the solve fails whenever the start (7, 7) is in it
@@ -357,7 +363,7 @@ class TestBatchedNewton:
         monkeypatch.setattr(simulate, "solve_ivp", failing)
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_newton", two_starts)
-            orbits = find_coexistence_multistart(perturbed_spec, n_starts=0)
+            orbits = find_coexistence_multistart(perturbed_spec)
         assert len(orbits) == 1
         with pytest.raises(StepFailure):
             find_coexistence(perturbed_spec, (7.0, 7.0))
@@ -432,7 +438,7 @@ class TestOrbitInvariants:
             det = np.linalg.det(orbit.monodromy)
             ref = liouville_determinant(spec, orbit)
             assert abs(det - ref) <= 1e-6 * abs(ref)
-            assert np.max(np.abs(poincare_map(spec, orbit.start) - orbit.start)) <= 1e-9
+            assert np.max(np.abs(poincare_map(spec, start(orbit)) - start(orbit))) <= 1e-9
             assert verify_predictions(spec, orbit).all_ok
 
 
