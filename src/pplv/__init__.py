@@ -9,8 +9,10 @@ period-map fixed points and Floquet multipliers.
 from .coeffs import (
     CoeffStats,
     PeriodicCoefficient,
+    RegionBounds,
     SystemSpec,
     ZeroDenominator,
+    compute_uv,
     lp_norm,
     ratio_extrema,
     stats,
@@ -43,11 +45,9 @@ from .logistic import (
     weighted_average,
 )
 from .region import (
-    RegionBounds,
     RegionSpec,
     SupResult,
     boundary_points,
-    compute_uv,
     cp_slack,
     region_spec,
     sup_linear,
@@ -67,6 +67,5 @@ from .simulate import (
     poincare_map,
     verify_predictions,
 )
-from .summary import SystemSummary, summarize
 
 __version__ = "0.1.0"

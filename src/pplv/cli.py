@@ -203,11 +203,13 @@ def parse_p_list(text: str) -> tuple[float, ...]:
 
 
 def _p_token(p: float) -> str:
+    """``inf``, an integer below 1e16, or else the shortest text that reads
+    back as ``p`` (``1e+300``): distinct exponents never share a token."""
     if math.isinf(p):
         return "inf"
-    if p == int(p):
+    if p < 1e16 and p == int(p):
         return str(int(p))
-    return f"{p:g}"
+    return repr(p)
 
 
 def _load_spec(cfg: RunConfig) -> SystemSpec:
@@ -299,13 +301,13 @@ def cmd_scan(cfg: RunConfig, out) -> int:
 
 def cmd_region(cfg: RunConfig, out) -> int:
     spec = _load_spec(cfg)
-    region1 = region_spec(spec, 1.0)
-    bounds = region1.bounds
+    bounds = spec.bounds
     if not (math.isfinite(bounds.U) and math.isfinite(bounds.V)):
         # the boundary curves and suprema would be built from overflowed numbers
         raise ValidationError(
             f"component bounds overflow: U = {_fmt(bounds.U)}, V = {_fmt(bounds.V)}")
     print(f"U = {_fmt(bounds.U)}   V = {_fmt(bounds.V)}", file=out)
+    region1 = region_spec(spec)
     for p in cfg.exponents():
         reg = region1.at(p)
         sup = sup_xy(reg)
@@ -362,9 +364,9 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
         print(f"  multipliers: |m1| = {_fmt(mods[0])}, |m2| = {_fmt(mods[1])} "
               f"-> {flo.classification}", file=out)
         print(f"  det(monodromy) = {_fmt(det)}   trace-integral check = {_fmt(liou)}", file=out)
-        print(f"  component bounds: max u = {_fmt(report.u_max)} <= U = {_fmt(report.bounds.U)}: "
+        print(f"  component bounds: max u = {_fmt(report.u_max)} <= U = {_fmt(spec.bounds.U)}: "
               f"{report.bounds_ok}", file=out)
-        print(f"                    max v = {_fmt(report.v_max)} <= V = {_fmt(report.bounds.V)}", file=out)
+        print(f"                    max v = {_fmt(report.v_max)} <= V = {_fmt(spec.bounds.V)}", file=out)
         for m in report.memberships:
             print(f"  region membership p = {_p_token(m.p):<4}: averages = "
                   f"({_fmt(m.u_avg)}, {_fmt(m.v_avg)}), slack = {_fmt(m.slack)}, ok = {m.ok}",
@@ -405,7 +407,8 @@ def cmd_example1(cfg: RunConfig, out) -> int:
     p_last = _p_token(pattern.scan.rows[-1][0])
     print(f"sign pattern (G(1) > 0, G({_p_token(p_star)}) < 0, G({p_last}) > 0): "
           f"({pattern.g1_positive}, {pattern.gstar_negative}, {pattern.glarge_positive})", file=out)
-    print(f"large-p dominance check (V > r^2/U): {pattern.limit_positive_by_ratio}", file=out)
+    ratio_ok = pattern.limit_positive_by_ratio
+    print(f"large-p dominance check (V > r^2/U): {'skipped' if ratio_ok is None else ratio_ok}", file=out)
     for note in pattern.diagnostics:
         print(f"  note: {note}", file=out)
 

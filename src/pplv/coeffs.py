@@ -17,10 +17,15 @@ degree 2n, so its real zeros are the unit-circle roots of that polynomial
 a trig polynomial, and the numerator n'd - nd' of the derivative of a
 ratio n/d, are again trig polynomials: extrema are found by evaluating at
 the angles of their roots.
+
+A :class:`SystemSpec` computes the quantities every criterion reads once
+and keeps them: the extrema of b, c, e and f (``extrema``) and the
+a-priori component bounds U, V (``bounds``, from :func:`compute_uv`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -122,12 +127,22 @@ class CoeffStats:
 
 
 @dataclass(frozen=True)
+class RegionBounds:
+    """A-priori supremum bounds for the two components of any coexistence
+    state: U = max(a/b), V = max(d/f) + max(e/f) * U."""
+
+    U: float
+    V: float
+
+
+@dataclass(frozen=True)
 class SystemSpec:
     """Period T plus the six coefficients of the planar predator-prey system
 
         u' = u * (a - b*u - c*v),    v' = v * (d + e*u - f*v).
 
-    b, c, e and f must be strictly positive over the whole period.
+    b, c, e and f must be strictly positive over the whole period.  Their
+    extrema and the component bounds are computed at most once per system.
     """
 
     T: float
@@ -141,10 +156,19 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"period T must be a positive finite real, got {self.T!r}")
-        for name in ("b", "c", "e", "f"):
-            coef = getattr(self, name)
-            if stats(coef, self.T).minimum <= 0:
+        for name, ext in self.extrema.items():
+            if ext.minimum <= 0:
                 raise ValueError(f"coefficient {name} must be strictly positive on [0, T]")
+
+    @functools.cached_property
+    def extrema(self) -> dict[str, CoeffStats]:
+        """Minimum and maximum of b, c, e and f, keyed by name."""
+        return {name: stats(getattr(self, name), self.T) for name in "bcef"}
+
+    @functools.cached_property
+    def bounds(self) -> RegionBounds:
+        """The component bounds U, V (see :func:`compute_uv`)."""
+        return compute_uv(self)
 
 
 def _laurent(coef: PeriodicCoefficient, n: int) -> np.ndarray:
@@ -316,3 +340,11 @@ def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) 
     ts = np.append(_root_times(crit, T), 0.0)
     vals = num.evaluate(T, ts) / den.evaluate(T, ts)
     return float(vals.min()), float(vals.max())
+
+
+def compute_uv(spec: SystemSpec) -> RegionBounds:
+    """Component bounds from ratio extrema of the coefficients; read them
+    as ``spec.bounds``, which computes them once."""
+    U = ratio_extrema(spec.a, spec.b, spec.T)[1]
+    V = ratio_extrema(spec.d, spec.f, spec.T)[1] + ratio_extrema(spec.e, spec.f, spec.T)[1] * U
+    return RegionBounds(U=U, V=V)

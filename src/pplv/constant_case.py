@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import jfunc
 from .coeffs import PeriodicCoefficient, SystemSpec
-from .region import RegionBounds, compute_uv
 
 P_LARGE_DEFAULT = 200.0
 
@@ -84,12 +83,11 @@ class SignRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SignScan:
-    """Tabulated G-scan: one row per exponent, plus the shared constant k,
-    the component bounds and the exponents whose h or G left the extended
-    range (``overflow``)."""
+    """Tabulated G-scan: one row per exponent, plus the shared constant k
+    and the exponents whose h or G left the extended range (``overflow``).
+    The component bounds are the system's own ``spec.bounds``."""
 
     k: float
-    bounds: RegionBounds
     rows: tuple[SignRow, ...]
     overflow: tuple[float, ...] = ()
 
@@ -101,12 +99,13 @@ def sign_scan(spec: SystemSpec, ps) -> SignScan:
         G(p)     = (a/c)**2 * V**(p-1) - 4*(b/c) * h(p) / U**(p-1),
         delta(p) = V**(p-1) * G(p), which shares the sign of G(p).
 
-    k, U and V are computed once per scan.  h is evaluated in extended
-    precision, where it stays finite far beyond the double range (the demo
-    constants at T = 0.1 give h(200) ~ 1e1040), and G, whose two terms can
-    exceed their difference by many orders of magnitude (the demo
-    constants give terms near 1.6e5 whose difference is about +3.3 at
-    p = 1), is accumulated there before rounding once to double.  A row
+    k is computed once per scan; U and V are ``spec.bounds``.  h is
+    evaluated in extended precision, where it stays finite far beyond the
+    double range (the demo constants at T = 0.1 give h(200) ~ 1e1040), and
+    G, whose two terms can exceed their difference by many orders of
+    magnitude (the demo constants give terms near 1.6e5 whose difference
+    is about +3.3 at p = 1), is accumulated there before rounding once to
+    double.  A row
     whose terms overflow even there, or turn NaN, lists its exponent in
     ``overflow``; a value that only rounds to inf in double is not listed.
     """
@@ -114,10 +113,9 @@ def sign_scan(spec: SystemSpec, ps) -> SignScan:
         if getattr(spec, name).harmonics:
             raise ValueError(f"coefficient {name} is not constant")
     k = linear_term(spec)
-    bounds = compute_uv(spec)
     ld = np.longdouble
     a, b, c, e = (ld(getattr(spec, name).c0) for name in "abce")
-    U, V = ld(bounds.U), ld(bounds.V)
+    U, V = ld(spec.bounds.U), ld(spec.bounds.V)
     rows, overflow = [], []
     for p in ps:
         if not (math.isfinite(p) and p >= 1.0):
@@ -132,18 +130,19 @@ def sign_scan(spec: SystemSpec, ps) -> SignScan:
         if errors:
             overflow.append(float(p))
         rows.append(SignRow(float(p), float(h), bool(rhs >= 0), g, delta))
-    return SignScan(k=k, bounds=bounds, rows=tuple(rows), overflow=tuple(overflow))
+    return SignScan(k=k, rows=tuple(rows), overflow=tuple(overflow))
 
 
 @dataclass(frozen=True)
 class SignPattern:
     """Outcome of the three-point sign scan of G; the G values and sign
-    flags are the rows of ``scan``."""
+    flags are the rows of ``scan``.  ``limit_positive_by_ratio`` is None
+    when the ratio check was skipped (U <= 0)."""
 
     g1_positive: bool
     gstar_negative: bool
     glarge_positive: bool
-    limit_positive_by_ratio: bool
+    limit_positive_by_ratio: Optional[bool]
     diagnostics: tuple[str, ...]
     scan: SignScan
 
@@ -153,21 +152,28 @@ def check25(spec: SystemSpec, p_star: float) -> SignPattern:
 
     The large-p probe is cross-checked against the asymptotic dominance
     criterion V > r**2 / U with r = |threshold(inf)/T - k| / sqrt(c*e),
-    which decides the limit sign without overflow.
+    which decides the limit sign without overflow.  With U <= 0 no
+    coexistence state exists and the check has no meaning: it is skipped
+    with a note.
     """
     if not (1.0 < p_star < math.inf):
         raise ValueError("p_star must lie in (1, inf)")
     scan = sign_scan(spec, (1.0, p_star, P_LARGE_DEFAULT))
     one, star, large = scan.rows
-    r = abs(math.pi / spec.T - scan.k) / math.sqrt(spec.c.c0 * spec.e.c0)
-    ratio_ok = scan.bounds.V > r * r / scan.bounds.U
+    U, V = spec.bounds.U, spec.bounds.V
     diags = []
     if not one.sign_ok:
         diags.append("sign_ok false at p=1")
     if not star.sign_ok:
         diags.append(f"sign_ok false at p={p_star:g}")
-    if (large.g > 0) != ratio_ok:
-        diags.append("large-p sample disagrees with the asymptotic ratio check")
+    ratio_ok = None
+    if U > 0:
+        r = abs(math.pi / spec.T - scan.k) / math.sqrt(spec.c.c0 * spec.e.c0)
+        ratio_ok = V > r * r / U
+        if (large.g > 0) != ratio_ok:
+            diags.append("large-p sample disagrees with the asymptotic ratio check")
+    else:
+        diags.append("U <= 0, so no coexistence state exists; the large-p ratio check is skipped")
     for p in scan.overflow:
         diags.append(f"h or G overflows extended precision at p={p:g}; its sign is not determined")
     return SignPattern(

@@ -13,10 +13,12 @@ Four families of tests are evaluated:
 Passing any of the latter three at some p implies the coexistence state is
 unique and asymptotically stable.
 
-The shared inputs come from one :class:`SystemSummary` per system, which
-also holds the norm envelopes at every exponent of the grid; per
-exponent, the threshold and the supremum of x*y over the p-region are
-computed once and shared by the three tests.
+:func:`scan_p` evaluates all of them over an exponent grid.  The
+coefficient extrema and the bounds U, V come from the system itself
+(``SystemSpec.extrema`` and ``bounds``); the boundary classification,
+the p = 1 region, its linear supremum and the norm envelopes are
+computed once per scan, and per exponent the threshold and the supremum
+of x*y over the p-region are shared by the three tests.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import jfunc
-from .coeffs import SystemSpec, ratio_extrema
-from .existence import BORDERLINE_TOL, BoundaryClassification
-from .region import SupResult, sup_linear, sup_xy
-from .summary import SystemSummary, summarize
+from .coeffs import SystemSpec, lp_norm, ratio_extrema
+from .existence import BORDERLINE_TOL, BoundaryClassification, classify_boundary
+from .region import region_spec, sup_linear, sup_xy
 
 NO_COEXISTENCE = "no_coexistence"
 GLOBALLY_STABLE_VIA_18_19 = "globally_stable_via_18_19"
@@ -89,66 +90,19 @@ def condition19(spec: SystemSpec) -> TestResult:
     return _result("condition19", None, lhs=lhs, rhs=rhs, strict=True)
 
 
-def _intertwined(name: str, summary: SystemSummary, p: float, sxy: SupResult,
-                 slin: SupResult, threshold: float) -> TestResult:
-    diags = []
-    if not summary.classification.coexistence_exists:
-        diags.append("vacuous: no coexistence state exists")
-    if sxy.empty or slin.empty:
-        diags.append("empty region: vacuously satisfied")
-        return _result(name, p, lhs=0.0, rhs=threshold, diagnostics=diags)
-    r1 = summary.region1
-    lhs = summary.spec.T * (math.sqrt(max(r1.c_max * r1.e_max * sxy.value, 0.0))
-                            + 0.5 * slin.value)
-    return _result(name, p, lhs=lhs, rhs=threshold, diagnostics=diags)
-
-
-def _exponent_tests(summary: SystemSummary, p: float) -> tuple[TestResult, TestResult, TestResult]:
-    """The unified L^p, intertwined and weak intertwined tests at exponent p.
-
-    unified_lp:        lhs = T**(1/q) * sqrt(c_max*e_max*alpha_p*beta_p)
-                             + (1/2) * (b_max*alpha_1 + f_max*beta_1),
-                       with alpha/beta the independent norm envelopes of
-                       the two components;
-    intertwined:       lhs = T * ( sqrt(c_max*e_max * sup(x*y over the p-region))
-                                   + (1/2) * sup(b_max*x + f_max*y over the 1-region) );
-    weak_intertwined:  the same with both suprema over the p-region.
-
-    Each is compared with the p-threshold.  An empty region is a vacuous
-    pass: no coexistence state can exist.  The threshold, the x*y supremum
-    and the p-region, searched once for both suprema, are shared.
-    """
-    spec, r1 = summary.spec, summary.region1
-    threshold = jfunc.threshold_p(p)
-
-    alpha_p, beta_p = summary.envelopes[p]
-    alpha_1, beta_1 = summary.envelopes[1.0]
-    tq = spec.T ** (1.0 / jfunc.conjugate(p))  # T^0 = 1 when q is infinite
-    lhs = tq * math.sqrt(max(r1.c_max * r1.e_max * alpha_p * beta_p, 0.0)) \
-        + 0.5 * (r1.b_max * alpha_1 + r1.f_max * beta_1)
-    unified = _result("unified_lp", p, lhs=lhs, rhs=threshold)
-
-    rp = r1.at(p)
-    sxy = sup_xy(rp)
-    slin_p = summary.sup_linear1 if p == 1.0 else sup_linear(rp)
-    return (unified,
-            _intertwined("intertwined", summary, p, sxy, summary.sup_linear1, threshold),
-            _intertwined("weak_intertwined", summary, p, sxy, slin_p, threshold))
-
-
 def unified_lp_test(spec: SystemSpec, p: float) -> TestResult:
-    """Norm-envelope test at exponent p (see :func:`_exponent_tests`)."""
-    return _exponent_tests(summarize(spec, (p,)), p)[0]
+    """Norm-envelope test at exponent p (see :func:`scan_p`)."""
+    return scan_p(spec, (p,)).results[2]
 
 
 def intertwined_test(spec: SystemSpec, p: float) -> TestResult:
-    """Region-coupled test at exponent p (see :func:`_exponent_tests`)."""
-    return _exponent_tests(summarize(spec, (p,)), p)[1]
+    """Region-coupled test at exponent p (see :func:`scan_p`)."""
+    return scan_p(spec, (p,)).results[3]
 
 
 def weak_intertwined_test(spec: SystemSpec, p: float) -> TestResult:
-    """Variant with both suprema over the same p-region."""
-    return _exponent_tests(summarize(spec, (p,)), p)[2]
+    """Variant with both suprema over the same p-region (see :func:`scan_p`)."""
+    return scan_p(spec, (p,)).results[4]
 
 
 @dataclass(frozen=True)
@@ -164,34 +118,72 @@ class StabilityReport:
 def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     """Run every criterion over a grid of exponents and rank the outcome.
 
+    ``results`` holds condition18 and condition19, then, for each p of the
+    grid, the three exponent tests
+
+    unified_lp:        lhs = T**(1/q) * sqrt(c_max*e_max*alpha_p*beta_p)
+                             + (1/2) * (b_max*alpha_1 + f_max*beta_1),
+                       with alpha_p = ||a||_p / b_min and
+                       beta_p = ||d||_p / f_min + (e_max/f_min) * alpha_p
+                       the independent norm envelopes of the two components;
+    intertwined:       lhs = T * ( sqrt(c_max*e_max * sup(x*y over the p-region))
+                                   + (1/2) * sup(b_max*x + f_max*y over the 1-region) );
+    weak_intertwined:  the same with both suprema over the p-region.
+
+    Each is compared with the p-threshold.  An empty region is a vacuous
+    pass: no coexistence state can exist.  The boundary classification,
+    the p = 1 region with its linear supremum, and the norm envelopes
+    (one :func:`lp_norm` call each for a and d) are computed once per
+    call; per exponent, the threshold, the p-region (searched once for
+    both suprema) and its x*y supremum are shared by the three tests.
+
     Conclusion priority: both strict conditions passing dominates, then any
     exponent-test pass, then inconclusive; systems without coexistence
     states are reported as such regardless of test outcomes.
     """
     if not grid:
         raise ValueError("exponent grid must be nonempty")
-    summary = summarize(spec, grid)
-    cls = summary.classification
-    r18 = condition18(spec)
-    r19 = condition19(spec)
-    results: list[TestResult] = [r18, r19]
-    best_p: Optional[float] = None
-    best_margin = -math.inf
-    any_lp_pass = False
+    region1 = region_spec(spec)
+    cls = classify_boundary(spec)
+    slin1 = sup_linear(region1)
+    # every unified test reads the p = 1 envelopes beside its own
+    ps = tuple(dict.fromkeys((1.0, *grid)))
+    envelopes = {}
+    for p, norm_a, norm_d in zip(ps, lp_norm(spec.a, spec.T, ps), lp_norm(spec.d, spec.T, ps)):
+        alpha = norm_a / region1.b_min
+        envelopes[p] = alpha, norm_d / region1.f_min + (region1.e_max / region1.f_min) * alpha
+    ce = region1.c_max * region1.e_max
+    alpha_1, beta_1 = envelopes[1.0]
+    linear1 = 0.5 * (region1.b_max * alpha_1 + region1.f_max * beta_1)
+
+    results = [condition18(spec), condition19(spec)]
     for p in grid:
-        for res in _exponent_tests(summary, p):
-            results.append(res)
-            if res.passed:
-                any_lp_pass = True
-                if res.margin > best_margin:
-                    best_margin = res.margin
-                    best_p = p
+        threshold = jfunc.threshold_p(p)
+        alpha_p, beta_p = envelopes[p]
+        tq = spec.T ** (1.0 / jfunc.conjugate(p))  # T^0 = 1 when q is infinite
+        lhs = tq * math.sqrt(max(ce * alpha_p * beta_p, 0.0)) + linear1
+        results.append(_result("unified_lp", p, lhs=lhs, rhs=threshold))
+        rp = region1.at(p)
+        sxy = sup_xy(rp)
+        for name, slin in (("intertwined", slin1),
+                           ("weak_intertwined", slin1 if p == 1.0 else sup_linear(rp))):
+            diags = [] if cls.coexistence_exists else ["vacuous: no coexistence state exists"]
+            if sxy.empty or slin.empty:
+                diags.append("empty region: vacuously satisfied")
+                lhs = 0.0
+            else:
+                lhs = spec.T * (math.sqrt(max(ce * sxy.value, 0.0)) + 0.5 * slin.value)
+            results.append(_result(name, p, lhs=lhs, rhs=threshold, diagnostics=diags))
+    r18, r19 = results[:2]
+    # the first of the largest passing margins gives best_p
+    passing = [res for res in results[2:] if res.passed]
+    best_p = max(passing, key=lambda res: res.margin).p if passing else None
 
     if not cls.coexistence_exists:
         conclusion = NO_COEXISTENCE
     elif r18.passed and r19.passed:
         conclusion = GLOBALLY_STABLE_VIA_18_19
-    elif any_lp_pass:
+    elif passing:
         conclusion = UNIQUE_ASYMPTOTICALLY_STABLE
     else:
         conclusion = INCONCLUSIVE

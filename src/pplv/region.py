@@ -9,6 +9,10 @@ b_max*x + f_max*y over these regions.  For finite p the region is convex,
 so one search of its slices, shared by both suprema, bounds them in x, and
 each supremum is a unimodal search along the top of those slices.
 
+The extrema and (U, V) are those a :class:`SystemSpec` keeps
+(``extrema``, ``bounds``).  :func:`region_spec` builds the p = 1 region
+from them, and :meth:`RegionSpec.at` every other region of the system.
+
 The box is a valid but coarser enclosure than the finite-p regions, which
 approach it at the rate |log(abar/U)|/p.  Every finite-p region can be
 empty while the box is not: on the generated system analyze_trig/3/42
@@ -26,19 +30,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeffs import SystemSpec, ratio_extrema, stats
+from .coeffs import RegionBounds, SystemSpec, compute_uv  # noqa: F401 (region.compute_uv)
 from .jfunc import INF, check_exponent
 
 BOUNDARY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RegionBounds:
-    """A-priori supremum bounds for the two components of any coexistence
-    state: U = max(a/b), V = max(d/f) + max(e/f) * U."""
-
-    U: float
-    V: float
 
 
 class _Slices(NamedTuple):
@@ -56,8 +51,8 @@ class RegionSpec:
     """Everything that defines the admissible region for one exponent p.
 
     Holds the coefficient means (abar, dbar), the extrema of the four
-    positive coefficients, and the component bounds.  Constructed from a
-    SystemSpec via :func:`region_spec`, or directly for freestanding
+    positive coefficients, and the component bounds.  Constructed at p = 1
+    from a SystemSpec via :func:`region_spec`, or directly for freestanding
     parameter studies.  Only p varies between the regions of one system,
     so :meth:`at` derives each of them from the p = 1 region.
     """
@@ -157,28 +152,19 @@ class SupResult:
     degenerate: bool = False
 
 
-def compute_uv(spec: SystemSpec) -> RegionBounds:
-    """Component bounds from ratio extrema of the coefficients."""
-    U = ratio_extrema(spec.a, spec.b, spec.T)[1]
-    V = ratio_extrema(spec.d, spec.f, spec.T)[1] + ratio_extrema(spec.e, spec.f, spec.T)[1] * U
-    return RegionBounds(U=U, V=V)
-
-
-def region_spec(spec: SystemSpec, p: float) -> RegionSpec:
-    """Build the region data for one exponent from a full system."""
-    sb = stats(spec.b, spec.T)
-    sc = stats(spec.c, spec.T)
-    se = stats(spec.e, spec.T)
-    sf = stats(spec.f, spec.T)
+def region_spec(spec: SystemSpec) -> RegionSpec:
+    """The p = 1 region of a system, from its means, ``extrema`` and
+    ``bounds``; ``region_spec(spec).at(p)`` is the region at exponent p."""
+    sb, sc, se, sf = (spec.extrema[name] for name in "bcef")
     return RegionSpec(
-        p=p,
+        p=1.0,
         abar=spec.a.mean,
         dbar=spec.d.mean,
         b_min=sb.minimum, b_max=sb.maximum,
         c_min=sc.minimum, c_max=sc.maximum,
         e_min=se.minimum, e_max=se.maximum,
         f_min=sf.minimum, f_max=sf.maximum,
-        bounds=compute_uv(spec),
+        bounds=spec.bounds,
     )
 
 

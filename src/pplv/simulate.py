@@ -34,11 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from ._dop853 import Field, solve_ivp
-from .coeffs import SystemSpec
+from .coeffs import RegionBounds, SystemSpec
 from .constant_case import SingularSystem, equilibrium
 from .jfunc import INF, check_exponent
 from .logistic import check_uniform_grid, periodic_mean
-from .region import RegionBounds, compute_uv, cp_slack, region_spec
+from .region import cp_slack, region_spec
 
 TOL_ODE = 1e-10
 TOL_FLOQUET = 1e-8
@@ -330,12 +330,12 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2
 
     The one-guess call of the batched log-coordinate Newton (see the
     module docstring), retired once it leaves the a-priori box from
-    :func:`compute_uv`; convergence requires the fixed-point residual in
+    ``spec.bounds``; convergence requires the fixed-point residual in
     (u, v) to fall below 1e-10 in the sup norm.  Raises NonPositive,
     NoConvergence or StepFailure when the search fails, and NonPositive
     when it converges onto a one-species boundary state.
     """
-    outcome = _newton(spec, [np.asarray(guess, dtype=float)], compute_uv(spec))[0]
+    outcome = _newton(spec, [np.asarray(guess, dtype=float)], spec.bounds)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return _sample_orbit(spec, *outcome)
@@ -396,7 +396,6 @@ class MembershipCheck:
 class PredictionReport:
     """Empirical check of the component bounds and region membership."""
 
-    bounds: RegionBounds
     u_max: float
     v_max: float
     bounds_ok: bool
@@ -414,8 +413,8 @@ _SLACK_TOL = 1e-6
 def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D) -> PredictionReport:
     """Check max u <= U, max v <= V and p-average membership for each p of
     ``DEFAULT_MEMBERSHIP_PS``."""
-    region1 = region_spec(spec, 1.0)
-    bounds = region1.bounds
+    region1 = region_spec(spec)
+    bounds = spec.bounds
     u_max, v_max = orbit.component_max()
     memberships = []
     for p in DEFAULT_MEMBERSHIP_PS:
@@ -425,7 +424,6 @@ def verify_predictions(spec: SystemSpec, orbit: PeriodicOrbit2D) -> PredictionRe
         memberships.append(MembershipCheck(p=p, u_avg=u_avg, v_avg=v_avg,
                                            slack=slack, ok=ok))
     return PredictionReport(
-        bounds=bounds,
         u_max=u_max, v_max=v_max,
         bounds_ok=(bounds.U - u_max >= -_SLACK_TOL and bounds.V - v_max >= -_SLACK_TOL),
         memberships=tuple(memberships),
@@ -443,7 +441,7 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     distinct orbit is sampled, and the orbits are ordered lexicographically
     for schedule independence.
     """
-    bounds = compute_uv(spec)
+    bounds = spec.bounds
     if bounds.U <= 0 or bounds.V <= 0:
         return []
     try:

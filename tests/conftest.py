@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -77,3 +79,24 @@ def format_config(spec: SystemSpec) -> str:
             lines += ["kind = trig", f"c0 = {coef.c0:.17g}"]
             lines += [f"harmonic = {k}, {ck:.17g}, {sk:.17g}" for k, ck, sk in coef.harmonics]
     return "\n".join(lines) + "\n"
+
+
+def count_calls(monkeypatch, originals) -> Counter:
+    """Wrap each function in every pplv namespace that holds it; count calls."""
+    counts: Counter = Counter()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in originals.items():
+        wrapper = wrap(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name != "pplv" and not mod_name.startswith("pplv."):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts

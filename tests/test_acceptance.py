@@ -138,7 +138,7 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
         1.0: math.sqrt(ce * x1 * y1) + k,
         INF: math.sqrt(ce * bounds.U * bounds.V) + k,
     }
-    reg2 = region_spec(eq30_spec, 2.0)
+    reg2 = region_spec(eq30_spec).at(2.0)
     xmax, ymax = envelope(reg2)
     grid_val, _ = grid_supxy(reg2, xmax, ymax)
     refs[2.0] = math.sqrt(ce * grid_val) + k
@@ -162,7 +162,7 @@ def test_criterion_04_direct_intertwined_demo(eq30, eq30_spec):
     assert "authoritative" in buf.getvalue()
 
     # internal consistency between the region, threshold and closed-form paths
-    reg1 = region_spec(eq30_spec, 1.0)
+    reg1 = region_spec(eq30_spec)
     sup_lin = sup_linear(reg1)
     assert 0.5 * sup_lin.value == pytest.approx(k, abs=1e-6)
     for row in rows:
@@ -236,14 +236,14 @@ def test_criterion_08_logistic_identity():
 
 def test_criterion_09_region_oracle(eq30_spec):
     for p in (1.5, 2.0, 4.0):
-        reg = region_spec(eq30_spec, p)
+        reg = region_spec(eq30_spec).at(p)
         res = sup_xy(reg)
         xmax, ymax = envelope(reg)
         ref, _ = grid_supxy(reg, xmax, ymax)
         assert ref is not None
         assert abs(res.value - ref) <= 1e-4 * ref
 
-    reg_inf = region_spec(eq30_spec, INF)
+    reg_inf = region_spec(eq30_spec).at(INF)
     res_inf = sup_xy(reg_inf)
     assert res_inf.value == reg_inf.bounds.U * reg_inf.bounds.V
 
@@ -259,7 +259,7 @@ def test_criterion_09_region_oracle(eq30_spec):
 
 def test_criterion_10_endpoint_reductions(eq30_spec):
     res1 = intertwined_test(eq30_spec, 1.0)
-    reg1 = region_spec(eq30_spec, 1.0)
+    reg1 = region_spec(eq30_spec)
     T = eq30_spec.T
     c_max = stats(eq30_spec.c, T).maximum
     e_max = stats(eq30_spec.e, T).maximum

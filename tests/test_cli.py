@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_spec, format_config
+from conftest import const_spec, count_calls, format_config
 
 import pplv.cli
+import pplv.coeffs
 import pplv.region
 from pplv import constant_case
 from pplv.cli import (
@@ -281,7 +282,7 @@ class TestCommands:
             with path.open() as fh:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["curve_label", "x", "y"]
-            reg = region_spec(spec, p)
+            reg = region_spec(spec).at(p)
             for label, xs, ys in rows[1:]:
                 assert boundary_residual(reg, label, float(xs), float(ys)) <= 1e-9
 
@@ -300,7 +301,7 @@ class TestCommands:
             with (outdir / fname).open() as fh:
                 rows = list(csv.reader(fh))[1:]
             assert len(rows) == 1024
-            reg = region_spec(spec, p)
+            reg = region_spec(spec).at(p)
             scale = reg.abar + abs(reg.dbar)
             for label, xs, ys in rows:
                 assert boundary_residual(reg, label, float(xs), float(ys)) <= 1e-12 * scale
@@ -559,13 +560,16 @@ class TestMain:
         dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300),
         dict(T=1e-300, a=0.5, b=1e-100, c=1.0, d=1.0, e=1.0, f=1.0),
         dict(T=1.0, a=2.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0),
-    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double"])
+        dict(T=1.0, a=0.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0),
+    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double",
+            "U-is-zero"])
     @pytest.mark.parametrize("command", ["analyze", "scan", "region", "example1", "simulate"])
     def test_extreme_constants_in_process(self, tmp_path, capsys, command, values):
         # In process, so a RuntimeWarning is an error here.  c_min * V rounded
         # to 0 and divided the region curves by zero; T * b / 4096 rounded to 0
         # and read as non-positive damping; h(200) overflowed long double and
-        # warned.  Each run ends in a report or in one error line.
+        # warned; U = max(a/b) = 0 divided the large-p ratio check by zero.
+        # Each run ends in a report or in one error line.
         cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
         code = main(["--command", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
@@ -583,12 +587,47 @@ class TestMain:
          EXIT_NO_COEXISTENCE, "conclusion: no_coexistence"),
         (dict(T=1.0, a=2.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0), "example1", EXIT_STABLE,
          "  note: h or G overflows extended precision at p=200; its sign is not determined"),
-    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double"])
+        (dict(T=1.0, a=0.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0), "example1",
+         EXIT_NO_COEXISTENCE,
+         "  note: U <= 0, so no coexistence state exists; the large-p ratio check is skipped"),
+    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double",
+            "U-is-zero"])
     def test_extreme_constants_verdicts(self, tmp_path, capsys, values, command, code, line):
         cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
         assert main(["--command", command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == code
         assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", ["analyze", "region", "example1", "simulate"])
+    def test_each_command_computes_the_bounds_once(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        # the system keeps the extrema of b, c, e, f and the bounds U, V, so
+        # besides those four extrema only ratio_extrema's own check calls stats
+        counts = count_calls(monkeypatch, {"compute_uv": pplv.region.compute_uv,
+                                           "ratio_extrema": pplv.coeffs.ratio_extrema,
+                                           "stats": pplv.coeffs.stats})
+        code = main(["--command", command, "--config", str(write_cfg(tmp_path)),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_STABLE
+        assert counts["compute_uv"] == 1
+        assert counts["stats"] <= 4 + counts["ratio_extrema"]
+
+    @pytest.mark.parametrize("p, tokens", [
+        ("1,1.0000000001", ["1", "1.0000000001"]),
+        ("2,1e300", ["2", "1e+300"]),
+    ], ids=["near-1", "1e300"])
+    def test_region_exponent_tokens_are_distinct(self, tmp_path, capsys, p, tokens):
+        # with 6 significant digits both near-1 exponents printed as p = 1 and
+        # the second CSV overwrote the first; 1e300 printed all 301 digits
+        # and its file name was too long
+        outdir = tmp_path / "o"
+        code = main(["--command", "region", "--config", str(write_cfg(tmp_path)),
+                     "--p", p, "--out", str(outdir)])
+        assert code == EXIT_STABLE
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [ln.split(":")[0] for ln in lines] == [f"p = {t}" for t in tokens]
+        assert sorted(f.name for f in outdir.iterdir()) == sorted(
+            f"region_p{t}.csv" for t in tokens)
 
     @pytest.mark.parametrize("section, key", [
         ("kind = const\nvalue = 2.0102\nharmonic = 1, 0, 0.9", "harmonic"),

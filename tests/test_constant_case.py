@@ -175,7 +175,7 @@ class TestCheck25:
 class TestRegionCoincidence:
     def test_equilibrium_is_the_p1_singleton(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
-        reg1 = region_spec(eq30_spec, 1.0)
+        reg1 = region_spec(eq30_spec)
         assert x1 > 0 and y1 > 0 and cp_slack(reg1, x1, y1) >= -1e-12
         res = sup_xy(reg1)
         assert res.value == pytest.approx(x1 * y1, abs=1e-9)
@@ -183,7 +183,7 @@ class TestRegionCoincidence:
     def test_substitution_points_lie_on_first_boundary(self, eq30, eq30_spec):
         # y^p = c^{-1} V^{p-1} (a - b U^{1-p} x^p) parametrizes the first curve
         p = 2.0
-        reg = region_spec(eq30_spec, p)
+        reg = region_spec(eq30_spec).at(p)
         bounds = compute_uv(eq30_spec)
         U, V = bounds.U, bounds.V
         xs = np.linspace(0.1, U * 0.999, 50)
@@ -206,7 +206,7 @@ def _quadratic_max(spec, p: float, n: int = 20001):
     xs = ws ** (1.0 / p)
     ypow = V ** (p - 1) / c * (a - b * U ** (1.0 - p) * ws)
     ys = np.maximum(ypow, 0.0) ** (1.0 / p)
-    reg = region_spec(spec, p)
+    reg = region_spec(spec).at(p)
     mask = region_mask(reg, xs, ys)
     if not mask.any():
         return None, ok
@@ -245,7 +245,7 @@ class TestSignScan:
         scan = sign_scan(eq30_spec, [1.0, 2.0, 200.0])
         assert isinstance(scan, SignScan)
         assert scan.k == pytest.approx(K_REF, rel=1e-14)
-        assert scan.bounds == compute_uv(eq30_spec)
+        assert eq30_spec.bounds == compute_uv(eq30_spec)
         ps = [row[0] for row in scan.rows]
         assert ps == [1.0, 2.0, 200.0]
         signs = [row[3] > 0 for row in scan.rows]

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import const_spec
+from conftest import count_calls, const_spec
 
+import pplv.coeffs
+import pplv.existence
+import pplv.jfunc
+import pplv.logistic
+import pplv.region
 from pplv.coeffs import PeriodicCoefficient, SystemSpec, stats
 from pplv.constant_case import equilibrium, linear_term
 from pplv.criteria import (
@@ -169,7 +174,7 @@ class TestWeakIntertwined:
 class TestEndpointConsistency:
     def test_intertwined_p1_equals_direct_evaluation(self, eq30_spec):
         res = intertwined_test(eq30_spec, 1.0)
-        reg1 = region_spec(eq30_spec, 1.0)
+        reg1 = region_spec(eq30_spec)
         b_max = stats(eq30_spec.b, 1.0).maximum
         f_max = stats(eq30_spec.f, 1.0).maximum
         c_max = stats(eq30_spec.c, 1.0).maximum
@@ -339,7 +344,7 @@ class TestExponentContinuity:
         report = scan_p(spec, grid)
         res = {(r.name, r.p): r for r in report.results}
         assert all(math.isfinite(r.margin) and math.isfinite(r.lhs) for r in report.results)
-        region1 = region_spec(spec, 1.0)
+        region1 = region_spec(spec)
         nonempty = not (sup_xy(region1.at(1e6)).empty or sup_xy(region1.at(INF)).empty)
         for name in ("unified_lp", "intertwined", "weak_intertwined"):
             at1, near1 = res[name, 1.0], res[name, 1.0 + 1e-9]
@@ -368,3 +373,67 @@ class TestTinyMean:
         big = next(r for r in report.results if r.name == "intertwined" and r.p == 1e6)
         inf = next(r for r in report.results if r.name == "intertwined" and r.p == INF)
         assert abs(big.lhs - inf.lhs) <= 2.0 * abs(math.log(abar)) / 1e6 * inf.lhs
+
+
+GRID = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, INF)
+
+
+@pytest.fixture(scope="module")
+def two_harmonic_spec():
+    """All-trig system with two harmonics and a coexistence state."""
+    return SystemSpec(T=1.5, a=TRIG(1.5, [(1, 0.4, 0.1), (2, 0.0, 0.3)]),
+                      b=TRIG(1.0, [(1, 0.2, 0.0)]), c=TRIG(0.6, [(2, 0.0, 0.1)]),
+                      d=TRIG(0.4, [(1, 0.1, 0.2), (2, 0.15, 0.0)]),
+                      e=TRIG(0.8, [(1, 0.0, 0.2)]), f=TRIG(1.2, [(2, 0.3, 0.1)]))
+
+
+def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic_spec):
+    counts = count_calls(monkeypatch, {
+        "_feasible_end": pplv.region._feasible_end,
+        "_root_times": pplv.coeffs._root_times,
+        "classify_boundary": pplv.existence.classify_boundary,
+        "lp_norm": pplv.coeffs.lp_norm,
+        "periodic_logistic": pplv.logistic.periodic_logistic,
+        "region_spec": pplv.region.region_spec,
+        "sup_xy": pplv.region.sup_xy,
+        "threshold_p": pplv.jfunc.threshold_p,
+    })
+    report = scan_p(two_harmonic_spec, GRID)
+    assert report.classification.coexistence_exists
+    assert counts["classify_boundary"] == 1
+    # one lp_norm call each for a and d, which finds the zeros of the
+    # coefficient and of its derivative once for the whole grid
+    assert counts["lp_norm"] == 2
+    # the extrema of b, c, e and f were found when the system was built
+    assert counts["_root_times"] <= 18
+    assert counts["periodic_logistic"] <= 2
+    assert counts["region_spec"] == 1
+    assert counts["sup_xy"] == len(GRID)
+    assert counts["threshold_p"] == len(GRID)
+    # one search of each finite-p region, whose two ends bound both suprema
+    assert counts["_feasible_end"] == 2 * sum(p != INF for p in GRID)
+
+
+@pytest.mark.parametrize("name", ["two_harmonic_spec", "eq30_spec", "classical_spec",
+                                  "saddle_spec", "eq30_spec_t01"])
+def test_public_tests_equal_scan_results(request, name):
+    spec = request.getfixturevalue(name)
+    report = scan_p(spec, GRID)
+    by_key = {(res.name, res.p): res for res in report.results}
+    for p in GRID:
+        assert unified_lp_test(spec, p) == by_key["unified_lp", p]
+        assert intertwined_test(spec, p) == by_key["intertwined", p]
+        assert weak_intertwined_test(spec, p) == by_key["weak_intertwined", p]
+
+
+def test_region_at_changes_only_p(two_harmonic_spec):
+    region1 = region_spec(two_harmonic_spec)
+    assert region1.p == 1.0
+    assert region1.at(1.0) is region1
+    for p in GRID:
+        assert region1.at(p).p == p
+        assert dataclasses.replace(region1.at(p), p=1.0) == region1
+    with pytest.raises(ValueError):
+        region1.at(0.5)
+    with pytest.raises(ValueError):
+        region1.at(math.nan)

@@ -48,22 +48,22 @@ class TestComputeUV:
 
 class TestMembership:
     def test_box_corner_inside(self, eq30_spec):
-        reg = region_spec(eq30_spec, INF)
+        reg = region_spec(eq30_spec).at(INF)
         assert cp_slack(reg, reg.bounds.U, reg.bounds.V) >= -1e-12
 
     def test_box_corner_outside(self, eq30_spec):
-        reg = region_spec(eq30_spec, INF)
+        reg = region_spec(eq30_spec).at(INF)
         assert cp_slack(reg, reg.bounds.U + 0.01, reg.bounds.V) < -1e-12
 
     def test_singleton_point_inside_at_p1(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
-        reg = region_spec(eq30_spec, 1.0)
+        reg = region_spec(eq30_spec)
         assert x1 > 0 and y1 > 0 and cp_slack(reg, x1, y1) >= -1e-12
 
     def test_nonpositive_coordinates_excluded(self, eq30_spec):
         # a negative coordinate has no slack; on the axis x = 0 constraint
         # (2) needs c_max*y >= abar, which y = 1 violates
-        reg = region_spec(eq30_spec, 2.0)
+        reg = region_spec(eq30_spec).at(2.0)
         assert cp_slack(reg, 0.0, 1.0) < -1e-12
         assert cp_slack(reg, 1.0, -0.5) == -math.inf
 
@@ -75,7 +75,7 @@ class TestMembership:
 
 class TestSupXY:
     def test_box_corner_exact(self, eq30_spec):
-        reg = region_spec(eq30_spec, INF)
+        reg = region_spec(eq30_spec).at(INF)
         res = sup_xy(reg)
         assert res.value == reg.bounds.U * reg.bounds.V
         assert res.argmax == (reg.bounds.U, reg.bounds.V)
@@ -83,7 +83,7 @@ class TestSupXY:
 
     def test_constant_singleton_at_p1(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
-        res = sup_xy(region_spec(eq30_spec, 1.0))
+        res = sup_xy(region_spec(eq30_spec))
         assert not res.empty
         assert res.degenerate
         assert res.value == pytest.approx(x1 * y1, abs=1e-9)
@@ -91,12 +91,12 @@ class TestSupXY:
     def test_p2_between_singleton_and_box(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
         bounds = compute_uv(eq30_spec)
-        res = sup_xy(region_spec(eq30_spec, 2.0))
+        res = sup_xy(region_spec(eq30_spec).at(2.0))
         assert x1 * y1 - 1e-9 <= res.value <= bounds.U * bounds.V + 1e-9
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_matches_grid_refinement_oracle(self, eq30_spec, p):
-        reg = region_spec(eq30_spec, p)
+        reg = region_spec(eq30_spec).at(p)
         res = sup_xy(reg)
         xmax, ymax = envelope(reg)
         ref, _ = grid_supxy(reg, xmax, ymax)
@@ -105,7 +105,7 @@ class TestSupXY:
 
     def test_argmax_is_member(self, eq30_spec):
         for p in (1.5, 2.0, 4.0, 10.0):
-            reg = region_spec(eq30_spec, p)
+            reg = region_spec(eq30_spec).at(p)
             res = sup_xy(reg)
             assert min(res.argmax) > 0 and cp_slack(reg, *res.argmax) >= -1e-9
 
@@ -123,13 +123,13 @@ class TestSupXY:
     def test_huge_growth_ends(self, p):
         # abar = 1e308: the old bisection midpoint (inside + end) / 2
         # overflowed to inf and never met its tolerance
-        res = sup_xy(region_spec(const_spec(1e308, 1, 0.0051, 2.0203, 0.9898, 2), p))
+        res = sup_xy(region_spec(const_spec(1e308, 1, 0.0051, 2.0203, 0.9898, 2)).at(p))
         assert not res.empty
         assert res.value == math.inf
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_overflowing_x_range_is_unbounded(self, p):
-        reg = region_spec(const_spec(1e308, 1e-5, 0.0051, 2.0203, 0.9898, 2), p)
+        reg = region_spec(const_spec(1e308, 1e-5, 0.0051, 2.0203, 0.9898, 2)).at(p)
         assert reg.bounds.U == math.inf
         res = sup_xy(reg)
         assert not res.empty
@@ -137,7 +137,7 @@ class TestSupXY:
         assert all(math.isnan(v) for v in res.argmax)
 
     def test_empty_region_flagged(self):
-        res = sup_xy(region_spec(const_spec(-1, 1, 1, -1, 1, 1), 2.0))
+        res = sup_xy(region_spec(const_spec(-1, 1, 1, -1, 1, 1)).at(2.0))
         assert res.empty
         assert res.value == 0.0
 
@@ -145,21 +145,21 @@ class TestSupXY:
 class TestSupLinear:
     def test_demo_singleton(self, eq30_spec):
         x1, y1 = equilibrium(eq30_spec)
-        reg1 = region_spec(eq30_spec, 1.0)
+        reg1 = region_spec(eq30_spec)
         res = sup_linear(reg1)
         assert res.value == pytest.approx(1.0 * x1 + 2.0 * y1, abs=1e-9)
 
     def test_interval_region_linear_solve(self):
         # b_L = b_M etc. so the p = 1 region is the segment point (1, 2)
         spec = const_spec(3, 1, 1, 1, 1, 1)
-        reg1 = region_spec(spec, 1.0)
+        reg1 = region_spec(spec)
         res = sup_linear(reg1)
         assert res.value == pytest.approx(3.0, abs=1e-9)
         assert res.argmax[0] == pytest.approx(1.0, abs=1e-6)
         assert res.argmax[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_empty_region(self):
-        reg1 = region_spec(const_spec(-1, 1, 1, -1, 1, 1), 1.0)
+        reg1 = region_spec(const_spec(-1, 1, 1, -1, 1, 1))
         res = sup_linear(reg1)
         assert res.empty
 
@@ -173,7 +173,7 @@ class TestSupLinear:
 
 class TestBoundaryPoints:
     def test_demo_p2_counts_and_residuals(self, eq30_spec):
-        reg = region_spec(eq30_spec, 2.0)
+        reg = region_spec(eq30_spec).at(2.0)
         pts = boundary_points(reg, 100)
         assert not sup_xy(reg).empty
         assert len(pts) == 400
@@ -183,7 +183,7 @@ class TestBoundaryPoints:
             assert boundary_residual(reg, lab, x, y) <= 1e-9
 
     def test_residuals_against_raw_forms(self, eq30_spec):
-        reg = region_spec(eq30_spec, 2.0)
+        reg = region_spec(eq30_spec).at(2.0)
         pts = boundary_points(reg, 50)
         U, V, p = reg.bounds.U, reg.bounds.V, reg.p
         for lab, x, y in pts:
@@ -195,7 +195,7 @@ class TestBoundaryPoints:
                 assert val == pytest.approx(reg.dbar, abs=1e-9)
 
     def test_box_corner_present_at_p_inf(self, eq30_spec):
-        reg = region_spec(eq30_spec, INF)
+        reg = region_spec(eq30_spec).at(INF)
         pts = boundary_points(reg, 11)
         corner = (reg.bounds.U, reg.bounds.V)
         hits = [pt for _, x, y in pts for pt in [(x, y)] if pt == corner]
@@ -215,7 +215,7 @@ class TestBoundaryPoints:
     def test_clipped_curves_keep_full_count(self, classical_spec):
         # negative mean of d clips two curves at y = 0; each still carries
         # n samples on its admissible range
-        reg = region_spec(classical_spec, 2.0)
+        reg = region_spec(classical_spec).at(2.0)
         pts = boundary_points(reg, 40)
         counts = {}
         for lab, x, y in pts:
@@ -226,7 +226,7 @@ class TestBoundaryPoints:
 
     def test_needs_two_samples(self, eq30_spec):
         with pytest.raises(ValueError):
-            boundary_points(region_spec(eq30_spec, 2.0), 1)
+            boundary_points(region_spec(eq30_spec).at(2.0), 1)
 
 
 class TestOracleAgreement:

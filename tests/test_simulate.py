@@ -243,8 +243,8 @@ class TestVerifyPredictions:
         report = verify_predictions(eq30_spec, orbit)
         assert report.all_ok
         assert report.u_max == pytest.approx(equilibrium(eq30_spec)[0], abs=1e-8)
-        assert report.bounds.U == pytest.approx(2.0102)
-        assert report.u_max < report.bounds.U and report.v_max < report.bounds.V
+        assert eq30_spec.bounds.U == pytest.approx(2.0102)
+        assert report.u_max < eq30_spec.bounds.U and report.v_max < eq30_spec.bounds.V
 
     def test_classical_orbit(self, classical_spec):
         orbit = find_coexistence(classical_spec, (0.7, 0.3))
@@ -252,8 +252,8 @@ class TestVerifyPredictions:
         assert report.all_ok
         assert report.u_max == pytest.approx(0.75, abs=1e-8)
         assert report.v_max == pytest.approx(0.25, abs=1e-8)
-        assert report.bounds.U == pytest.approx(1.0)
-        assert report.bounds.V == pytest.approx(0.5)
+        assert classical_spec.bounds.U == pytest.approx(1.0)
+        assert classical_spec.bounds.V == pytest.approx(0.5)
 
     def test_perturbed_orbit(self, perturbed_spec):
         orbit = find_coexistence(perturbed_spec, (2.0, 2.0))
