@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 from . import constant_case, criteria, jfunc, simulate
 from .coeffs import PeriodicCoefficient, SystemSpec
 from .existence import classify_boundary
+from .jfunc import p_token
 from .logistic import GridTooLarge
 from .region import boundary_points, region_spec, sup_xy
 
@@ -202,16 +203,6 @@ def parse_p_list(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _p_token(p: float) -> str:
-    """``inf``, an integer below 1e16, or else the shortest text that reads
-    back as ``p`` (``1e+300``): distinct exponents never share a token."""
-    if math.isinf(p):
-        return "inf"
-    if p < 1e16 and p == int(p):
-        return str(int(p))
-    return repr(p)
-
-
 def _load_spec(cfg: RunConfig) -> SystemSpec:
     if cfg.system_file is None:
         raise ValidationError(f"command {cfg.command!r} requires --config")
@@ -240,7 +231,7 @@ def _conclusion_exit(conclusion: str) -> int:
 
 
 def _result_lines(res: criteria.TestResult) -> str:
-    p = "-" if res.p is None else _p_token(res.p)
+    p = "-" if res.p is None else p_token(res.p)
     flags = f"  [{'; '.join(res.diagnostics)}]" if res.diagnostics else ""
     status = "pass" if res.passed else "FAIL"
     return (f"  {res.name:<18} p={p:<5} lhs={_fmt(res.lhs):<24} "
@@ -263,12 +254,12 @@ def _print_report(report: criteria.StabilityReport, out) -> None:
     for res in report.results:
         print(_result_lines(res), file=out)
     if report.best_p is not None:
-        print(f"best exponent: p = {_p_token(report.best_p)}", file=out)
+        print(f"best exponent: p = {p_token(report.best_p)}", file=out)
     print(f"conclusion: {report.conclusion}", file=out)
 
 
 def _write_results_csv(cfg: RunConfig, report: criteria.StabilityReport) -> None:
-    rows = [[res.name, "-" if res.p is None else _p_token(res.p),
+    rows = [[res.name, "-" if res.p is None else p_token(res.p),
              _fmt(res.lhs), _fmt(res.rhs), _fmt(res.margin),
              "1" if res.passed else "0", ";".join(res.diagnostics)]
             for res in report.results]
@@ -290,7 +281,7 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     report = criteria.scan_p(spec, cfg.exponents())
     print("name,p,lhs,rhs,margin,passed", file=out)
     for res in report.results:
-        p = "-" if res.p is None else _p_token(res.p)
+        p = "-" if res.p is None else p_token(res.p)
         print(f"{res.name},{p},{_fmt(res.lhs)},{_fmt(res.rhs)},"
               f"{_fmt(res.margin)},{int(res.passed)}", file=out)
     print(f"conclusion: {report.conclusion}", file=out)
@@ -312,10 +303,10 @@ def cmd_region(cfg: RunConfig, out) -> int:
         reg = region1.at(p)
         sup = sup_xy(reg)
         rows = [[label, _fmt(x), _fmt(y)] for label, x, y in boundary_points(reg, 256)]
-        path = cfg.output_dir / f"region_p{_p_token(p)}.csv"
+        path = cfg.output_dir / f"region_p{p_token(p)}.csv"
         _write_csv(path, ["curve_label", "x", "y"], rows)
         status = "empty" if sup.empty else f"sup xy = {_fmt(sup.value)}"
-        print(f"p = {_p_token(p)}: {len(rows)} boundary points -> {path} ({status})", file=out)
+        print(f"p = {p_token(p)}: {len(rows)} boundary points -> {path} ({status})", file=out)
     return EXIT_STABLE
 
 
@@ -329,7 +320,7 @@ def cmd_jfunc(cfg: RunConfig, out) -> int:
     ps = cfg.exponents(default=DEFAULT_JFUNC_GRID)
     values = [jfunc.threshold_p(p) for p in ps]
     path = cfg.output_dir / "jfunc.csv"
-    _write_csv(path, ["p", "scriptF"], [[_p_token(p), _fmt(v)] for p, v in zip(ps, values)])
+    _write_csv(path, ["p", "scriptF"], [[p_token(p), _fmt(v)] for p, v in zip(ps, values)])
     print(f"{len(values)} threshold values -> {path}", file=out)
     print(f"threshold range: [{_fmt(min(values))}, {_fmt(max(values))}]", file=out)
     return EXIT_STABLE
@@ -368,7 +359,7 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
               f"{report.bounds_ok}", file=out)
         print(f"                    max v = {_fmt(report.v_max)} <= V = {_fmt(spec.bounds.V)}", file=out)
         for m in report.memberships:
-            print(f"  region membership p = {_p_token(m.p):<4}: averages = "
+            print(f"  region membership p = {p_token(m.p):<4}: averages = "
                   f"({_fmt(m.u_avg)}, {_fmt(m.v_avg)}), slack = {_fmt(m.slack)}, ok = {m.ok}",
                   file=out)
         if flo.classification != simulate.ASYMPTOTICALLY_STABLE:
@@ -403,9 +394,9 @@ def cmd_example1(cfg: RunConfig, out) -> int:
 
     print("p        h(p)                      sign_ok   G(p)                      delta(p)", file=out)
     for p, h, ok, g, delta in pattern.scan.rows:
-        print(f"{_p_token(p):<8} {_fmt(h):<25} {str(ok):<9} {_fmt(g):<25} {_fmt(delta)}", file=out)
-    p_last = _p_token(pattern.scan.rows[-1][0])
-    print(f"sign pattern (G(1) > 0, G({_p_token(p_star)}) < 0, G({p_last}) > 0): "
+        print(f"{p_token(p):<8} {_fmt(h):<25} {str(ok):<9} {_fmt(g):<25} {_fmt(delta)}", file=out)
+    p_last = p_token(pattern.scan.rows[-1][0])
+    print(f"sign pattern (G(1) > 0, G({p_token(p_star)}) < 0, G({p_last}) > 0): "
           f"({pattern.g1_positive}, {pattern.gstar_negative}, {pattern.glarge_positive})", file=out)
     ratio_ok = pattern.limit_positive_by_ratio
     print(f"large-p dominance check (V > r^2/U): {'skipped' if ratio_ok is None else ratio_ok}", file=out)
@@ -424,7 +415,7 @@ def cmd_example1(cfg: RunConfig, out) -> int:
 
     print(f"conclusion: {report.conclusion}", file=out)
     if cfg.emit_csv:
-        rows = [[_p_token(p), _fmt(h), str(int(ok)), _fmt(g), _fmt(delta)]
+        rows = [[p_token(p), _fmt(h), str(int(ok)), _fmt(g), _fmt(delta)]
                 for p, h, ok, g, delta in pattern.scan.rows]
         _write_csv(cfg.output_dir / "example1.csv",
                    ["p", "h", "sign_ok", "G", "delta"], rows)

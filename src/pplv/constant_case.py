@@ -165,7 +165,7 @@ def check25(spec: SystemSpec, p_star: float) -> SignPattern:
     if not one.sign_ok:
         diags.append("sign_ok false at p=1")
     if not star.sign_ok:
-        diags.append(f"sign_ok false at p={p_star:g}")
+        diags.append(f"sign_ok false at p={jfunc.p_token(p_star)}")
     ratio_ok = None
     if U > 0:
         r = abs(math.pi / spec.T - scan.k) / math.sqrt(spec.c.c0 * spec.e.c0)
@@ -175,7 +175,7 @@ def check25(spec: SystemSpec, p_star: float) -> SignPattern:
     else:
         diags.append("U <= 0, so no coexistence state exists; the large-p ratio check is skipped")
     for p in scan.overflow:
-        diags.append(f"h or G overflows extended precision at p={p:g}; its sign is not determined")
+        diags.append(f"h or G overflows extended precision at p={jfunc.p_token(p)}; its sign is not determined")
     return SignPattern(
         g1_positive=one.g > 0,
         gstar_negative=star.g < 0,

@@ -20,6 +20,9 @@ Successive terms have the ratio (k + n) / (2 + k + 2n) < 1/2 for k in
 [0, 1], so the series converges to double precision in at most ~55 terms,
 which are added with ``math.fsum``.  J(1) = 2*pi, and at q = inf (k = 0)
 every term after the first vanishes, so J(inf) is exactly 8.
+
+The module also holds the exponent checks and ``p_token``, the one text
+form of an exponent in every output.
 """
 
 from __future__ import annotations
@@ -37,6 +40,16 @@ def check_exponent(p: float) -> None:
     """Raise ValueError unless p lies in [1, inf]; NaN is rejected."""
     if not p >= 1.0:  # inf compares true, NaN false
         raise ValueError(f"exponent must lie in [1, inf], got {p!r}")
+
+
+def p_token(p: float) -> str:
+    """``inf``, an integer below 1e16, or else the shortest text that reads
+    back as ``p`` (``1e+300``): distinct exponents never share a token."""
+    if math.isinf(p):
+        return "inf"
+    if p < 1e16 and p == int(p):
+        return str(int(p))
+    return repr(p)
 
 
 def conjugate(p: float) -> float:

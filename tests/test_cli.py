@@ -629,6 +629,16 @@ class TestMain:
         assert sorted(f.name for f in outdir.iterdir()) == sorted(
             f"region_p{t}.csv" for t in tokens)
 
+    def test_example1_notes_keep_exponents_distinct(self, tmp_path, capsys):
+        # the notes used 6 significant digits, so p* = 1.0000000001 printed
+        # "sign_ok false at p=1" a second time
+        code = main(["--command", "example1", "--p", "1.0000000001",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_STABLE
+        notes = [ln for ln in capsys.readouterr().out.splitlines() if "sign_ok false" in ln]
+        assert notes == ["  note: sign_ok false at p=1",
+                         "  note: sign_ok false at p=1.0000000001"]
+
     @pytest.mark.parametrize("section, key", [
         ("kind = const\nvalue = 2.0102\nharmonic = 1, 0, 0.9", "harmonic"),
         ("kind = const\nvalue = 2.0102\nc0 = 2.0102", "c0"),
