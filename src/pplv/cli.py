@@ -20,12 +20,11 @@ reported margin is auditable and round-trips exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import constant_case, criteria, jfunc, simulate
 from .coeffs import PeriodicCoefficient, SystemSpec
@@ -213,12 +212,20 @@ def _load_spec(cfg: RunConfig) -> SystemSpec:
     return parse_config(text)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(path: Path, header: str, row: str, rows: Iterable[tuple]) -> None:
+    """Write the ``header`` line, then ``row % values`` for each tuple of
+    raw values in ``rows``, to ``path`` as one block in one ``write`` call.
+
+    ``row`` is a ``%`` template such as ``"%s,%.17g,%.17g"``; ``%.17g`` gives
+    the text of :func:`_fmt`.  No field the CLI writes needs CSV quoting:
+    labels, exponent tokens, test names, ``%.17g`` numbers and ``;``-joined
+    diagnostics hold no comma, quote or line break.
+    """
+    line = row + "\n"
+    text = header + "\n" + "".join([line % values for values in rows])
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def _conclusion_exit(conclusion: str) -> int:
@@ -259,12 +266,11 @@ def _print_report(report: criteria.StabilityReport, out) -> None:
 
 
 def _write_results_csv(cfg: RunConfig, report: criteria.StabilityReport) -> None:
-    rows = [[res.name, "-" if res.p is None else p_token(res.p),
-             _fmt(res.lhs), _fmt(res.rhs), _fmt(res.margin),
-             "1" if res.passed else "0", ";".join(res.diagnostics)]
+    rows = [(res.name, "-" if res.p is None else p_token(res.p), res.lhs, res.rhs, res.margin,
+             res.passed, ";".join(res.diagnostics))
             for res in report.results]
-    _write_csv(cfg.output_dir / "results.csv",
-               ["name", "p", "lhs", "rhs", "margin", "passed", "diagnostics"], rows)
+    _write_csv(cfg.output_dir / "results.csv", "name,p,lhs,rhs,margin,passed,diagnostics",
+               "%s,%s,%.17g,%.17g,%.17g,%d,%s", rows)
 
 
 def cmd_analyze(cfg: RunConfig, out) -> int:
@@ -302,9 +308,9 @@ def cmd_region(cfg: RunConfig, out) -> int:
     for p in cfg.exponents():
         reg = region1.at(p)
         sup = sup_xy(reg)
-        rows = [[label, _fmt(x), _fmt(y)] for label, x, y in boundary_points(reg, 256)]
+        rows = boundary_points(reg, 256)
         path = cfg.output_dir / f"region_p{p_token(p)}.csv"
-        _write_csv(path, ["curve_label", "x", "y"], rows)
+        _write_csv(path, "curve_label,x,y", "%s,%.17g,%.17g", rows)
         status = "empty" if sup.empty else f"sup xy = {_fmt(sup.value)}"
         print(f"p = {p_token(p)}: {len(rows)} boundary points -> {path} ({status})", file=out)
     return EXIT_STABLE
@@ -320,7 +326,7 @@ def cmd_jfunc(cfg: RunConfig, out) -> int:
     ps = cfg.exponents(default=DEFAULT_JFUNC_GRID)
     values = [jfunc.threshold_p(p) for p in ps]
     path = cfg.output_dir / "jfunc.csv"
-    _write_csv(path, ["p", "scriptF"], [[p_token(p), _fmt(v)] for p, v in zip(ps, values)])
+    _write_csv(path, "p,scriptF", "%s,%.17g", [(p_token(p), v) for p, v in zip(ps, values)])
     print(f"{len(values)} threshold values -> {path}", file=out)
     print(f"threshold range: [{_fmt(min(values))}, {_fmt(max(values))}]", file=out)
     return EXIT_STABLE
@@ -367,9 +373,8 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
         if not report.all_ok:
             all_verified = False
         if cfg.emit_csv:
-            rows = [[_fmt(t), _fmt(u), _fmt(v)]
-                    for t, u, v in zip(orbit.ts, orbit.us, orbit.vs)]
-            _write_csv(cfg.output_dir / f"orbit_{i}.csv", ["t", "u", "v"], rows)
+            _write_csv(cfg.output_dir / f"orbit_{i}.csv", "t,u,v", "%.17g,%.17g,%.17g",
+                       zip(orbit.ts.tolist(), orbit.us.tolist(), orbit.vs.tolist()))
     return EXIT_STABLE if (all_stable and all_verified) else EXIT_INCONCLUSIVE
 
 
@@ -415,10 +420,9 @@ def cmd_example1(cfg: RunConfig, out) -> int:
 
     print(f"conclusion: {report.conclusion}", file=out)
     if cfg.emit_csv:
-        rows = [[p_token(p), _fmt(h), str(int(ok)), _fmt(g), _fmt(delta)]
-                for p, h, ok, g, delta in pattern.scan.rows]
-        _write_csv(cfg.output_dir / "example1.csv",
-                   ["p", "h", "sign_ok", "G", "delta"], rows)
+        rows = [(p_token(p), h, ok, g, delta) for p, h, ok, g, delta in pattern.scan.rows]
+        _write_csv(cfg.output_dir / "example1.csv", "p,h,sign_ok,G,delta",
+                   "%s,%.17g,%d,%.17g,%.17g", rows)
     return _conclusion_exit(report.conclusion)
 
 

@@ -187,8 +187,14 @@ def check25(spec: SystemSpec, p_star: float) -> SignPattern:
 
 
 def demo_constants() -> SystemSpec:
-    """Bundled constants for which the sign scan certifies stability at
-    p* = 2 while both endpoint tests (p = 1 and p = inf) fail."""
+    """Bundled constants that show the paper's sign pattern G(1) > 0,
+    G(2) < 0, G(200) > 0.
+
+    The pattern certifies nothing here: sign_ok is false at p = 1 and 2, so
+    the negative G(2) does not carry over to the direct intertwined test,
+    which fails at p = 1, 2 and inf (margins -1.142, -0.520, -0.000996).
+    Conditions 18/19 alone give the verdict globally_stable_via_18_19.
+    """
     const = PeriodicCoefficient.constant
     return SystemSpec(T=1.0, a=const(2.0102), b=const(1.0), c=const(0.0051),
                       d=const(2.0203), e=const(0.9898), f=const(2.0))

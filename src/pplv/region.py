@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -347,32 +348,57 @@ def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> flo
     return abs(_constraints(region, x, y)[_CURVE_INDEX[label]])
 
 
+def _curve_samples(region: RegionSpec, label: str, xs: np.ndarray) -> np.ndarray:
+    """The labeled finite-p boundary curve at the samples ``xs``: the array
+    form of that entry of :func:`_curves`, with the same operations in the
+    same order; -inf marks an undefined top curve.  Callers hold an
+    ``np.errstate`` that silences overflow and the NaN of a negative base."""
+    p = region.p
+    if label == "a_upper":
+        return (region.abar - region.b_max * xs) / region.c_max
+    if p == 1.0:
+        if label == "a_lower":
+            return (region.abar - region.b_min * xs) / region.c_min
+        if label == "d_lower":
+            return (region.dbar + region.e_max * xs) / region.f_min
+        return (region.dbar + region.e_min * xs) / region.f_max
+    U, V = region.bounds.U, region.bounds.V
+    if label == "d_upper":
+        return (region.dbar + region.e_min * (U * (xs / U) ** p)) / region.f_max
+    if label == "a_lower":
+        rem, coef = region.abar - region.b_min * (U * (xs / U) ** p), region.c_min
+    else:
+        rem, coef = region.dbar + region.e_max * xs, region.f_min
+    cv = coef * V  # may underflow to 0, as in _curves
+    return np.where(rem >= 0, V * (rem / cv if cv else rem / coef / V) ** (1.0 / p), -np.inf)
+
+
 def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]]:
-    """``n`` samples per labeled boundary curve.
+    """``n`` samples per labeled boundary curve, as (label, x, y) tuples.
 
     Finite p yields four curves (the defining equalities); p = inf yields
-    the two box edges through the corner (U, V).  Each sample's y is
+    the two box edges through the corner (U, V).  Each curve is evaluated
+    over its whole ``np.linspace`` of x at once.  Each sample's y is
     clamped at 0 and the sample dropped unless that y is finite, so every
     point satisfies its defining equality to machine accuracy; the
-    ``region`` command writes exactly these.  The curves are sampled
-    whether or not the region is empty; ``sup_xy(region).empty`` tells.
+    ``region`` command writes exactly these.  numpy's vectorised ``pow``
+    may round y a few ulp apart from the scalar :func:`_curves`, and apart
+    between hosts.  The curves are sampled whether or not the region is
+    empty; ``sup_xy(region).empty`` tells.
     """
     if n < 2:
         raise ValueError("need at least two samples per curve")
-    pts: list[tuple[str, float, float]] = []
     p = region.p
     U, V = region.bounds.U, region.bounds.V
 
     if p == INF:
         if U > 0 and V > 0:
-            for yv in np.linspace(0.0, V, n):
-                pts.append(("x_equals_U", U, float(yv)))
-            for xv in np.linspace(0.0, U, n):
-                pts.append(("y_equals_V", float(xv), V))
-        return pts
+            return ([("x_equals_U", U, y) for y in np.linspace(0.0, V, n).tolist()]
+                    + [("y_equals_V", x, V) for x in np.linspace(0.0, U, n).tolist()])
+        return []
 
     if region.abar <= 0 or (p != 1.0 and (U <= 0 or V <= 0)):
-        return pts
+        return []
     xmax = _x_ceiling(region)
 
     # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0.
@@ -383,6 +409,7 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
     else:
         eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
         x_first = U * (-region.dbar / eu if eu else -region.dbar / region.e_min / U) ** (1.0 / p)
+    pts: list[tuple[str, float, float]] = []
     for label, x_start, x_end in (
         ("a_lower", 0.0, xmax),
         ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),
@@ -390,9 +417,10 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
         ("d_upper", x_first, xmax),
     ):
         if x_start <= x_end:
-            index = _CURVE_INDEX[label]
-            for xv in np.linspace(x_start, x_end, n):
-                yv = max(_curves(region, float(xv))[index], 0.0)
-                if math.isfinite(yv):
-                    pts.append((label, float(xv), yv))
+            xs = np.linspace(x_start, x_end, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ys = _curve_samples(region, label, xs)
+                ys = np.where(0.0 > ys, 0.0, ys)  # max(y, 0.0): keeps -0.0 and NaN
+            keep = np.isfinite(ys)
+            pts += zip(repeat(label), xs[keep].tolist(), ys[keep].tolist())
     return pts

@@ -19,8 +19,8 @@ def const_spec(a, b, c, d, e, f, T=1.0) -> SystemSpec:
 
 @pytest.fixture(scope="session")
 def eq30():
-    """The bundled demonstration constants (sign scan conclusive at p* = 2),
-    as plain numbers."""
+    """The bundled demonstration constants (sign pattern G(1) > 0, G(2) < 0,
+    G(200) > 0; sign_ok false at p = 1 and 2), as plain numbers."""
     return SimpleNamespace(T=1.0, a=2.0102, b=1.0, c=0.0051, d=2.0203, e=0.9898, f=2.0)
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from pplv.jfunc import INF
-from pplv.region import RegionSpec, _curves, _x_ceiling
+from pplv.region import _CURVE_INDEX, RegionSpec, _curves, _x_ceiling
 
 
 def envelope(region: RegionSpec) -> tuple[float, float]:
@@ -32,6 +32,48 @@ def envelope(region: RegionSpec) -> tuple[float, float]:
     top_a_start = _curves(region, 0.0)[0]
     top_d_end = _curves(region, xmax)[2]
     return xmax, max(min(top_a_start, top_d_end), 0.0)
+
+
+def boundary_points_loop(region: RegionSpec, n: int) -> list[tuple[str, float, float]]:
+    """The per-sample reference for ``pplv.region.boundary_points``: the same
+    curves, x ranges and clamping, with one scalar ``_curves`` call (Python's
+    libm ``pow``) per sample."""
+    pts: list[tuple[str, float, float]] = []
+    p = region.p
+    U, V = region.bounds.U, region.bounds.V
+
+    if p == INF:
+        if U > 0 and V > 0:
+            for yv in np.linspace(0.0, V, n):
+                pts.append(("x_equals_U", U, float(yv)))
+            for xv in np.linspace(0.0, U, n):
+                pts.append(("y_equals_V", float(xv), V))
+        return pts
+
+    if region.abar <= 0 or (p != 1.0 and (U <= 0 or V <= 0)):
+        return pts
+    xmax = _x_ceiling(region)
+
+    if region.dbar >= 0 or region.e_min <= 0:
+        x_first = 0.0
+    elif p == 1.0:
+        x_first = -region.dbar / region.e_min
+    else:
+        eu = region.e_min * U
+        x_first = U * (-region.dbar / eu if eu else -region.dbar / region.e_min / U) ** (1.0 / p)
+    for label, x_start, x_end in (
+        ("a_lower", 0.0, xmax),
+        ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),
+        ("d_lower", max(0.0, -region.dbar / region.e_max), xmax),
+        ("d_upper", x_first, xmax),
+    ):
+        if x_start <= x_end:
+            index = _CURVE_INDEX[label]
+            for xv in np.linspace(x_start, x_end, n):
+                yv = max(_curves(region, float(xv))[index], 0.0)
+                if math.isfinite(yv):
+                    pts.append((label, float(xv), yv))
+    return pts
 
 
 def region_mask(region: RegionSpec, X, Y):

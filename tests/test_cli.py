@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from conftest import const_spec, count_calls, format_config
 import pplv.cli
 import pplv.coeffs
 import pplv.region
-from pplv import constant_case
+import pplv.simulate
+from pplv import constant_case, criteria, jfunc
 from pplv.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -25,14 +27,15 @@ from pplv.cli import (
     ParseError,
     RunConfig,
     ValidationError,
+    _fmt,
     main,
     parse_config,
     parse_p_list,
     run_command,
 )
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
-from pplv.jfunc import INF
-from pplv.region import boundary_residual, region_spec
+from pplv.jfunc import INF, p_token
+from pplv.region import boundary_points, boundary_residual, region_spec
 
 EQ30_CFG = """\
 [system]
@@ -56,6 +59,14 @@ value = 0.9898
 kind = const
 value = 2
 """
+
+# the demo constants with a 1% sinusoidal modulation of the prey growth
+PERTURBED_CFG = EQ30_CFG.replace("[a]\nkind = const\nvalue = 2.0102",
+                                 "[a]\nkind = trig\nc0 = 2.0102\nharmonic = 1, 0, 0.01")
+
+# mean(d) = -10: no coexistence state, so every exponent test carries diagnostics
+NO_COEXISTENCE_CFG = EQ30_CFG.replace("[d]\nkind = const\nvalue = 2.0203",
+                                      "[d]\nkind = const\nvalue = -10")
 
 # a = 1e308 over b = 1e-5 makes U = V = inf
 HUGE_UV_CFG = EQ30_CFG.replace("value = 2.0102", "value = 1e308").replace(
@@ -103,6 +114,29 @@ def _tokens_match(line: str, expected: str, rel: float = 1e-12) -> bool:
         return False
     return all(float(a) == pytest.approx(float(b), rel=rel, abs=0)
                for a, b in zip(_NUMBER.findall(line), _NUMBER.findall(expected)))
+
+
+_CRITERION_LINE = re.compile(r"^  (\S+) +p=(\S+) +lhs=(\S+) +rhs=(\S+) +margin=(\S+) +"
+                             r"(pass|FAIL)(?:  \[(.*)\])?$")
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def capture_orbits(monkeypatch) -> list:
+    """Record the orbits that the simulate command reports."""
+    found = []
+    real = pplv.simulate.find_coexistence_multistart
+
+    def recording(spec):
+        orbits = real(spec)
+        found.extend(orbits)
+        return orbits
+
+    monkeypatch.setattr(pplv.simulate, "find_coexistence_multistart", recording)
+    return found
 
 
 def write_cfg(tmp_path: Path, text: str = EQ30_CFG, name: str = "sys.cfg") -> Path:
@@ -243,9 +277,7 @@ class TestCommands:
         assert "condition18" in text and "intertwined" in text
 
     def test_analyze_no_coexistence_exit_3(self, tmp_path):
-        text = EQ30_CFG.replace("[d]\nkind = const\nvalue = 2.0203",
-                                "[d]\nkind = const\nvalue = -10")
-        cfg_path = write_cfg(tmp_path, text)
+        cfg_path = write_cfg(tmp_path, NO_COEXISTENCE_CFG)
         out = io.StringIO()
         code = run_command(make_cfg("analyze", cfg_path, output_dir=tmp_path / "o"), out)
         assert code == EXIT_NO_COEXISTENCE
@@ -285,6 +317,74 @@ class TestCommands:
             reg = region_spec(spec).at(p)
             for label, xs, ys in rows[1:]:
                 assert boundary_residual(reg, label, float(xs), float(ys)) <= 1e-9
+
+    @pytest.mark.parametrize("config", [EQ30_CFG, NO_COEXISTENCE_CFG], ids=["demo", "no-coexistence"])
+    def test_analyze_results_csv_matches_stdout(self, tmp_path, config):
+        outdir = tmp_path / "o"
+        out = io.StringIO()
+        run_command(make_cfg("analyze", write_cfg(tmp_path, config), output_dir=outdir,
+                             emit_csv=True), out)
+        lines = [m.groups() for m in map(_CRITERION_LINE.match, out.getvalue().splitlines()) if m]
+        rows = read_csv(outdir / "results.csv")
+        assert rows[0] == ["name", "p", "lhs", "rhs", "margin", "passed", "diagnostics"]
+        assert len(lines) == 11 and len(rows) == 1 + len(lines)
+        for row, (name, p, lhs, rhs, margin, status, flags) in zip(rows[1:], lines):
+            diagnostics = "" if flags is None else flags.replace("; ", ";")
+            assert row == [name, p, lhs, rhs, margin, "1" if status == "pass" else "0", diagnostics]
+
+    def test_simulate_orbit_csv(self, tmp_path, monkeypatch):
+        orbits = capture_orbits(monkeypatch)
+        outdir = tmp_path / "o"
+        code = run_command(make_cfg("simulate", write_cfg(tmp_path, PERTURBED_CFG),
+                                    output_dir=outdir, emit_csv=True), io.StringIO())
+        assert code == EXIT_STABLE
+        assert len(orbits) == 1
+        rows = read_csv(outdir / "orbit_0.csv")
+        assert rows[0] == ["t", "u", "v"]
+        assert len(rows) == 1 + 513
+        assert [float(t) for t, _, _ in rows[1:]] == np.linspace(0.0, 1.0, 513).tolist()
+        assert [u for _, u, _ in rows[1:]] == [_fmt(u) for u in orbits[0].us]
+        assert [v for _, _, v in rows[1:]] == [_fmt(v) for v in orbits[0].vs]
+
+    @pytest.mark.parametrize("command", ["analyze", "scan", "region", "jfunc", "simulate",
+                                         "example1"])
+    def test_csv_files_match_csv_writer(self, tmp_path, monkeypatch, command):
+        # each file holds the fields the command computed, and is byte for
+        # byte what csv.writer writes for them: no field needs quoting
+        orbits = capture_orbits(monkeypatch)
+        outdir = tmp_path / "o"
+        run_command(make_cfg(command, write_cfg(tmp_path), output_dir=outdir, emit_csv=True),
+                    io.StringIO())
+        spec = parse_config(EQ30_CFG)
+        ps = (1.0, 2.0, INF)
+        if command in ("analyze", "scan"):
+            expected = {"results.csv": [["name", "p", "lhs", "rhs", "margin", "passed",
+                                         "diagnostics"]] + [
+                [res.name, "-" if res.p is None else p_token(res.p), _fmt(res.lhs),
+                 _fmt(res.rhs), _fmt(res.margin), str(int(res.passed)), ";".join(res.diagnostics)]
+                for res in criteria.scan_p(spec, ps).results]}
+        elif command == "region":
+            expected = {f"region_p{p_token(p)}.csv": [["curve_label", "x", "y"]] + [
+                [label, _fmt(x), _fmt(y)] for label, x, y in boundary_points(
+                    region_spec(spec).at(p), 256)] for p in ps}
+        elif command == "jfunc":
+            expected = {"jfunc.csv": [["p", "scriptF"]] + [
+                [p_token(p), _fmt(jfunc.threshold_p(p))] for p in ps]}
+        elif command == "simulate":
+            assert len(orbits) == 1
+            expected = {"orbit_0.csv": [["t", "u", "v"]] + [
+                [_fmt(t), _fmt(u), _fmt(v)] for t, u, v in zip(orbits[0].ts, orbits[0].us,
+                                                               orbits[0].vs)]}
+        else:
+            expected = {"example1.csv": [["p", "h", "sign_ok", "G", "delta"]] + [
+                [p_token(p), _fmt(h), str(int(ok)), _fmt(g), _fmt(delta)]
+                for p, h, ok, g, delta in constant_case.check25(spec, 2.0).scan.rows]}
+        assert sorted(f.name for f in outdir.iterdir()) == sorted(expected)
+        for name, fields in expected.items():
+            reference = io.StringIO()
+            csv.writer(reference, lineterminator="\n").writerows(fields)
+            assert (outdir / name).read_bytes().decode() == reference.getvalue()
+            assert read_csv(outdir / name) == fields
 
     def test_region_writes_every_sample_at_large_a(self, tmp_path):
         # a = 1e8: an absolute 1e-9 residual check once dropped 18 of these
@@ -399,9 +499,7 @@ class TestCommands:
         assert any(line.endswith("-> unstable") for line in lines)
 
     def test_simulate_no_coexistence_exit_3(self, tmp_path):
-        text = EQ30_CFG.replace("[d]\nkind = const\nvalue = 2.0203",
-                                "[d]\nkind = const\nvalue = -10")
-        cfg_path = write_cfg(tmp_path, text)
+        cfg_path = write_cfg(tmp_path, NO_COEXISTENCE_CFG)
         code = run_command(make_cfg("simulate", cfg_path,
                                     output_dir=tmp_path / "o"), io.StringIO())
         assert code == EXIT_NO_COEXISTENCE

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import const_spec, figure_region
-from oracles import envelope, grid_refine_max, grid_supxy, region_mask
+from oracles import boundary_points_loop, envelope, grid_refine_max, grid_supxy, region_mask
 
 from pplv.constant_case import equilibrium
 from pplv.jfunc import INF
@@ -292,6 +293,65 @@ def regions(draw):
                       b_min=b_min, b_max=b_max, c_min=c_min, c_max=c_max,
                       e_min=e_min, e_max=e_max, f_min=f_min, f_max=f_max,
                       bounds=RegionBounds(U=draw(st.floats(0.5, 4.0)), V=draw(st.floats(0.5, 4.0))))
+
+
+def _largest_term(region, label, x, y):
+    """Largest modulus among the terms of the labeled curve's defining
+    equality at the samples (x, y)."""
+    p, U, V = region.p, region.bounds.U, region.bounds.V
+    if p == INF:
+        return np.broadcast_to(U if label == "x_equals_U" else V, x.shape)
+    px = x if p == 1.0 else U * (x / U) ** p
+    py = y if p == 1.0 else V * (y / V) ** p
+    terms = {"a_lower": (region.abar, region.b_min * px, region.c_min * py),
+             "a_upper": (region.abar, region.b_max * x, region.c_max * y),
+             "d_lower": (region.dbar, region.e_max * x, region.f_min * py),
+             "d_upper": (region.dbar, region.e_min * px, region.f_max * y)}[label]
+    return np.max(np.abs(np.broadcast_arrays(*terms)), axis=0)
+
+
+def _assert_matches_per_sample_loop(reg):
+    """boundary_points warns of nothing, clamps y at 0, keeps the labels and
+    x values of the per-sample loop, and each sample lies on its curve."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pts = boundary_points(reg, 256)
+    assert all(y >= 0.0 for _, _, y in pts)
+    assert [(lab, x) for lab, x, _ in pts] == [
+        (lab, x) for lab, x, _ in boundary_points_loop(reg, 256)]
+    # y is compared by residual: where a curve meets y = 0, the root
+    # y = V*base**(1/p) turns one ulp of its base into many of y.  A
+    # sample is a rounded x and y, and the equality raises one of them
+    # to the power p, which multiplies their relative error by p.
+    bound = 4.0 * (1.0 if reg.p == INF else reg.p + 1.0) * np.finfo(float).eps
+    for label in {lab for lab, _, _ in pts}:
+        x = np.array([x for lab, x, _ in pts if lab == label])
+        y = np.array([y for lab, _, y in pts if lab == label])
+        with np.errstate(over="ignore", invalid="ignore"):  # in the other constraints
+            residual = boundary_residual(reg, label, x, y)
+            largest = _largest_term(reg, label, x, y)
+        assert np.all(residual <= bound * largest)
+
+
+class TestBoundaryPointsProperty:
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6), st.booleans(),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 200.0, INF]))
+    @settings(max_examples=150, deadline=None)
+    def test_constant_systems_match_per_sample_loop(self, exponents, dbar_negative, p):
+        # coefficient magnitudes log-uniform in [1e-3, 1e3]
+        a, b, c, d, e, f = (10.0 ** k for k in exponents)
+        _assert_matches_per_sample_loop(
+            region_spec(const_spec(a, b, c, -d if dbar_negative else d, e, f)).at(p))
+
+    @given(regions().filter(lambda reg: reg.e_min > 0 and abs(reg.dbar) >= 1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_spread_regions_match_per_sample_loop(self, reg):
+        # Coefficient spreads tell the min and max of each coefficient apart.
+        # e > 0 as in every system: at e_min = 0 the x range of d_upper
+        # admits samples below y = 0, which are clamped off the curve.  At
+        # x = 0 the d curves take dbar**(1/p), whose error from the rounded
+        # 1/p grows with |log dbar|, so |dbar| keeps the systems' scale.
+        _assert_matches_per_sample_loop(reg)
 
 
 class TestSupremumProperty:
