@@ -105,7 +105,7 @@ class RegionSpec:
         if self.abar <= 0 or (self.p != 1.0 and (U <= 0 or V <= 0)):
             return None
         # top_d is undefined left of -dbar/e_max once p > 1 (everywhere if
-        # dbar < 0 = e_max, where the gap is -inf and the region empty)
+        # dbar < 0 = e_max, where the top is negative and the region empty)
         x_lo = max(0.0, -self.dbar / self.e_max) if self.p != 1.0 and self.e_max > 0 else 0.0
         x_hi = _x_ceiling(self)
         if x_lo > x_hi:
@@ -125,10 +125,13 @@ class RegionSpec:
         if gap_max < -BOUNDARY_TOL * scale:
             return None
         if gap_max < 0.0:
-            # touching within tolerance: the region is the point of widest slice
+            # touching within tolerance: the region is the point of widest
+            # slice, unless a top curve is undefined there (p > 1, yhi < 0)
             ylo, yhi = _slice(self, x_g)
             y_g = 0.5 * (ylo + yhi)
-            return None if y_g <= 0 or x_g <= 0 else _Slices(True, (x_g, y_g))
+            if y_g <= 0 or x_g <= 0 or (yhi < 0 and self.p != 1.0):
+                return None
+            return _Slices(True, (x_g, y_g))
         # a degenerate region can still be a segment where two constraints
         # coincide, so it is searched like any other
         xa = _feasible_end(gap, x_g, x_lo, tol)
@@ -185,12 +188,18 @@ def region_spec(spec: SystemSpec) -> RegionSpec:
 # ---------------------------------------------------------------------------
 
 
-def _curves(region: RegionSpec, x: float) -> tuple[float, float, float, float]:
-    """(top_a, lo_a, top_d, lo_d) at x, the boundaries of constraints (1)-(4);
-    -inf marks an undefined top curve.
+def _curves(region: RegionSpec, x: float | np.ndarray):
+    """(top_a, lo_a, top_d, lo_d) at x, the boundaries of constraints (1)-(4),
+    for a float x or an ndarray of x alike.
 
-    Python's float power raises OverflowError where numpy returns inf, so
-    callers keep x within [0, _x_ceiling(region)].
+    Where the base of a top curve (rem or base below) is negative, the
+    curve is undefined and takes the negative root
+    -V*(|base|/(coef*V))**(1/p).  So a negative top marks an undefined one:
+    the slices compare it with ylo >= 0, the touching test of ``_slices``
+    rejects it, and ``boundary_points`` clamps it at 0.  Python's float
+    power raises OverflowError where numpy returns inf, so scalar callers
+    keep x within [0, _x_ceiling(region)]; array callers hold an
+    ``np.errstate`` that silences overflow.
     """
     p = region.p
     lo_a = (region.abar - region.b_max * x) / region.c_max
@@ -202,9 +211,9 @@ def _curves(region: RegionSpec, x: float) -> tuple[float, float, float, float]:
     powx = U * (x / U) ** p
     rem = region.abar - region.b_min * powx
     # where c_min*V or f_min*V underflows to 0, divide by the factors in turn
-    cv, fv = region.c_min * V, region.f_min * V
-    top_a = V * (rem / cv if cv else rem / region.c_min / V) ** (1.0 / p) if rem >= 0 else -math.inf
-    top_d = V * (base / fv if fv else base / region.f_min / V) ** (1.0 / p) if base >= 0 else -math.inf
+    cv, fv, root = region.c_min * V, region.f_min * V, 1.0 / p
+    top_a = ((rem >= 0) * 2.0 - 1.0) * V * abs(rem / cv if cv else rem / region.c_min / V) ** root
+    top_d = ((base >= 0) * 2.0 - 1.0) * V * abs(base / fv if fv else base / region.f_min / V) ** root
     return top_a, lo_a, top_d, (region.dbar + region.e_min * powx) / region.f_max
 
 
@@ -225,27 +234,30 @@ def _x_ceiling(region: RegionSpec) -> float:
     return U * (region.abar / bu if bu else region.abar / region.b_min / U) ** (1.0 / region.p)
 
 
-# Position of each finite-p boundary curve among the constraints (1)-(4),
-# in the tuples of both _curves and _constraints.
+# Position of each finite-p boundary curve in the tuple of _curves, by the
+# label of its constraint among (1)-(4).
 _CURVE_INDEX = {"a_lower": 0, "a_upper": 1, "d_lower": 2, "d_upper": 3}
 
 
-def _constraints(region: RegionSpec, x: float, y: float) -> tuple[float, float, float, float]:
-    """Signed values of the constraints (1)-(4) at (x, y) for finite p:
-    non-negative where each holds, zero on its boundary curve."""
-    p, abar, dbar = region.p, region.abar, region.dbar
-    if p == 1.0:
-        px, py = x, y
-    else:
-        U, V = region.bounds.U, region.bounds.V
-        px = U * (x / U) ** p
-        py = V * (y / V) ** p
-    return (
-        abar - (region.b_min * px + region.c_min * py),
-        region.b_max * x + region.c_max * y - abar,
-        dbar - (-region.e_max * x + region.f_min * py),
-        -region.e_min * px + region.f_max * y - dbar,
-    )
+def _constraint(region: RegionSpec, label: str, x, y):
+    """Signed value of the labeled constraint among (1)-(4) at (x, y) for
+    finite p, on scalars or arrays: non-negative where it holds, zero on its
+    boundary curve.  Only the powers that constraint uses are taken, so a
+    power that overflows in another constraint cannot raise here."""
+    p, U, V = region.p, region.bounds.U, region.bounds.V
+    if label == "a_upper":
+        return region.b_max * x + region.c_max * y - region.abar
+    if label == "a_lower":
+        px = x if p == 1.0 else U * (x / U) ** p
+        py = y if p == 1.0 else V * (y / V) ** p
+        return region.abar - (region.b_min * px + region.c_min * py)
+    if label == "d_lower":
+        py = y if p == 1.0 else V * (y / V) ** p
+        return region.dbar - (-region.e_max * x + region.f_min * py)
+    if label == "d_upper":
+        px = x if p == 1.0 else U * (x / U) ** p
+        return -region.e_min * px + region.f_max * y - region.dbar
+    raise ValueError(f"unknown boundary label {label!r}")
 
 
 def cp_slack(region: RegionSpec, x: float, y: float) -> float:
@@ -259,7 +271,7 @@ def cp_slack(region: RegionSpec, x: float, y: float) -> float:
         return min(U - x, V - y)
     if x < 0 or y < 0 or (region.p != 1.0 and (U <= 0 or V <= 0)):
         return -math.inf
-    return min(_constraints(region, x, y))
+    return min(_constraint(region, label, x, y) for label in _CURVE_INDEX)
 
 
 def _golden_max_f(fn: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -343,46 +355,22 @@ def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> flo
         return abs(x - region.bounds.U)
     if label == "y_equals_V":
         return abs(y - region.bounds.V)
-    if label not in _CURVE_INDEX:
-        raise ValueError(f"unknown boundary label {label!r}")
-    return abs(_constraints(region, x, y)[_CURVE_INDEX[label]])
-
-
-def _curve_samples(region: RegionSpec, label: str, xs: np.ndarray) -> np.ndarray:
-    """The labeled finite-p boundary curve at the samples ``xs``: the array
-    form of that entry of :func:`_curves`, with the same operations in the
-    same order; -inf marks an undefined top curve.  Callers hold an
-    ``np.errstate`` that silences overflow and the NaN of a negative base."""
-    p = region.p
-    if label == "a_upper":
-        return (region.abar - region.b_max * xs) / region.c_max
-    if p == 1.0:
-        if label == "a_lower":
-            return (region.abar - region.b_min * xs) / region.c_min
-        if label == "d_lower":
-            return (region.dbar + region.e_max * xs) / region.f_min
-        return (region.dbar + region.e_min * xs) / region.f_max
-    U, V = region.bounds.U, region.bounds.V
-    if label == "d_upper":
-        return (region.dbar + region.e_min * (U * (xs / U) ** p)) / region.f_max
-    if label == "a_lower":
-        rem, coef = region.abar - region.b_min * (U * (xs / U) ** p), region.c_min
-    else:
-        rem, coef = region.dbar + region.e_max * xs, region.f_min
-    cv = coef * V  # may underflow to 0, as in _curves
-    return np.where(rem >= 0, V * (rem / cv if cv else rem / coef / V) ** (1.0 / p), -np.inf)
+    return abs(_constraint(region, label, x, y))
 
 
 def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]]:
     """``n`` samples per labeled boundary curve, as (label, x, y) tuples.
 
     Finite p yields four curves (the defining equalities); p = inf yields
-    the two box edges through the corner (U, V).  Each curve is evaluated
-    over its whole ``np.linspace`` of x at once.  Each sample's y is
+    the two box edges through the corner (U, V).  Each finite-p curve is
+    that entry of :func:`_curves` over its own ``np.linspace`` of x, on the
+    part of [0, xmax] where the curve lies at y >= 0, and one call
+    evaluates the rows of all four; a d curve that lies below y = 0 for
+    every x (e = 0 and dbar < 0) is not sampled.  Each sample's y is
     clamped at 0 and the sample dropped unless that y is finite, so every
     point satisfies its defining equality to machine accuracy; the
     ``region`` command writes exactly these.  numpy's vectorised ``pow``
-    may round y a few ulp apart from the scalar :func:`_curves`, and apart
+    may round y a few ulp apart from libm's on a float x, and apart
     between hosts.  The curves are sampled whether or not the region is
     empty; ``sup_xy(region).empty`` tells.
     """
@@ -401,26 +389,36 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
         return []
     xmax = _x_ceiling(region)
 
-    # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0.
-    if region.dbar >= 0 or region.e_min <= 0:
-        x_first = 0.0
-    elif p == 1.0:
-        x_first = -region.dbar / region.e_min
+    # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0;
+    # at e = 0 and dbar < 0 a d curve lies below y = 0 everywhere (None).
+    dbar = region.dbar
+    if dbar >= 0:
+        d_lower_start = d_upper_start = 0.0
     else:
-        eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
-        x_first = U * (-region.dbar / eu if eu else -region.dbar / region.e_min / U) ** (1.0 / p)
-    pts: list[tuple[str, float, float]] = []
-    for label, x_start, x_end in (
+        d_lower_start = -dbar / region.e_max if region.e_max > 0 else None
+        if region.e_min <= 0:
+            d_upper_start = None
+        elif p == 1.0:
+            d_upper_start = -dbar / region.e_min
+        else:
+            eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
+            d_upper_start = U * (-dbar / eu if eu else -dbar / region.e_min / U) ** (1.0 / p)
+    ranges = [(label, x_start, x_end) for label, x_start, x_end in (
         ("a_lower", 0.0, xmax),
         ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),
-        ("d_lower", max(0.0, -region.dbar / region.e_max), xmax),
-        ("d_upper", x_first, xmax),
-    ):
-        if x_start <= x_end:
-            xs = np.linspace(x_start, x_end, n)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ys = _curve_samples(region, label, xs)
-                ys = np.where(0.0 > ys, 0.0, ys)  # max(y, 0.0): keeps -0.0 and NaN
-            keep = np.isfinite(ys)
-            pts += zip(repeat(label), xs[keep].tolist(), ys[keep].tolist())
+        ("d_lower", d_lower_start, xmax),
+        ("d_upper", d_upper_start, xmax),
+    ) if x_start is not None and x_start <= x_end]
+    labels = [label for label, _, _ in ranges]
+    # one row of x per curve, each from its own linspace: a linspace over
+    # arrays of ends rounds every row apart once one row has zero width
+    xs = np.array([np.linspace(x_start, x_end, n) for _, x_start, x_end in ranges])
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = _curves(region, xs)
+        ys = np.array([curves[_CURVE_INDEX[label]][row] for row, label in enumerate(labels)])
+        ys = np.where(0.0 > ys, 0.0, ys)  # max(y, 0.0): keeps -0.0 and NaN
+    keep = np.isfinite(ys)
+    pts: list[tuple[str, float, float]] = []
+    for row, label in enumerate(labels):
+        pts += zip(repeat(label), xs[row][keep[row]].tolist(), ys[row][keep[row]].tolist())
     return pts

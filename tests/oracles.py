@@ -54,20 +54,26 @@ def boundary_points_loop(region: RegionSpec, n: int) -> list[tuple[str, float, f
         return pts
     xmax = _x_ceiling(region)
 
-    if region.dbar >= 0 or region.e_min <= 0:
-        x_first = 0.0
-    elif p == 1.0:
-        x_first = -region.dbar / region.e_min
+    # at e = 0 and dbar < 0 a d curve lies below y = 0 everywhere (None)
+    dbar = region.dbar
+    if dbar >= 0:
+        d_lower_start = d_upper_start = 0.0
     else:
-        eu = region.e_min * U
-        x_first = U * (-region.dbar / eu if eu else -region.dbar / region.e_min / U) ** (1.0 / p)
+        d_lower_start = -dbar / region.e_max if region.e_max > 0 else None
+        if region.e_min <= 0:
+            d_upper_start = None
+        elif p == 1.0:
+            d_upper_start = -dbar / region.e_min
+        else:
+            eu = region.e_min * U
+            d_upper_start = U * (-dbar / eu if eu else -dbar / region.e_min / U) ** (1.0 / p)
     for label, x_start, x_end in (
         ("a_lower", 0.0, xmax),
         ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),
-        ("d_lower", max(0.0, -region.dbar / region.e_max), xmax),
-        ("d_upper", x_first, xmax),
+        ("d_lower", d_lower_start, xmax),
+        ("d_upper", d_upper_start, xmax),
     ):
-        if x_start <= x_end:
+        if x_start is not None and x_start <= x_end:
             index = _CURVE_INDEX[label]
             for xv in np.linspace(x_start, x_end, n):
                 yv = max(_curves(region, float(xv))[index], 0.0)

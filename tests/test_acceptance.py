@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from conftest import figure_region
+from conftest import const_spec, figure_region, format_config
 from oracles import envelope, grid_supxy
 
 from pplv import cli, simulate
@@ -24,7 +24,14 @@ from pplv.constant_case import (
     sign_scan,
 )
 from pplv.coeffs import PeriodicCoefficient, stats
-from pplv.criteria import condition18, condition19, intertwined_test, weak_intertwined_test
+from pplv.criteria import (
+    UNIQUE_ASYMPTOTICALLY_STABLE,
+    condition18,
+    condition19,
+    intertwined_test,
+    scan_p,
+    weak_intertwined_test,
+)
 from pplv.jfunc import INF, angular_integral, conjugate, threshold_p, threshold_q
 from pplv.logistic import periodic_logistic, weighted_average
 from pplv.region import compute_uv, region_spec, sup_linear, sup_xy
@@ -292,3 +299,33 @@ def test_criterion_11_short_period_positive_path(eq30_spec_t01, monkeypatch):
     assert flo.classification == ASYMPTOTICALLY_STABLE
     ok(11, f"T=0.1 test passes (lhs={res.lhs:.4f} <= pi) and the orbit is "
            "Floquet-stable")
+
+
+def test_criterion_12_interior_exponent_certifies(tmp_path):
+    # a constant system that only an interior exponent certifies: condition
+    # 19 fails, and the direct test fails at both ends p = 1 and p = inf but
+    # passes at p = 1.5, 2 and 3 (best at 2); the other two exponent tests
+    # fail at every p
+    spec = const_spec(T=0.53044, a=1.48869, b=0.08683, c=0.07412, d=0.74638, e=0.44884,
+                      f=0.33023)
+    grid = (1.0, 1.5, 2.0, 3.0, INF)
+    report = scan_p(spec, grid)
+    passed = {(res.name, res.p): res.passed for res in report.results}
+    assert passed[("condition18", None)] and not passed[("condition19", None)]
+    assert [passed[("intertwined", p)] for p in grid] == [False, True, True, True, False]
+    assert not any(passed[(name, p)] for name in ("unified_lp", "weak_intertwined") for p in grid)
+    assert report.conclusion == UNIQUE_ASYMPTOTICALLY_STABLE
+    assert report.best_p == 2.0
+
+    path = tmp_path / "interior.cfg"
+    path.write_text(format_config(spec))
+    out = io.StringIO()
+    code = cli.run_command(cli.RunConfig(command="analyze", system_file=path, p_list=grid,
+                                         output_dir=tmp_path, emit_csv=False), out)
+    assert code == 0
+    assert "best exponent: p = 2\n" in out.getvalue()
+
+    orbits = find_coexistence_multistart(spec)
+    assert len(orbits) == 1
+    assert floquet(orbits[0]).classification == ASYMPTOTICALLY_STABLE
+    ok(12, "18/19 and both endpoint tests fail; p = 1.5, 2, 3 certify; one stable orbit")

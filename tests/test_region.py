@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import const_spec, figure_region
@@ -14,6 +14,8 @@ from pplv.jfunc import INF
 from pplv.region import (
     RegionBounds,
     RegionSpec,
+    _curves,
+    _x_ceiling,
     boundary_points,
     boundary_residual,
     compute_uv,
@@ -297,16 +299,18 @@ def regions(draw):
 
 def _largest_term(region, label, x, y):
     """Largest modulus among the terms of the labeled curve's defining
-    equality at the samples (x, y)."""
+    equality at the samples (x, y); only that curve's powers are taken."""
     p, U, V = region.p, region.bounds.U, region.bounds.V
     if p == INF:
         return np.broadcast_to(U if label == "x_equals_U" else V, x.shape)
-    px = x if p == 1.0 else U * (x / U) ** p
-    py = y if p == 1.0 else V * (y / V) ** p
-    terms = {"a_lower": (region.abar, region.b_min * px, region.c_min * py),
-             "a_upper": (region.abar, region.b_max * x, region.c_max * y),
-             "d_lower": (region.dbar, region.e_max * x, region.f_min * py),
-             "d_upper": (region.dbar, region.e_min * px, region.f_max * y)}[label]
+
+    def power(z, scale):
+        return z if p == 1.0 else scale * (z / scale) ** p
+
+    terms = {"a_lower": lambda: (region.abar, region.b_min * power(x, U), region.c_min * power(y, V)),
+             "a_upper": lambda: (region.abar, region.b_max * x, region.c_max * y),
+             "d_lower": lambda: (region.dbar, region.e_max * x, region.f_min * power(y, V)),
+             "d_upper": lambda: (region.dbar, region.e_min * power(x, U), region.f_max * y)}[label]()
     return np.max(np.abs(np.broadcast_arrays(*terms)), axis=0)
 
 
@@ -327,15 +331,20 @@ def _assert_matches_per_sample_loop(reg):
     for label in {lab for lab, _, _ in pts}:
         x = np.array([x for lab, x, _ in pts if lab == label])
         y = np.array([y for lab, _, y in pts if lab == label])
-        with np.errstate(over="ignore", invalid="ignore"):  # in the other constraints
-            residual = boundary_residual(reg, label, x, y)
-            largest = _largest_term(reg, label, x, y)
-        assert np.all(residual <= bound * largest)
+        residual = boundary_residual(reg, label, x, y)
+        assert np.all(residual <= bound * _largest_term(reg, label, x, y))
 
 
 class TestBoundaryPointsProperty:
     @given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6), st.booleans(),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 200.0, INF]))
+    # a = b = f = 1, c = d = e = 1e-3 at p = 200: V = 0.002 and the a_upper
+    # sample at x = 0 has y = 1000, so (y/V)**200 overflows in constraint (1),
+    # which the residual of that sample does not take
+    @example([0.0, 0.0, -3.0, -3.0, -3.0, 0.0], False, 200.0)
+    # every coefficient 1 and dbar = -1 at p = 1: d_upper runs from x = 1 to
+    # xmax = 1, a range of zero width beside three of width 1
+    @example([0.0] * 6, True, 1.0)
     @settings(max_examples=150, deadline=None)
     def test_constant_systems_match_per_sample_loop(self, exponents, dbar_negative, p):
         # coefficient magnitudes log-uniform in [1e-3, 1e3]
@@ -343,15 +352,66 @@ class TestBoundaryPointsProperty:
         _assert_matches_per_sample_loop(
             region_spec(const_spec(a, b, c, -d if dbar_negative else d, e, f)).at(p))
 
-    @given(regions().filter(lambda reg: reg.e_min > 0 and abs(reg.dbar) >= 1e-3))
+    @given(regions().filter(lambda reg: abs(reg.dbar) >= 1e-3))
     @settings(max_examples=60, deadline=None)
     def test_spread_regions_match_per_sample_loop(self, reg):
-        # Coefficient spreads tell the min and max of each coefficient apart.
-        # e > 0 as in every system: at e_min = 0 the x range of d_upper
-        # admits samples below y = 0, which are clamped off the curve.  At
-        # x = 0 the d curves take dbar**(1/p), whose error from the rounded
-        # 1/p grows with |log dbar|, so |dbar| keeps the systems' scale.
+        # Coefficient spreads tell the min and max of each coefficient apart,
+        # and e may vanish.  At x = 0 the d curves take dbar**(1/p), whose
+        # error from the rounded 1/p grows with |log dbar|, so |dbar| keeps
+        # the systems' scale.
         _assert_matches_per_sample_loop(reg)
+
+    @pytest.mark.parametrize("e_min, e_max, dbar, labels", [
+        (0.0, 0.0, 0.5, ["a_lower", "a_upper", "d_lower", "d_upper"]),
+        (0.0, 0.0, -0.5, ["a_lower", "a_upper"]),
+        (0.0, 1.0, -0.5, ["a_lower", "a_upper", "d_lower"]),
+    ])
+    def test_prey_free_curves_lie_at_nonnegative_y(self, e_min, e_max, dbar, labels):
+        # e = 0: a d curve is the constant y = dbar/f_max (lower) or
+        # (dbar/f_min)**(1/p) (upper), so it is sampled over all x when
+        # dbar >= 0 and lies below y = 0 everywhere when dbar < 0
+        reg = RegionSpec(p=2.0, abar=1.0, dbar=dbar, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
+                         e_min=e_min, e_max=e_max, f_min=1.0, f_max=1.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        assert sorted({lab for lab, _, _ in boundary_points(reg, 256)}) == labels
+        _assert_matches_per_sample_loop(reg)
+
+
+class TestCurvesOnArrays:
+    @given(regions())
+    @settings(max_examples=100, deadline=None)
+    def test_array_matches_scalar(self, reg):
+        """_curves on an ndarray of x gives what it gives on each float x.
+
+        numpy's vectorised pow may round a few ulp apart from libm's, and a
+        top curve is a root V*(base/(coef*V))**(1/p), which turns a few ulp of
+        a base near 0 into many of the top.  So the tops are compared through
+        their bases sign(top)*|top/V|**p, within a few ulp of the largest term
+        of each base, and their signs agree wherever the base is farther than
+        that from 0.  The lower curves hold no root and are compared directly.
+        """
+        xs = np.linspace(0.0, _x_ceiling(reg), 64)
+        arrays = np.array(_curves(reg, xs))
+        scalars = np.array([_curves(reg, x) for x in xs.tolist()]).T
+        assert arrays.shape == scalars.shape == (4, 64)
+        if reg.p == 1.0:
+            # no power is taken: the same operations on the same doubles
+            assert np.array_equal(arrays, scalars)
+            return
+        p, U, V = reg.p, reg.bounds.U, reg.bounds.V
+        ulps = 8.0 * p * np.finfo(float).eps
+        powx = U * (xs / U) ** p
+        top_a_terms = np.maximum(reg.abar, reg.b_min * powx) / (reg.c_min * V)
+        top_d_terms = np.maximum(abs(reg.dbar), reg.e_max * xs) / (reg.f_min * V)
+        lo_d_terms = np.maximum(abs(reg.dbar), reg.e_min * powx) / reg.f_max
+        assert np.array_equal(arrays[1], scalars[1])
+        assert np.all(np.abs(arrays[3] - scalars[3]) <= ulps * lo_d_terms)
+        for index, terms in ((0, top_a_terms), (2, top_d_terms)):
+            a, s = arrays[index], scalars[index]
+            base_a, base_s = np.sign(a) * np.abs(a / V) ** p, np.sign(s) * np.abs(s / V) ** p
+            assert np.all(np.abs(base_a - base_s) <= ulps * terms)
+            clear = np.abs(base_s) > ulps * terms
+            assert np.array_equal(np.signbit(a[clear]), np.signbit(s[clear]))
 
 
 class TestSupremumProperty:
@@ -390,6 +450,18 @@ class TestSupremumProperty:
         assert res.empty is empty
         if not empty:
             assert res.value == pytest.approx(0.5, rel=1e-12)
+
+    def test_undefined_top_is_no_touching_point(self):
+        # e = 0 and dbar = -1e-20: top_d is undefined for every x and reads
+        # -1e-10.  At the right end x = 10/9 the lower curve (2) is 3e-10, so
+        # the widest slice is 4e-10 short of closing: within the touching
+        # band, with a positive midpoint, yet constraint (3) holds nowhere
+        x_hi = (1.0 / 0.81) ** 0.5
+        reg = RegionSpec(p=2.0, abar=1.0, dbar=-1e-20, b_min=0.81, b_max=(1.0 - 3e-10) / x_hi,
+                         c_min=1.0, c_max=1.0, e_min=0.0, e_max=0.0, f_min=1.0, f_max=1.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        assert _curves(reg, x_hi)[2] == pytest.approx(-1e-10, rel=1e-12)
+        assert sup_xy(reg).empty and sup_linear(reg).empty
 
     def test_segment_searched_along_its_length(self):
         # b, c constant: constraints (1) and (2) coincide on x + y = 1, cut
