@@ -11,7 +11,6 @@ from .coeffs import (
     PeriodicCoefficient,
     RegionBounds,
     SystemSpec,
-    ZeroDenominator,
     compute_uv,
     lp_norm,
     ratio_extrema,

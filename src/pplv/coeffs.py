@@ -44,10 +44,7 @@ _TS_UMAX = 3.2
 # Above this exponent an L^p norm equals its upper bound max|coef| * T**(1/p)
 # to about 1e-13 relative, and the scaled integrand would round badly.
 _LARGE_P = 1e15
-
-
-class ZeroDenominator(ValueError):
-    """A ratio was requested against a denominator that is not strictly positive."""
+_COEFFICIENTS = ("a", "b", "c", "d", "e", "f")
 
 
 def _require_finite(name: str, x: float) -> None:
@@ -141,8 +138,9 @@ class SystemSpec:
 
         u' = u * (a - b*u - c*v),    v' = v * (d + e*u - f*v).
 
-    b, c, e and f must be strictly positive over the whole period.  Their
-    extrema and the component bounds are computed at most once per system.
+    b, c, e and f must be strictly positive over the whole period, so they
+    are the denominators :func:`ratio_extrema` takes.  Their extrema and the
+    component bounds are computed at most once per system.
     """
 
     T: float
@@ -321,30 +319,32 @@ def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[f
     return tuple(norms)
 
 
-def ratio_extrema(num: PeriodicCoefficient, den: PeriodicCoefficient, T: float) -> tuple[float, float]:
-    """(min, max) of num(t)/den(t) over [0, T].
+def ratio_extrema(spec: SystemSpec, num: str, den: str) -> tuple[float, float]:
+    """(min, max) over one period of num(t)/den(t), two coefficients of
+    ``spec`` named by letter.
 
-    The extrema are the ratio's values at the zeros of n'd - nd' (and at
-    t = 0), exact up to rounding.
+    The denominator is one of b, c, e and f, which the system holds strictly
+    positive; any other name raises ValueError.  The extrema are the ratio's
+    values at the zeros of n'd - nd' (and at t = 0), exact up to rounding.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if stats(den, T).minimum <= 0:
-        raise ZeroDenominator("denominator must be strictly positive on [0, T]")
-    if not (num.harmonics or den.harmonics):
-        r = num.c0 / den.c0
+    if num not in _COEFFICIENTS or den not in spec.extrema:
+        raise ValueError(f"no ratio {num!r}/{den!r}: the numerator is one of a to f, "
+                         "the denominator one of b, c, e, f")
+    T, numer, denom = spec.T, getattr(spec, num), getattr(spec, den)
+    if not (numer.harmonics or denom.harmonics):
+        r = numer.c0 / denom.c0
         return r, r
-    n = max(_degree(num), _degree(den))
-    cn, cd = _laurent(num, n), _laurent(den, n)
+    n = max(_degree(numer), _degree(denom))
+    cn, cd = _laurent(numer, n), _laurent(denom, n)
     crit = np.convolve(_derivative(cn), cd) - np.convolve(cn, _derivative(cd))
     ts = np.append(_root_times(crit, T), 0.0)
-    vals = num.evaluate(T, ts) / den.evaluate(T, ts)
+    vals = numer.evaluate(T, ts) / denom.evaluate(T, ts)
     return float(vals.min()), float(vals.max())
 
 
 def compute_uv(spec: SystemSpec) -> RegionBounds:
     """Component bounds from ratio extrema of the coefficients; read them
     as ``spec.bounds``, which computes them once."""
-    U = ratio_extrema(spec.a, spec.b, spec.T)[1]
-    V = ratio_extrema(spec.d, spec.f, spec.T)[1] + ratio_extrema(spec.e, spec.f, spec.T)[1] * U
+    U = ratio_extrema(spec, "a", "b")[1]
+    V = ratio_extrema(spec, "d", "f")[1] + ratio_extrema(spec, "e", "f")[1] * U
     return RegionBounds(U=U, V=V)

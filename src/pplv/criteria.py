@@ -74,8 +74,8 @@ def condition18(spec: SystemSpec) -> TestResult:
         return _result("condition18", None, lhs=0.0, rhs=abar, strict=True,
                        diagnostics=("mean of a is not positive",))
     ratio = spec.d.mean / abar
-    lo = -ratio_extrema(spec.e, spec.b, spec.T)[0]
-    hi = ratio_extrema(spec.f, spec.c, spec.T)[0]
+    lo = -ratio_extrema(spec, "e", "b")[0]
+    hi = ratio_extrema(spec, "f", "c")[0]
     slack_lo = ratio - lo
     slack_hi = hi - ratio
     if slack_lo <= slack_hi:
@@ -85,8 +85,8 @@ def condition18(spec: SystemSpec) -> TestResult:
 
 def condition19(spec: SystemSpec) -> TestResult:
     """min(b/e) > max(c/f), strictly; implies at most one coexistence state."""
-    lhs = ratio_extrema(spec.c, spec.f, spec.T)[1]
-    rhs = ratio_extrema(spec.b, spec.e, spec.T)[0]
+    lhs = ratio_extrema(spec, "c", "f")[1]
+    rhs = ratio_extrema(spec, "b", "e")[0]
     return _result("condition19", None, lhs=lhs, rhs=rhs, strict=True)
 
 

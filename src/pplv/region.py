@@ -264,14 +264,18 @@ def cp_slack(region: RegionSpec, x: float, y: float) -> float:
     """Minimal slack of the defining inequalities at (x, y).
 
     Positive inside, negative outside; positivity of x and y themselves is
-    not part of the slack, so callers check it apart.
+    not part of the slack, so callers check it apart.  A power (x/U)**p or
+    (y/V)**p past the largest double puts the point outside: -inf.
     """
     U, V = region.bounds.U, region.bounds.V
     if region.p == INF:
         return min(U - x, V - y)
     if x < 0 or y < 0 or (region.p != 1.0 and (U <= 0 or V <= 0)):
         return -math.inf
-    return min(_constraint(region, label, x, y) for label in _CURVE_INDEX)
+    try:
+        return min(_constraint(region, label, x, y) for label in _CURVE_INDEX)
+    except OverflowError:
+        return -math.inf
 
 
 def _golden_max_f(fn: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -367,11 +371,13 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
     part of [0, xmax] where the curve lies at y >= 0, and one call
     evaluates the rows of all four; a d curve that lies below y = 0 for
     every x (e = 0 and dbar < 0) is not sampled.  Each sample's y is
-    clamped at 0 and the sample dropped unless that y is finite, so every
-    point satisfies its defining equality to machine accuracy; the
-    ``region`` command writes exactly these.  numpy's vectorised ``pow``
-    may round y a few ulp apart from libm's on a float x, and apart
-    between hosts.  The curves are sampled whether or not the region is
+    clamped at 0 and the sample dropped unless that y is finite.  The last
+    ``a_lower`` sample is (xmax, 0): constraint (1) at y = 0 defines xmax,
+    and the root there would turn a one-ulp remainder into a visible
+    height.  So every point satisfies its defining equality to machine
+    accuracy; the ``region`` command writes exactly these.  numpy's
+    vectorised ``pow`` may round y a few ulp apart from libm's on a float
+    x, and apart between hosts.  The curves are sampled whether or not the region is
     empty; ``sup_xy(region).empty`` tells.
     """
     if n < 2:
@@ -417,6 +423,8 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
         curves = _curves(region, xs)
         ys = np.array([curves[_CURVE_INDEX[label]][row] for row, label in enumerate(labels)])
         ys = np.where(0.0 > ys, 0.0, ys)  # max(y, 0.0): keeps -0.0 and NaN
+    if "a_lower" in labels:
+        ys[labels.index("a_lower"), -1] = 0.0
     keep = np.isfinite(ys)
     pts: list[tuple[str, float, float]] = []
     for row, label in enumerate(labels):

@@ -36,8 +36,8 @@ def envelope(region: RegionSpec) -> tuple[float, float]:
 
 def boundary_points_loop(region: RegionSpec, n: int) -> list[tuple[str, float, float]]:
     """The per-sample reference for ``pplv.region.boundary_points``: the same
-    curves, x ranges and clamping, with one scalar ``_curves`` call (Python's
-    libm ``pow``) per sample."""
+    curves, x ranges and clamping, the last ``a_lower`` sample at y = 0, and
+    one scalar ``_curves`` call (Python's libm ``pow``) per sample."""
     pts: list[tuple[str, float, float]] = []
     p = region.p
     U, V = region.bounds.U, region.bounds.V
@@ -75,10 +75,11 @@ def boundary_points_loop(region: RegionSpec, n: int) -> list[tuple[str, float, f
     ):
         if x_start is not None and x_start <= x_end:
             index = _CURVE_INDEX[label]
-            for xv in np.linspace(x_start, x_end, n):
-                yv = max(_curves(region, float(xv))[index], 0.0)
-                if math.isfinite(yv):
-                    pts.append((label, float(xv), yv))
+            xs = np.linspace(x_start, x_end, n).tolist()
+            ys = [max(_curves(region, xv)[index], 0.0) for xv in xs]
+            if label == "a_lower":
+                ys[-1] = 0.0  # constraint (1) at y = 0 defines xmax
+            pts += [(label, xv, yv) for xv, yv in zip(xs, ys) if math.isfinite(yv)]
     return pts
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import const_spec, figure_region
@@ -69,6 +69,16 @@ class TestMembership:
         reg = region_spec(eq30_spec).at(2.0)
         assert cp_slack(reg, 0.0, 1.0) < -1e-12
         assert cp_slack(reg, 1.0, -0.5) == -math.inf
+
+    def test_overflowing_power_is_outside(self):
+        # a = b = f = 1, c = d = e = 1e-3 at p = 200: V = 0.002, and at the
+        # a_upper sample (0, 1000) (y/V)**200 overflows in constraints (1)
+        # and (3); Python's float power raised OverflowError there
+        reg = region_spec(const_spec(1.0, 1.0, 1e-3, 1e-3, 1e-3, 1.0)).at(200.0)
+        assert cp_slack(reg, 0.0, 1000.0) == -math.inf
+        slacks = [cp_slack(reg, x, y) for _, x, y in boundary_points(reg, 256)]
+        assert len(slacks) == 1024
+        assert all(math.isfinite(s) or s == -math.inf for s in slacks)
 
     def test_boundary_tolerance(self):
         reg = figure_region(1.0)
@@ -314,6 +324,23 @@ def _largest_term(region, label, x, y):
     return np.max(np.abs(np.broadcast_arrays(*terms)), axis=0)
 
 
+@st.composite
+def constant_regions(draw):
+    """Regions of constant systems at finite p: coefficient magnitudes
+    log-uniform in [1e-3, 1e3], d of either sign."""
+    a, b, c, d, e, f = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(6))
+    d = draw(st.sampled_from([d, -d]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 200.0]))
+    return region_spec(const_spec(a, b, c, d, e, f)).at(p)
+
+
+def _residual_bound(reg):
+    """Relative bound on a sample's residual.  A sample is a rounded x and
+    y, and the equality raises one of them to the power p, which multiplies
+    their relative error by p."""
+    return 4.0 * (1.0 if reg.p == INF else reg.p + 1.0) * np.finfo(float).eps
+
+
 def _assert_matches_per_sample_loop(reg):
     """boundary_points warns of nothing, clamps y at 0, keeps the labels and
     x values of the per-sample loop, and each sample lies on its curve."""
@@ -324,10 +351,8 @@ def _assert_matches_per_sample_loop(reg):
     assert [(lab, x) for lab, x, _ in pts] == [
         (lab, x) for lab, x, _ in boundary_points_loop(reg, 256)]
     # y is compared by residual: where a curve meets y = 0, the root
-    # y = V*base**(1/p) turns one ulp of its base into many of y.  A
-    # sample is a rounded x and y, and the equality raises one of them
-    # to the power p, which multiplies their relative error by p.
-    bound = 4.0 * (1.0 if reg.p == INF else reg.p + 1.0) * np.finfo(float).eps
+    # y = V*base**(1/p) turns one ulp of its base into many of y
+    bound = _residual_bound(reg)
     for label in {lab for lab, _, _ in pts}:
         x = np.array([x for lab, x, _ in pts if lab == label])
         y = np.array([y for lab, _, y in pts if lab == label])
@@ -375,6 +400,22 @@ class TestBoundaryPointsProperty:
                          bounds=RegionBounds(U=1.0, V=1.0))
         assert sorted({lab for lab, _, _ in boundary_points(reg, 256)}) == labels
         _assert_matches_per_sample_loop(reg)
+
+
+    @given(st.one_of(regions(), constant_regions()))
+    # const_study/1/31 of the benchmark generator: at p = 10 the root of a
+    # one-ulp remainder put the last a_lower sample at y = 0.0306, V = 1.184
+    @example(region_spec(const_spec(1.805916483, 0.799057708, 1.40746311, 0.809728004,
+                                    0.940453761, 2.478435077, T=0.366010467)).at(10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_a_lower_ends_at_x_ceiling_on_the_axis(self, reg):
+        # constraint (1) at y = 0 defines _x_ceiling
+        pts = [(x, y) for lab, x, y in boundary_points(reg, 256) if lab == "a_lower"]
+        assume(pts)
+        assert pts[-1] == (_x_ceiling(reg), 0.0)
+        x, y = np.array([pts[-1][0]]), np.array([0.0])
+        assert boundary_residual(reg, "a_lower", x, y) <= (
+            _residual_bound(reg) * _largest_term(reg, "a_lower", x, y))
 
 
 class TestCurvesOnArrays:
