@@ -257,26 +257,39 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
 _TS_RULES = tuple(_tanh_sinh_level(level) for level in range(8))
 
 
-def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, tol: float) -> float:
-    """Sum of the integrals of ``fn`` over the pieces [a_i, b_i].
+def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, ps: Sequence[float],
+               tol: float) -> dict[float, float]:
+    """Sum of the integrals of ``fn**p`` over the pieces [a_i, b_i], for
+    each exponent p in ``ps``, keyed by p.
 
     Tanh-sinh quadrature (Takahasi & Mori 1974) halves its step until two
     successive sums agree within ``tol`` (absolute).  Its nodes cluster
     doubly exponentially at both ends of each piece, so an endpoint
     singularity or a narrow peak at an end is resolved without grading.
+    The nodes and ``fn`` on them do not depend on p: each level calls
+    ``fn`` once, every exponent still running raises those values to its
+    own power, and each stops at its own level, with the sums it would
+    have had alone.
     """
     half = 0.5 * (b - a)
-    total = 0.5 * math.pi * float(np.sum(half * fn(a + half)))
-    prev = None
+    mid = fn(a + half)
+    totals = {p: 0.5 * math.pi * float(np.sum(half * mid ** p)) for p in ps}
+    prev: dict[float, float] = {}
+    cur: dict[float, float] = {}
+    live = list(totals)
     for level, (dist, weight) in enumerate(_TS_RULES):
         offset = half[:, None] * dist[None, :]
         vals = fn(np.concatenate(((a[:, None] + offset).ravel(), (b[:, None] - offset).ravel())))
         n = offset.size
-        total += float(np.sum((half[:, None] * weight[None, :]).ravel() * (vals[:n] + vals[n:])))
-        cur = total * 2.0 ** -level
-        if prev is not None and abs(cur - prev) <= tol:
+        left, right = vals[:n], vals[n:]
+        hw = (half[:, None] * weight[None, :]).ravel()
+        for p in live:
+            totals[p] += float(np.sum(hw * (left ** p + right ** p)))
+            cur[p] = totals[p] * 2.0 ** -level
+        live = [p for p in live if level == 0 or abs(cur[p] - prev[p]) > tol]
+        if not live:
             break
-        prev = cur
+        prev = dict(cur)
     return cur
 
 
@@ -294,7 +307,9 @@ def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[f
     |coef|: the |t - t0|**p singularity at a zero and the peak of width
     ~T/sqrt(p) at a maximum both sit at an end, where tanh-sinh
     quadrature resolves them.  ``TOL_QUAD`` bounds the scaled integral.
-    M and the cuts do not depend on p and are computed once per call.
+    M, the cuts, the quadrature nodes and |coef|/M on them do not depend
+    on p: one quadrature serves the whole grid, and each exponent stops
+    at its own level, so each norm equals that of a call with p alone.
     Above p = 1e15 the bound M * T**(1/p) is returned.
     """
     if T <= 0:
@@ -305,7 +320,12 @@ def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[f
         return tuple(abs(coef.c0) * T ** (1.0 / p) for p in ps)
     ts, vals = _critical_points(coef, T)
     peak = float(np.abs(vals).max())
-    cuts = np.sort(np.concatenate(([0.0, T], ts[:-1], _root_times(_laurent(coef, _degree(coef)), T))))
+    quad = [p for p in ps if peak != 0.0 and p <= _LARGE_P]
+    integrals = {}
+    if quad:
+        cuts = np.sort(np.concatenate(([0.0, T], ts[:-1], _root_times(_laurent(coef, _degree(coef)), T))))
+        integrals = _tanh_sinh(lambda t: np.abs(coef.evaluate(T, t)) / peak,
+                               cuts[:-1], cuts[1:], quad, TOL_QUAD)
     norms = []
     for p in ps:
         if math.isinf(p) or peak == 0.0:
@@ -313,9 +333,7 @@ def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[f
         elif p > _LARGE_P:
             norms.append(peak * T ** (1.0 / p))
         else:
-            integral = _tanh_sinh(lambda t: (np.abs(coef.evaluate(T, t)) / peak) ** p,
-                                  cuts[:-1], cuts[1:], TOL_QUAD)
-            norms.append(peak * integral ** (1.0 / p))
+            norms.append(peak * integrals[p] ** (1.0 / p))
     return tuple(norms)
 
 

@@ -133,9 +133,11 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     Each is compared with the p-threshold.  An empty region is a vacuous
     pass: no coexistence state can exist.  The boundary classification,
     the p = 1 region with its linear supremum, and the norm envelopes
-    (one :func:`lp_norm` call each for a and d) are computed once per
-    call; per exponent, the threshold, the p-region (searched once for
-    both suprema) and its x*y supremum are shared by the three tests.
+    (one :func:`lp_norm` call each for a and d, which evaluates its
+    coefficient once per quadrature level for the whole grid) are
+    computed once per call; per exponent, the threshold, the p-region
+    (searched once for both suprema) and its x*y supremum are shared by
+    the three tests.
 
     Conclusion priority: both strict conditions passing dominates, then any
     exponent-test pass, then inconclusive; systems without coexistence

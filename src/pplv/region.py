@@ -93,7 +93,9 @@ class RegionSpec:
         For p >= 1 each of the four constraints is a convex function bounded
         by a constant, so the region is convex and its slice gap
         yhi(x) - ylo(x) is concave in x.  Golden-section search finds the
-        widest slice: below -BOUNDARY_TOL (scaled) the region is empty,
+        widest slice.  It never evaluates the ends of the x-range, so if its
+        widest slice is negative, an end with gap >= 0 takes its place.
+        Below -BOUNDARY_TOL (scaled) the region is empty,
         within BOUNDARY_TOL of zero it is degenerate, and a slightly
         negative widest slice is taken as the point where the region
         touches.  Otherwise bisection on the two monotone sides of the gap
@@ -122,6 +124,15 @@ class RegionSpec:
             return yhi - ylo
 
         x_g, gap_max = _golden_max_f(gap, x_lo, x_hi, tol)
+        if gap_max < 0.0:
+            # the golden search never evaluates the ends, where the region
+            # can be a point or a segment (every coefficient 1 at p = 1: the
+            # point (0, 1)); from an end with gap >= 0 the interval is searched
+            for x_end in (x_lo, x_hi):
+                gap_end = gap(x_end)
+                if gap_end >= 0.0:
+                    x_g, gap_max = x_end, gap_end
+                    break
         if gap_max < -BOUNDARY_TOL * scale:
             return None
         if gap_max < 0.0:

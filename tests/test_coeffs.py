@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import sampled_extrema
 
@@ -32,6 +32,17 @@ def ratio(num, den, T):
 HARMONICS = st.lists(
     st.tuples(st.integers(1, 5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     min_size=1, max_size=3, unique_by=lambda h: h[0])
+
+
+@st.composite
+def sign_changing_trig(draw):
+    """A trig coefficient with up to 3 harmonics whose mean lies strictly
+    between the extrema of its harmonic part, so that it changes sign."""
+    part = TRIG(0.0, draw(HARMONICS))
+    ext = stats(part, 1.0)
+    assume(ext.maximum - ext.minimum > 0.1)
+    return TRIG(-(ext.minimum + draw(st.floats(0.05, 0.95)) * (ext.maximum - ext.minimum)),
+                part.harmonics)
 
 
 def assert_matches_sampling(got, sampled):
@@ -274,9 +285,22 @@ class TestLpNorm:
     @pytest.mark.parametrize("coef", [TRIG(0.2, [(1, 0.0, 1.0), (2, 0.3, -0.1)]), C(-1.7)],
                              ids=["sign-changing-trig", "constant"])
     def test_grid_equals_one_call_per_exponent(self, coef):
-        # M and the cuts are shared across the grid; each norm is unchanged
+        # M, the cuts and the quadrature nodes are shared across the grid;
+        # each norm is unchanged
         ps = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 1e16, math.inf)
         assert lp_norm(coef, 0.8, ps) == tuple(lp_norm(coef, 0.8, (p,))[0] for p in ps)
+
+    @given(coef=sign_changing_trig(),
+           T=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+           ps=st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0, 10.0, 1e3, 2000.0, 1e15, 1e16,
+                                        math.inf)) | st.floats(1.0, 50.0),
+                       min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_equals_one_call_per_exponent_property(self, coef, T, ps):
+        # fast- and slow-converging exponents share the nodes but stop at
+        # their own levels; the first exponent comes again at the end
+        ps = (*ps, ps[0])
+        assert lp_norm(coef, T, ps) == tuple(lp_norm(coef, T, (p,))[0] for p in ps)
 
 
 class TestLpNormLargeP:

@@ -11,6 +11,7 @@ from conftest import count_calls, const_spec
 from oracles import envelope
 
 import pplv.coeffs
+import pplv.criteria
 import pplv.existence
 import pplv.jfunc
 import pplv.logistic
@@ -377,6 +378,14 @@ class TestExponentContinuity:
                 assert big.margin == pytest.approx(inf.margin, abs=1e-4 * max(1.0, abs(inf.lhs)))
 
 
+def test_intertwined_at_a_point_region_on_the_y_axis():
+    # every coefficient 1: the p = 1 region is the point (0, 1), so
+    # sup xy = 0, the linear supremum is 1 and the lhs is T * (0 + 1/2)
+    report = scan_p(const_spec(1, 1, 1, 1, 1, 1), (1.0,))
+    lhs = {res.name: res.lhs for res in report.results}
+    assert lhs["intertwined"] == lhs["weak_intertwined"] == 0.5
+
+
 class TestTinyMean:
     """mean(a) many orders below the amplitude of a.
 
@@ -410,23 +419,50 @@ def two_harmonic_spec():
                       e=TRIG(0.8, [(1, 0.0, 0.2)]), f=TRIG(1.2, [(2, 0.3, 0.1)]))
 
 
+def evaluations_per_lp_norm(monkeypatch) -> list[int]:
+    """Count the PeriodicCoefficient.evaluate calls made inside each
+    lp_norm call; one entry per lp_norm call, in call order."""
+    per_call: list[int] = []
+    running: list[int] = []  # the index of the lp_norm call in progress
+    evaluate, lp_norm = PeriodicCoefficient.evaluate, pplv.coeffs.lp_norm
+
+    def counting_evaluate(self, T, t):
+        if running:
+            per_call[running[-1]] += 1
+        return evaluate(self, T, t)
+
+    def counting_lp_norm(coef, T, ps):
+        running.append(len(per_call))
+        per_call.append(0)
+        try:
+            return lp_norm(coef, T, ps)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(PeriodicCoefficient, "evaluate", counting_evaluate)
+    for mod in (pplv.coeffs, pplv.criteria):
+        monkeypatch.setattr(mod, "lp_norm", counting_lp_norm)
+    return per_call
+
+
 def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic_spec):
     counts = count_calls(monkeypatch, {
         "_feasible_end": pplv.region._feasible_end,
         "_root_times": pplv.coeffs._root_times,
         "classify_boundary": pplv.existence.classify_boundary,
-        "lp_norm": pplv.coeffs.lp_norm,
         "periodic_logistic": pplv.logistic.periodic_logistic,
         "region_spec": pplv.region.region_spec,
         "sup_xy": pplv.region.sup_xy,
         "threshold_p": pplv.jfunc.threshold_p,
     })
+    evaluations = evaluations_per_lp_norm(monkeypatch)
     report = scan_p(two_harmonic_spec, GRID)
     assert report.classification.coexistence_exists
     assert counts["classify_boundary"] == 1
     # one lp_norm call each for a and d, which finds the zeros of the
     # coefficient and of its derivative once for the whole grid
-    assert counts["lp_norm"] == 2
+    grid_counts = list(evaluations)
+    assert len(grid_counts) == 2
     # the extrema of b, c, e and f were found when the system was built, and
     # no ratio solves its denominator's again: two solves per lp_norm call
     # and one per ratio, of which the three behind U, V may be cached
@@ -437,6 +473,15 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
     assert counts["threshold_p"] == len(GRID)
     # one search of each finite-p region, whose two ends bound both suprema
     assert counts["_feasible_end"] == 2 * sum(p != INF for p in GRID)
+    # each lp_norm call evaluates its coefficient once for the extrema, once
+    # at the quadrature midpoints and once per level for every exponent at
+    # once: no more often than its slowest exponent alone, and at most 10 times
+    for coef, grid_count in zip((two_harmonic_spec.a, two_harmonic_spec.d), grid_counts):
+        del evaluations[:]
+        for p in GRID:
+            pplv.coeffs.lp_norm(coef, two_harmonic_spec.T, (p,))
+        assert grid_count <= max(evaluations)
+        assert grid_count <= 2 + len(pplv.coeffs._TS_RULES) == 10
 
 
 @pytest.mark.parametrize("name", ["two_harmonic_spec", "eq30_spec", "classical_spec",

@@ -149,6 +149,18 @@ class TestSupXY:
         assert res.value == math.inf
         assert all(math.isnan(v) for v in res.argmax)
 
+    def test_point_on_the_y_axis(self):
+        # every coefficient 1 at p = 1: the gap -2x is widest at x = 0, an
+        # end that the golden search never evaluates; it stopped 2.6e-14
+        # inside and gave sup xy = 2.6e-14 at (2.6e-14, 1)
+        reg = region_spec(const_spec(1, 1, 1, 1, 1, 1))
+        res = sup_xy(reg)
+        assert not res.empty and res.degenerate
+        assert res.value == 0.0
+        assert res.argmax == (0.0, 1.0)
+        lin = sup_linear(reg)
+        assert (lin.value, lin.argmax) == (1.0, (0.0, 1.0))
+
     def test_empty_region_flagged(self):
         res = sup_xy(region_spec(const_spec(-1, 1, 1, -1, 1, 1)).at(2.0))
         assert res.empty
