@@ -279,14 +279,30 @@ def _initial_step(field: Field, t0: float, y0: np.ndarray, f0: np.ndarray, t_bou
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval) -> Solution:
+def initial_step(field: Field, t_span, y0, *, rtol: float, atol) -> float:
+    """The first step :func:`solve_ivp` picks for these arguments when it
+    is given none, from two evaluations of the field."""
+    t0, t_bound = float(t_span[0]), float(t_span[1])
+    y = np.array(y0, dtype=float)
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), (y.size,))
+    f0 = np.empty_like(y)
+    field.into(field.at(np.array([t0]))[0], y, f0)
+    return _initial_step(field, t0, y, f0, t_bound, rtol, atol)
+
+
+def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval,
+              first_step: float | None = None) -> Solution:
     """Integrate y' = f(t, y) forward from ``t_span[0]`` to ``t_span[1]`` >=
     ``t_span[0]``, with f given by ``field``.
 
-    ``atol`` is a scalar or one value per component.  Returns the solution
-    at the strictly increasing output times ``t_eval`` within ``t_span``.
+    ``atol`` is a scalar or one value per component.  ``first_step``, as in
+    SciPy, is the initial step size; None lets the solver pick it, at the
+    cost of one more evaluation.  Returns the solution at the strictly
+    increasing output times ``t_eval`` within ``t_span``.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
+    if first_step is not None and not 0 < first_step <= t_bound - t0:
+        raise ValueError(f"first_step {first_step} is not in (0, {t_bound - t0}]")
     y = np.array(y0, dtype=float)
     n = y.size
     atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,))
@@ -300,7 +316,9 @@ def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval) -> Solutio
     ys[:, :done] = y[:, None]
 
     h_abs = 0.0
-    if t_bound > t0:
+    if first_step is not None:
+        h_abs = first_step
+    elif t_bound > t0:
         h_abs = _initial_step(field, t0, y, K[0], t_bound, rtol, atol)
         nfev += 1
 

@@ -13,27 +13,38 @@ suprema come from the trigonometric interpolant of the samples.
 All integration is one flow: the system in log coordinates
 (xi, eta) = (log u, log v), where the open quadrant is all of the plane,
 with the fundamental matrix Phi of its variational equation.  Period-map
-Newton reads it at t = T with absolute tolerance 1e-12 on the state and
-on Phi; each converged orbit is solved once more, with 1e-20 on Phi, for
-its samples (positive by construction) and its monodromy.
+Newton reads it at t = T at one of two tolerance levels:
+
+- loose, rtol 1e-6 and absolute tolerance 1e-8 on the state and on Phi,
+  on the first iteration and while the smallest fixed-point residual of
+  the live starts in the previous iteration is above 1e-3;
+- full, rtol 1e-10 and absolute tolerance 1e-12 on the state and on Phi,
+  otherwise.
+
+A start is accepted, or retired for a failed solve, only on a full
+solve, so the convergence test is the same at either level.  Each
+converged orbit is solved once more, at rtol 1e-10 with 1e-20 on Phi,
+for its samples (positive by construction) and its monodromy.
 
 The fixed-point search is shooting Newton (Seydel, *Practical Bifurcation
-and Stability Analysis*, Springer 2010).  Its Jacobian is the exact
-monodromy of the log-variational equation, integrated alongside the map,
-and every live start advances in the same vectorized integration.  Every
-coexistence orbit lies in the a-priori box u <= U, v <= V, so a start
-that leaves it by more than two steps is retired.
+and Stability Analysis*, Springer 2010), made inexact (Dembo, Eisenstat &
+Steihaug, *SIAM J. Numer. Anal.* 19, 1982): far from a fixed point the map
+need only be as accurate as a fraction of the residual.  Its Jacobian is
+the exact monodromy of the log-variational equation, integrated alongside
+the map, and every live start advances in the same vectorized
+integration.  Every coexistence orbit lies in the a-priori box u <= U,
+v <= V, so a start that leaves it by more than two steps is retired.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._dop853 import Field, solve_ivp
+from ._dop853 import Field, initial_step, solve_ivp
 from .coeffs import RegionBounds, SystemSpec
 from .constant_case import SingularSystem, equilibrium
 from .jfunc import INF, check_exponent
@@ -45,6 +56,10 @@ TOL_FLOQUET = 1e-8
 TOL_PERIODIC_2D = 1e-9
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+# Newton solves at the loose level (see _NEWTON_LOOSE) while the smallest
+# fixed-point residual of the live starts is above _LOOSE_RESIDUAL; the
+# first iteration, before any residual is known, is loose too.
+_LOOSE_RESIDUAL = 1e-3
 _BOUNDARY_FRACTION = 1e-8
 _ORBIT_SAMPLES = 512
 # Random starts of the multistart search, and the seed they are drawn with.
@@ -68,6 +83,28 @@ _BOX_MARGIN = 2.0 * _MAX_LOG_STEP
 # Newton, whose Jacobian only steers, took 15-45% more evaluations with it.
 _ATOL_LOG = 1e-12
 _ATOL_MONODROMY = 1e-20
+
+
+class _Tolerance(NamedTuple):
+    """rtol of a :func:`_log_flow` solve, and its atol on (log u, log v)
+    and on Phi."""
+
+    rtol: float
+    atol_log: float
+    atol_phi: float
+
+    def atol(self, n: int) -> np.ndarray:
+        """The atol of each component of a raveled (2, 3, n) state."""
+        atol = np.full((2, 3, n), self.atol_phi)
+        atol[:, 0] = self.atol_log
+        return atol.ravel()
+
+
+# The loose level is the full one's absolute tolerances times 1e4, at rtol
+# 1e-6; at rtol 1e-4 the saddle family overflowed in numpy.
+_NEWTON_LOOSE = _Tolerance(1e-6, 1e-8, 1e-8)
+_NEWTON_FULL = _Tolerance(TOL_ODE, _ATOL_LOG, _ATOL_LOG)
+_SAMPLING = _Tolerance(TOL_ODE, _ATOL_LOG, _ATOL_MONODROMY)
 # Oversampling factor of the trigonometric interpolant behind component_max.
 _MAX_REFINE = 8
 
@@ -194,31 +231,37 @@ class _LogField(Field):
         np.matmul(coefs, self.w, out=out.reshape(2, 3 * self.n))
 
 
-def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], atol_phi: float):
+def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolerance,
+              first_step_tol: _Tolerance | None = None):
     """The flow in log coordinates and its log-variational matrix for n starts.
 
     ``z`` is (2, n): xi = log u and eta = log v per start at t = 0.  Along
     each trajectory the fundamental matrix Phi of the log-variational
     equation, Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is
     integrated too, and all 6n components go through one DOP853 solve up to
-    ``ts[-1]``, with absolute tolerance ``_ATOL_LOG`` on (xi, eta) and
-    ``atol_phi`` on Phi.  Returns the (2, 3, n, len(ts)) states at the
-    output times ``ts``, whose [j, 0] holds the log of component j and
-    [j, 1:] row j of Phi, and per start None or the message of a failed
-    integration.  A failed solve of several starts is repeated start by
-    start, so one failing start does not take the others down.
+    ``ts[-1]`` at the tolerances ``tol``.  When ``first_step_tol`` is given,
+    the solve starts with the step it would pick at those tolerances.
+    Returns the (2, 3, n, len(ts)) states at the output times ``ts``, whose
+    [j, 0] holds the log of component j and [j, 1:] row j of Phi, and per
+    start None or the message of a failed integration.  A failed solve of
+    several starts is repeated start by start, so one failing start does
+    not take the others down.
     """
     n = z.shape[1]
-    y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)), axis=1)
-    atol = np.full((2, 3, n), atol_phi)
-    atol[:, 0] = _ATOL_LOG
-    sol = solve_ivp(_LogField(spec, n), (0.0, ts[-1]), y0.ravel(),
-                    rtol=TOL_ODE, atol=atol.ravel(), t_eval=ts)
+    field = _LogField(spec, n)
+    y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)),
+                        axis=1).ravel()
+    first_step = None
+    if first_step_tol is not None:
+        first_step = initial_step(field, (0.0, ts[-1]), y0, rtol=first_step_tol.rtol,
+                                  atol=first_step_tol.atol(n))
+    sol = solve_ivp(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol(n), t_eval=ts,
+                    first_step=first_step)
     if sol.success:
         return sol.y.reshape(2, 3, n, len(ts)), [None] * n
     if n == 1:
         return np.full((2, 3, 1, len(ts)), np.nan), [sol.message]
-    parts = [_log_flow(spec, z[:, j:j + 1], ts, atol_phi) for j in range(n)]
+    parts = [_log_flow(spec, z[:, j:j + 1], ts, tol, first_step_tol) for j in range(n)]
     return (np.concatenate([states for states, _ in parts], axis=2),
             [msg for _, msgs in parts for msg in msgs])
 
@@ -228,7 +271,7 @@ def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
     state0 = np.asarray(state0, dtype=float)
     if np.any(state0 <= 0):
         raise NonPositive(f"initial state {state0} is not in the open quadrant")
-    states, failures = _log_flow(spec, np.log(state0)[:, None], [spec.T], _ATOL_LOG)
+    states, failures = _log_flow(spec, np.log(state0)[:, None], [spec.T], _NEWTON_FULL)
     if failures[0] is not None:
         raise StepFailure(failures[0])
     return np.exp(states[:, 0, 0, -1])
@@ -240,13 +283,20 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
 
     Each iteration advances all live starts to t = T in one
     :func:`_log_flow` solve and takes, per start, the step dz solving (Phi(T) - I) dz =
-    -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  A start converges
-    when its fixed-point residual in (u, v) falls to ``NEWTON_TOL`` in the
-    sup norm.  When ``bounds`` are positive, a start whose log iterate
-    exceeds (log U, log V) by more than ``_BOX_MARGIN`` is retired before
-    its next solve.  Returns, per guess, either (z, residual) with z the
-    converged (log u, log v), or the NonPositive, NoConvergence or
-    StepFailure that retired it.
+    -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  The solve is
+    inexact Newton's: it takes the loose tolerances ``_NEWTON_LOOSE`` (rtol
+    1e-6, atol 1e-8) while the smallest fixed-point residual of the live
+    starts in the previous iteration is above ``_LOOSE_RESIDUAL`` = 1e-3,
+    and so on the first iteration, and the full ``_NEWTON_FULL`` (rtol
+    1e-10, atol 1e-12) otherwise.  A start converges when its fixed-point
+    residual in (u, v), the one the switch reads, falls to ``NEWTON_TOL``
+    in the sup norm on a full solve.  A start whose loose solve fails is
+    solved again at full tolerance in the same iteration, and is retired
+    for a StepFailure only if that fails too.  When ``bounds`` are
+    positive, a start whose log iterate exceeds (log U, log V) by more than
+    ``_BOX_MARGIN`` is retired before its next solve.  Returns, per guess,
+    either (z, residual) with z the converged (log u, log v), or the
+    NonPositive, NoConvergence or StepFailure that retired it.
     """
     outcomes: list = [None] * len(guesses)
     z = np.zeros((2, len(guesses)))
@@ -272,7 +322,16 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
         live = [j for j in live if outcomes[j] is None]
         if not live:
             break
-        states, failures = _log_flow(spec, z[:, live], [spec.T], _ATOL_LOG)
+        loose = min(residual[j] for j in live) > _LOOSE_RESIDUAL
+        states, failures = _log_flow(spec, z[:, live], [spec.T],
+                                     _NEWTON_LOOSE if loose else _NEWTON_FULL)
+        full = [not loose] * len(live)
+        redo = [i for i, msg in enumerate(failures) if msg is not None] if loose else []
+        if redo:
+            states[:, :, redo], again = _log_flow(
+                spec, z[:, [live[i] for i in redo]], [spec.T], _NEWTON_FULL)
+            for i, msg in zip(redo, again):
+                failures[i], full[i] = msg, True
         end = states[..., -1]
         for i, j in enumerate(live):
             if failures[i] is not None:
@@ -281,7 +340,7 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             x = np.exp(z[:, j])
             fvec = end[:, 0, i] - z[:, j]
             residual[j] = float(np.max(np.abs(np.exp(end[:, 0, i]) - x)))
-            if residual[j] <= NEWTON_TOL:
+            if full[i] and residual[j] <= NEWTON_TOL:
                 outcomes[j] = (z[:, j].copy(), residual[j])
                 continue
             amat = end[:, 1:, i] - eye
@@ -304,9 +363,13 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
 
 def _sample_orbit(spec: SystemSpec, z: np.ndarray, residual: float) -> PeriodicOrbit2D:
     """The orbit through the converged log start ``z`` and its monodromy,
-    from one :func:`_log_flow` solve."""
+    from one :func:`_log_flow` solve.
+
+    Phi starts at I, so its tiny atol would make the solver's own first
+    step ~1e-10 (its error scale is atol where Phi is 0); the solve starts
+    with the step it picks with Newton's full atol on Phi instead."""
     ts = np.linspace(0.0, spec.T, _ORBIT_SAMPLES + 1)
-    states, failures = _log_flow(spec, z[:, None], ts, _ATOL_MONODROMY)
+    states, failures = _log_flow(spec, z[:, None], ts, _SAMPLING, first_step_tol=_NEWTON_FULL)
     if failures[0] is not None:
         raise StepFailure(failures[0])
     uv = np.exp(states[:, 0, 0])

@@ -48,9 +48,7 @@ def _log_problem(spec, starts):
     z = np.log(np.asarray(starts, dtype=float).T)
     n = z.shape[1]
     y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)), axis=1)
-    atol = np.full((2, 3, n), simulate._ATOL_MONODROMY)
-    atol[:, 0] = simulate._ATOL_LOG
-    return simulate._LogField(spec, n), y0.ravel(), atol.ravel()
+    return simulate._LogField(spec, n), y0.ravel(), simulate._SAMPLING.atol(n)
 
 
 @pytest.fixture(params=["saddle_spec", "perturbed_spec"])
@@ -97,6 +95,23 @@ class TestAgainstScipy:
         assert skipped >= 1
         assert ours.nfev == theirs.nfev - 3 * skipped
 
+    def test_first_step_matches(self, log_problem):
+        # the sampling solve starts with the step picked at atol 1e-12 on Phi;
+        # given that first step, both solvers take the same steps
+        spec, field, y0, atol = log_problem
+        h0 = _dop853.initial_step(field, (0.0, spec.T), y0, rtol=RTOL,
+                                  atol=simulate._NEWTON_FULL.atol(field.n))
+        assert h0 > 1e3 * _dop853.initial_step(field, (0.0, spec.T), y0, rtol=RTOL, atol=atol)
+        theirs = scipy_solve_ivp(_as_function(field), (0.0, spec.T), y0, method="DOP853",
+                                 rtol=RTOL, atol=atol, first_step=h0)
+        ours = _dop853.solve_ivp(field, (0.0, spec.T), y0, rtol=RTOL, atol=atol, t_eval=theirs.t,
+                                 first_step=h0)
+        assert ours.success and theirs.success
+        assert theirs.t[1] == h0
+        np.testing.assert_array_equal(ours.t, theirs.t)
+        np.testing.assert_array_equal(ours.y, theirs.y)
+        assert ours.nfev == theirs.nfev
+
     def test_blow_up_fails(self):
         # y' = y**2, y(0) = 1 blows up at t = 1
         field = _Autonomous(lambda y: y ** 2)
@@ -108,6 +123,24 @@ class TestAgainstScipy:
         assert ours.message == theirs.message == _dop853.TOO_SMALL_STEP
         assert ours.t[-1] == theirs.t[-1]
         assert ours.nfev == theirs.nfev
+
+
+def test_initial_step_is_the_solvers_own():
+    field = _Autonomous(lambda y: -y ** 3)
+    picked = _dop853.solve_ivp(field, (0.0, 3.0), [1.0, 2.0], rtol=RTOL, atol=1e-12, t_eval=[3.0])
+    h0 = _dop853.initial_step(field, (0.0, 3.0), [1.0, 2.0], rtol=RTOL, atol=1e-12)
+    given = _dop853.solve_ivp(field, (0.0, 3.0), [1.0, 2.0], rtol=RTOL, atol=1e-12, t_eval=[3.0],
+                              first_step=h0)
+    np.testing.assert_array_equal(given.y, picked.y)
+    # no evaluation for the initial step
+    assert given.nfev == picked.nfev - 1
+
+
+@pytest.mark.parametrize("first_step", [0.0, -1e-3, 3.5])
+def test_first_step_outside_the_span_rejected(first_step):
+    with pytest.raises(ValueError, match="first_step"):
+        _dop853.solve_ivp(_Autonomous(lambda y: -y), (0.0, 3.0), [1.0], rtol=RTOL, atol=1e-12,
+                          t_eval=[3.0], first_step=first_step)
 
 
 def test_blow_up_is_a_step_failure(monkeypatch):

@@ -368,6 +368,65 @@ class TestBatchedNewton:
         with pytest.raises(StepFailure):
             find_coexistence(perturbed_spec, (7.0, 7.0))
 
+    # on eq30_spec the first start, the averaged equilibrium, is the fixed
+    # point, so its first, loose solve already reads a residual below NEWTON_TOL
+    @pytest.mark.parametrize("name", ["eq30_spec", "perturbed_spec", "saddle_spec"])
+    def test_loose_first_and_accepted_at_full_tolerance(self, name, request, monkeypatch):
+        spec = request.getfixturevalue(name)
+        solves, outcomes = [], []
+        real_solve, real_newton = simulate.solve_ivp, simulate._newton
+
+        def recording(field, span, y0, **kwargs):
+            # a Newton iteration reads its solve at t = T only
+            if len(kwargs["t_eval"]) == 1:
+                solves.append((kwargs["rtol"], y0.reshape(2, 3, -1)[:, 0].copy()))
+            return real_solve(field, span, y0, **kwargs)
+
+        def keeping(*args):
+            result = real_newton(*args)
+            outcomes.extend(result)
+            return result
+
+        monkeypatch.setattr(simulate, "solve_ivp", recording)
+        monkeypatch.setattr(simulate, "_newton", keeping)
+        assert find_coexistence_multistart(spec)
+        loose = simulate._NEWTON_LOOSE.rtol
+        assert loose == 1e-6
+        assert solves[0][0] == loose
+        assert {rtol for rtol, _ in solves} == {loose, simulate.TOL_ODE}
+        converged = [outcome[0] for outcome in outcomes if not isinstance(outcome, Exception)]
+        assert converged
+        for z in converged:
+            # the solve that accepted z is the last one started from it
+            last = [rtol for rtol, zs in solves if np.any(np.all(zs == z[:, None], axis=0))][-1]
+            assert last == simulate.TOL_ODE
+
+    @pytest.mark.parametrize("failing_rtols, retired", [((1e-6,), False), ((1e-6, 1e-10), True)])
+    def test_loose_failure_solved_again_at_full_tolerance(self, perturbed_spec, monkeypatch,
+                                                          failing_rtols, retired):
+        # the solve fails whenever the start (7, 7) is in it at one of failing_rtols
+        bad = math.log(7.0)
+        alone = []
+        real = simulate.solve_ivp
+
+        def failing(field, span, y0, **kwargs):
+            starts = y0.reshape(2, 3, -1)[:, 0]
+            failed = kwargs["rtol"] in failing_rtols and np.any(starts == bad)
+            if starts.shape[1] == 1 and np.all(starts == bad):
+                alone.append((kwargs["rtol"], not failed))
+            if failed:
+                return SimpleNamespace(success=False, message="step size too small")
+            return real(field, span, y0, **kwargs)
+
+        monkeypatch.setattr(simulate, "solve_ivp", failing)
+        guesses = [np.array([2.0, 2.0]), np.array([7.0, 7.0])]
+        outcomes = simulate._newton(perturbed_spec, guesses, perturbed_spec.bounds)
+        assert not isinstance(outcomes[0], Exception)
+        assert isinstance(outcomes[1], StepFailure) == retired
+        # the batched loose solve failed and was repeated start by start; the
+        # start's own loose failure sent it to a full solve in the same iteration
+        assert alone == [(1e-6, False), (simulate.TOL_ODE, not retired)]
+
 
 class TestBoxRetirement:
     def test_far_guess_retired_before_solving(self, saddle_spec, monkeypatch):
@@ -417,15 +476,16 @@ DEMO = {"a": 2.0102, "b": 1.0, "c": 0.0051, "d": 2.0203, "e": 0.9898, "f": 2.0}
 
 
 @st.composite
-def perturbed_demo_systems(draw):
-    """The demo constants with one or two harmonics of up to 10% on a and d."""
+def perturbed_demo_systems(draw, t_max=2.0):
+    """The demo constants with one or two harmonics of up to 10% on a and d,
+    at a period in [0.5, t_max]."""
     n = draw(st.integers(1, 2))
     coefs = {name: C(value) for name, value in DEMO.items()}
     for name in "ad":
         ks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n, unique=True))
         amp = st.floats(-0.1, 0.1).map(lambda x: x * DEMO[name])
         coefs[name] = TRIG(DEMO[name], [(k, draw(amp), draw(amp)) for k in ks])
-    return SystemSpec(T=draw(st.floats(0.5, 2.0)), **coefs)
+    return SystemSpec(T=draw(st.floats(0.5, t_max)), **coefs)
 
 
 class TestOrbitInvariants:
@@ -440,6 +500,32 @@ class TestOrbitInvariants:
             assert abs(det - ref) <= 1e-6 * abs(ref)
             assert np.max(np.abs(poincare_map(spec, start(orbit)) - start(orbit))) <= 1e-9
             assert verify_predictions(spec, orbit).all_ok
+
+
+def saddle_systems():
+    """The forced, weakly damped family around ``saddle_spec``, at a period
+    in [0.5, 7]."""
+    x = st.floats(0.9, 1.1)
+    damping = st.floats(0.008, 0.012)
+    return st.builds(
+        lambda T, a0, a1, b, c, d, e, f: SystemSpec(
+            T=T, a=TRIG(a0, [(1, 0.0, a1)]), b=C(b), c=C(c), d=C(-d), e=C(e), f=C(f)),
+        st.floats(0.5, 7.0), x, st.floats(0.8, 0.95), damping, x, x, x, damping)
+
+
+class TestInexactNewton:
+    @given(st.one_of(perturbed_demo_systems(7.0), saddle_systems()))
+    @settings(max_examples=20, deadline=None)
+    def test_same_orbits_as_an_all_full_tolerance_search(self, spec):
+        scheduled = find_coexistence_multistart(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_LOOSE_RESIDUAL", math.inf)
+            full = find_coexistence_multistart(spec)
+        assert len(scheduled) == len(full)
+        assert [floquet(o).classification for o in scheduled] == \
+            [floquet(o).classification for o in full]
+        for a, b in zip(scheduled, full):
+            np.testing.assert_allclose(start(a), start(b), rtol=1e-9, atol=0)
 
 
 class TestComponentMax:
