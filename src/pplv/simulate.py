@@ -16,13 +16,15 @@ with the fundamental matrix Phi of its variational equation.  Period-map
 Newton reads it at t = T at one of two tolerance levels:
 
 - loose, rtol 1e-6 and absolute tolerance 1e-8 on the state and on Phi,
-  on the first iteration and while the smallest fixed-point residual of
-  the live starts in the previous iteration is above 1e-3;
+  on the first iteration and while the smallest residual of the live
+  starts in the previous iteration is above 1e-3;
 - full, rtol 1e-10 and absolute tolerance 1e-12 on the state and on Phi,
   otherwise.
 
-A start is accepted, or retired for a failed solve, only on a full
-solve, so the convergence test is the same at either level.  Each
+The residual of a start z is its log displacement max |z(T) - z(0)|.  A
+start is accepted, or retired for a failed solve, only on a full solve,
+and accepted when its residual, T times the mean log field, is at most
+1e-10 * T; no one-species state, at log 0 = -inf, can pass.  Each
 converged orbit is solved once more, at rtol 1e-10 with 1e-20 on Phi,
 for its samples (positive by construction) and its monodromy.
 
@@ -57,10 +59,9 @@ TOL_PERIODIC_2D = 1e-9
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 # Newton solves at the loose level (see _NEWTON_LOOSE) while the smallest
-# fixed-point residual of the live starts is above _LOOSE_RESIDUAL; the
-# first iteration, before any residual is known, is loose too.
+# log residual of the live starts is above _LOOSE_RESIDUAL, unscaled by T
+# as the loose error is; the first iteration is loose too.
 _LOOSE_RESIDUAL = 1e-3
-_BOUNDARY_FRACTION = 1e-8
 _ORBIT_SAMPLES = 512
 # Random starts of the multistart search, and the seed they are drawn with.
 MULTISTART_STARTS = 20
@@ -134,7 +135,8 @@ class PeriodicOrbit2D:
     Both come from one solve in log coordinates, the one Newton uses (see
     :func:`_log_flow`), with absolute tolerances 1e-12 on (log u, log v)
     and 1e-20 on the log-variational matrix Phi, and
-    X = diag(u(T), v(T)) Phi(T) diag(1/u(0), 1/v(0)).
+    X = diag(u(T), v(T)) Phi(T) diag(1/u(0), 1/v(0)).  ``newton_residual``
+    is the accepting solve's max |log u(T) - log u(0)|, |log v(T) - log v(0)|.
     """
 
     T: float
@@ -255,8 +257,10 @@ def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolera
     if first_step_tol is not None:
         first_step = initial_step(field, (0.0, ts[-1]), y0, rtol=first_step_tol.rtol,
                                   atol=first_step_tol.atol(n))
-    sol = solve_ivp(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol(n), t_eval=ts,
-                    first_step=first_step)
+    # a trial step that overflows exp has a NaN error norm and is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol(n),
+                        t_eval=ts, first_step=first_step)
     if sol.success:
         return sol.y.reshape(2, 3, n, len(ts)), [None] * n
     if n == 1:
@@ -285,17 +289,17 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     :func:`_log_flow` solve and takes, per start, the step dz solving (Phi(T) - I) dz =
     -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  The solve is
     inexact Newton's: it takes the loose tolerances ``_NEWTON_LOOSE`` (rtol
-    1e-6, atol 1e-8) while the smallest fixed-point residual of the live
-    starts in the previous iteration is above ``_LOOSE_RESIDUAL`` = 1e-3,
-    and so on the first iteration, and the full ``_NEWTON_FULL`` (rtol
-    1e-10, atol 1e-12) otherwise.  A start converges when its fixed-point
-    residual in (u, v), the one the switch reads, falls to ``NEWTON_TOL``
-    in the sup norm on a full solve.  A start whose loose solve fails is
+    1e-6, atol 1e-8) while the smallest residual of the live starts in the
+    previous iteration is above ``_LOOSE_RESIDUAL`` = 1e-3, and so on the
+    first iteration, and the full ``_NEWTON_FULL`` (rtol 1e-10, atol 1e-12)
+    otherwise.  The residual of a start is its log displacement
+    r = max |P(z) - z|, the one the switch reads; the start converges when
+    r <= ``NEWTON_TOL`` * T on a full solve.  A start whose loose solve fails is
     solved again at full tolerance in the same iteration, and is retired
     for a StepFailure only if that fails too.  When ``bounds`` are
     positive, a start whose log iterate exceeds (log U, log V) by more than
     ``_BOX_MARGIN`` is retired before its next solve.  Returns, per guess,
-    either (z, residual) with z the converged (log u, log v), or the
+    either (z, r) with z the converged (log u, log v), or the
     NonPositive, NoConvergence or StepFailure that retired it.
     """
     outcomes: list = [None] * len(guesses)
@@ -337,10 +341,9 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             if failures[i] is not None:
                 outcomes[j] = StepFailure(failures[i])
                 continue
-            x = np.exp(z[:, j])
             fvec = end[:, 0, i] - z[:, j]
-            residual[j] = float(np.max(np.abs(np.exp(end[:, 0, i]) - x)))
-            if full[i] and residual[j] <= NEWTON_TOL:
+            residual[j] = float(np.max(np.abs(fvec)))
+            if full[i] and residual[j] <= NEWTON_TOL * spec.T:
                 outcomes[j] = (z[:, j].copy(), residual[j])
                 continue
             amat = end[:, 1:, i] - eye
@@ -374,13 +377,6 @@ def _sample_orbit(spec: SystemSpec, z: np.ndarray, residual: float) -> PeriodicO
         raise StepFailure(failures[0])
     uv = np.exp(states[:, 0, 0])
     us, vs = uv
-    # Newton happily converges onto the one-species boundary states, whose
-    # vanishing component shows up as roundoff-level positive values; those
-    # are not coexistence states.
-    scale = max(float(np.max(us)), float(np.max(vs)))
-    if np.min(us) <= _BOUNDARY_FRACTION * scale \
-            or np.min(vs) <= _BOUNDARY_FRACTION * scale:
-        raise NonPositive("converged to a boundary (one-species) state")
     per_res = float(max(abs(us[-1] - us[0]), abs(vs[-1] - vs[0])))
     # X = diag(u(T), v(T)) Phi(T) diag(1/u(0), 1/v(0))
     return PeriodicOrbit2D(T=spec.T, ts=ts, us=us, vs=vs,
@@ -393,10 +389,9 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2
 
     The one-guess call of the batched log-coordinate Newton (see the
     module docstring), retired once it leaves the a-priori box from
-    ``spec.bounds``; convergence requires the fixed-point residual in
-    (u, v) to fall below 1e-10 in the sup norm.  Raises NonPositive,
-    NoConvergence or StepFailure when the search fails, and NonPositive
-    when it converges onto a one-species boundary state.
+    ``spec.bounds``; convergence requires the log displacement over the
+    period, max |P(z) - z| in (log u, log v), to fall to 1e-10 * T.  Raises
+    NonPositive, NoConvergence or StepFailure when the search fails.
     """
     outcome = _newton(spec, [np.asarray(guess, dtype=float)], spec.bounds)[0]
     if isinstance(outcome, Exception):
@@ -500,9 +495,9 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     ``MULTISTART_STARTS`` points drawn uniformly from (0, U] x (0, V] with
     seed ``MULTISTART_SEED`` advance together in one batched Newton; failed
     or escaping searches (a non-positive start fails unsolved) are dropped;
-    converged starts are deduplicated (distance below 1e-6) before each
-    distinct orbit is sampled, and the orbits are ordered lexicographically
-    for schedule independence.
+    converged starts are deduplicated (sup distance below 1e-6 in
+    (log u, log v)) before each distinct orbit is sampled, and the orbits
+    are ordered lexicographically for schedule independence.
     """
     bounds = spec.bounds
     if bounds.U <= 0 or bounds.V <= 0:
@@ -518,15 +513,14 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     for outcome in _newton(spec, guesses, bounds):
         if isinstance(outcome, Exception):
             continue
-        x = np.exp(outcome[0])
-        if any(np.max(np.abs(x - np.exp(z))) < 1e-6 for z, _ in starts):
+        if any(np.max(np.abs(outcome[0] - z)) < 1e-6 for z, _ in starts):
             continue
         starts.append(outcome)
     orbits: list[PeriodicOrbit2D] = []
     for z, residual in starts:
         try:
             orbits.append(_sample_orbit(spec, z, residual))
-        except (NonPositive, StepFailure):
+        except StepFailure:
             continue
     orbits.sort(key=lambda o: (o.us[0], o.vs[0]))
     return orbits

@@ -702,6 +702,26 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == code
         assert line in capsys.readouterr().out.splitlines()
 
+    def test_simulate_overflowing_trial_steps_warn_nothing(self, tmp_path, capsys):
+        # trial steps of this strongly forced system overflow exp in the log
+        # field; the step control rejects them, so in process (where a
+        # RuntimeWarning is an error) the run ends in its orbit and stderr
+        # stays empty
+        trig = PeriodicCoefficient.trig
+        spec = SystemSpec(T=23.95208121, a=trig(1.505490583, [(1, 0.0, 1.058485341)]),
+                          b=PeriodicCoefficient.constant(0.054979081),
+                          c=PeriodicCoefficient.constant(1.07076543),
+                          d=trig(-1.051103853, [(1, 0.406644413, 0.0)]),
+                          e=PeriodicCoefficient.constant(2.568602992),
+                          f=PeriodicCoefficient.constant(0.00848041))
+        cfg_path = write_cfg(tmp_path, format_config(spec))
+        code = main(["--command", "simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == EXIT_STABLE
+        assert captured.out.splitlines()[0] == "1 distinct orbit(s) found"
+
     @pytest.mark.parametrize("command", ["analyze", "region", "example1", "simulate"])
     def test_each_command_computes_the_bounds_once(self, tmp_path, capsys, monkeypatch,
                                                    command):

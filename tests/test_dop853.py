@@ -7,9 +7,11 @@ from scipy.integrate._ivp import dop853_coefficients as ref
 
 from pplv import _dop853, simulate
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
+from pplv.constant_case import equilibrium
 from pplv.simulate import StepFailure, find_coexistence_multistart, poincare_map
 
 C = PeriodicCoefficient.constant
+TRIG = PeriodicCoefficient.trig
 RTOL = 1e-10
 
 
@@ -167,11 +169,24 @@ def test_nan_field_fails_instead_of_looping():
 
 
 DEMO = {"a": 2.0102, "b": 1.0, "c": 0.0051, "d": 2.0203, "e": 0.9898, "f": 2.0}
+SHORT_PERIOD_SYSTEMS = {
+    "demo": {},
+    "perturbed_demo": {"a": TRIG(DEMO["a"], [(1, 0.0, 0.01)])},
+    "two_harmonic": {"a": TRIG(DEMO["a"], [(1, 0.3, 0.5), (2, 0.0, 0.4)]),
+                     "d": TRIG(DEMO["d"], [(1, 0.2, 0.0)])},
+}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: absolute NEWTON_TOL")
-def test_short_period_demo_has_one_orbit():
-    # analyze certifies one globally stable orbit at every T; at T = 1e-6
-    # the absolute Newton tolerance accepts points that are not fixed
-    spec = SystemSpec(T=1e-6, **{name: C(value) for name, value in DEMO.items()})
-    assert len(find_coexistence_multistart(spec)) == 1
+@pytest.mark.parametrize("T", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("name", list(SHORT_PERIOD_SYSTEMS))
+def test_short_period_demo_has_one_orbit(name, T):
+    # analyze certifies one globally stable orbit at every T.  Near the
+    # equilibrium P(z) - z is about T times the log field, so only a test
+    # scaled by T tells a fixed point from a slow point
+    coefs = {key: C(value) for key, value in DEMO.items()} | SHORT_PERIOD_SYSTEMS[name]
+    spec = SystemSpec(T=T, **coefs)
+    orbits = find_coexistence_multistart(spec)
+    assert len(orbits) == 1
+    if name == "demo":
+        start = (orbits[0].us[0], orbits[0].vs[0])
+        np.testing.assert_allclose(start, equilibrium(spec), rtol=0, atol=1e-9)

@@ -16,7 +16,7 @@ import pplv
 from pplv import simulate
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import equilibrium
-from pplv.criteria import intertwined_test
+from pplv.criteria import GLOBALLY_STABLE_VIA_18_19, INCONCLUSIVE, intertwined_test, scan_p
 from pplv.jfunc import INF
 from pplv.logistic import periodic_logistic
 from pplv.region import RegionBounds, compute_uv
@@ -116,12 +116,15 @@ class TestFindCoexistence:
         assert np.max(np.abs(start(orbit) - (0.04870, 0.48906))) < 1e-5
         assert orbit.us.min() > 0.04
 
-    def test_uniformly_tiny_component_rejected(self, classical_spec):
-        # the prey-only state is a fixed point of the period map; Newton
-        # started on it converges with v uniformly at roundoff level and
-        # must not be reported as a coexistence orbit
-        with pytest.raises(NonPositive):
-            find_coexistence(classical_spec, (1.0, 1e-13))
+    def test_seed_beside_prey_only_state_reaches_interior_orbit(self, classical_spec):
+        # the prey-only state (1, 0) is a fixed point of the period map in
+        # (u, v), but in log coordinates it lies at log v = -inf: the seed
+        # moves by 0.5 in log v over the period, so Newton goes on to the
+        # interior orbit instead of reporting a boundary state
+        orbit = find_coexistence(classical_spec, (1.0, 1e-13))
+        assert np.max(np.abs(orbit.us - 0.75)) < 1e-8
+        assert np.max(np.abs(orbit.vs - 0.25)) < 1e-8
+        assert orbit.vs.min() > 0.2
 
     def test_fixed_point_consistency(self, eq30_spec, classical_spec, perturbed_spec):
         for spec, guess in ((eq30_spec, (2.0, 2.0)), (classical_spec, (0.7, 0.3)),
@@ -470,6 +473,37 @@ class TestBoxRetirement:
         outcome = simulate._newton(saddle_spec, [guess], RegionBounds(U=-1.0, V=1.0))[0]
         assert isinstance(outcome, NoConvergence)
         assert "no fixed point after 1 iterations" in str(outcome)
+
+
+class TestForcedRegressionSystems:
+    """Strongly forced systems where the period map's fixed points are hard
+    to find: verdict and orbits must agree."""
+
+    def test_deep_dip_orbit_found(self):
+        # certified by conditions 18/19; v dips to e^-15.4 while u reaches
+        # e^3.47, yet the orbit is no boundary state
+        spec = SystemSpec(T=21.477609497, a=TRIG(1.290499477, [(1, 0.0, 2.780158153)]),
+                          b=C(0.125401361), c=C(0.118970744),
+                          d=TRIG(-1.424179287, [(2, 0.012161109, 0.0)]),
+                          e=C(0.334609734), f=C(0.325334057))
+        assert scan_p(spec, (1.0, 2.0, INF)).conclusion == GLOBALLY_STABLE_VIA_18_19
+        orbits = find_coexistence_multistart(spec)
+        assert len(orbits) == 1
+        assert floquet(orbits[0]).classification == ASYMPTOTICALLY_STABLE
+        assert verify_predictions(spec, orbits[0]).all_ok
+        assert orbits[0].vs.min() < 1e-8 * orbits[0].us.max()
+
+    def test_three_orbits(self):
+        # fixed-point indices +1, -1 and +1, summing to 1; no test certifies
+        # uniqueness, as none may
+        spec = SystemSpec(T=21.167603286, a=TRIG(0.852671711, [(1, 0.0, 0.818768602)]),
+                          b=C(0.177992758), c=C(0.426808073),
+                          d=TRIG(-0.802938916, [(1, -0.664397414, 0.0)]),
+                          e=C(1.181789959), f=C(0.024613658))
+        assert scan_p(spec, (1.0, 2.0, INF)).conclusion == INCONCLUSIVE
+        orbits = find_coexistence_multistart(spec)
+        assert [floquet(o).classification for o in orbits] == \
+            [UNSTABLE, UNSTABLE, ASYMPTOTICALLY_STABLE]
 
 
 DEMO = {"a": 2.0102, "b": 1.0, "c": 0.0051, "d": 2.0203, "e": 0.9898, "f": 2.0}
