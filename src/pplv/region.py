@@ -2,12 +2,16 @@
 
 For each exponent p the p-averages of any coexistence state are confined
 to a bounded planar region built from coefficient extrema and the a-priori
-component bounds (U, V).  For finite p the region is cut out of the open
+component bounds (U, V).  For finite p the region is cut out of the closed
 quadrant by four inequalities; for p = inf it degenerates to the box
 (0, U] x (0, V].  The stability tests need the suprema of x*y and of
-b_max*x + f_max*y over these regions.  For finite p the region is convex,
-so one search of its slices, shared by both suprema, bounds them in x, and
-each supremum is a unimodal search along the top of those slices.
+b_max*x + f_max*y over these regions.  For finite p the region is convex:
+its top is min(top_a, top_d), where top_a decreases and top_d increases,
+so they cross once, at x_c.  Both objectives grow along top_d, so each
+supremum lies on top_a, at the maximiser that Lagrange's condition gives
+in closed form, clamped to the x-interval of the region.  That interval
+and x_c are scalar roots, found once per region and shared by both
+suprema.
 
 The extrema and (U, V) are those a :class:`SystemSpec` keeps
 (``extrema``, ``bounds``).  :func:`region_spec` builds the p = 1 region
@@ -38,13 +42,18 @@ BOUNDARY_TOL = 1e-9
 
 
 class _Slices(NamedTuple):
-    """Where the suprema over a region lie: the x-interval (xa, xb, tol) of
-    its non-empty slices, or the one ``point`` every supremum takes (the box
-    corner at p = inf, a touching point, or NaN if the x-range overflows)."""
+    """Where the suprema over a region lie: the x-interval (x_a, x_b) of its
+    non-empty slices and the x_c from which top_a is the top (x_c is the
+    crossing of the two top curves when ``crossing``, else the end of the
+    x-range that one top curve spans), or the one ``point`` every supremum
+    takes (the box corner at p = inf, a touching point, or NaN if the
+    x-range overflows)."""
 
     degenerate: bool
     point: Optional[tuple[float, float]] = None
-    interval: tuple[float, float, float] = (math.nan,) * 3
+    interval: tuple[float, float] = (math.nan, math.nan)
+    x_c: float = math.nan
+    crossing: bool = False
 
 
 @dataclass(frozen=True)
@@ -88,18 +97,21 @@ class RegionSpec:
 
     @functools.cached_property
     def _slices(self) -> Optional[_Slices]:
-        """Where the slices are non-empty, searched once per region; None if empty.
+        """Where the slices are non-empty, found once per region; None if empty.
 
         For p >= 1 each of the four constraints is a convex function bounded
         by a constant, so the region is convex and its slice gap
-        yhi(x) - ylo(x) is concave in x.  Golden-section search finds the
-        widest slice.  It never evaluates the ends of the x-range, so if its
-        widest slice is negative, an end with gap >= 0 takes its place.
-        Below -BOUNDARY_TOL (scaled) the region is empty,
+        g = min(top_a, top_d) - max(lo_a, lo_d, 0) is concave in x.  Its
+        maximum lies at x_c (top_a = top_d), at the bottom's kink x_e
+        (lo_a = max(lo_d, 0)), or where the one smooth pair of curves
+        active between the two is stationary; each is a scalar root
+        (:func:`_root`).  Below -BOUNDARY_TOL (scaled) the region is empty,
         within BOUNDARY_TOL of zero it is degenerate, and a slightly
         negative widest slice is taken as the point where the region
-        touches.  Otherwise bisection on the two monotone sides of the gap
-        finds the x-interval where the gap is >= 0.
+        touches.  The quadrant is closed: a point or segment on an axis is
+        a region, but a top curve that is undefined there (p > 1, yhi < 0)
+        is not.  Otherwise the ends x_a and x_b are the roots of g on
+        either side of its maximum, by Newton from the ends of the x-range.
         """
         U, V = self.bounds.U, self.bounds.V
         if self.p == INF:
@@ -115,39 +127,29 @@ class RegionSpec:
         if not math.isfinite(x_hi):
             # the x-range overflows: no finite bound on any objective is known
             return _Slices(False, (math.nan, math.nan))
-        # relative to the x-range, so a narrow region keeps 13 digits of its x*y
-        tol = max(1e-13 * x_hi, math.ulp(x_hi))
         scale = 1.0 + abs(self.abar) + abs(self.dbar)
 
-        def gap(x: float) -> float:
-            ylo, yhi = _slice(self, x)
-            return yhi - ylo
-
-        x_g, gap_max = _golden_max_f(gap, x_lo, x_hi, tol)
-        if gap_max < 0.0:
-            # the golden search never evaluates the ends, where the region
-            # can be a point or a segment (every coefficient 1 at p = 1: the
-            # point (0, 1)); from an end with gap >= 0 the interval is searched
-            for x_end in (x_lo, x_hi):
-                gap_end = gap(x_end)
-                if gap_end >= 0.0:
-                    x_g, gap_max = x_end, gap_end
-                    break
+        x_c, crossing = _top_crossing(self, x_lo, x_hi)
+        x_e, kinked = _bottom_kink(self, x_lo, x_hi)
+        x_m, ylo, yhi = max(((x, *_slice(self, x, crossing and x == x_c, kinked and x == x_e))
+                             for x in _widest_slice_candidates(self, x_c, x_e)),
+                            key=lambda widest: widest[2] - widest[1])
+        gap_max = yhi - ylo
         if gap_max < -BOUNDARY_TOL * scale:
             return None
         if gap_max < 0.0:
             # touching within tolerance: the region is the point of widest
             # slice, unless a top curve is undefined there (p > 1, yhi < 0)
-            ylo, yhi = _slice(self, x_g)
-            y_g = 0.5 * (ylo + yhi)
-            if y_g <= 0 or x_g <= 0 or (yhi < 0 and self.p != 1.0):
+            if yhi < 0 and self.p != 1.0:
                 return None
-            return _Slices(True, (x_g, y_g))
+            return _Slices(True, (x_m, max(0.5 * (ylo + yhi), 0.0)))
         # a degenerate region can still be a segment where two constraints
-        # coincide, so it is searched like any other
-        xa = _feasible_end(gap, x_g, x_lo, tol)
-        xb = _feasible_end(gap, x_g, x_hi, tol)
-        return _Slices(gap_max <= BOUNDARY_TOL * scale, interval=(xa, xb, tol))
+        # coincide, so its ends are found like any other's
+        residual = functools.partial(_end_residual, self)
+        ends = [(end, residual(end)) for end in (x_lo, x_hi)]
+        interval = tuple(end if at_end[0] >= 0.0 else _root(residual, end, x_m, at_end)
+                         for end, at_end in ends)
+        return _Slices(gap_max <= BOUNDARY_TOL * scale, interval=interval, x_c=x_c, crossing=crossing)
 
 
 @dataclass(frozen=True)
@@ -228,10 +230,23 @@ def _curves(region: RegionSpec, x: float | np.ndarray):
     return top_a, lo_a, top_d, (region.dbar + region.e_min * powx) / region.f_max
 
 
-def _slice(region: RegionSpec, x: float) -> tuple[float, float]:
-    """Admissible y-interval (ylo, yhi) of the slice at x; empty if ylo > yhi."""
+def _slice(region: RegionSpec, x: float, crossing: bool = False,
+           kink: bool = False) -> tuple[float, float]:
+    """Admissible y-interval (ylo, yhi) of the slice at x; empty if ylo > yhi.
+
+    Where the two top curves cross at x (``crossing``), yhi is read from the
+    flatter of them, whose value there is less sensitive to the rounding of
+    x; so is ylo where lo_a meets max(lo_d, 0) (``kink``).
+    """
     top_a, lo_a, top_d, lo_d = _curves(region, x)
-    return max(lo_a, lo_d, 0.0), min(top_a, top_d)
+    if crossing:
+        yhi = top_a if abs(_slope(region, 0, x, top_a)) <= abs(_slope(region, 2, x, top_d)) else top_d
+    else:
+        yhi = min(top_a, top_d)
+    if kink:
+        d_other = _slope(region, 3, x, lo_d) if lo_d > 0 else 0.0
+        return (lo_a if region.b_max / region.c_max <= abs(d_other) else max(lo_d, 0.0)), yhi
+    return max(lo_a, lo_d, 0.0), yhi
 
 
 def _x_ceiling(region: RegionSpec) -> float:
@@ -289,59 +304,270 @@ def cp_slack(region: RegionSpec, x: float, y: float) -> float:
         return -math.inf
 
 
-def _golden_max_f(fn: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = b - a
-    if h <= tol:
-        m = 0.5 * (a + b)
-        return m, fn(m)
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc, fd = fn(c), fn(d)
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(invphi))))
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h *= invphi
-            c = a + invphi2 * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h *= invphi
-            d = a + invphi * h
-            fd = fn(d)
-    return (c, fc) if fc > fd else (d, fd)
+# Newton stops once a step moves x by at most _ROOT_RTOL relative to x, and
+# each root takes at most _ROOT_STEPS steps, so abar = 1e308 still ends.
+_ROOT_RTOL = 4.0 * math.ulp(1.0)
+_ROOT_STEPS = 100
 
 
-def _feasible_end(gap: Callable[[float], float], inside: float, end: float, tol: float) -> float:
-    """Last x from ``inside`` (gap >= 0) towards ``end`` with gap >= 0.
+def _root(fn: Callable[[float], tuple[float, float]], outside: float, inside: float,
+          at_outside: tuple[float, float]) -> float:
+    """The root of ``fn`` between ``outside``, where fn < 0, and ``inside``,
+    where fn >= 0.  ``fn`` returns its value and its Newton step
+    value/slope, and ``at_outside`` is fn(outside).
 
-    The gap is concave, so it is monotone between the two and bisection
-    finds the crossing.  The number of halvings that brings the bracket
-    within ``tol`` is fixed up front, and the midpoint is formed so that it
-    cannot overflow.
+    Newton steps start from ``outside``, where on a concave fn they near the
+    root monotonically, and go on from the latest point, so that a root
+    far smaller than ``outside`` is found to its own relative accuracy.
+    A step past the inside end stops there.  A step that leaves the bracket,
+    or that does not halve the step before the last, is replaced by the
+    bracket's midpoint, formed so that it cannot overflow, and geometric
+    where the bracket spans more than a factor of 4; a first step of zero,
+    from an infinite slope, by one ulp.  The search stops once a step
+    moves x by at most _ROOT_RTOL relative, or once a Newton step from
+    outside brings fn no closer to zero, which on a concave fn only
+    rounding does; after _ROOT_STEPS steps it returns the inside end.
     """
-    if gap(end) >= 0.0:
-        return end
-    width = abs(end - inside)
-    for _ in range(math.ceil(math.log2(width / tol)) if width > tol else 0):
-        mid = 0.5 * inside + 0.5 * end
-        if gap(mid) >= 0.0:
-            inside = mid
+    x, (value, step) = outside, at_outside
+    last = before_last = math.inf
+    for _ in range(_ROOT_STEPS):
+        lo, hi = min(outside, inside), max(outside, inside)
+        newton = False
+        if step == 0.0 and value < 0.0 and last == math.inf:
+            # an infinite slope, as where a top curve meets y = 0
+            x_new = math.nextafter(x, inside)
         else:
-            end = mid
+            x_new = x - step
+            if value < 0.0 and (x_new - inside) * (inside - x) > 0.0:
+                # past the inside end, as rounding takes a step to a root there
+                x_new = inside
+            newton = (lo <= x_new <= hi and 2.0 * abs(x_new - x) <= before_last
+                      and (step != 0.0 or value >= 0.0))
+            if not newton:
+                x_new = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 4.0 * lo < hi else 0.5 * lo + 0.5 * hi
+            if abs(x_new - x) <= _ROOT_RTOL * abs(x_new):
+                return x_new
+        before_last, last = last, abs(x_new - x)
+        at_new = fn(x_new)
+        if newton and value < 0.0 and at_new[0] <= value:
+            return x_new
+        x, (value, step) = x_new, at_new
+        if value >= 0.0:
+            inside = x
+        else:
+            outside = x
     return inside
 
 
-def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], float]) -> SupResult:
+def _newton(value: float, slope: float) -> tuple[float, float]:
+    """A value and its Newton step value/slope (NaN where the slope is 0)."""
+    return value, value / slope if slope else math.nan
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent for base >= 0, inf where Python's float power raises."""
+    try:
+        return base ** exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _power_term(region: RegionSpec, x: float) -> tuple[float, float]:
+    """U*(x/U)**p, the term of x in constraints (1) and (4), and its slope."""
+    p, U = region.p, region.bounds.U
+    if p == 1.0:
+        return x, 1.0
+    return U * (x / U) ** p, p * (x / U) ** (p - 1.0)
+
+
+def _slope(region: RegionSpec, index: int, x: float, y: float) -> float:
+    """Slope at x of the curve at ``index`` in the tuple of :func:`_curves`,
+    whose value there is y.  The top curves' slopes are ratio powers of
+    their values, -(b_min/c_min)*(x*V/(U*top_a))**(p-1) and
+    (e_max/(p*f_min))*(V/top_d)**(p-1): infinite where a top curve meets
+    y = 0 at p > 1."""
+    p, U, V = region.p, region.bounds.U, region.bounds.V
+    if index == 1:
+        return -region.b_max / region.c_max
+    if index == 3:
+        return region.e_min * _power_term(region, x)[1] / region.f_max
+    if index == 2 and region.e_max == 0:
+        return 0.0
+    if p == 1.0:
+        ratio = 1.0
+    elif y <= 0:
+        ratio = math.inf
+    else:
+        ratio = _pow(x / U * (V / y) if index == 0 else V / y, p - 1.0)
+    if index == 0:
+        return -region.b_min / region.c_min * ratio
+    return region.e_max / (p * region.f_min) * ratio
+
+
+def _end_residual(region: RegionSpec, x: float) -> tuple[float, float]:
+    """The slice gap at x, with the larger of two Newton steps towards its
+    root: the gap's own, and that of the slack of constraints (1) and (3)
+    at the bottom (x, ylo) of the slice, min(rem/c_min, base/f_min) -
+    V*(ylo/V)**p, in the units of y at p = 1, where it is the gap itself.
+
+    Both are concave and share their roots, so from outside neither step
+    passes the root, and from inside both do.  The slack has no vertical
+    tangent where a top curve meets y = 0, which stalls the gap's step at
+    p > 1, and the gap does not grow like a p-th power where ylo > V, which
+    slows the slack's.
+    """
+    curves = _curves(region, x)
+    top, i = min((curves[0], 0), (curves[2], 2))
+    ylo, j = max((curves[1], 1), (curves[3], 3), (0.0, -1))
+    d_ylo = 0.0 if j < 0 else _slope(region, j, x, ylo)
+    steps = [_newton(top - ylo, _slope(region, i, x, top) - d_ylo)[1]]
+    p, V = region.p, region.bounds.V
+    if p != 1.0:
+        power, d_power = _power_term(region, x)
+        rem = (region.abar - region.b_min * power) / region.c_min
+        base = (region.dbar + region.e_max * x) / region.f_min
+        slack, d_slack = min((rem, -region.b_min * d_power / region.c_min),
+                             (base, region.e_max / region.f_min))
+        steps.append(_newton(slack - V * _pow(ylo / V, p),
+                             d_slack - p * _pow(ylo / V, p - 1.0) * d_ylo)[1])
+    # from outside the larger step, from inside (past the root) the smaller
+    steps = [step for step in steps if math.isfinite(step)] or [math.nan]
+    return top - ylo, (min if top >= ylo else max)(steps, key=abs)
+
+
+def _decreasing_root(fn: Callable[[float], tuple[float, float]], lo: float,
+                     hi: float) -> tuple[float, bool]:
+    """Where the decreasing ``fn`` crosses zero on [lo, hi], or the end
+    nearest to it, and whether it crosses; by Newton from hi, which is
+    monotone where fn is concave."""
+    at_lo, at_hi = fn(lo), fn(hi)
+    if at_lo[0] <= 0.0:
+        return lo, at_lo[0] == 0.0
+    if at_hi[0] >= 0.0:
+        return hi, at_hi[0] == 0.0
+    return _root(fn, hi, lo, at_hi), True
+
+
+def _top_crossing(region: RegionSpec, x_lo: float, x_hi: float) -> tuple[float, bool]:
+    """x_c, where top_a = top_d on [x_lo, x_hi], and whether they cross there.
+
+    It is the root of h(x) = rem/c_min - base/f_min, the bases of the two
+    roots, which is concave and decreasing.  Where h keeps one sign the end
+    where the other top curve would begin is returned: x_lo when top_a is
+    the whole top, x_hi when top_d is.
+    """
+    def h(x: float) -> tuple[float, float]:
+        power, slope = _power_term(region, x)
+        value = ((region.abar - region.b_min * power) / region.c_min
+                 - (region.dbar + region.e_max * x) / region.f_min)
+        return _newton(value, -region.b_min * slope / region.c_min - region.e_max / region.f_min)
+
+    return _decreasing_root(h, x_lo, x_hi)
+
+
+def _bottom_kink(region: RegionSpec, x_lo: float, x_hi: float) -> tuple[float, bool]:
+    """x_e, where lo_a meets max(lo_d, 0) on [x_lo, x_hi], and whether they
+    meet there.  lo_a meets y = 0 at abar/b_max; left of that, or of where
+    it meets lo_d (a root of lo_a - lo_d, concave and decreasing), lo_a is
+    the bottom."""
+    b_max, c_max = region.b_max, region.c_max
+
+    def kink(x: float) -> tuple[float, float]:
+        power, slope = _power_term(region, x)
+        value = (region.abar - b_max * x) / c_max - (region.dbar + region.e_min * power) / region.f_max
+        return _newton(value, -b_max / c_max - region.e_min * slope / region.f_max)
+
+    x_0 = region.abar / b_max
+    x_e, meets = _decreasing_root(kink, x_lo, min(max(x_0, x_lo), x_hi))
+    return x_e, meets or x_e == x_0
+
+
+def _lo_d_zero(region: RegionSpec) -> Optional[float]:
+    """Where lo_d meets y = 0 (x >= 0), or None if it lies below y = 0 for every x."""
+    dbar = region.dbar
+    if dbar >= 0:
+        return 0.0
+    if region.e_min <= 0:
+        return None
+    if region.p == 1.0:
+        return -dbar / region.e_min
+    U = region.bounds.U
+    eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
+    return U * (-dbar / eu if eu else -dbar / region.e_min / U) ** (1.0 / region.p)
+
+
+def _widest_slice_candidates(region: RegionSpec, x_c: float, x_e: float) -> list[float]:
+    """Points among which the concave gap takes its maximum on the x-range.
+
+    Left of both x_c and the bottom's kink x_e the top rises and the bottom
+    falls, right of both the reverse, so the maximum lies on the span
+    between them, where one smooth pair of curves is active: top_a over
+    lo_a (x_c < x_e), or top_d over lo_d once lo_d >= 0 (x_e < x_c).  The
+    pair's stationary point is a closed form for the first and the root of
+    their slope gap for the second.  At p = 1 both pairs are lines, so the
+    span's ends suffice, and its midpoint stands for a pair of coincident
+    lines (a segment region), whose ends may round below zero.
+    """
+    p = region.p
+    if x_c <= x_e:
+        lo, hi = x_c, x_e
+    else:
+        x_f = _lo_d_zero(region)
+        lo, hi = (x_c if x_f is None else min(max(x_f, x_e), x_c)), x_c
+    candidates = [x_c, x_e, lo]
+    if lo == hi:
+        return candidates
+    if p == 1.0:
+        candidates.append(0.5 * lo + 0.5 * hi)
+    elif x_c <= x_e:
+        candidates.append(min(max(_top_a_argmax(region, region.b_max, region.c_max), lo), hi))
+    elif region.e_min > 0 and region.e_max > 0:
+        # otherwise lo_d or top_d is flat and the gap monotone on the span
+        def slope_gap(x: float) -> tuple[float, float]:
+            # lo_d' - top_d', increasing, and its slope lo_d'' - top_d'',
+            # where top_d'' = -(p-1)*top_d'**2/top_d
+            top_d = _curves(region, x)[2]
+            d_top = _slope(region, 2, x, top_d)
+            d2_lo = region.e_min * p * (p - 1.0) / (region.f_max * region.bounds.U) * _pow(
+                x / region.bounds.U, p - 2.0)
+            d2_top = (p - 1.0) * d_top * d_top / top_d if top_d > 0 else math.inf
+            return _newton(_slope(region, 3, x, 0.0) - d_top, d2_lo + d2_top)
+
+        at_lo = slope_gap(lo)
+        if at_lo[0] < 0.0:
+            candidates.append(hi if slope_gap(hi)[0] < 0.0 else _root(slope_gap, lo, hi, at_lo))
+    return candidates
+
+
+def _top_a_argmax(region: RegionSpec, wx: float, wy: float) -> float:
+    """The x that maximises wx*x + wy*y along top_a, for p > 1.
+
+    Lagrange's condition on constraint (1) gives
+    x* = U*(abar/(b_min*U + c_min*V*K**(p/(p-1))))**(1/p) with
+    K = wy*b_min/(wx*c_min), that is x* = xmax*(1 + w)**(-1/p) with
+    w = c_min*V*K**(p/(p-1))/(b_min*U), which is formed from logarithms so
+    that no power overflows.
+    """
+    p, log = region.p, math.log
+    log_w = (log(region.bounds.V) - log(region.bounds.U)
+             + (p * (log(wy) - log(wx)) + log(region.b_min) - log(region.c_min)) / (p - 1.0))
+    log1p_w = log_w + math.log1p(math.exp(-log_w)) if log_w > 0 else math.log1p(math.exp(log_w))
+    return _x_ceiling(region) * math.exp(-log1p_w / p)
+
+
+def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], float],
+                     argmax_on_top_a: Callable[[], Optional[float]]) -> SupResult:
     """Maximize an objective that is increasing in y over the region.
 
-    Each slice's maximum lies on its top, y = yhi(x), which is concave and
-    non-negative on the x-interval of ``region._slices``: x*yhi(x) is
-    log-concave and a linear objective with positive y coefficient concave.
-    One golden-section search along the top, which nears the interval's ends
-    from inside only, finds the supremum with its argmax in the open quadrant.
+    Each slice's maximum lies on its top, and along top_d both objectives
+    grow, so the supremum lies on top_a, on [max(x_a, x_c), x_b], or at x_b
+    when top_d is the whole top.  The objective's maximiser along top_a,
+    ``argmax_on_top_a()``, is clamped to that interval; None, for a linear
+    objective along a line (p = 1), takes the better end.  At x_c the
+    height is that of the flatter top curve (:func:`_slice`).  Coexistence
+    averages lie in the open quadrant, so a maximiser on an axis at the end
+    of an interval of positive width is moved 8 ulp of x_b inside along the
+    top.
     """
     found = region._slices
     if found is None:
@@ -349,19 +575,39 @@ def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], flo
     if found.point is not None:
         value = math.inf if math.isnan(found.point[0]) else float(objective(*found.point))
         return SupResult(value, found.point, empty=False, degenerate=found.degenerate)
-    x, value = _golden_max_f(lambda t: objective(t, _slice(region, t)[1]), *found.interval)
-    return SupResult(float(value), (x, _slice(region, x)[1]), empty=False,
-                     degenerate=found.degenerate)
+    x_a, x_b = found.interval
+    lo = min(max(x_a, found.x_c), x_b)
+
+    def top(x: float) -> float:
+        return _slice(region, x, found.crossing and x == found.x_c)[1]
+
+    x_star = argmax_on_top_a()
+    if x_star is None:
+        x = max((lo, x_b), key=lambda t: objective(t, top(t)))
+    else:
+        x = min(max(x_star, lo), x_b)
+    y = top(x)
+    if x_a < x_b and (x <= 0.0 or y <= 0.0):
+        inward = min(8.0 * math.ulp(1.0) * x_b, 0.5 * (x_b - x_a))
+        x = x + inward if x == x_a else x - inward
+        y = top(x)
+    return SupResult(float(objective(x, y)), (x, y), empty=False, degenerate=found.degenerate)
 
 
 def sup_xy(region: RegionSpec) -> SupResult:
-    """sup { x*y : (x, y) in the region }; U*V at the corner for p = inf."""
-    return _sup_over_region(region, lambda x, y: x * y)
+    """sup { x*y : (x, y) in the region }; U*V at the corner for p = inf.
+
+    Along top_a, x*y peaks where b_min*U*(x/U)**p = abar/2, at
+    x* = xmax*2**(-1/p)."""
+    return _sup_over_region(region, lambda x, y: x * y,
+                            lambda: _x_ceiling(region) * 0.5 ** (1.0 / region.p))
 
 
 def sup_linear(region: RegionSpec) -> SupResult:
     """sup { b_max*x + f_max*y } over the region, with its own b_max, f_max."""
-    return _sup_over_region(region, lambda x, y: region.b_max * x + region.f_max * y)
+    return _sup_over_region(
+        region, lambda x, y: region.b_max * x + region.f_max * y,
+        lambda: None if region.p == 1.0 else _top_a_argmax(region, region.b_max, region.f_max))
 
 
 def boundary_residual(region: RegionSpec, label: str, x: float, y: float) -> float:
@@ -410,16 +656,10 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
     # at e = 0 and dbar < 0 a d curve lies below y = 0 everywhere (None).
     dbar = region.dbar
     if dbar >= 0:
-        d_lower_start = d_upper_start = 0.0
+        d_lower_start = 0.0
     else:
         d_lower_start = -dbar / region.e_max if region.e_max > 0 else None
-        if region.e_min <= 0:
-            d_upper_start = None
-        elif p == 1.0:
-            d_upper_start = -dbar / region.e_min
-        else:
-            eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
-            d_upper_start = U * (-dbar / eu if eu else -dbar / region.e_min / U) ** (1.0 / p)
+    d_upper_start = _lo_d_zero(region)
     ranges = [(label, x_start, x_end) for label, x_start, x_end in (
         ("a_lower", 0.0, xmax),
         ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),

@@ -97,12 +97,12 @@ EXAMPLE1_DEMO = [
     "  note: sign_ok false at p=1",
     "  note: sign_ok false at p=2",
     "direct region-coupled tests:",
-    "  intertwined        p=1     lhs=3.1420467661780891       rhs=2                        "
-    "margin=-1.1420467661780891      FAIL",
-    "  intertwined        p=2     lhs=3.1423618341555764       rhs=2.6220575542921196       "
-    "margin=-0.52030427986345673     FAIL",
-    "  intertwined        p=inf   lhs=3.1425883108869797       rhs=3.1415926535897922       "
-    "margin=-0.00099565729718742446  FAIL",
+    "  intertwined        p=1     lhs=3.1420467661806337       rhs=2                        "
+    "margin=-1.1420467661806337      FAIL",
+    "  intertwined        p=2     lhs=3.142361834158037        rhs=2.6220575542921196       "
+    "margin=-0.52030427986591743     FAIL",
+    "  intertwined        p=inf   lhs=3.1425883108894377       rhs=3.1415926535897931       "
+    "margin=-0.00099565729964457006  FAIL",
     "  weak_intertwined   p=inf   lhs=3.1527360378286606       rhs=3.1415926535897922       "
     "margin=-0.011143384238868403    FAIL",
     "note: sign_ok=false at one or more exponents; there the squared reduction behind G(p) "

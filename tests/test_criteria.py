@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +34,7 @@ from pplv.criteria import (
 )
 from pplv.jfunc import INF, conjugate, threshold_p
 from pplv.logistic import periodic_logistic
-from pplv.region import compute_uv, region_spec, sup_linear, sup_xy
+from pplv.region import RegionSpec, compute_uv, region_spec, sup_linear, sup_xy
 
 C = PeriodicCoefficient.constant
 
@@ -445,9 +447,31 @@ def evaluations_per_lp_norm(monkeypatch) -> list[int]:
     return per_call
 
 
+def region_work(monkeypatch) -> tuple[Counter, Counter]:
+    """Count, by exponent, the slice searches (computations of the cached
+    ``RegionSpec._slices``) and the ``region._curves`` evaluations."""
+    searches: Counter = Counter()
+    curves: Counter = Counter()
+    slices, evaluate = RegionSpec._slices.func, pplv.region._curves
+
+    def counting_slices(region):
+        searches[region.p] += 1
+        return slices(region)
+
+    def counting_curves(region, x):
+        curves[region.p] += 1
+        return evaluate(region, x)
+
+    prop = functools.cached_property(counting_slices)
+    prop.__set_name__(RegionSpec, "_slices")
+    monkeypatch.setattr(RegionSpec, "_slices", prop)
+    monkeypatch.setattr(pplv.region, "_curves", counting_curves)
+    return searches, curves
+
+
 def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic_spec):
+    searches, curves = region_work(monkeypatch)
     counts = count_calls(monkeypatch, {
-        "_feasible_end": pplv.region._feasible_end,
         "_root_times": pplv.coeffs._root_times,
         "classify_boundary": pplv.existence.classify_boundary,
         "periodic_logistic": pplv.logistic.periodic_logistic,
@@ -471,8 +495,12 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
     assert counts["region_spec"] == 1
     assert counts["sup_xy"] == len(GRID)
     assert counts["threshold_p"] == len(GRID)
-    # one search of each finite-p region, whose two ends bound both suprema
-    assert counts["_feasible_end"] == 2 * sum(p != INF for p in GRID)
+    # one search of each region, shared by both suprema
+    assert searches == Counter(GRID)
+    # each finite-p region's slices and both suprema take a few scalar roots
+    # and closed forms, not a search along x
+    assert set(curves) == {p for p in GRID if p != INF}
+    assert max(curves.values()) <= 30
     # each lp_norm call evaluates its coefficient once for the extrema, once
     # at the quadrature midpoints and once per level for every exponent at
     # once: no more often than its slowest exponent alone, and at most 10 times

@@ -161,6 +161,45 @@ class TestSupXY:
         lin = sup_linear(reg)
         assert (lin.value, lin.argmax) == (1.0, (0.0, 1.0))
 
+    @pytest.mark.parametrize("dbar, point", [
+        # lo_d(0) = 1 + 1e-12 lies above top_a(0) = 1: the slice at x = 0
+        # is 1e-12 short of closing, on the y axis
+        (1.0 + 1e-12, (0.0, 1.0000000000005)),
+        # top_d(1) = -1e-12 lies below y = 0, where top_a meets it: the
+        # slice at x = 1 is 1e-12 short of closing, on the x axis
+        (-1.0 - 1e-12, (1.0, 0.0)),
+    ])
+    def test_touching_point_on_an_axis(self, dbar, point):
+        # the quadrant is closed for a touching point as for any region;
+        # the open rule made the second region empty
+        reg = RegionSpec(p=1.0, abar=1.0, dbar=dbar, b_min=1.0, b_max=1.0, c_min=1.0, c_max=1.0,
+                         e_min=1.0, e_max=1.0, f_min=1.0, f_max=1.0,
+                         bounds=RegionBounds(U=1.0, V=1.0))
+        res, lin = sup_xy(reg), sup_linear(reg)
+        assert not res.empty and res.degenerate
+        assert res.argmax == lin.argmax == pytest.approx(point, rel=1e-15, abs=0)
+        assert res.value == 0.0
+        assert lin.value == point[0] + point[1]
+
+    def test_supremum_at_a_corner_is_exact(self):
+        # the p = 1 region of analyze_trig/1/0 of the benchmark generator:
+        # sup xy lies at the corner where top_a meets lo_d; a search along
+        # the top that nears the corner from inside only gives the lower
+        # bound 0.005329883133938582, 2.2e-11 below it
+        reg = RegionSpec(p=1.0, abar=1.707722829, dbar=1.287000884,
+                         b_min=1.6246568502727807, b_max=2.320348565727219,
+                         c_min=1.0446977540824651, c_max=1.3344674959175347,
+                         e_min=0.5685410871186968, e_max=0.9020991288813033,
+                         f_min=0.535815779392935, f_max=0.7909201486070649,
+                         bounds=RegionBounds(U=1.1203534545201643, V=5.188619162058358))
+        res = sup_xy(reg)
+        assert res.value >= 0.005329883133938582
+        x = ((reg.abar / reg.c_min - reg.dbar / reg.f_max)
+             / (reg.e_min / reg.f_max + reg.b_min / reg.c_min))
+        y = (reg.dbar + reg.e_min * x) / reg.f_max
+        assert res.argmax == pytest.approx((x, y), rel=1e-13)
+        assert res.value == pytest.approx(x * y, rel=1e-13)
+
     def test_empty_region_flagged(self):
         res = sup_xy(region_spec(const_spec(-1, 1, 1, -1, 1, 1)).at(2.0))
         assert res.empty
@@ -469,6 +508,11 @@ class TestCurvesOnArrays:
 
 class TestSupremumProperty:
     @given(regions())
+    # a thin p = 1 region under top_d = dbar: at x_c, where top_a meets it,
+    # y read from top_a loses ~2.5e-9 to cancellation in abar - b_min*x
+    @example(RegionSpec(p=1.0, abar=2.0, dbar=5.960464477539063e-08, b_min=1.0, b_max=2.0,
+                        c_min=2.959209119489652, c_max=2.959209119489652, e_min=0.0, e_max=0.0,
+                        f_min=1.0, f_max=2.0, bounds=RegionBounds(U=1.0, V=1.0)))
     @settings(max_examples=40, deadline=None)
     def test_suprema_match_grid_oracle(self, reg):
         # A coarse oracle grid only bounds the supremum from below: its best
