@@ -36,6 +36,10 @@ the exact monodromy of the log-variational equation, integrated alongside
 the map, and every live start advances in the same vectorized
 integration.  Every coexistence orbit lies in the a-priori box u <= U,
 v <= V, so a start that leaves it by more than two steps is retired.
+Starts within 1e-6 of each other in (log u, log v) lie on one orbit, and
+the search applies that rule in every iteration: a start that reaches an
+accepted fixed point is retired as its duplicate, so no orbit is solved
+to the end twice.
 """
 
 from __future__ import annotations
@@ -66,17 +70,23 @@ _ORBIT_SAMPLES = 512
 # Random starts of the multistart search, and the seed they are drawn with.
 MULTISTART_STARTS = 20
 MULTISTART_SEED = 0
-# Newton steps are clamped to this sup norm in log coordinates, and an
-# iterate with a log coordinate beyond _LOG_LIMIT is retired before the
-# exponential in the right-hand side can overflow.  Every coexistence orbit
-# satisfies u <= U and v <= V, so an iterate more than _BOX_MARGIN above
-# log U or log V is retired too.  On forced saddle systems, searches from
-# starts inside the box climb up to ~2.6 steps above it before they turn
-# back to the orbit: a one-step margin retired 96% of them and lost the
-# orbit on some systems, two steps keep at least 6 of 20 random starts.
+# Newton steps are clamped to this sup norm in log coordinates.  An iterate
+# with a log coordinate above _LOG_LIMIT is retired before the exponential
+# in the right-hand side can overflow, and one more than _LOG_LIMIT below
+# min(0, log U) or min(0, log V) (below 0 without a box) as diverging; the
+# floor follows a box below 1 so that a component near 1e-300 is still
+# searched, and never rises above -_LOG_LIMIT.  Every
+# coexistence orbit satisfies u <= U and v <= V, so an iterate more than
+# _BOX_MARGIN above log U or log V is retired too.  On forced saddle
+# systems, searches from starts inside the box climb up to ~2.6 steps
+# above it before they turn back to the orbit: a one-step margin retired
+# 96% of them and lost the orbit on some systems, two steps keep at least
+# 6 of 20 random starts.
 _MAX_LOG_STEP = 2.0
 _LOG_LIMIT = 50.0
 _BOX_MARGIN = 2.0 * _MAX_LOG_STEP
+# Two log states within this sup distance of each other lie on one orbit.
+_SAME_ORBIT = 1e-6
 # Absolute tolerances of the log-coordinate solve: _ATOL_LOG on (log u,
 # log v), and on the log-variational matrix Phi too while Newton searches.
 # Multipliers of strongly contracting orbits reach ~1e-12 and below, so the
@@ -124,6 +134,14 @@ class NoConvergence(RuntimeError):
 
 class NonPositive(RuntimeError):
     """An iterate or trajectory left the open positive quadrant."""
+
+
+class Duplicate(RuntimeError):
+    """A Newton start reached the fixed point accepted from guess ``index``."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"Newton iterate reached the orbit of guess {index}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -296,11 +314,20 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     r = max |P(z) - z|, the one the switch reads; the start converges when
     r <= ``NEWTON_TOL`` * T on a full solve.  A start whose loose solve fails is
     solved again at full tolerance in the same iteration, and is retired
-    for a StepFailure only if that fails too.  When ``bounds`` are
-    positive, a start whose log iterate exceeds (log U, log V) by more than
-    ``_BOX_MARGIN`` is retired before its next solve.  Returns, per guess,
-    either (z, r) with z the converged (log u, log v), or the
-    NonPositive, NoConvergence or StepFailure that retired it.
+    for a StepFailure only if that fails too.  Before its next solve, a
+    start is retired when a log coordinate is above ``_LOG_LIMIT``, more
+    than ``_LOG_LIMIT`` below min(0, log U) or min(0, log V) (below 0 when
+    ``bounds`` are not positive), or more than ``_BOX_MARGIN`` above log U
+    or log V.
+
+    Converged starts within ``_SAME_ORBIT`` (sup norm in log coordinates)
+    of each other are one orbit, represented by the start accepted first:
+    earliest iteration first, then guess order.  A start that converges
+    within that distance of an accepted one, or whose iterate comes within
+    it before its next solve, is retired as a Duplicate of the
+    representative's guess.  Returns, per guess, either (z, r) with z the
+    accepted (log u, log v), or the NonPositive, NoConvergence, StepFailure
+    or Duplicate that retired it.
     """
     outcomes: list = [None] * len(guesses)
     z = np.zeros((2, len(guesses)))
@@ -314,9 +341,20 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     residual = [math.inf] * len(guesses)
     eye = np.eye(2)
     log_box = np.log([bounds.U, bounds.V]) if bounds.U > 0 and bounds.V > 0 else None
+    floor = (0.0 if log_box is None else np.minimum(log_box, 0.0)) - _LOG_LIMIT
+    accepted: list[int] = []
+
+    def joined(zj: np.ndarray) -> Duplicate | None:
+        return next((Duplicate(k) for k in accepted
+                     if np.max(np.abs(zj - outcomes[k][0])) < _SAME_ORBIT), None)
+
     for _ in range(NEWTON_MAX_ITER):
+        # drop the starts accepted or retired by the last solve
+        live = [j for j in live if outcomes[j] is None]
         for j in live:
-            if not np.all(np.abs(z[:, j]) <= _LOG_LIMIT):
+            if (duplicate := joined(z[:, j])) is not None:
+                outcomes[j] = duplicate
+            elif not np.all((floor <= z[:, j]) & (z[:, j] <= _LOG_LIMIT)):
                 outcomes[j] = NoConvergence(
                     f"Newton iterate diverged (log state {z[:, j]})")
             elif log_box is not None and np.any(z[:, j] > log_box + _BOX_MARGIN):
@@ -344,7 +382,10 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             fvec = end[:, 0, i] - z[:, j]
             residual[j] = float(np.max(np.abs(fvec)))
             if full[i] and residual[j] <= NEWTON_TOL * spec.T:
-                outcomes[j] = (z[:, j].copy(), residual[j])
+                outcomes[j] = joined(z[:, j])
+                if outcomes[j] is None:
+                    outcomes[j] = (z[:, j].copy(), residual[j])
+                    accepted.append(j)
                 continue
             amat = end[:, 1:, i] - eye
             try:
@@ -433,12 +474,19 @@ def liouville_determinant(spec: SystemSpec, orbit: PeriodicOrbit2D) -> float:
 
 
 def orbit_averages(orbit: PeriodicOrbit2D, p: float) -> tuple[float, float]:
-    """The p-averages of the two orbit components (suprema for p = inf)."""
+    """The p-averages of the two orbit components (suprema for p = inf).
+
+    Each is m * mean((x / m)^p)^(1/p) with m the largest sample, so a
+    component of 1e-300 does not underflow at p > 1."""
     check_exponent(p)
     if math.isinf(p):
         return orbit.component_max()
-    return (periodic_mean(orbit.us ** p) ** (1.0 / p),
-            periodic_mean(orbit.vs ** p) ** (1.0 / p))
+    return _p_average(orbit.us, p), _p_average(orbit.vs, p)
+
+
+def _p_average(xs: np.ndarray, p: float) -> float:
+    m = float(np.max(xs))
+    return m * periodic_mean((xs / m) ** p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -493,11 +541,11 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
 
     The equilibrium of the averaged system, unless that is singular, and
     ``MULTISTART_STARTS`` points drawn uniformly from (0, U] x (0, V] with
-    seed ``MULTISTART_SEED`` advance together in one batched Newton; failed
-    or escaping searches (a non-positive start fails unsolved) are dropped;
-    converged starts are deduplicated (sup distance below 1e-6 in
-    (log u, log v)) before each distinct orbit is sampled, and the orbits
-    are ordered lexicographically for schedule independence.
+    seed ``MULTISTART_SEED`` advance together in one batched Newton, which
+    keeps one start per orbit (see :func:`_newton`); failed, escaping and
+    duplicate searches (a non-positive start fails unsolved) are dropped.
+    Each distinct orbit is sampled once, and the orbits are ordered
+    lexicographically for schedule independence.
     """
     bounds = spec.bounds
     if bounds.U <= 0 or bounds.V <= 0:
@@ -509,15 +557,11 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     rng = np.random.default_rng(MULTISTART_SEED)
     guesses += [np.array([bounds.U * (1.0 - rng.random()), bounds.V * (1.0 - rng.random())])
                 for _ in range(MULTISTART_STARTS)]
-    starts: list[tuple[np.ndarray, float]] = []
+    orbits: list[PeriodicOrbit2D] = []
     for outcome in _newton(spec, guesses, bounds):
         if isinstance(outcome, Exception):
             continue
-        if any(np.max(np.abs(outcome[0] - z)) < 1e-6 for z, _ in starts):
-            continue
-        starts.append(outcome)
-    orbits: list[PeriodicOrbit2D] = []
-    for z, residual in starts:
+        z, residual = outcome
         try:
             orbits.append(_sample_orbit(spec, z, residual))
         except StepFailure:

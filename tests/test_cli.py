@@ -694,8 +694,12 @@ class TestMain:
         (dict(T=1.0, a=0.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0), "example1",
          EXIT_NO_COEXISTENCE,
          "  note: U <= 0, so no coexistence state exists; the large-p ratio check is skipped"),
+        # v ~ 3e-300: Newton's log floor is 50 below log V, and the
+        # p-averages of v do not underflow
+        (dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300), "simulate", EXIT_STABLE,
+         "1 distinct orbit(s) found"),
     ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double",
-            "U-is-zero"])
+            "U-is-zero", "cV-underflows-simulate"])
     def test_extreme_constants_verdicts(self, tmp_path, capsys, values, command, code, line):
         cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
         assert main(["--command", command, "--config", str(cfg_path),

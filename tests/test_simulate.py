@@ -239,6 +239,11 @@ class TestOrbitAverages:
         with pytest.raises(ValueError):
             orbit_averages(constant_orbit(1.0, 1.0), 0.5)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 10.0, 1000.0, INF])
+    def test_tiny_component_does_not_underflow(self, p):
+        # (1e-300)^1.5 rounds to 0; scaled by the largest sample it does not
+        assert orbit_averages(constant_orbit(2.0, 1e-300), p) == (2.0, 1e-300)
+
 
 class TestVerifyPredictions:
     def test_demo_orbit(self, eq30_spec):
@@ -431,6 +436,60 @@ class TestBatchedNewton:
         assert alone == [(1e-6, False), (simulate.TOL_ODE, not retired)]
 
 
+class TestInSearchDeduplication:
+    @pytest.mark.parametrize("name", ["perturbed_spec", "saddle_spec"])
+    def test_no_solve_reaches_an_accepted_orbit(self, name, request, monkeypatch):
+        spec = request.getfixturevalue(name)
+        solves, outcomes = [], []
+        real_flow, real_newton = simulate._log_flow, simulate._newton
+
+        def recording(spec, z, ts, *args, **kwargs):
+            # a Newton solve reads t = T only
+            if len(ts) == 1:
+                solves.append(z.copy())
+            return real_flow(spec, z, ts, *args, **kwargs)
+
+        def keeping(*args):
+            result = real_newton(*args)
+            outcomes.extend(result)
+            return result
+
+        monkeypatch.setattr(simulate, "_log_flow", recording)
+        monkeypatch.setattr(simulate, "_newton", keeping)
+        assert find_coexistence_multistart(spec)
+        accepted = [outcome[0] for outcome in outcomes if not isinstance(outcome, Exception)]
+        assert accepted
+        for z in accepted:
+            # the solve that accepted z is the last one started from it
+            last = max(k for k, zs in enumerate(solves) if np.any(np.all(zs == z[:, None], axis=0)))
+            for zs in solves[last + 1:]:
+                assert np.all(np.max(np.abs(zs - z[:, None]), axis=0) >= simulate._SAME_ORBIT)
+
+    def test_perturbed_demo_retires_duplicates(self, perturbed_spec, monkeypatch):
+        solves, outcomes = [], []
+        real_solve, real_newton = simulate.solve_ivp, simulate._newton
+
+        def counting(*args, **kwargs):
+            if len(kwargs["t_eval"]) == 1:
+                solves.append(len(args[2]))
+            return real_solve(*args, **kwargs)
+
+        def keeping(*args):
+            result = real_newton(*args)
+            outcomes.extend(result)
+            return result
+
+        monkeypatch.setattr(simulate, "solve_ivp", counting)
+        monkeypatch.setattr(simulate, "_newton", keeping)
+        assert len(find_coexistence_multistart(perturbed_spec)) == 1
+        # starts on the found orbit are retired, not solved to the end again
+        assert len(solves) <= 5
+        duplicates = [outcome for outcome in outcomes if isinstance(outcome, simulate.Duplicate)]
+        assert duplicates
+        # each names the guess that represents its orbit
+        assert all(isinstance(outcomes[d.index], tuple) for d in duplicates)
+
+
 class TestBoxRetirement:
     def test_far_guess_retired_before_solving(self, saddle_spec, monkeypatch):
         # log v = 49 lies far above log V = 9.85; without the box Newton
@@ -465,6 +524,33 @@ class TestBoxRetirement:
         orbits = find_coexistence_multistart(spec)
         assert len(orbits) == 1
         assert floquet(orbits[0]).classification == UNSTABLE
+
+    def test_log_floor_follows_a_box_below_one(self, monkeypatch):
+        # v ~ 3e-300 (log v ~ -690): a floor of 50 below 0 retired every
+        # start; 50 below log V keeps them
+        spec = const_spec(2.0, 1.0, 1e-300, 1.0, 1.0, 1e300)
+        orbits = find_coexistence_multistart(spec)
+        assert len(orbits) == 1
+        assert start(orbits[0]) == pytest.approx((2.0, 3e-300), rel=1e-9)
+        monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
+        outcome = simulate._newton(spec, [np.array([2.0, 1e-300])], spec.bounds)[0]
+        assert "no fixed point after 1 iterations" in str(outcome)
+
+    def test_log_floor_never_rises_above_minus_50(self):
+        # U = V = 1e20 (log 46) and an orbit at (1e-3, 1e-3): a floor of
+        # 50 below log U (-4) would retire the equilibrium start and every
+        # random start descending to it
+        spec = const_spec(1.0, 1e-20, 1e3, 0.0, 1.0, 1.0)
+        orbits = find_coexistence_multistart(spec)
+        assert len(orbits) == 1
+        assert start(orbits[0]) == pytest.approx((1e-3, 1e-3), rel=1e-9)
+
+    def test_log_ceiling_stays_absolute(self):
+        # log U ~ 690: the field near the box overflows the solver's
+        # first-step estimate, so iterates above log 50 are still retired
+        # and the search ends without a ZeroDivisionError
+        spec = const_spec(1e300, 1.0, 1.0, 1.0, 1.0, 1.0, T=1e-300)
+        assert isinstance(find_coexistence_multistart(spec), list)
 
     def test_no_box_without_positive_bounds(self, saddle_spec, monkeypatch):
         # U <= 0: only the |log| limit of 50 retires iterates, as before
