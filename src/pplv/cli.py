@@ -38,8 +38,6 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_NO_COEXISTENCE = 3
 
-COMMANDS = ("analyze", "region", "jfunc", "scan", "simulate", "example1")
-
 _KIND_KEYS = {"const": {"kind", "value"}, "trig": {"kind", "c0", "harmonic"}}
 _SECTION_KEYS = {"system": {"T"},
                  **{name: _KIND_KEYS["const"] | _KIND_KEYS["trig"] for name in "abcdef"}}
@@ -265,12 +263,16 @@ def _print_report(report: criteria.StabilityReport, out) -> None:
     print(f"conclusion: {report.conclusion}", file=out)
 
 
+def _result_row(res: criteria.TestResult) -> str:
+    """name,p,lhs,rhs,margin,passed of one result: a row of ``scan`` and of ``results.csv``."""
+    p = "-" if res.p is None else p_token(res.p)
+    return "%s,%s,%.17g,%.17g,%.17g,%d" % (res.name, p, res.lhs, res.rhs, res.margin, res.passed)
+
+
 def _write_results_csv(cfg: RunConfig, report: criteria.StabilityReport) -> None:
-    rows = [(res.name, "-" if res.p is None else p_token(res.p), res.lhs, res.rhs, res.margin,
-             res.passed, ";".join(res.diagnostics))
-            for res in report.results]
+    rows = [(_result_row(res), ";".join(res.diagnostics)) for res in report.results]
     _write_csv(cfg.output_dir / "results.csv", "name,p,lhs,rhs,margin,passed,diagnostics",
-               "%s,%s,%.17g,%.17g,%.17g,%d,%s", rows)
+               "%s,%s", rows)
 
 
 def cmd_analyze(cfg: RunConfig, out) -> int:
@@ -287,9 +289,7 @@ def cmd_scan(cfg: RunConfig, out) -> int:
     report = criteria.scan_p(spec, cfg.exponents())
     print("name,p,lhs,rhs,margin,passed", file=out)
     for res in report.results:
-        p = "-" if res.p is None else p_token(res.p)
-        print(f"{res.name},{p},{_fmt(res.lhs)},{_fmt(res.rhs)},"
-              f"{_fmt(res.margin)},{int(res.passed)}", file=out)
+        print(_result_row(res), file=out)
     print(f"conclusion: {report.conclusion}", file=out)
     if cfg.emit_csv:
         _write_results_csv(cfg, report)
@@ -426,11 +426,12 @@ def cmd_example1(cfg: RunConfig, out) -> int:
     return _conclusion_exit(report.conclusion)
 
 
+# in the order of the --command choices in the usage text
 _DISPATCH = {
     "analyze": cmd_analyze,
-    "scan": cmd_scan,
     "region": cmd_region,
     "jfunc": cmd_jfunc,
+    "scan": cmd_scan,
     "simulate": cmd_simulate,
     "example1": cmd_example1,
 }
@@ -458,7 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Stability analysis of T-periodic planar predator-prey systems")
     parser.add_argument("--config", type=Path, default=None,
                         help="system config file")
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=_DISPATCH)
     parser.add_argument("--p", type=str, default=None,
                         help="comma list of exponents, 'inf' allowed")
     parser.add_argument("--out", type=Path, default=Path("out"),

@@ -38,7 +38,6 @@ TOL_QUAD = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # Tanh-sinh nodes beyond u = 3.2 lie within 4e-17 (relative) of the ends.
 _TS_UMAX = 3.2
 # Above this exponent an L^p norm equals its upper bound max|coef| * T**(1/p)

@@ -105,12 +105,13 @@ class RegionSpec:
         maximum lies at x_c (top_a = top_d), at the bottom's kink x_e
         (lo_a = max(lo_d, 0)), or where the one smooth pair of curves
         active between the two is stationary; each is a scalar root
-        (:func:`_root`).  Below -BOUNDARY_TOL (scaled) the region is empty,
-        within BOUNDARY_TOL of zero it is degenerate, and a slightly
-        negative widest slice is taken as the point where the region
-        touches.  The quadrant is closed: a point or segment on an axis is
-        a region, but a top curve that is undefined there (p > 1, yhi < 0)
-        is not.  Otherwise the ends x_a and x_b are the roots of g on
+        (:func:`_root`).  The band is BOUNDARY_TOL times the y-ceiling
+        top_a(0), in units of y, so that the flags do not change with the
+        unit of y.  Below -band the region is empty, within band of zero it
+        is degenerate, and a slightly negative widest slice is taken as the
+        point where the region touches.  The quadrant is closed: a point or
+        segment on an axis is a region, but a top curve that is undefined
+        there (p > 1, yhi < 0) is not.  Otherwise the ends x_a and x_b are the roots of g on
         either side of its maximum, by Newton from the ends of the x-range.
         """
         U, V = self.bounds.U, self.bounds.V
@@ -120,14 +121,15 @@ class RegionSpec:
             return None
         # top_d is undefined left of -dbar/e_max once p > 1 (everywhere if
         # dbar < 0 = e_max, where the top is negative and the region empty)
-        x_lo = max(0.0, -self.dbar / self.e_max) if self.p != 1.0 and self.e_max > 0 else 0.0
+        x_lo = (_axis_x(self, -self.dbar, self.e_max, False)
+                if self.p != 1.0 and self.e_max > 0 else 0.0)
         x_hi = _x_ceiling(self)
         if x_lo > x_hi:
             return None
         if not math.isfinite(x_hi):
             # the x-range overflows: no finite bound on any objective is known
             return _Slices(False, (math.nan, math.nan))
-        scale = 1.0 + abs(self.abar) + abs(self.dbar)
+        band = BOUNDARY_TOL * _curves(self, 0.0)[0]
 
         x_c, crossing = _top_crossing(self, x_lo, x_hi)
         x_e, kinked = _bottom_kink(self, x_lo, x_hi)
@@ -135,7 +137,7 @@ class RegionSpec:
                              for x in _widest_slice_candidates(self, x_c, x_e)),
                             key=lambda widest: widest[2] - widest[1])
         gap_max = yhi - ylo
-        if gap_max < -BOUNDARY_TOL * scale:
+        if gap_max < -band:
             return None
         if gap_max < 0.0:
             # touching within tolerance: the region is the point of widest
@@ -149,7 +151,7 @@ class RegionSpec:
         ends = [(end, residual(end)) for end in (x_lo, x_hi)]
         interval = tuple(end if at_end[0] >= 0.0 else _root(residual, end, x_m, at_end)
                          for end, at_end in ends)
-        return _Slices(gap_max <= BOUNDARY_TOL * scale, interval=interval, x_c=x_c, crossing=crossing)
+        return _Slices(gap_max <= band, interval=interval, x_c=x_c, crossing=crossing)
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,20 @@ def region_spec(spec: SystemSpec) -> RegionSpec:
 # ---------------------------------------------------------------------------
 
 
+def _power(x, scale: float, p: float):
+    """The ratio power scale*(x/scale)**p of constraints (1), (3) and (4),
+    on a float or an ndarray; x itself at p = 1."""
+    return x if p == 1.0 else scale * (x / scale) ** p
+
+
+def _ratio_root(num, coef: float, scale: float, p: float):
+    """scale*|num/(coef*scale)|**(1/p), the x at which coef*scale*(x/scale)**p
+    reaches |num|, on a float or an ndarray num.  Where coef*scale
+    underflows to 0 it divides by the two factors in turn."""
+    cs = coef * scale
+    return scale * abs(num / cs if cs else num / coef / scale) ** (1.0 / p)
+
+
 def _curves(region: RegionSpec, x: float | np.ndarray):
     """(top_a, lo_a, top_d, lo_d) at x, the boundaries of constraints (1)-(4),
     for a float x or an ndarray of x alike.
@@ -221,12 +237,10 @@ def _curves(region: RegionSpec, x: float | np.ndarray):
         top_a = (region.abar - region.b_min * x) / region.c_min
         return top_a, lo_a, base / region.f_min, (region.dbar + region.e_min * x) / region.f_max
     U, V = region.bounds.U, region.bounds.V
-    powx = U * (x / U) ** p
+    powx = _power(x, U, p)
     rem = region.abar - region.b_min * powx
-    # where c_min*V or f_min*V underflows to 0, divide by the factors in turn
-    cv, fv, root = region.c_min * V, region.f_min * V, 1.0 / p
-    top_a = ((rem >= 0) * 2.0 - 1.0) * V * abs(rem / cv if cv else rem / region.c_min / V) ** root
-    top_d = ((base >= 0) * 2.0 - 1.0) * V * abs(base / fv if fv else base / region.f_min / V) ** root
+    top_a = ((rem >= 0) * 2.0 - 1.0) * _ratio_root(rem, region.c_min, V, p)
+    top_d = ((base >= 0) * 2.0 - 1.0) * _ratio_root(base, region.f_min, V, p)
     return top_a, lo_a, top_d, (region.dbar + region.e_min * powx) / region.f_max
 
 
@@ -249,15 +263,22 @@ def _slice(region: RegionSpec, x: float, crossing: bool = False,
     return max(lo_a, lo_d, 0.0), yhi
 
 
+def _axis_x(region: RegionSpec, value: float, coef: float, power: bool) -> Optional[float]:
+    """Where a boundary curve meets y = 0: the x >= 0 at which coef*x, or
+    its ratio power coef*U*(x/U)**p when ``power``, reaches ``value``; 0 if
+    value <= 0, and None if coef <= 0, where it never does."""
+    if value <= 0:
+        return 0.0
+    if coef <= 0:
+        return None
+    if not power or region.p == 1.0:
+        return value / coef
+    return _ratio_root(value, coef, region.bounds.U, region.p)
+
+
 def _x_ceiling(region: RegionSpec) -> float:
     """Largest x admitted by constraint (1) at y = 0 (the x envelope)."""
-    if region.abar <= 0:
-        return 0.0
-    if region.p == 1.0:
-        return region.abar / region.b_min
-    U = region.bounds.U
-    bu = region.b_min * U  # as in _curves, b_min*U may underflow to 0
-    return U * (region.abar / bu if bu else region.abar / region.b_min / U) ** (1.0 / region.p)
+    return _axis_x(region, region.abar, region.b_min, True)
 
 
 # Position of each finite-p boundary curve in the tuple of _curves, by the
@@ -274,15 +295,11 @@ def _constraint(region: RegionSpec, label: str, x, y):
     if label == "a_upper":
         return region.b_max * x + region.c_max * y - region.abar
     if label == "a_lower":
-        px = x if p == 1.0 else U * (x / U) ** p
-        py = y if p == 1.0 else V * (y / V) ** p
-        return region.abar - (region.b_min * px + region.c_min * py)
+        return region.abar - (region.b_min * _power(x, U, p) + region.c_min * _power(y, V, p))
     if label == "d_lower":
-        py = y if p == 1.0 else V * (y / V) ** p
-        return region.dbar - (-region.e_max * x + region.f_min * py)
+        return region.dbar - (-region.e_max * x + region.f_min * _power(y, V, p))
     if label == "d_upper":
-        px = x if p == 1.0 else U * (x / U) ** p
-        return -region.e_min * px + region.f_max * y - region.dbar
+        return -region.e_min * _power(x, U, p) + region.f_max * y - region.dbar
     raise ValueError(f"unknown boundary label {label!r}")
 
 
@@ -375,9 +392,7 @@ def _pow(base: float, exponent: float) -> float:
 def _power_term(region: RegionSpec, x: float) -> tuple[float, float]:
     """U*(x/U)**p, the term of x in constraints (1) and (4), and its slope."""
     p, U = region.p, region.bounds.U
-    if p == 1.0:
-        return x, 1.0
-    return U * (x / U) ** p, p * (x / U) ** (p - 1.0)
+    return _power(x, U, p), 1.0 if p == 1.0 else p * (x / U) ** (p - 1.0)
 
 
 def _slope(region: RegionSpec, index: int, x: float, y: float) -> float:
@@ -477,23 +492,9 @@ def _bottom_kink(region: RegionSpec, x_lo: float, x_hi: float) -> tuple[float, b
         value = (region.abar - b_max * x) / c_max - (region.dbar + region.e_min * power) / region.f_max
         return _newton(value, -b_max / c_max - region.e_min * slope / region.f_max)
 
-    x_0 = region.abar / b_max
+    x_0 = _axis_x(region, region.abar, b_max, False)
     x_e, meets = _decreasing_root(kink, x_lo, min(max(x_0, x_lo), x_hi))
     return x_e, meets or x_e == x_0
-
-
-def _lo_d_zero(region: RegionSpec) -> Optional[float]:
-    """Where lo_d meets y = 0 (x >= 0), or None if it lies below y = 0 for every x."""
-    dbar = region.dbar
-    if dbar >= 0:
-        return 0.0
-    if region.e_min <= 0:
-        return None
-    if region.p == 1.0:
-        return -dbar / region.e_min
-    U = region.bounds.U
-    eu = region.e_min * U  # as in _curves, e_min*U may underflow to 0
-    return U * (-dbar / eu if eu else -dbar / region.e_min / U) ** (1.0 / region.p)
 
 
 def _widest_slice_candidates(region: RegionSpec, x_c: float, x_e: float) -> list[float]:
@@ -512,7 +513,8 @@ def _widest_slice_candidates(region: RegionSpec, x_c: float, x_e: float) -> list
     if x_c <= x_e:
         lo, hi = x_c, x_e
     else:
-        x_f = _lo_d_zero(region)
+        # where lo_d meets y = 0, None if it lies below y = 0 for every x
+        x_f = _axis_x(region, -region.dbar, region.e_min, True)
         lo, hi = (x_c if x_f is None else min(max(x_f, x_e), x_c)), x_c
     candidates = [x_c, x_e, lo]
     if lo == hi:
@@ -654,17 +656,11 @@ def boundary_points(region: RegionSpec, n: int) -> list[tuple[str, float, float]
 
     # Each curve is sampled on the part of [0, xmax] where it lies at y >= 0;
     # at e = 0 and dbar < 0 a d curve lies below y = 0 everywhere (None).
-    dbar = region.dbar
-    if dbar >= 0:
-        d_lower_start = 0.0
-    else:
-        d_lower_start = -dbar / region.e_max if region.e_max > 0 else None
-    d_upper_start = _lo_d_zero(region)
     ranges = [(label, x_start, x_end) for label, x_start, x_end in (
         ("a_lower", 0.0, xmax),
-        ("a_upper", 0.0, min(xmax, region.abar / region.b_max)),
-        ("d_lower", d_lower_start, xmax),
-        ("d_upper", d_upper_start, xmax),
+        ("a_upper", 0.0, min(xmax, _axis_x(region, region.abar, region.b_max, False))),
+        ("d_lower", _axis_x(region, -region.dbar, region.e_max, False), xmax),
+        ("d_upper", _axis_x(region, -region.dbar, region.e_min, True), xmax),
     ) if x_start is not None and x_start <= x_end]
     labels = [label for label, _, _ in ranges]
     # one row of x per curve, each from its own linspace: a linspace over

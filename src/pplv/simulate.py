@@ -35,7 +35,8 @@ need only be as accurate as a fraction of the residual.  Its Jacobian is
 the exact monodromy of the log-variational equation, integrated alongside
 the map, and every live start advances in the same vectorized
 integration.  Every coexistence orbit lies in the a-priori box u <= U,
-v <= V, so a start that leaves it by more than two steps is retired.
+v <= V, so a start that leaves it by more than two steps is retired, and
+a system without a box (U or V not positive) has no orbit to search for.
 Starts within 1e-6 of each other in (log u, log v) lie on one orbit, and
 the search applies that rule in every iteration: a start that reaches an
 accepted fixed point is retired as its duplicate, so no orbit is solved
@@ -51,7 +52,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._dop853 import Field, initial_step, solve_ivp
-from .coeffs import RegionBounds, SystemSpec
+from .coeffs import SystemSpec
 from .constant_case import SingularSystem, equilibrium
 from .jfunc import INF, check_exponent
 from .logistic import check_uniform_grid, periodic_mean
@@ -251,16 +252,15 @@ class _LogField(Field):
         np.matmul(coefs, self.w, out=out.reshape(2, 3 * self.n))
 
 
-def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolerance,
-              first_step_tol: _Tolerance | None = None):
+def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolerance):
     """The flow in log coordinates and its log-variational matrix for n starts.
 
     ``z`` is (2, n): xi = log u and eta = log v per start at t = 0.  Along
     each trajectory the fundamental matrix Phi of the log-variational
     equation, Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is
     integrated too, and all 6n components go through one DOP853 solve up to
-    ``ts[-1]`` at the tolerances ``tol``.  When ``first_step_tol`` is given,
-    the solve starts with the step it would pick at those tolerances.
+    ``ts[-1]`` at the tolerances ``tol``, from the first step the solver
+    picks with ``tol.atol_log`` on Phi too (see :func:`_sample_orbit`).
     Returns the (2, 3, n, len(ts)) states at the output times ``ts``, whose
     [j, 0] holds the log of component j and [j, 1:] row j of Phi, and per
     start None or the message of a failed integration.  A failed solve of
@@ -271,19 +271,16 @@ def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolera
     field = _LogField(spec, n)
     y0 = np.concatenate((z[:, None, :], np.repeat(np.eye(2)[:, :, None], n, axis=2)),
                         axis=1).ravel()
-    first_step = None
-    if first_step_tol is not None:
-        first_step = initial_step(field, (0.0, ts[-1]), y0, rtol=first_step_tol.rtol,
-                                  atol=first_step_tol.atol(n))
     # a trial step that overflows exp has a NaN error norm and is rejected
     with np.errstate(over="ignore", invalid="ignore"):
+        first_step = initial_step(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol_log)
         sol = solve_ivp(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol(n),
                         t_eval=ts, first_step=first_step)
     if sol.success:
         return sol.y.reshape(2, 3, n, len(ts)), [None] * n
     if n == 1:
         return np.full((2, 3, 1, len(ts)), np.nan), [sol.message]
-    parts = [_log_flow(spec, z[:, j:j + 1], ts, tol, first_step_tol) for j in range(n)]
+    parts = [_log_flow(spec, z[:, j:j + 1], ts, tol) for j in range(n)]
     return (np.concatenate([states for states, _ in parts], axis=2),
             [msg for _, msgs in parts for msg in msgs])
 
@@ -299,8 +296,7 @@ def poincare_map(spec: SystemSpec, state0: Sequence[float]) -> np.ndarray:
     return np.exp(states[:, 0, 0, -1])
 
 
-def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
-            bounds: RegionBounds) -> list:
+def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
     """Newton iteration on the period map from every guess at once.
 
     Each iteration advances all live starts to t = T in one
@@ -316,9 +312,10 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     solved again at full tolerance in the same iteration, and is retired
     for a StepFailure only if that fails too.  Before its next solve, a
     start is retired when a log coordinate is above ``_LOG_LIMIT``, more
-    than ``_LOG_LIMIT`` below min(0, log U) or min(0, log V) (below 0 when
-    ``bounds`` are not positive), or more than ``_BOX_MARGIN`` above log U
-    or log V.
+    than ``_LOG_LIMIT`` below min(0, log U) or min(0, log V), or more than
+    ``_BOX_MARGIN`` above log U or log V, (U, V) = ``spec.bounds``.  Every
+    orbit has max u < U and max v < V, so without a box (U or V not
+    positive) every start is retired unsolved, as a NoConvergence.
 
     Converged starts within ``_SAME_ORBIT`` (sup norm in log coordinates)
     of each other are one orbit, represented by the start accepted first:
@@ -329,6 +326,9 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
     accepted (log u, log v), or the NonPositive, NoConvergence, StepFailure
     or Duplicate that retired it.
     """
+    bounds = spec.bounds
+    if not (bounds.U > 0 and bounds.V > 0):
+        return [NoConvergence(f"no a-priori box: U = {bounds.U}, V = {bounds.V}") for _ in guesses]
     outcomes: list = [None] * len(guesses)
     z = np.zeros((2, len(guesses)))
     live = []
@@ -340,8 +340,8 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             outcomes[j] = NonPositive(f"Newton iterate {g} left the open quadrant")
     residual = [math.inf] * len(guesses)
     eye = np.eye(2)
-    log_box = np.log([bounds.U, bounds.V]) if bounds.U > 0 and bounds.V > 0 else None
-    floor = (0.0 if log_box is None else np.minimum(log_box, 0.0)) - _LOG_LIMIT
+    log_box = np.log([bounds.U, bounds.V])
+    floor = np.minimum(log_box, 0.0) - _LOG_LIMIT
     accepted: list[int] = []
 
     def joined(zj: np.ndarray) -> Duplicate | None:
@@ -357,7 +357,7 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray],
             elif not np.all((floor <= z[:, j]) & (z[:, j] <= _LOG_LIMIT)):
                 outcomes[j] = NoConvergence(
                     f"Newton iterate diverged (log state {z[:, j]})")
-            elif log_box is not None and np.any(z[:, j] > log_box + _BOX_MARGIN):
+            elif np.any(z[:, j] > log_box + _BOX_MARGIN):
                 outcomes[j] = NoConvergence(
                     f"Newton iterate left the a-priori box (log state {z[:, j]}, "
                     f"log (U, V) = {log_box})")
@@ -411,9 +411,9 @@ def _sample_orbit(spec: SystemSpec, z: np.ndarray, residual: float) -> PeriodicO
 
     Phi starts at I, so its tiny atol would make the solver's own first
     step ~1e-10 (its error scale is atol where Phi is 0); the solve starts
-    with the step it picks with Newton's full atol on Phi instead."""
+    with the step picked with the state's atol, Newton's full one, on Phi."""
     ts = np.linspace(0.0, spec.T, _ORBIT_SAMPLES + 1)
-    states, failures = _log_flow(spec, z[:, None], ts, _SAMPLING, first_step_tol=_NEWTON_FULL)
+    states, failures = _log_flow(spec, z[:, None], ts, _SAMPLING)
     if failures[0] is not None:
         raise StepFailure(failures[0])
     uv = np.exp(states[:, 0, 0])
@@ -430,11 +430,11 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2
 
     The one-guess call of the batched log-coordinate Newton (see the
     module docstring), retired once it leaves the a-priori box from
-    ``spec.bounds``; convergence requires the log displacement over the
-    period, max |P(z) - z| in (log u, log v), to fall to 1e-10 * T.  Raises
-    NonPositive, NoConvergence or StepFailure when the search fails.
+    ``spec.bounds``, or unsolved without one; convergence requires the log
+    displacement over the period, max |P(z) - z| in (log u, log v), to fall
+    to 1e-10 * T.  Raises NonPositive, NoConvergence or StepFailure.
     """
-    outcome = _newton(spec, [np.asarray(guess, dtype=float)], spec.bounds)[0]
+    outcome = _newton(spec, [np.asarray(guess, dtype=float)])[0]
     if isinstance(outcome, Exception):
         raise outcome
     return _sample_orbit(spec, *outcome)
@@ -543,13 +543,11 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     ``MULTISTART_STARTS`` points drawn uniformly from (0, U] x (0, V] with
     seed ``MULTISTART_SEED`` advance together in one batched Newton, which
     keeps one start per orbit (see :func:`_newton`); failed, escaping and
-    duplicate searches (a non-positive start fails unsolved) are dropped.
-    Each distinct orbit is sampled once, and the orbits are ordered
-    lexicographically for schedule independence.
+    duplicate searches (a non-positive start fails unsolved, every start
+    without a box) are dropped.  Each distinct orbit is sampled once, and
+    the orbits are ordered lexicographically for schedule independence.
     """
     bounds = spec.bounds
-    if bounds.U <= 0 or bounds.V <= 0:
-        return []
     try:
         guesses = [np.array(equilibrium(spec))]
     except SingularSystem:
@@ -558,7 +556,7 @@ def find_coexistence_multistart(spec: SystemSpec) -> list[PeriodicOrbit2D]:
     guesses += [np.array([bounds.U * (1.0 - rng.random()), bounds.V * (1.0 - rng.random())])
                 for _ in range(MULTISTART_STARTS)]
     orbits: list[PeriodicOrbit2D] = []
-    for outcome in _newton(spec, guesses, bounds):
+    for outcome in _newton(spec, guesses):
         if isinstance(outcome, Exception):
             continue
         z, residual = outcome

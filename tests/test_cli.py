@@ -706,6 +706,22 @@ class TestMain:
                      "--out", str(tmp_path / "o")]) == code
         assert line in capsys.readouterr().out.splitlines()
 
+    def test_region_flags_do_not_depend_on_the_unit_of_y(self, tmp_path, capsys):
+        # c = f = 1/s measures y in units of 1/s: the p = 1 region touches
+        # the y axis at every s, so the p = 1 intertwined line is the same;
+        # at s = 1e4 the old absolute band called the region empty (lhs 0)
+        lines = []
+        for s in (1.0, 1e4):
+            cfg_path = write_cfg(tmp_path, format_config(
+                const_spec(1.0, 1.0, 1.0 / s, 1.000000000001, 1.0, 1.0 / s)), name=f"s{s:g}.cfg")
+            assert main(["--command", "analyze", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == EXIT_NO_COEXISTENCE
+            out = capsys.readouterr().out.splitlines()
+            lines.append([line for line in out if re.match(r"  intertwined +p=1 ", line)])
+        assert len(lines[0]) == 1
+        assert lines[0] == lines[1]
+        assert "lhs=0.50000000000025002 " in lines[0][0]
+
     def test_simulate_overflowing_trial_steps_warn_nothing(self, tmp_path, capsys):
         # trial steps of this strongly forced system overflow exp in the log
         # field; the step control rejects them, so in process (where a

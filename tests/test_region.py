@@ -181,6 +181,20 @@ class TestSupXY:
         assert res.value == 0.0
         assert lin.value == point[0] + point[1]
 
+    @pytest.mark.parametrize("s", [1e-4, 1.0, 1e4])
+    def test_band_is_in_units_of_y(self, s):
+        # the touching point (0, 1) of the first region above with y
+        # measured in units of 1/s: the flags must not change with the unit,
+        # as they did while the band was 1e-9*(1 + |abar| + |dbar|), for
+        # which the gap -1e-8 at s = 1e4 read empty
+        reg = RegionSpec(p=1.0, abar=1.0, dbar=1.0 + 1e-12, b_min=1.0, b_max=1.0,
+                         c_min=1.0 / s, c_max=1.0 / s, e_min=1.0, e_max=1.0,
+                         f_min=1.0 / s, f_max=1.0 / s, bounds=RegionBounds(U=1.0, V=2.0 * s))
+        for res in (sup_xy(reg), sup_linear(reg)):
+            assert not res.empty and res.degenerate
+            assert res.argmax[0] == 0.0
+            assert res.argmax[1] == pytest.approx(s * (1.0 + 5e-13), rel=1e-12)
+
     def test_supremum_at_a_corner_is_exact(self):
         # the p = 1 region of analyze_trig/1/0 of the benchmark generator:
         # sup xy lies at the corner where top_a meets lo_d; a search along

@@ -19,7 +19,7 @@ from pplv.constant_case import equilibrium
 from pplv.criteria import GLOBALLY_STABLE_VIA_18_19, INCONCLUSIVE, intertwined_test, scan_p
 from pplv.jfunc import INF
 from pplv.logistic import periodic_logistic
-from pplv.region import RegionBounds, compute_uv
+from pplv.region import compute_uv
 from pplv.simulate import (
     ASYMPTOTICALLY_STABLE,
     UNSTABLE,
@@ -365,8 +365,8 @@ class TestBatchedNewton:
 
         real_newton = simulate._newton
 
-        def two_starts(spec, guesses, bounds):
-            return real_newton(spec, [np.array([2.0, 2.0]), np.array([7.0, 7.0])], bounds)
+        def two_starts(spec, guesses):
+            return real_newton(spec, [np.array([2.0, 2.0]), np.array([7.0, 7.0])])
 
         monkeypatch.setattr(simulate, "solve_ivp", failing)
         with monkeypatch.context() as patch:
@@ -428,7 +428,7 @@ class TestBatchedNewton:
 
         monkeypatch.setattr(simulate, "solve_ivp", failing)
         guesses = [np.array([2.0, 2.0]), np.array([7.0, 7.0])]
-        outcomes = simulate._newton(perturbed_spec, guesses, perturbed_spec.bounds)
+        outcomes = simulate._newton(perturbed_spec, guesses)
         assert not isinstance(outcomes[0], Exception)
         assert isinstance(outcomes[1], StepFailure) == retired
         # the batched loose solve failed and was repeated start by start; the
@@ -511,7 +511,7 @@ class TestBoxRetirement:
         monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
         bounds = compute_uv(saddle_spec)
         guess = np.array([1.0, bounds.V * math.exp(excess * 2.0 * simulate._MAX_LOG_STEP)])
-        outcome = simulate._newton(saddle_spec, [guess], bounds)[0]
+        outcome = simulate._newton(saddle_spec, [guess])[0]
         assert isinstance(outcome, NoConvergence)
         assert ("a-priori box" in str(outcome)) == retired
 
@@ -533,7 +533,7 @@ class TestBoxRetirement:
         assert len(orbits) == 1
         assert start(orbits[0]) == pytest.approx((2.0, 3e-300), rel=1e-9)
         monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
-        outcome = simulate._newton(spec, [np.array([2.0, 1e-300])], spec.bounds)[0]
+        outcome = simulate._newton(spec, [np.array([2.0, 1e-300])])[0]
         assert "no fixed point after 1 iterations" in str(outcome)
 
     def test_log_floor_never_rises_above_minus_50(self):
@@ -552,13 +552,23 @@ class TestBoxRetirement:
         spec = const_spec(1e300, 1.0, 1.0, 1.0, 1.0, 1.0, T=1e-300)
         assert isinstance(find_coexistence_multistart(spec), list)
 
-    def test_no_box_without_positive_bounds(self, saddle_spec, monkeypatch):
-        # U <= 0: only the |log| limit of 50 retires iterates, as before
-        monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
-        guess = np.array([1.0, math.e ** 49])
-        outcome = simulate._newton(saddle_spec, [guess], RegionBounds(U=-1.0, V=1.0))[0]
-        assert isinstance(outcome, NoConvergence)
-        assert "no fixed point after 1 iterations" in str(outcome)
+    def test_no_box_retires_every_start_unsolved(self, monkeypatch):
+        # a = -1 makes U <= 0: no orbit has max u < U, so nothing is solved
+        spec = const_spec(-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert spec.bounds.U <= 0
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ivp called without an a-priori box")
+
+        monkeypatch.setattr(simulate, "solve_ivp", no_solve)
+        guesses = [np.array([1.0, 1.0]), np.array([0.5, 2.0]), np.array([-1.0, 1.0])]
+        outcomes = simulate._newton(spec, guesses)
+        assert len(outcomes) == len(guesses)
+        for outcome in outcomes:
+            assert isinstance(outcome, NoConvergence)
+            assert "no a-priori box" in str(outcome)
+            assert f"U = {spec.bounds.U}, V = {spec.bounds.V}" in str(outcome)
+        assert find_coexistence_multistart(spec) == []
 
 
 class TestForcedRegressionSystems:
