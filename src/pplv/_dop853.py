@@ -10,13 +10,19 @@ norm, the step-size control and the failure on too small a step follow
 SciPy's ``DOP853`` class, so a solve takes the same steps as
 ``scipy.integrate.solve_ivp(..., method="DOP853")``.
 
-Two things differ from SciPy:
+Four things differ from SciPy:
 
 - the right-hand side is a :class:`Field`, whose time-dependent
   coefficients are evaluated for all 16 stage times of a step at once;
 - the dense stages run only for output times strictly inside a step, so a
   solve that reads its end point alone takes 3 evaluations fewer than
-  SciPy's.
+  SciPy's;
+- such a step keeps the rows of its interpolant, and one Horner pass
+  after the last step evaluates every output inside a step, with the
+  same arithmetic per output as an evaluation step by step;
+- the caller may give the first-step estimate an absolute tolerance of
+  its own, so a solve whose atol would make that step tiny needs no
+  separate estimate, and no second evaluation at the initial point.
 """
 
 from __future__ import annotations
@@ -233,14 +239,19 @@ class Field:
 
     ``at(times)`` returns the coefficients at each of ``times``, one item
     per time, and ``into(coefs, y, out)`` writes f(t, y) into ``out`` given
-    the item for t.  The solver asks for the coefficients of all stages of
-    a step at once.
+    the item for t.  ``into`` takes y and ``out`` in the form ``view``
+    gives a state buffer, which the solver makes once per buffer; by
+    default that is the buffer itself.  The solver asks for the
+    coefficients of all stages of a step at once.
     """
 
     def at(self, times: np.ndarray):
         raise NotImplementedError
 
-    def into(self, coefs, y: np.ndarray, out: np.ndarray) -> None:
+    def view(self, buffer: np.ndarray):
+        return buffer
+
+    def into(self, coefs, y, out) -> None:
         raise NotImplementedError
 
 
@@ -270,7 +281,7 @@ def _initial_step(field: Field, t0: float, y0: np.ndarray, f0: np.ndarray, t_bou
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = np.empty_like(y0)
-    field.into(field.at(np.array([t0 + h0]))[0], y0 + h0 * f0, f1)
+    field.into(field.at(np.array([t0 + h0]))[0], field.view(y0 + h0 * f0), field.view(f1))
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -279,57 +290,79 @@ def _initial_step(field: Field, t0: float, y0: np.ndarray, f0: np.ndarray, t_bou
     return min(100 * h0, h1, interval)
 
 
+def _per_component(atol, n: int) -> np.ndarray:
+    return np.broadcast_to(np.asarray(atol, dtype=float), (n,))
+
+
 def initial_step(field: Field, t_span, y0, *, rtol: float, atol) -> float:
     """The first step :func:`solve_ivp` picks for these arguments when it
     is given none, from two evaluations of the field."""
     t0, t_bound = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (y.size,))
     f0 = np.empty_like(y)
-    field.into(field.at(np.array([t0]))[0], y, f0)
-    return _initial_step(field, t0, y, f0, t_bound, rtol, atol)
+    field.into(field.at(np.array([t0]))[0], field.view(y), field.view(f0))
+    return _initial_step(field, t0, y, f0, t_bound, rtol, _per_component(atol, y.size))
 
 
 def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval,
-              first_step: float | None = None) -> Solution:
+              first_step: float | None = None, first_step_atol=None) -> Solution:
     """Integrate y' = f(t, y) forward from ``t_span[0]`` to ``t_span[1]`` >=
     ``t_span[0]``, with f given by ``field``.
 
     ``atol`` is a scalar or one value per component.  ``first_step``, as in
     SciPy, is the initial step size; None lets the solver pick it, at the
-    cost of one more evaluation.  Returns the solution at the strictly
-    increasing output times ``t_eval`` within ``t_span``.
+    cost of one more evaluation, with the absolute tolerance
+    ``first_step_atol`` in place of ``atol`` when that is given.  Returns
+    the solution at the strictly increasing output times ``t_eval`` within
+    ``t_span``.  The interpolant of each step with an output time strictly
+    inside it is kept, and all those outputs are evaluated in one pass
+    after the last step.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     if first_step is not None and not 0 < first_step <= t_bound - t0:
         raise ValueError(f"first_step {first_step} is not in (0, {t_bound - t0}]")
     y = np.array(y0, dtype=float)
     n = y.size
-    atol = np.broadcast_to(np.asarray(atol, dtype=float), (n,))
+    atol = _per_component(atol, n)
     K = np.empty((N_STAGES_EXTENDED, n))
-    field.into(field.at(np.array([t0]))[0], y, K[0])
+    y_new = np.empty(n)
+    stage_y = np.empty(n)
+    # the field's views of the stage buffers, and the transposed leading
+    # blocks of the stage matrix, made once
+    rows = [field.view(row) for row in K]
+    y_view, y_new_view, stage_view = field.view(y), field.view(y_new), field.view(stage_y)
+    leading = [K[:s].T for s in range(N_STAGES_EXTENDED)]
+    field.into(field.at(np.array([t0]))[0], y_view, rows[0])
     nfev = 1
 
     t_eval = np.asarray(t_eval, dtype=float)
     ys = np.empty((n, t_eval.size))
-    done = int(np.searchsorted(t_eval, t0, side="right"))
+    done = int(t_eval.searchsorted(t0, side="right"))
     ys[:, :done] = y[:, None]
+    # per output time strictly inside a step, the index of that step in
+    # ``dense``, which holds (t, h, interpolant rows) of each such step
+    owner = np.full(t_eval.size, -1)
+    dense = []
 
     h_abs = 0.0
     if first_step is not None:
         h_abs = first_step
     elif t_bound > t0:
-        h_abs = _initial_step(field, t0, y, K[0], t_bound, rtol, atol)
+        step_atol = atol if first_step_atol is None else _per_component(first_step_atol, n)
+        h_abs = _initial_step(field, t0, y, K[0], t_bound, rtol, step_atol)
         nfev += 1
 
-    # views of the stage matrix, made once: rows and transposed leading blocks
-    rows = list(K)
-    leading = [K[:s].T for s in range(N_STAGES_EXTENDED)]
-    y_new = np.empty(n)
-    stage_y = np.empty(n)
     dy = np.empty(n)
     err5 = np.empty(n)
     err3 = np.empty(n)
+
+    def run_stages(stages, coefs, y: np.ndarray, h: float) -> None:
+        for s in stages:
+            np.dot(leading[s], _STAGE_WEIGHTS[s], out=dy)
+            np.multiply(dy, h, out=dy)
+            np.add(y, dy, out=stage_y)
+            field.into(coefs[s], stage_view, rows[s])
+
     t = t0
     success, message = True, _REACHED_END
     while t < t_bound:
@@ -345,15 +378,11 @@ def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval,
             h = t_new - t
             h_abs = abs(h)
             coefs = field.at(t + C * h)
-            for s in range(1, N_STAGES):
-                np.dot(leading[s], _STAGE_WEIGHTS[s], out=dy)
-                np.multiply(dy, h, out=dy)
-                np.add(y, dy, out=stage_y)
-                field.into(coefs[s], stage_y, rows[s])
+            run_stages(range(1, N_STAGES), coefs, y, h)
             np.dot(leading[N_STAGES], B, out=dy)
             np.multiply(dy, h, out=dy)
             np.add(y, dy, out=y_new)
-            field.into(coefs[N_STAGES], y_new, rows[N_STAGES])
+            field.into(coefs[N_STAGES], y_new_view, rows[N_STAGES])
             nfev += N_STAGES
 
             # the 5th-order error, damped by the 3rd-order one
@@ -386,42 +415,49 @@ def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval,
         if not success:
             break
 
-        end = int(np.searchsorted(t_eval, t_new, side="right"))
+        end = int(t_eval.searchsorted(t_new, side="right"))
         inside = end - 1 if end > done and t_eval[end - 1] == t_new else end
         if inside > done:
-            _dense_stages(field, coefs, K, y, h)
+            # the three extra stages of the interpolant need this step's stages
+            run_stages(range(N_STAGES + 1, N_STAGES_EXTENDED), coefs, y, h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
-            ys[:, done:inside] = _interpolate(K, y, y_new, h, (t_eval[done:inside] - t) / h)
+            owner[done:inside] = len(dense)
+            dense.append((t, h, _interpolant(K, y, y_new, h)))
         ys[:, inside:end] = y_new[:, None]
         done = end
         t = t_new
         y, y_new = y_new, y
+        y_view, y_new_view = y_new_view, y_view
         K[0] = K[N_STAGES]
 
+    if dense:
+        _interpolate(dense, owner, t_eval, ys)
     return Solution(t_eval[:done], ys[:, :done], nfev, success, message)
 
 
-def _dense_stages(field: Field, coefs, K: np.ndarray, y_old: np.ndarray, h: float) -> None:
-    """The three extra stages of the interpolant over a step of length h."""
-    for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, _STAGE_WEIGHTS[s]) * h
-        field.into(coefs[s], y_old + dy, K[s])
-
-
-def _interpolate(K: np.ndarray, y_old: np.ndarray, y: np.ndarray, h: float,
-                 x: np.ndarray) -> np.ndarray:
-    """The 7th-order interpolant at the fractions ``x`` of the step, one
-    column per fraction."""
-    delta = y - y_old
-    F = np.empty((INTERPOLATOR_POWER, y.size))
-    F[0] = delta
+def _interpolant(K: np.ndarray, y_old: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    """The rows of the 7th-order interpolant over a step of length h from
+    ``y_old`` to ``y``, highest power last, and ``y_old`` as a last row."""
+    F = np.empty((INTERPOLATOR_POWER + 1, y.size))
+    delta = np.subtract(y, y_old, out=F[0])
     F[1] = h * K[0] - delta
     F[2] = 2 * delta - h * (K[N_STAGES] + K[0])
-    F[3:] = h * np.dot(D, K)
-    x = x[:, None]
-    out = np.zeros((len(x), y.size))
-    for i, f in enumerate(reversed(F)):
-        out += f
+    F[3:INTERPOLATOR_POWER] = h * np.dot(D, K)
+    F[INTERPOLATOR_POWER] = y_old
+    return F
+
+
+def _interpolate(dense: list, owner: np.ndarray, t_eval: np.ndarray, ys: np.ndarray) -> None:
+    """Write into ``ys`` every output time with an owning step, from the
+    interpolant of that step at its fraction of the step, by one Horner
+    pass over all of them."""
+    inner = np.flatnonzero(owner >= 0)
+    step = owner[inner]
+    ts, hs, F = (np.array(part) for part in zip(*dense))
+    x = ((t_eval[inner] - ts[step]) / hs[step])[:, None]
+    out = np.zeros((len(inner), ys.shape[0]))
+    for i in range(INTERPOLATOR_POWER):
+        out += F[step, INTERPOLATOR_POWER - 1 - i]
         out *= x if i % 2 == 0 else 1 - x
-    out += y_old
-    return out.T
+    out += F[step, INTERPOLATOR_POWER]
+    ys[:, inner] = out.T

@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._dop853 import Field, initial_step, solve_ivp
+from ._dop853 import Field, solve_ivp
 from .coeffs import SystemSpec
 from .constant_case import SingularSystem, equilibrium
 from .jfunc import INF, check_exponent
@@ -211,6 +211,10 @@ class _LogField(Field):
     all stage times of a step come from one product: ``at`` returns one
     (2, 3) block [A | r] per time.  The state is (2, 3, n): [j, 0] holds
     the log of component j and [j, 1:] row j of Phi, over the starts.
+    ``view`` gives a state buffer as its (2, 1, n) logs, its (2, 2, n) Phi
+    rows and its (2, 3n) whole, once per buffer and solve, so ``into``
+    forms the field with one BLAS product [A | r] w into the (2, 3n) view
+    of its output and makes no view of its own.
     """
 
     def __init__(self, spec: SystemSpec, n: int) -> None:
@@ -245,11 +249,15 @@ class _LogField(Field):
         # same order as a product at that time alone
         return np.matmul(self.table, basis).reshape(len(times), 2, 3)
 
-    def into(self, coefs: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        rows = y.reshape(2, 3, self.n)
-        np.exp(rows[:, :1], out=self.uv)
-        np.multiply(rows[:, 1:], self.uv, out=self.uv_phi)
-        np.matmul(coefs, self.w, out=out.reshape(2, 3 * self.n))
+    def view(self, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = buffer.reshape(2, 3, self.n)
+        return rows[:, :1], rows[:, 1:], buffer.reshape(2, 3 * self.n)
+
+    def into(self, coefs: np.ndarray, y: tuple, out: tuple) -> None:
+        logs, phi, _ = y
+        np.exp(logs, out=self.uv)
+        np.multiply(phi, self.uv, out=self.uv_phi)
+        np.dot(coefs, self.w, out=out[2])
 
 
 def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolerance):
@@ -260,7 +268,8 @@ def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolera
     equation, Phi' = [[-b*u, -c*v], [e*u, -f*v]] Phi with Phi(0) = I, is
     integrated too, and all 6n components go through one DOP853 solve up to
     ``ts[-1]`` at the tolerances ``tol``, from the first step the solver
-    picks with ``tol.atol_log`` on Phi too (see :func:`_sample_orbit`).
+    picks with ``tol.atol_log`` on Phi too (see :func:`_sample_orbit`), at
+    no evaluation beyond its own.
     Returns the (2, 3, n, len(ts)) states at the output times ``ts``, whose
     [j, 0] holds the log of component j and [j, 1:] row j of Phi, and per
     start None or the message of a failed integration.  A failed solve of
@@ -273,9 +282,8 @@ def _log_flow(spec: SystemSpec, z: np.ndarray, ts: Sequence[float], tol: _Tolera
                         axis=1).ravel()
     # a trial step that overflows exp has a NaN error norm and is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        first_step = initial_step(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol_log)
         sol = solve_ivp(field, (0.0, ts[-1]), y0, rtol=tol.rtol, atol=tol.atol(n),
-                        t_eval=ts, first_step=first_step)
+                        t_eval=ts, first_step_atol=tol.atol_log)
     if sol.success:
         return sol.y.reshape(2, 3, n, len(ts)), [None] * n
     if n == 1:
@@ -300,7 +308,8 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
     """Newton iteration on the period map from every guess at once.
 
     Each iteration advances all live starts to t = T in one
-    :func:`_log_flow` solve and takes, per start, the step dz solving (Phi(T) - I) dz =
+    :func:`_log_flow` solve, and :func:`_newton_steps` takes the steps of
+    all of them at once: per start, dz solving (Phi(T) - I) dz =
     -(P(z) - z), clamped to sup norm ``_MAX_LOG_STEP``.  The solve is
     inexact Newton's: it takes the loose tolerances ``_NEWTON_LOOSE`` (rtol
     1e-6, atol 1e-8) while the smallest residual of the live starts in the
@@ -315,7 +324,9 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
     than ``_LOG_LIMIT`` below min(0, log U) or min(0, log V), or more than
     ``_BOX_MARGIN`` above log U or log V, (U, V) = ``spec.bounds``.  Every
     orbit has max u < U and max v < V, so without a box (U or V not
-    positive) every start is retired unsolved, as a NoConvergence.
+    positive) every start is retired unsolved, as a NoConvergence.  The
+    retirement tests, the residuals and the acceptance test run on all
+    live starts as arrays.
 
     Converged starts within ``_SAME_ORBIT`` (sup norm in log coordinates)
     of each other are one orbit, represented by the start accepted first:
@@ -338,71 +349,104 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
             live.append(j)
         else:
             outcomes[j] = NonPositive(f"Newton iterate {g} left the open quadrant")
-    residual = [math.inf] * len(guesses)
-    eye = np.eye(2)
+    residual = np.full(len(guesses), math.inf)
     log_box = np.log([bounds.U, bounds.V])
     floor = np.minimum(log_box, 0.0) - _LOG_LIMIT
+    ceiling = log_box + _BOX_MARGIN
     accepted: list[int] = []
 
-    def joined(zj: np.ndarray) -> Duplicate | None:
-        return next((Duplicate(k) for k in accepted
-                     if np.max(np.abs(zj - outcomes[k][0])) < _SAME_ORBIT), None)
+    def joined(zs: np.ndarray) -> list:
+        """Per column of ``zs``, the Duplicate of the first accepted start
+        within ``_SAME_ORBIT`` of it, or None."""
+        if not accepted:
+            return [None] * zs.shape[1]
+        fixed = np.stack([outcomes[k][0] for k in accepted], axis=1)
+        near = np.max(np.abs(zs[:, :, None] - fixed[:, None, :]), axis=0) < _SAME_ORBIT
+        return [Duplicate(accepted[k]) if hit else None
+                for k, hit in zip(near.argmax(axis=1), near.any(axis=1))]
 
     for _ in range(NEWTON_MAX_ITER):
         # drop the starts accepted or retired by the last solve
         live = [j for j in live if outcomes[j] is None]
-        for j in live:
-            if (duplicate := joined(z[:, j])) is not None:
+        zs = z[:, live]
+        diverged = ~np.all((floor[:, None] <= zs) & (zs <= _LOG_LIMIT), axis=0)
+        escaped = np.any(zs > ceiling[:, None], axis=0)
+        for i, duplicate in enumerate(joined(zs)):
+            j = live[i]
+            if duplicate is not None:
                 outcomes[j] = duplicate
-            elif not np.all((floor <= z[:, j]) & (z[:, j] <= _LOG_LIMIT)):
+            elif diverged[i]:
                 outcomes[j] = NoConvergence(
                     f"Newton iterate diverged (log state {z[:, j]})")
-            elif np.any(z[:, j] > log_box + _BOX_MARGIN):
+            elif escaped[i]:
                 outcomes[j] = NoConvergence(
                     f"Newton iterate left the a-priori box (log state {z[:, j]}, "
                     f"log (U, V) = {log_box})")
         live = [j for j in live if outcomes[j] is None]
         if not live:
             break
-        loose = min(residual[j] for j in live) > _LOOSE_RESIDUAL
+        loose = residual[live].min() > _LOOSE_RESIDUAL
         states, failures = _log_flow(spec, z[:, live], [spec.T],
                                      _NEWTON_LOOSE if loose else _NEWTON_FULL)
-        full = [not loose] * len(live)
+        full = np.full(len(live), not loose)
         redo = [i for i, msg in enumerate(failures) if msg is not None] if loose else []
         if redo:
             states[:, :, redo], again = _log_flow(
                 spec, z[:, [live[i] for i in redo]], [spec.T], _NEWTON_FULL)
             for i, msg in zip(redo, again):
-                failures[i], full[i] = msg, True
+                failures[i] = msg
+            full[redo] = True
+        solved = np.array([msg is None for msg in failures])
         end = states[..., -1]
-        for i, j in enumerate(live):
-            if failures[i] is not None:
-                outcomes[j] = StepFailure(failures[i])
-                continue
-            fvec = end[:, 0, i] - z[:, j]
-            residual[j] = float(np.max(np.abs(fvec)))
-            if full[i] and residual[j] <= NEWTON_TOL * spec.T:
-                outcomes[j] = joined(z[:, j])
-                if outcomes[j] is None:
-                    outcomes[j] = (z[:, j].copy(), residual[j])
-                    accepted.append(j)
-                continue
-            amat = end[:, 1:, i] - eye
-            try:
-                dz = np.linalg.solve(amat, -fvec)
-            except np.linalg.LinAlgError:
-                # singular monodromy - I: fall back to a least-squares step
-                dz = np.linalg.lstsq(amat, -fvec, rcond=None)[0]
-            step = float(np.max(np.abs(dz)))
-            if step > _MAX_LOG_STEP:
-                dz *= _MAX_LOG_STEP / step
-            z[:, j] += dz
+        fvec = end[:, 0] - z[:, live]
+        r = np.max(np.abs(fvec), axis=0)
+        residual[np.array(live)[solved]] = r[solved]
+        converged = solved & full & (r <= NEWTON_TOL * spec.T)
+        for i in np.flatnonzero(~solved):
+            outcomes[live[i]] = StepFailure(failures[i])
+        # in guess order, so the first of them on an orbit represents it
+        for i in np.flatnonzero(converged):
+            j = live[i]
+            outcomes[j] = joined(z[:, j:j + 1])[0]
+            if outcomes[j] is None:
+                outcomes[j] = (z[:, j].copy(), float(r[i]))
+                accepted.append(j)
+        stepping = np.flatnonzero(solved & ~converged)
+        z[:, np.array(live)[stepping]] += _newton_steps(end[:, 1:, stepping], fvec[:, stepping])
     for j, outcome in enumerate(outcomes):
         if outcome is None:
             outcomes[j] = NoConvergence(
                 f"no fixed point after {NEWTON_MAX_ITER} iterations "
                 f"(residual {residual[j]:.3e})")
     return outcomes
+
+
+def _newton_steps(phi: np.ndarray, fvec: np.ndarray) -> np.ndarray:
+    """The Newton steps dz of (Phi - I) dz = -fvec, one column per start
+    (``phi`` is (2, 2, n), ``fvec`` (2, n)), each clamped to sup norm
+    ``_MAX_LOG_STEP``.
+
+    All n systems go through one stacked solve; only when that raises, for
+    a singular Phi - I, are they solved one by one, with a least-squares
+    step for each singular one."""
+    amat = np.moveaxis(phi, 2, 0) - np.eye(2)
+    rhs = -fvec.T
+    try:
+        dz = np.linalg.solve(amat, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        dz = np.array([_newton_step(a, b) for a, b in zip(amat, rhs)])
+    step = np.max(np.abs(dz), axis=1)
+    far = step > _MAX_LOG_STEP
+    dz[far] *= (_MAX_LOG_STEP / step[far])[:, None]
+    return dz.T
+
+
+def _newton_step(amat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(amat, rhs)
+    except np.linalg.LinAlgError:
+        # singular monodromy - I: fall back to a least-squares step
+        return np.linalg.lstsq(amat, rhs, rcond=None)[0]
 
 
 def _sample_orbit(spec: SystemSpec, z: np.ndarray, residual: float) -> PeriodicOrbit2D:

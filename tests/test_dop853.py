@@ -39,7 +39,7 @@ def _as_function(field):
     """The field as a plain f(t, y), for SciPy."""
     def fun(t, y):
         out = np.empty_like(y)
-        field.into(field.at(np.array([t]))[0], y, out)
+        field.into(field.at(np.array([t]))[0], field.view(y), field.view(out))
         return out
     return fun
 
@@ -125,6 +125,18 @@ class TestAgainstScipy:
         assert ours.message == theirs.message == _dop853.TOO_SMALL_STEP
         assert ours.t[-1] == theirs.t[-1]
         assert ours.nfev == theirs.nfev
+
+
+def test_an_output_does_not_depend_on_its_neighbours(log_problem):
+    # the interpolants are evaluated in one pass after the solve: an output
+    # reads the same whichever other output times share its step
+    spec, field, y0, atol = log_problem
+    ts = np.linspace(0.0, spec.T, 513)
+    every = _dop853.solve_ivp(field, (0.0, spec.T), y0, rtol=RTOL, atol=atol, t_eval=ts)
+    even = _dop853.solve_ivp(field, (0.0, spec.T), y0, rtol=RTOL, atol=atol, t_eval=ts[::2])
+    assert every.success and even.success
+    np.testing.assert_array_equal(even.t, every.t[::2])
+    np.testing.assert_array_equal(even.y, every.y[:, ::2])
 
 
 def test_initial_step_is_the_solvers_own():

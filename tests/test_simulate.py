@@ -490,6 +490,52 @@ class TestInSearchDeduplication:
         assert all(isinstance(outcomes[d.index], tuple) for d in duplicates)
 
 
+class TestStackedNewtonStep:
+    @staticmethod
+    def second_solve(spec, guesses, monkeypatch, singular):
+        """The log starts of the first two Newton solves; with ``singular``,
+        the first solve reads Phi(T) = I + ones at the second start, so its
+        Phi(T) - I is singular.  Also returns that solve's end states."""
+        starts, ends = [], []
+        real_flow = simulate._log_flow
+
+        class Stop(Exception):
+            pass
+
+        def flow(spec, z, ts, tol):
+            starts.append(z.copy())
+            if len(starts) == 2:
+                raise Stop
+            states, failures = real_flow(spec, z, ts, tol)
+            if singular:
+                states[:, 1:, 1, -1] = np.eye(2) + 1.0
+            ends.append(states[..., -1].copy())
+            return states, failures
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_log_flow", flow)
+            with pytest.raises(Stop):
+                simulate._newton(spec, guesses)
+        return starts[0], starts[1], ends[0]
+
+    def test_singular_start_takes_the_least_squares_step(self, perturbed_spec, monkeypatch):
+        guesses = [np.array([1.5, 2.5]), np.array([2.5, 1.5]), np.array([3.0, 3.0])]
+        z0, z1, end = self.second_solve(perturbed_spec, guesses, monkeypatch, singular=True)
+        plain = self.second_solve(perturbed_spec, guesses, monkeypatch, singular=False)
+        np.testing.assert_array_equal(plain[0], z0)
+        # the singular start moves by the clamped minimum-norm step of ones dz = -f
+        f = end[:, 0, 1] - z0[:, 1]
+        dz = np.linalg.lstsq(np.ones((2, 2)), -f, rcond=None)[0]
+        step = np.max(np.abs(dz))
+        if step > simulate._MAX_LOG_STEP:
+            dz *= simulate._MAX_LOG_STEP / step
+        assert dz[0] != 0.0 and dz[0] == pytest.approx(dz[1], rel=1e-12)
+        np.testing.assert_array_equal(z1[:, 1], z0[:, 1] + dz)
+        # the others move as in the same batch without it, bit for bit
+        np.testing.assert_array_equal(z1[:, [0, 2]], plain[1][:, [0, 2]])
+        assert not np.array_equal(z1[:, [0, 2]], z0[:, [0, 2]])
+
+
 class TestBoxRetirement:
     def test_far_guess_retired_before_solving(self, saddle_spec, monkeypatch):
         # log v = 49 lies far above log V = 9.85; without the box Newton
