@@ -294,33 +294,20 @@ def _per_component(atol, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(atol, dtype=float), (n,))
 
 
-def initial_step(field: Field, t_span, y0, *, rtol: float, atol) -> float:
-    """The first step :func:`solve_ivp` picks for these arguments when it
-    is given none, from two evaluations of the field."""
-    t0, t_bound = float(t_span[0]), float(t_span[1])
-    y = np.array(y0, dtype=float)
-    f0 = np.empty_like(y)
-    field.into(field.at(np.array([t0]))[0], field.view(y), field.view(f0))
-    return _initial_step(field, t0, y, f0, t_bound, rtol, _per_component(atol, y.size))
-
-
 def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval,
-              first_step: float | None = None, first_step_atol=None) -> Solution:
+              first_step_atol=None) -> Solution:
     """Integrate y' = f(t, y) forward from ``t_span[0]`` to ``t_span[1]`` >=
     ``t_span[0]``, with f given by ``field``.
 
-    ``atol`` is a scalar or one value per component.  ``first_step``, as in
-    SciPy, is the initial step size; None lets the solver pick it, at the
-    cost of one more evaluation, with the absolute tolerance
-    ``first_step_atol`` in place of ``atol`` when that is given.  Returns
-    the solution at the strictly increasing output times ``t_eval`` within
-    ``t_span``.  The interpolant of each step with an output time strictly
-    inside it is kept, and all those outputs are evaluated in one pass
-    after the last step.
+    ``atol`` is a scalar or one value per component.  The solver picks its
+    first step, at the cost of one more evaluation, with the absolute
+    tolerance ``first_step_atol`` in place of ``atol`` when that is given.
+    Returns the solution at the strictly increasing output times ``t_eval``
+    within ``t_span``.  The interpolant of each step with an output time
+    strictly inside it is kept, and all those outputs are evaluated in one
+    pass after the last step.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
-    if first_step is not None and not 0 < first_step <= t_bound - t0:
-        raise ValueError(f"first_step {first_step} is not in (0, {t_bound - t0}]")
     y = np.array(y0, dtype=float)
     n = y.size
     atol = _per_component(atol, n)
@@ -345,9 +332,7 @@ def solve_ivp(field: Field, t_span, y0, *, rtol: float, atol, t_eval,
     dense = []
 
     h_abs = 0.0
-    if first_step is not None:
-        h_abs = first_step
-    elif t_bound > t0:
+    if t_bound > t0:
         step_atol = atol if first_step_atol is None else _per_component(first_step_atol, n)
         h_abs = _initial_step(field, t0, y, K[0], t_bound, rtol, step_atol)
         nfev += 1

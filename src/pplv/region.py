@@ -525,13 +525,17 @@ def _widest_slice_candidates(region: RegionSpec, x_c: float, x_e: float) -> list
         candidates.append(min(max(_top_a_argmax(region, region.b_max, region.c_max), lo), hi))
     elif region.e_min > 0 and region.e_max > 0:
         # otherwise lo_d or top_d is flat and the gap monotone on the span
+        U = region.bounds.U
+        fU = region.f_max * U
+
         def slope_gap(x: float) -> tuple[float, float]:
             # lo_d' - top_d', increasing, and its slope lo_d'' - top_d'',
-            # where top_d'' = -(p-1)*top_d'**2/top_d
+            # where top_d'' = -(p-1)*top_d'**2/top_d; where f_max*U
+            # underflows to 0 it divides by the two factors in turn
             top_d = _curves(region, x)[2]
             d_top = _slope(region, 2, x, top_d)
-            d2_lo = region.e_min * p * (p - 1.0) / (region.f_max * region.bounds.U) * _pow(
-                x / region.bounds.U, p - 2.0)
+            num = region.e_min * p * (p - 1.0)
+            d2_lo = (num / fU if fU else num / region.f_max / U) * _pow(x / U, p - 2.0)
             d2_top = (p - 1.0) * d_top * d_top / top_d if top_d > 0 else math.inf
             return _newton(_slope(region, 3, x, 0.0) - d_top, d2_lo + d2_top)
 

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from cli_cases import PERTURBED, SADDLE, config
 from pplv import PeriodicCoefficient, SystemSpec
+from pplv.cli import parse_config
 from pplv.region import RegionBounds, RegionSpec
 
 C = PeriodicCoefficient.constant
-TRIG = PeriodicCoefficient.trig
 
 
 def const_spec(a, b, c, d, e, f, T=1.0) -> SystemSpec:
@@ -42,20 +43,16 @@ def classical_spec():
 
 
 @pytest.fixture(scope="session")
-def perturbed_spec(eq30):
+def perturbed_spec():
     """Demo constants with a small sinusoidal modulation on the prey growth."""
-    a = TRIG(eq30.a, [(1, 0.0, 0.01)])
-    return SystemSpec(T=1.0, a=a, b=C(eq30.b), c=C(eq30.c),
-                      d=C(eq30.d), e=C(eq30.e), f=C(eq30.f))
+    return parse_config(PERTURBED)
 
 
 @pytest.fixture(scope="session")
 def saddle_spec():
     """Strongly forced, weakly damped system carrying an unstable
     (saddle) coexistence orbit near (0.0487, 0.4891)."""
-    a = TRIG(1.0, [(1, 0.0, 0.9)])
-    return SystemSpec(T=6.5, a=a, b=C(0.01), c=C(1.0),
-                      d=C(-1.0), e=C(1.0), f=C(0.01))
+    return parse_config(SADDLE)
 
 
 def figure_region(p: float) -> RegionSpec:
@@ -67,18 +64,9 @@ def figure_region(p: float) -> RegionSpec:
 
 
 def format_config(spec: SystemSpec) -> str:
-    """Config text that ``pplv.cli.parse_config`` reads back as ``spec``;
-    numbers carry 17 significant digits."""
-    lines = ["[system]", f"T = {spec.T:.17g}"]
-    for name in "abcdef":
-        coef = getattr(spec, name)
-        lines.append(f"[{name}]")
-        if not coef.harmonics:
-            lines += ["kind = const", f"value = {coef.c0:.17g}"]
-        else:
-            lines += ["kind = trig", f"c0 = {coef.c0:.17g}"]
-            lines += [f"harmonic = {k}, {ck:.17g}, {sk:.17g}" for k, ck, sk in coef.harmonics]
-    return "\n".join(lines) + "\n"
+    """Config text that ``pplv.cli.parse_config`` reads back as ``spec``."""
+    return config(spec.T, *(coef.c0 if not coef.harmonics else (coef.c0, *coef.harmonics)
+                            for coef in (spec.a, spec.b, spec.c, spec.d, spec.e, spec.f)))
 
 
 def count_calls(monkeypatch, originals) -> Counter:

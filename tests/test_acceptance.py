@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from conftest import const_spec, figure_region, format_config
+from cli_cases import INTERIOR
+from conftest import figure_region
 from oracles import envelope, grid_supxy
 
 from pplv import cli, simulate
@@ -306,8 +307,7 @@ def test_criterion_12_interior_exponent_certifies(tmp_path):
     # 19 fails, and the direct test fails at both ends p = 1 and p = inf but
     # passes at p = 1.5, 2 and 3 (best at 2); the other two exponent tests
     # fail at every p
-    spec = const_spec(T=0.53044, a=1.48869, b=0.08683, c=0.07412, d=0.74638, e=0.44884,
-                      f=0.33023)
+    spec = cli.parse_config(INTERIOR)
     grid = (1.0, 1.5, 2.0, 3.0, INF)
     report = scan_p(spec, grid)
     passed = {(res.name, res.p): res.passed for res in report.results}
@@ -318,7 +318,7 @@ def test_criterion_12_interior_exponent_certifies(tmp_path):
     assert report.best_p == 2.0
 
     path = tmp_path / "interior.cfg"
-    path.write_text(format_config(spec))
+    path.write_text(INTERIOR)
     out = io.StringIO()
     code = cli.run_command(cli.RunConfig(command="analyze", system_file=path, p_list=grid,
                                          output_dir=tmp_path, emit_csv=False), out)

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_spec, count_calls, format_config
+import cli_cases
+from cli_cases import (BIG_A, CASES, CONST_HARMONIC, DEMO, ERROR, HUGE_A, HUGE_T, HUGE_UV,
+                       OVERFLOW_STEPS, PERTURBED, SADDLE, TINY_BCEF, TINY_CE, TINY_CV, TINY_T,
+                       UNIT_Y, ZERO_U, check, run_in_process)
+from conftest import count_calls, format_config
 
 import pplv.cli
 import pplv.coeffs
@@ -37,50 +43,15 @@ from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.jfunc import INF, p_token
 from pplv.region import boundary_points, boundary_residual, region_spec
 
-EQ30_CFG = """\
-[system]
-T = 1
-[a]
-kind = const
-value = 2.0102
-[b]
-kind = const
-value = 1
-[c]
-kind = const
-value = 0.0051
-[d]
-kind = const
-value = 2.0203
-[e]
-kind = const
-value = 0.9898
-[f]
-kind = const
-value = 2
-"""
-
-# the demo constants with a 1% sinusoidal modulation of the prey growth
-PERTURBED_CFG = EQ30_CFG.replace("[a]\nkind = const\nvalue = 2.0102",
-                                 "[a]\nkind = trig\nc0 = 2.0102\nharmonic = 1, 0, 0.01")
-
 # the perturbed demo with harmonics in b and f as well, so that their extrema
 # and the ratios over them are root solves
-TRIG_BF_CFG = PERTURBED_CFG.replace(
+TRIG_BF_CFG = PERTURBED.replace(
     "[b]\nkind = const\nvalue = 1\n", "[b]\nkind = trig\nc0 = 1\nharmonic = 1, 0.02, 0.01\n").replace(
     "[f]\nkind = const\nvalue = 2\n", "[f]\nkind = trig\nc0 = 2\nharmonic = 2, 0.01, 0.03\n")
 
 # mean(d) = -10: no coexistence state, so every exponent test carries diagnostics
-NO_COEXISTENCE_CFG = EQ30_CFG.replace("[d]\nkind = const\nvalue = 2.0203",
-                                      "[d]\nkind = const\nvalue = -10")
-
-# a = 1e308 over b = 1e-5 makes U = V = inf
-HUGE_UV_CFG = EQ30_CFG.replace("value = 2.0102", "value = 1e308").replace(
-    "[b]\nkind = const\nvalue = 1\n", "[b]\nkind = const\nvalue = 1e-5\n")
-
-# b*f + c*e rounds to 0; c_max*e_max underflows to 0 while U*V overflows
-TINY_BCEF_CFG = re.sub(r"^value = (1|0\.0051|0\.9898|2)$", "value = 1e-200", EQ30_CFG,
-                       flags=re.MULTILINE)
+NO_COEXISTENCE_CFG = DEMO.replace("[d]\nkind = const\nvalue = 2.0203",
+                                  "[d]\nkind = const\nvalue = -10")
 
 
 EXAMPLE1_DEMO = [
@@ -145,7 +116,7 @@ def capture_orbits(monkeypatch) -> list:
     return found
 
 
-def write_cfg(tmp_path: Path, text: str = EQ30_CFG, name: str = "sys.cfg") -> Path:
+def write_cfg(tmp_path: Path, text: str = DEMO, name: str = "sys.cfg") -> Path:
     path = tmp_path / name
     path.write_text(text)
     return path
@@ -172,16 +143,54 @@ def make_cfg(command, system_file=None, p_list=(1.0, 2.0, INF),
                      output_dir=output_dir, emit_csv=emit_csv)
 
 
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_regression_case(tmp_path, case):
+    # the table the console-script runner runs, here through cli.main
+    code, stdout, stderr = run_in_process(case, tmp_path)
+    assert check(case, code, stdout, stderr, tmp_path / "out") == [], (stdout, stderr)
+
+
+def test_check_reports_each_flipped_expectation(tmp_path):
+    case = next(case for case in CASES if case.name == "sign_a-analyze-csv")
+    assert case.csv and case.stderr and not case.lines
+    run = run_in_process(case, tmp_path)
+    outdir = tmp_path / "out"
+    assert check(case, *run, outdir) == []
+    flipped = {
+        "exit": dict(exit=EXIT_ERROR),
+        "line": dict(lines=("conclusion: never printed",)),
+        "stderr": dict(stderr=ERROR),
+        "csv": dict(csv={name: n + 1 for name, n in case.csv.items()}),
+    }
+    for kind, changes in flipped.items():
+        assert len(check(dataclasses.replace(case, **changes), *run, outdir)) == 1, kind
+    slow = dataclasses.replace(case, seconds=0.0)
+    assert check(slow, *run_in_process(slow, tmp_path), outdir) == ["did not end within 0.0 s"]
+
+
+def test_in_process_run_prints_warnings_and_tracebacks(tmp_path, monkeypatch):
+    # as from the console script: a RuntimeWarning is printed, not raised,
+    # and an exception ends the run with its traceback and exit 1
+    def failing(argv):
+        warnings.warn("overflow", RuntimeWarning)
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(cli_cases, "main", failing)
+    code, stdout, stderr = run_in_process(CASES[0], tmp_path)
+    assert code == EXIT_ERROR and stdout == ""
+    assert "Traceback" in stderr and "RuntimeWarning: overflow" in stderr
+
+
 class TestParseConfig:
     def test_demo_constants(self):
-        spec = parse_config(EQ30_CFG)
+        spec = parse_config(DEMO)
         assert spec.T == 1.0
         assert spec.a.mean == 2.0102
         assert spec.f.mean == 2.0
         assert spec.a.harmonics == spec.f.harmonics == ()
 
     def test_trig_coefficient(self):
-        text = EQ30_CFG.replace(
+        text = DEMO.replace(
             "[a]\nkind = const\nvalue = 2.0102",
             "[a]\nkind = trig\nc0 = 2.0102\nharmonic = 1, 0, 0.01")
         spec = parse_config(text)
@@ -189,8 +198,8 @@ class TestParseConfig:
         assert spec.a.harmonics == ((1, 0.0, 0.01),)
 
     def test_negative_c_rejected(self):
-        text = EQ30_CFG.replace("[c]\nkind = const\nvalue = 0.0051",
-                                "[c]\nkind = const\nvalue = -0.1")
+        text = DEMO.replace("[c]\nkind = const\nvalue = 0.0051",
+                            "[c]\nkind = const\nvalue = -0.1")
         with pytest.raises(ValidationError, match="strictly positive"):
             parse_config(text)
 
@@ -216,15 +225,15 @@ class TestParseConfig:
             parse_config("[system]\nT = 1\n")
 
     def test_comments_and_blank_lines(self):
-        text = "# header\n\n" + EQ30_CFG.replace("value = 2.0102",
-                                                 "value = 2.0102  # prey growth")
+        text = "# header\n\n" + DEMO.replace("value = 2.0102",
+                                             "value = 2.0102  # prey growth")
         spec = parse_config(text)
         assert spec.a.mean == 2.0102
 
 
 class TestRoundTrip:
     def test_constants_exact(self):
-        spec = parse_config(EQ30_CFG)
+        spec = parse_config(DEMO)
         assert parse_config(format_config(spec)) == spec
 
     def test_trig_exact_17_digits(self):
@@ -290,8 +299,8 @@ class TestCommands:
         assert "no_coexistence" in out.getvalue()
 
     def test_analyze_inconclusive_exit_2(self, tmp_path):
-        text = EQ30_CFG.replace("[a]\nkind = const\nvalue = 2.0102",
-                                "[a]\nkind = const\nvalue = 1")
+        text = DEMO.replace("[a]\nkind = const\nvalue = 2.0102",
+                            "[a]\nkind = const\nvalue = 1")
         text = text.replace("[c]\nkind = const\nvalue = 0.0051",
                             "[c]\nkind = const\nvalue = 1")
         text = text.replace("[e]\nkind = const\nvalue = 0.9898",
@@ -313,7 +322,7 @@ class TestCommands:
         code = run_command(make_cfg("region", cfg_path, p_list=(2.0, INF),
                                     output_dir=outdir), out)
         assert code == EXIT_STABLE
-        spec = parse_config(EQ30_CFG)
+        spec = parse_config(DEMO)
         for p, fname in ((2.0, "region_p2.csv"), (INF, "region_pinf.csv")):
             path = outdir / fname
             assert path.exists()
@@ -324,7 +333,7 @@ class TestCommands:
             for label, xs, ys in rows[1:]:
                 assert boundary_residual(reg, label, float(xs), float(ys)) <= 1e-9
 
-    @pytest.mark.parametrize("config", [EQ30_CFG, NO_COEXISTENCE_CFG], ids=["demo", "no-coexistence"])
+    @pytest.mark.parametrize("config", [DEMO, NO_COEXISTENCE_CFG], ids=["demo", "no-coexistence"])
     def test_analyze_results_csv_matches_stdout(self, tmp_path, config):
         outdir = tmp_path / "o"
         out = io.StringIO()
@@ -341,7 +350,7 @@ class TestCommands:
     def test_simulate_orbit_csv(self, tmp_path, monkeypatch):
         orbits = capture_orbits(monkeypatch)
         outdir = tmp_path / "o"
-        code = run_command(make_cfg("simulate", write_cfg(tmp_path, PERTURBED_CFG),
+        code = run_command(make_cfg("simulate", write_cfg(tmp_path, PERTURBED),
                                     output_dir=outdir, emit_csv=True), io.StringIO())
         assert code == EXIT_STABLE
         assert len(orbits) == 1
@@ -361,7 +370,7 @@ class TestCommands:
         outdir = tmp_path / "o"
         run_command(make_cfg(command, write_cfg(tmp_path), output_dir=outdir, emit_csv=True),
                     io.StringIO())
-        spec = parse_config(EQ30_CFG)
+        spec = parse_config(DEMO)
         ps = (1.0, 2.0, INF)
         if command in ("analyze", "scan"):
             expected = {"results.csv": [["name", "p", "lhs", "rhs", "margin", "passed",
@@ -395,14 +404,13 @@ class TestCommands:
     def test_region_writes_every_sample_at_large_a(self, tmp_path):
         # a = 1e8: an absolute 1e-9 residual check once dropped 18 of these
         # points at p = 1 and 238 at p = 2
-        config = EQ30_CFG.replace("value = 2.0102", "value = 1e8")
         outdir = tmp_path / "artifacts"
         out = io.StringIO()
-        run_command(make_cfg("region", write_cfg(tmp_path, config), p_list=(1.0, 2.0),
+        run_command(make_cfg("region", write_cfg(tmp_path, BIG_A), p_list=(1.0, 2.0),
                              output_dir=outdir), out)
         assert "p = 1: 1024 boundary points" in out.getvalue()
         assert "p = 2: 1024 boundary points" in out.getvalue()
-        spec = parse_config(config)
+        spec = parse_config(BIG_A)
         for p, fname in ((1.0, "region_p1.csv"), (2.0, "region_p2.csv")):
             with (outdir / fname).open() as fh:
                 rows = list(csv.reader(fh))[1:]
@@ -415,7 +423,7 @@ class TestCommands:
     def test_region_at_huge_a_writes_finite_values_without_warnings(self, tmp_path):
         # boundary_residual itself overflows at this scale, so only
         # finiteness is checked
-        run = run_console(tmp_path, "region", EQ30_CFG.replace("value = 2.0102", "value = 1e308"))
+        run = run_console(tmp_path, "region", HUGE_A)
         assert run.returncode == EXIT_STABLE
         assert "RuntimeWarning" not in run.stderr
         paths = sorted((tmp_path / "o").glob("region_p*.csv"))
@@ -494,8 +502,8 @@ class TestCommands:
         assert "asymptotically_stable" in text
         assert "region membership p = inf" in text
 
-    def test_simulate_saddle_found_unstable(self, tmp_path, saddle_spec):
-        cfg_path = write_cfg(tmp_path, format_config(saddle_spec))
+    def test_simulate_saddle_found_unstable(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, SADDLE)
         out = io.StringIO()
         code = run_command(make_cfg("simulate", cfg_path,
                                     output_dir=tmp_path / "o"), out)
@@ -527,7 +535,7 @@ class TestCommands:
 
     def test_example1_short_period(self, tmp_path):
         # At T = 0.1, h(200) ~ 1e1040 lies beyond the double range.
-        cfg_path = write_cfg(tmp_path, EQ30_CFG.replace("T = 1\n", "T = 0.1\n"))
+        cfg_path = write_cfg(tmp_path, DEMO.replace("T = 1\n", "T = 0.1\n"))
         out = io.StringIO()
         code = run_command(make_cfg("example1", cfg_path, output_dir=tmp_path / "o"), out)
         text = out.getvalue()
@@ -599,13 +607,13 @@ class TestMain:
 
     @pytest.mark.parametrize("p, config", [
         ("nan", None),
-        ("nan", EQ30_CFG),
-        (None, EQ30_CFG.replace("value = 2.0102", "value = inf")),
-        (None, EQ30_CFG.replace("value = 2.0102", "value = 1e400")),
-        (None, EQ30_CFG.replace("kind = const\nvalue = 2.0102",
-                                "kind = trig\nc0 = 2\nharmonic = inf, 0, 0.1")),
-        (None, EQ30_CFG.replace("kind = const\nvalue = 2.0102",
-                                "kind = trig\nc0 = 2\nharmonic = 1e400, 0, 0.1")),
+        ("nan", DEMO),
+        (None, DEMO.replace("value = 2.0102", "value = inf")),
+        (None, DEMO.replace("value = 2.0102", "value = 1e400")),
+        (None, DEMO.replace("kind = const\nvalue = 2.0102",
+                            "kind = trig\nc0 = 2\nharmonic = inf, 0, 0.1")),
+        (None, DEMO.replace("kind = const\nvalue = 2.0102",
+                            "kind = trig\nc0 = 2\nharmonic = 1e400, 0, 0.1")),
         (None, b"[system]\nT = 1 \xff\n"),
     ], ids=["jfunc-p-nan", "analyze-p-nan", "const-inf", "const-1e400",
             "harmonic-inf", "harmonic-1e400", "not-utf8"])
@@ -626,10 +634,10 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("config", [
-        EQ30_CFG.replace("value = 2.0102", "value = 1e308"),
-        HUGE_UV_CFG,
-        EQ30_CFG.replace("T = 1\n", "T = 1e300\n"),
-        TINY_BCEF_CFG,
+        HUGE_A,
+        HUGE_UV,
+        HUGE_T,
+        TINY_BCEF,
     ], ids=["a-1e308", "a-1e308-b-1e-5", "T-1e300", "bcef-1e-200"])
     @pytest.mark.parametrize("command", ["region", "analyze", "simulate", "example1"])
     def test_extreme_input_ends_in_report_or_error(self, tmp_path, command, config):
@@ -653,28 +661,24 @@ class TestMain:
     def test_region_with_overflowing_bounds_is_an_error(self, tmp_path):
         # a = 1e308 over b = 1e-5 makes U = V = inf: region stops before it
         # prints, samples a curve or writes a CSV
-        run = run_console(tmp_path, "region", HUGE_UV_CFG)
+        run = run_console(tmp_path, "region", HUGE_UV)
         assert run.returncode == EXIT_ERROR
         assert len([ln for ln in run.stderr.splitlines() if ln.startswith("error:")]) == 1
         assert run.stdout == ""
         assert "RuntimeWarning" not in run.stderr
         assert not list((tmp_path / "o").glob("region_p*.csv"))
 
-    @pytest.mark.parametrize("values", [
-        dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300),
-        dict(T=1e-300, a=0.5, b=1e-100, c=1.0, d=1.0, e=1.0, f=1.0),
-        dict(T=1.0, a=2.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0),
-        dict(T=1.0, a=0.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0),
-    ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double",
-            "U-is-zero"])
+    @pytest.mark.parametrize("config", [TINY_CV, TINY_T, TINY_CE, ZERO_U],
+                             ids=["cV-underflows", "damping-integral-underflows",
+                                  "h-overflows-long-double", "U-is-zero"])
     @pytest.mark.parametrize("command", ["analyze", "scan", "region", "example1", "simulate"])
-    def test_extreme_constants_in_process(self, tmp_path, capsys, command, values):
+    def test_extreme_constants_in_process(self, tmp_path, capsys, command, config):
         # In process, so a RuntimeWarning is an error here.  c_min * V rounded
         # to 0 and divided the region curves by zero; T * b / 4096 rounded to 0
         # and read as non-positive damping; h(200) overflowed long double and
         # warned; U = max(a/b) = 0 divided the large-p ratio check by zero.
         # Each run ends in a report or in one error line.
-        cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
+        cfg_path = write_cfg(tmp_path, config)
         code = main(["--command", command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
@@ -683,25 +687,21 @@ class TestMain:
         else:
             assert code in (EXIT_STABLE, EXIT_INCONCLUSIVE, EXIT_NO_COEXISTENCE)
 
-    @pytest.mark.parametrize("values, command, code, line", [
-        (dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300), "analyze", EXIT_STABLE,
-         "conclusion: globally_stable_via_18_19"),
+    @pytest.mark.parametrize("config, command, code, line", [
+        (TINY_CV, "analyze", EXIT_STABLE, "conclusion: globally_stable_via_18_19"),
         # the predator-only state is stable: lam = 0.5 <= avg(c * theta_mu) = 1
-        (dict(T=1e-300, a=0.5, b=1e-100, c=1.0, d=1.0, e=1.0, f=1.0), "analyze",
-         EXIT_NO_COEXISTENCE, "conclusion: no_coexistence"),
-        (dict(T=1.0, a=2.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0), "example1", EXIT_STABLE,
+        (TINY_T, "analyze", EXIT_NO_COEXISTENCE, "conclusion: no_coexistence"),
+        (TINY_CE, "example1", EXIT_STABLE,
          "  note: h or G overflows extended precision at p=200; its sign is not determined"),
-        (dict(T=1.0, a=0.0, b=1.0, c=1e-15, d=1.0, e=1e-15, f=1.0), "example1",
-         EXIT_NO_COEXISTENCE,
+        (ZERO_U, "example1", EXIT_NO_COEXISTENCE,
          "  note: U <= 0, so no coexistence state exists; the large-p ratio check is skipped"),
         # v ~ 3e-300: Newton's log floor is 50 below log V, and the
         # p-averages of v do not underflow
-        (dict(T=1.0, a=2.0, b=1.0, c=1e-300, d=1.0, e=1.0, f=1e300), "simulate", EXIT_STABLE,
-         "1 distinct orbit(s) found"),
+        (TINY_CV, "simulate", EXIT_STABLE, "1 distinct orbit(s) found"),
     ], ids=["cV-underflows", "damping-integral-underflows", "h-overflows-long-double",
             "U-is-zero", "cV-underflows-simulate"])
-    def test_extreme_constants_verdicts(self, tmp_path, capsys, values, command, code, line):
-        cfg_path = write_cfg(tmp_path, format_config(const_spec(**values)))
+    def test_extreme_constants_verdicts(self, tmp_path, capsys, config, command, code, line):
+        cfg_path = write_cfg(tmp_path, config)
         assert main(["--command", command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == code
         assert line in capsys.readouterr().out.splitlines()
@@ -711,9 +711,8 @@ class TestMain:
         # the y axis at every s, so the p = 1 intertwined line is the same;
         # at s = 1e4 the old absolute band called the region empty (lhs 0)
         lines = []
-        for s in (1.0, 1e4):
-            cfg_path = write_cfg(tmp_path, format_config(
-                const_spec(1.0, 1.0, 1.0 / s, 1.000000000001, 1.0, 1.0 / s)), name=f"s{s:g}.cfg")
+        for text in (UNIT_Y.replace("value = 0.0001", "value = 1"), UNIT_Y):
+            cfg_path = write_cfg(tmp_path, text)
             assert main(["--command", "analyze", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == EXIT_NO_COEXISTENCE
             out = capsys.readouterr().out.splitlines()
@@ -727,14 +726,7 @@ class TestMain:
         # field; the step control rejects them, so in process (where a
         # RuntimeWarning is an error) the run ends in its orbit and stderr
         # stays empty
-        trig = PeriodicCoefficient.trig
-        spec = SystemSpec(T=23.95208121, a=trig(1.505490583, [(1, 0.0, 1.058485341)]),
-                          b=PeriodicCoefficient.constant(0.054979081),
-                          c=PeriodicCoefficient.constant(1.07076543),
-                          d=trig(-1.051103853, [(1, 0.406644413, 0.0)]),
-                          e=PeriodicCoefficient.constant(2.568602992),
-                          f=PeriodicCoefficient.constant(0.00848041))
-        cfg_path = write_cfg(tmp_path, format_config(spec))
+        cfg_path = write_cfg(tmp_path, OVERFLOW_STEPS)
         code = main(["--command", "simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
@@ -751,7 +743,7 @@ class TestMain:
         # take (it needs constants), they are root solves.
         counts = count_calls(monkeypatch, {"compute_uv": pplv.region.compute_uv,
                                            "stats": pplv.coeffs.stats})
-        for text in (EQ30_CFG,) if command == "example1" else (EQ30_CFG, TRIG_BF_CFG):
+        for text in (DEMO,) if command == "example1" else (DEMO, TRIG_BF_CFG):
             counts.clear()
             code = main(["--command", command, "--config", str(write_cfg(tmp_path, text)),
                          "--out", str(tmp_path / "o")])
@@ -785,14 +777,16 @@ class TestMain:
         assert notes == ["  note: sign_ok false at p=1",
                          "  note: sign_ok false at p=1.0000000001"]
 
-    @pytest.mark.parametrize("section, key", [
-        ("kind = const\nvalue = 2.0102\nharmonic = 1, 0, 0.9", "harmonic"),
-        ("kind = const\nvalue = 2.0102\nc0 = 2.0102", "c0"),
-        ("kind = trig\nc0 = 2.0102\nvalue = 2.0102", "value"),
+    @pytest.mark.parametrize("config, key", [
+        (CONST_HARMONIC, "harmonic"),
+        (DEMO.replace("kind = const\nvalue = 2.0102", "kind = const\nvalue = 2.0102\nc0 = 2.0102"),
+         "c0"),
+        (DEMO.replace("kind = const\nvalue = 2.0102", "kind = trig\nc0 = 2.0102\nvalue = 2.0102"),
+         "value"),
     ], ids=["const-harmonic", "const-c0", "trig-value"])
-    def test_key_of_the_other_kind_is_an_error(self, tmp_path, capsys, section, key):
+    def test_key_of_the_other_kind_is_an_error(self, tmp_path, capsys, config, key):
         # such a key used to be dropped silently
-        path = write_cfg(tmp_path, EQ30_CFG.replace("kind = const\nvalue = 2.0102", section))
+        path = write_cfg(tmp_path, config)
         code = main(["--command", "analyze", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
         captured = capsys.readouterr()
@@ -821,26 +815,27 @@ class TestMain:
         assert "--command" in capsys.readouterr().out
 
     def test_criteria_commands_do_not_load_scipy(self, tmp_path):
-        # no command loads scipy, simulate included: it integrates in-package
+        # no command loads scipy, simulate included: it integrates in-package,
+        # on the demo constants and on the forced saddle alike
         script = """\
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from pplv.cli import main
-argv = ["--config", sys.argv[2], "--out", sys.argv[3]]
-def run(command):
+def run(command, config):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["--command", command] + argv)
+        code = main(["--command", command, "--config", config, "--out", sys.argv[4]])
     return code, out.getvalue()
-codes = {c: run(c)[0] for c in ("analyze", "scan", "region", "jfunc", "example1")}
-sim_code, sim_out = run("simulate")
+codes = {c: run(c, sys.argv[2])[0] for c in ("analyze", "scan", "region", "jfunc", "example1")}
+sim_code, sim_out = run("simulate", sys.argv[2])
+saddle_code = run("simulate", sys.argv[3])[0]
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps({"codes": codes, "loaded": loaded, "sim_code": sim_code,
-                  "sim_first": sim_out.splitlines()[0]}))
+                  "sim_first": sim_out.splitlines()[0], "saddle_code": saddle_code}))
 """
         src = str(Path(pplv.cli.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", script, src, str(write_cfg(tmp_path)),
-                              str(tmp_path / "o")],
+                              str(write_cfg(tmp_path, SADDLE, "saddle.cfg")), str(tmp_path / "o")],
                              capture_output=True, text=True, timeout=60.0)
         assert run.returncode == 0, run.stderr
         got = json.loads(run.stdout)
@@ -850,6 +845,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "sim_code": sim_code,
         assert got["loaded"] == []
         assert got["sim_code"] == EXIT_STABLE
         assert got["sim_first"] == "1 distinct orbit(s) found"
+        assert got["saddle_code"] == EXIT_INCONCLUSIVE
 
     def test_main_missing_config(self, tmp_path, capsys):
         code = main(["--command", "analyze", "--out", str(tmp_path / "o")])

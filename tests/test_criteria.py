@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cli_cases import SUBNORMAL
 from conftest import count_calls, const_spec
 from oracles import envelope
 
@@ -18,6 +19,7 @@ import pplv.existence
 import pplv.jfunc
 import pplv.logistic
 import pplv.region
+from pplv.cli import parse_config
 from pplv.coeffs import PeriodicCoefficient, SystemSpec, stats
 from pplv.constant_case import equilibrium, linear_term
 from pplv.criteria import (
@@ -355,7 +357,7 @@ class TestExponentContinuity:
     @given(trig_systems())
     # T * mean(d) = 1.8e-324 rounds to 0 (a math domain error in the
     # predator-only logistic state)
-    @example(const_spec(-1.0, 1.0, 1.0, 5e-324, 1.0, 1.0, T=0.36787944117144233))
+    @example(parse_config(SUBNORMAL))
     # every coefficient 1: the p = 1 region is the point (0, 1), and the
     # intertwined margins move by 1.9e-5 at p = 1 + 1e-9
     @example(SystemSpec(T=1.0, **dict.fromkeys("abcdef", TRIG(1.0, [(1, 0.0, 0.0)]))))

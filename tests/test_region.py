@@ -601,3 +601,15 @@ class TestSupremumProperty:
         res = sup_xy(reg)
         assert res.value == pytest.approx(5.0 / 196.0, rel=1e-12)
         assert res.argmax == pytest.approx((5.0 / 7.0, 1.0 / 28.0), rel=1e-9)
+
+    def test_underflowing_slope_gap_scale(self):
+        # f_max * U underflows to 0 in the second derivative of the slice
+        # search's slope gap, which divided by it
+        reg = RegionSpec(p=200.0, abar=2.877e-117, dbar=0.0, b_min=1.143e-238, b_max=5.586e21,
+                         c_min=4.274e-254, c_max=1.479e-119, e_min=2.885e-182, e_max=5.199e-30,
+                         f_min=6.710e-296, f_max=2.514e-272,
+                         bounds=RegionBounds(U=6.879e-107, V=5.654e-120))
+        assert reg.f_max * reg.bounds.U == 0.0
+        for res in (sup_xy(reg), sup_linear(reg)):
+            assert not res.empty
+            assert math.isfinite(res.value) and all(map(math.isfinite, res.argmax))

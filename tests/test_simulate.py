@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cli_cases import DEEP_DIP, THREE_ORBITS, TINY_CV
 from conftest import const_spec
 
 import pplv
 from pplv import simulate
+from pplv.cli import parse_config
 from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import equilibrium
 from pplv.criteria import GLOBALLY_STABLE_VIA_18_19, INCONCLUSIVE, intertwined_test, scan_p
@@ -574,7 +576,7 @@ class TestBoxRetirement:
     def test_log_floor_follows_a_box_below_one(self, monkeypatch):
         # v ~ 3e-300 (log v ~ -690): a floor of 50 below 0 retired every
         # start; 50 below log V keeps them
-        spec = const_spec(2.0, 1.0, 1e-300, 1.0, 1.0, 1e300)
+        spec = parse_config(TINY_CV)
         orbits = find_coexistence_multistart(spec)
         assert len(orbits) == 1
         assert start(orbits[0]) == pytest.approx((2.0, 3e-300), rel=1e-9)
@@ -624,10 +626,7 @@ class TestForcedRegressionSystems:
     def test_deep_dip_orbit_found(self):
         # certified by conditions 18/19; v dips to e^-15.4 while u reaches
         # e^3.47, yet the orbit is no boundary state
-        spec = SystemSpec(T=21.477609497, a=TRIG(1.290499477, [(1, 0.0, 2.780158153)]),
-                          b=C(0.125401361), c=C(0.118970744),
-                          d=TRIG(-1.424179287, [(2, 0.012161109, 0.0)]),
-                          e=C(0.334609734), f=C(0.325334057))
+        spec = parse_config(DEEP_DIP)
         assert scan_p(spec, (1.0, 2.0, INF)).conclusion == GLOBALLY_STABLE_VIA_18_19
         orbits = find_coexistence_multistart(spec)
         assert len(orbits) == 1
@@ -638,10 +637,7 @@ class TestForcedRegressionSystems:
     def test_three_orbits(self):
         # fixed-point indices +1, -1 and +1, summing to 1; no test certifies
         # uniqueness, as none may
-        spec = SystemSpec(T=21.167603286, a=TRIG(0.852671711, [(1, 0.0, 0.818768602)]),
-                          b=C(0.177992758), c=C(0.426808073),
-                          d=TRIG(-0.802938916, [(1, -0.664397414, 0.0)]),
-                          e=C(1.181789959), f=C(0.024613658))
+        spec = parse_config(THREE_ORBITS)
         assert scan_p(spec, (1.0, 2.0, INF)).conclusion == INCONCLUSIVE
         orbits = find_coexistence_multistart(spec)
         assert [floquet(o).classification for o in orbits] == \
