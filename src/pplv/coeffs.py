@@ -16,11 +16,14 @@ degree 2n, so its real zeros are the unit-circle roots of that polynomial
 (Boyd, *Solving Transcendental Equations*, SIAM 2014).  The derivative of
 a trig polynomial, and the numerator n'd - nd' of the derivative of a
 ratio n/d, are again trig polynomials: extrema are found by evaluating at
-the angles of their roots.
+the angles of their roots: the eigenvalues of the companion matrices
+``numpy.roots`` builds, those of one size solved in one stacked call.
 
 A :class:`SystemSpec` computes the quantities every criterion reads once
-and keeps them: the extrema of b, c, e and f (``extrema``) and the
-a-priori component bounds U, V (``bounds``, from :func:`compute_uv`).
+and keeps them: the extrema of b, c, e and f (``extrema``), the a-priori
+component bounds U, V (``bounds``, from :func:`compute_uv`), and the
+critical times of each ratio pair, which n/d and d/n share
+(``ratio_times``).
 """
 
 from __future__ import annotations
@@ -167,6 +170,38 @@ class SystemSpec:
         """The component bounds U, V (see :func:`compute_uv`)."""
         return compute_uv(self)
 
+    @functools.cached_property
+    def _solved_ratios(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def ratio_times(self, *pairs: str) -> list[np.ndarray]:
+        """Critical times of the ratios named by ``pairs`` ("cf" for c/f),
+        the zeros of n'd - nd' and t = 0, one array per pair.
+
+        n/d and d/n have the same critical times, so each unordered pair is
+        solved once per system, as the ratio of its names in alphabetical
+        order, and kept.  The pairs not solved yet share one root solve.
+        """
+        keys = ["".join(sorted(pair)) for pair in pairs]
+        solved = self._solved_ratios
+        todo, crits = [], []
+        for key in dict.fromkeys(keys):
+            if len(key) != 2 or not set(key) <= set(_COEFFICIENTS):
+                raise ValueError(f"no ratio {key!r}: name two of the coefficients a to f")
+            if key in solved:
+                continue
+            numer, denom = getattr(self, key[0]), getattr(self, key[1])
+            if not (numer.harmonics or denom.harmonics):
+                solved[key] = np.zeros(1)
+                continue
+            n = max(_degree(numer), _degree(denom))
+            cn, cd = _laurent(numer, n), _laurent(denom, n)
+            todo.append(key)
+            crits.append(np.convolve(_derivative(cn), cd) - np.convolve(cn, _derivative(cd)))
+        for key, ts in zip(todo, _root_times(crits, self.T)):
+            solved[key] = np.append(ts, 0.0)
+        return [solved[key] for key in keys]
+
 
 def _laurent(coef: PeriodicCoefficient, n: int) -> np.ndarray:
     # Coefficients c_{-n}, ..., c_n of coef as sum_k c_k z**k, z = exp(i*omega*t):
@@ -189,8 +224,9 @@ def _derivative(laurent: np.ndarray) -> np.ndarray:
     return laurent * (1j * np.arange(-n, n + 1))
 
 
-def _root_times(laurent: np.ndarray, T: float) -> np.ndarray:
-    """Times in [0, T) at the angles of every root of z**n * sum_k c_k z**k.
+def _root_times(laurents: Sequence[np.ndarray], T: float) -> list[np.ndarray]:
+    """For each Laurent series, the times in [0, T) at the angles of every
+    root of z**n * sum_k c_k z**k.
 
     Roots off the unit circle are kept: an extra candidate costs one
     evaluation, and a zero that rounding has pushed off a (near-)double
@@ -203,22 +239,44 @@ def _root_times(laurent: np.ndarray, T: float) -> np.ndarray:
     by about sqrt(eps) at most, which changes the value at an extremum only
     at second order.  Real and imaginary parts are scaled apart because
     numpy's complex division overflows on a subnormal divisor.
+
+    Each companion matrix is the one ``numpy.roots`` builds, and all those
+    of one size are solved in one stacked eigenvalue call, so the roots
+    equal those of one ``numpy.roots`` call per series.
     """
-    mags = np.abs(laurent)
-    top = mags.max(initial=0.0)
-    keep = np.flatnonzero(mags > _SQRT_EPS * top)
-    if keep.size == 0:
-        return np.empty(0)
-    poly = laurent[keep[0]:keep[-1] + 1][::-1]
-    roots = np.roots(poly.real / top + 1j * (poly.imag / top))
-    return np.mod(np.angle(roots) * (T / _TWO_PI), T)
+    out = [np.empty(0)] * len(laurents)
+    by_degree: dict[int, list[tuple[int, np.ndarray, float]]] = {}
+    for i, laurent in enumerate(laurents):
+        mags = np.abs(laurent)
+        top = mags.max(initial=0.0)
+        keep = np.flatnonzero(mags > _SQRT_EPS * top)
+        if keep.size > 1:
+            by_degree.setdefault(keep[-1] - keep[0], []).append(
+                (i, laurent[keep[0]:keep[-1] + 1][::-1], top))
+    for n, group in by_degree.items():
+        index, polys, tops = zip(*group)
+        polys, tops = np.array(polys), np.array(tops)[:, None]
+        polys = polys.real / tops + 1j * (polys.imag / tops)
+        companions = np.zeros((len(group), n, n), dtype=complex)
+        companions[:, 1:, :-1] = np.eye(n - 1)
+        companions[:, 0, :] = -polys[:, 1:] / polys[:, :1]
+        times = np.mod(np.angle(np.linalg.eigvals(companions)) * (T / _TWO_PI), T)
+        for i, ts in zip(index, times):
+            out[i] = ts
+    return out
 
 
-def _critical_points(coef: PeriodicCoefficient, T: float) -> tuple[np.ndarray, np.ndarray]:
+def _critical_points(coef: PeriodicCoefficient, T: float,
+                     zeros: bool = False) -> tuple[np.ndarray, ...]:
     """Times of the zeros of the derivative of ``coef``, then t = 0, and the
-    values of ``coef`` there; the extrema of ``coef`` are among these values."""
-    ts = np.append(_root_times(_derivative(_laurent(coef, _degree(coef))), T), 0.0)
-    return ts, coef.evaluate(T, ts)
+    values of ``coef`` there; the extrema of ``coef`` are among these values.
+    With ``zeros``, the times of the zeros of ``coef`` follow, from the same
+    root solve."""
+    laurent = _laurent(coef, _degree(coef))
+    problems = [_derivative(laurent), laurent] if zeros else [_derivative(laurent)]
+    crit, *rest = _root_times(problems, T)
+    ts = np.append(crit, 0.0)
+    return (ts, coef.evaluate(T, ts), *rest)
 
 
 def stats(coef: PeriodicCoefficient, T: float) -> CoeffStats:
@@ -254,6 +312,9 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _TS_RULES = tuple(_tanh_sinh_level(level) for level in range(8))
+# The integrand is evaluated at the midpoints and the nodes of levels 0-4 in
+# one call: on typical coefficients every exponent runs to level 4.
+_TS_FIRST_LEVELS = 5
 
 
 def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, ps: Sequence[float],
@@ -265,31 +326,39 @@ def _tanh_sinh(fn: Callable, a: np.ndarray, b: np.ndarray, ps: Sequence[float],
     successive sums agree within ``tol`` (absolute).  Its nodes cluster
     doubly exponentially at both ends of each piece, so an endpoint
     singularity or a narrow peak at an end is resolved without grading.
-    The nodes and ``fn`` on them do not depend on p: each level calls
-    ``fn`` once, every exponent still running raises those values to its
-    own power, and each stops at its own level, with the sums it would
-    have had alone.
+    The nodes and ``fn`` on them do not depend on p: ``fn`` is called once
+    for the midpoints and the first levels together, then once per further
+    level.  Each level raises its values to every exponent still running
+    and sums them all in one array operation; each exponent stops at its
+    own level, with the sums it would have had alone.
     """
+    ps = list(dict.fromkeys(ps))
     half = 0.5 * (b - a)
-    mid = fn(a + half)
-    totals = {p: 0.5 * math.pi * float(np.sum(half * mid ** p)) for p in ps}
-    prev: dict[float, float] = {}
-    cur: dict[float, float] = {}
-    live = list(totals)
-    for level, (dist, weight) in enumerate(_TS_RULES):
-        offset = half[:, None] * dist[None, :]
-        vals = fn(np.concatenate(((a[:, None] + offset).ravel(), (b[:, None] - offset).ravel())))
-        n = offset.size
-        left, right = vals[:n], vals[n:]
+
+    def nodes(level: int) -> np.ndarray:
+        # the level's nodes near each a_i, then those near each b_i
+        offset = half[:, None] * _TS_RULES[level][0][None, :]
+        return np.concatenate(((a[:, None] + offset).ravel(), (b[:, None] - offset).ravel()))
+
+    first = [a + half] + [nodes(level) for level in range(_TS_FIRST_LEVELS)]
+    vals = np.split(fn(np.concatenate(first)), np.cumsum([x.size for x in first[:-1]]))
+    totals = 0.5 * math.pi * (half * np.array([vals[0] ** p for p in ps])).sum(axis=1)
+    cur = np.empty(len(ps))
+    prev = cur
+    live = np.arange(len(ps))
+    for level, (_, weight) in enumerate(_TS_RULES):
+        ends = vals[level + 1] if level < _TS_FIRST_LEVELS else fn(nodes(level))
+        n = ends.size // 2
         hw = (half[:, None] * weight[None, :]).ravel()
-        for p in live:
-            totals[p] += float(np.sum(hw * (left ** p + right ** p)))
-            cur[p] = totals[p] * 2.0 ** -level
-        live = [p for p in live if level == 0 or abs(cur[p] - prev[p]) > tol]
-        if not live:
+        powers = np.array([ends ** ps[i] for i in live])
+        totals[live] += (hw * (powers[:, :n] + powers[:, n:])).sum(axis=1)
+        cur[live] = totals[live] * 2.0 ** -level
+        if level:
+            live = live[np.abs(cur[live] - prev[live]) > tol]
+        if not live.size:
             break
-        prev = dict(cur)
-    return cur
+        prev = cur.copy()
+    return dict(zip(ps, cur.tolist()))
 
 
 def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[float, ...]:
@@ -302,14 +371,14 @@ def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[f
     M * (integral of (|coef|/M)**p) ** (1/p): the integrand lies in
     [0, 1], so it neither overflows nor underflows to zero at large p.
     The period is cut at the zeros of the coefficient and of its
-    derivative, so each piece runs between a zero and an extremum of
-    |coef|: the |t - t0|**p singularity at a zero and the peak of width
-    ~T/sqrt(p) at a maximum both sit at an end, where tanh-sinh
-    quadrature resolves them.  ``TOL_QUAD`` bounds the scaled integral.
-    M, the cuts, the quadrature nodes and |coef|/M on them do not depend
-    on p: one quadrature serves the whole grid, and each exponent stops
-    at its own level, so each norm equals that of a call with p alone.
-    Above p = 1e15 the bound M * T**(1/p) is returned.
+    derivative, both from one root solve, so each piece runs between a
+    zero and an extremum of |coef|: the |t - t0|**p singularity at a zero
+    and the peak of width ~T/sqrt(p) at a maximum both sit at an end,
+    where tanh-sinh quadrature resolves them.  ``TOL_QUAD`` bounds the
+    scaled integral.  M, the cuts, the quadrature nodes and |coef|/M on
+    them do not depend on p: one quadrature serves the whole grid, and
+    each exponent stops at its own level, so each norm equals that of a
+    call with p alone.  Above p = 1e15 the bound M * T**(1/p) is returned.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -317,12 +386,12 @@ def lp_norm(coef: PeriodicCoefficient, T: float, ps: Sequence[float]) -> tuple[f
         check_exponent(p)
     if not coef.harmonics:
         return tuple(abs(coef.c0) * T ** (1.0 / p) for p in ps)
-    ts, vals = _critical_points(coef, T)
+    ts, vals, zeros = _critical_points(coef, T, zeros=True)
     peak = float(np.abs(vals).max())
     quad = [p for p in ps if peak != 0.0 and p <= _LARGE_P]
     integrals = {}
     if quad:
-        cuts = np.sort(np.concatenate(([0.0, T], ts[:-1], _root_times(_laurent(coef, _degree(coef)), T))))
+        cuts = np.sort(np.concatenate(([0.0, T], ts[:-1], zeros)))
         integrals = _tanh_sinh(lambda t: np.abs(coef.evaluate(T, t)) / peak,
                                cuts[:-1], cuts[1:], quad, TOL_QUAD)
     norms = []
@@ -342,7 +411,8 @@ def ratio_extrema(spec: SystemSpec, num: str, den: str) -> tuple[float, float]:
 
     The denominator is one of b, c, e and f, which the system holds strictly
     positive; any other name raises ValueError.  The extrema are the ratio's
-    values at the zeros of n'd - nd' (and at t = 0), exact up to rounding.
+    values at its critical times (:meth:`SystemSpec.ratio_times`), exact up
+    to rounding.
     """
     if num not in _COEFFICIENTS or den not in spec.extrema:
         raise ValueError(f"no ratio {num!r}/{den!r}: the numerator is one of a to f, "
@@ -351,10 +421,7 @@ def ratio_extrema(spec: SystemSpec, num: str, den: str) -> tuple[float, float]:
     if not (numer.harmonics or denom.harmonics):
         r = numer.c0 / denom.c0
         return r, r
-    n = max(_degree(numer), _degree(denom))
-    cn, cd = _laurent(numer, n), _laurent(denom, n)
-    crit = np.convolve(_derivative(cn), cd) - np.convolve(cn, _derivative(cd))
-    ts = np.append(_root_times(crit, T), 0.0)
+    (ts,) = spec.ratio_times(num + den)
     vals = numer.evaluate(T, ts) / denom.evaluate(T, ts)
     return float(vals.min()), float(vals.max())
 
@@ -362,6 +429,7 @@ def ratio_extrema(spec: SystemSpec, num: str, den: str) -> tuple[float, float]:
 def compute_uv(spec: SystemSpec) -> RegionBounds:
     """Component bounds from ratio extrema of the coefficients; read them
     as ``spec.bounds``, which computes them once."""
+    spec.ratio_times("ab", "df", "ef")
     U = ratio_extrema(spec, "a", "b")[1]
     V = ratio_extrema(spec, "d", "f")[1] + ratio_extrema(spec, "e", "f")[1] * U
     return RegionBounds(U=U, V=V)

@@ -132,12 +132,12 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
 
     Each is compared with the p-threshold.  An empty region is a vacuous
     pass: no coexistence state can exist.  The boundary classification,
-    the p = 1 region with its linear supremum, and the norm envelopes
-    (one :func:`lp_norm` call each for a and d, which evaluates its
-    coefficient once per quadrature level for the whole grid) are
-    computed once per call; per exponent, the threshold, the p-region
-    (searched once for both suprema) and its x*y supremum are shared by
-    the three tests.
+    the critical times of the two ratio pairs behind conditions 18/19
+    (one batched root solve), the p = 1 region with its linear supremum,
+    and the norm envelopes (one :func:`lp_norm` call each for a and d,
+    which serves the whole grid from one quadrature) are computed once
+    per call; per exponent, the threshold, the p-region (searched once for
+    both suprema) and its x*y supremum are shared by the three tests.
 
     Conclusion priority: both strict conditions passing dominates, then any
     exponent-test pass, then inconclusive; systems without coexistence
@@ -158,6 +158,8 @@ def scan_p(spec: SystemSpec, grid: Sequence[float]) -> StabilityReport:
     alpha_1, beta_1 = envelopes[1.0]
     linear1 = 0.5 * (region1.b_max * alpha_1 + region1.f_max * beta_1)
 
+    # conditions 18 and 19 read f/c, c/f, e/b and b/e: two ratio pairs, one root solve
+    spec.ratio_times("cf", "be")
     results = [condition18(spec), condition19(spec)]
     for p in grid:
         threshold = jfunc.threshold_p(p)

@@ -89,6 +89,13 @@ class PeriodicOrbit1D:
             raise ValueError(f"orbit endpoints differ by {gap:.3e}; not periodic")
 
 
+def growth_cells(growth: PeriodicCoefficient, T: float) -> float:
+    """T * max|growth|, with max|growth| bounded by |mean| plus the harmonic
+    amplitudes: the number of cells over which the running integral of
+    growth changes by at most 1 per cell."""
+    return T * (abs(growth.mean) + sum(math.hypot(ck, sk) for _, ck, sk in growth.harmonics))
+
+
 def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
                       T: float) -> PeriodicOrbit1D:
     """The unique positive T-periodic solution of u' = u*(growth - damping*u).
@@ -120,12 +127,11 @@ def periodic_logistic(growth: PeriodicCoefficient, damping: PeriodicCoefficient,
         raise NoPositiveSolution(
             f"mean growth {lam:.6g} <= 0: no positive periodic solution")
 
-    max_growth = abs(lam) + sum(math.hypot(ck, sk) for _, ck, sk in growth.harmonics)
     k_max = max((k for coeff in (growth, damping) for k, _, _ in coeff.harmonics), default=0)
     # with 8 cells per period the top harmonic sits at an eighth of the grid,
     # so the modes it makes in the state up to 4 * k_max fall in the tested
     # top half of the spectrum instead of folding onto low modes unseen
-    cells = max(T * max_growth, 8.0 * k_max)
+    cells = max(growth_cells(growth, T), 8.0 * k_max)
     if not cells <= MAX_GRID:
         raise GridTooLarge(f"the periodic logistic state needs {cells:.3e} grid cells "
                            f"(T * max|growth| or 8 per top harmonic), more than {MAX_GRID}")

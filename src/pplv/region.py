@@ -595,7 +595,7 @@ def _sup_over_region(region: RegionSpec, objective: Callable[[float, float], flo
     y = top(x)
     if x_a < x_b and (x <= 0.0 or y <= 0.0):
         inward = min(8.0 * math.ulp(1.0) * x_b, 0.5 * (x_b - x_a))
-        x = x + inward if x == x_a else x - inward
+        x = x + inward if x == x_a else max(x - inward, x_a)
         y = top(x)
     return SupResult(float(objective(x, y)), (x, y), empty=False, degenerate=found.degenerate)
 

@@ -55,7 +55,7 @@ from ._dop853 import Field, solve_ivp
 from .coeffs import SystemSpec
 from .constant_case import SingularSystem, equilibrium
 from .jfunc import INF, check_exponent
-from .logistic import check_uniform_grid, periodic_mean
+from .logistic import MAX_GRID, GridTooLarge, check_uniform_grid, growth_cells, periodic_mean
 from .region import cp_slack, region_spec
 
 TOL_ODE = 1e-10
@@ -336,7 +336,17 @@ def _newton(spec: SystemSpec, guesses: Sequence[np.ndarray]) -> list:
     representative's guess.  Returns, per guess, either (z, r) with z the
     accepted (log u, log v), or the NonPositive, NoConvergence, StepFailure
     or Duplicate that retired it.
+
+    Before any solve it raises GridTooLarge when T * max|a| or T * max|d|
+    is more than ``logistic.MAX_GRID``, the bound the periodic logistic
+    state takes: the period map of so stiff a system would take about
+    that many steps per solve.
     """
+    for name in "ad":
+        cells = growth_cells(getattr(spec, name), spec.T)
+        if not cells <= MAX_GRID:
+            raise GridTooLarge(f"T * max|{name}| = {cells:.3e} is more than {MAX_GRID}: "
+                               "the period map is too stiff to integrate")
     bounds = spec.bounds
     if not (bounds.U > 0 and bounds.V > 0):
         return [NoConvergence(f"no a-priori box: U = {bounds.U}, V = {bounds.V}") for _ in guesses]
@@ -476,7 +486,8 @@ def find_coexistence(spec: SystemSpec, guess: Sequence[float]) -> PeriodicOrbit2
     module docstring), retired once it leaves the a-priori box from
     ``spec.bounds``, or unsolved without one; convergence requires the log
     displacement over the period, max |P(z) - z| in (log u, log v), to fall
-    to 1e-10 * T.  Raises NonPositive, NoConvergence or StepFailure.
+    to 1e-10 * T.  Raises NonPositive, NoConvergence, StepFailure or
+    GridTooLarge (see :func:`_newton`).
     """
     outcome = _newton(spec, [np.asarray(guess, dtype=float)])[0]
     if isinstance(outcome, Exception):

@@ -107,6 +107,9 @@ THREE_ORBITS = config(21.167603286, (0.852671711, (1, 0, 0.818768602)), 0.177992
 # trial steps of this forced system overflow exp in the log field
 OVERFLOW_STEPS = config(23.95208121, (1.505490583, (1, 0, 1.058485341)), 0.054979081,
                         1.07076543, (-1.051103853, (1, 0.406644413, 0)), 2.568602992, 0.00848041)
+# coexistence with T * max|d| = 1e10: too stiff for the period map, and
+# mean(d) < 0, so no periodic logistic state of d refuses it first
+STIFF_D = config(1, 1, 1e-10, 1, -1e10, 2, 1)
 # a constant system (b, e scaled by 1e200 and c, f by 1e-200 from one with
 # all four near 1): f_max * U underflows to 0 in the region's slice search
 SCALED = config(1.497397704, 1.136043502, 1.153159674e+200, 2.75384595e-201, 1.759602375,
@@ -200,7 +203,7 @@ CASES = (
     Case("b_zero-analyze", "--command analyze", B_ZERO, exit=EXIT_ERROR, stderr=ERROR),
     # the loose Newton solves keep the orbit and its class, and warn about nothing
     Case("saddle-simulate", "--command simulate", SADDLE, exit=EXIT_INCONCLUSIVE,
-         first=_ONE_ORBIT, patterns=("-> unstable",), stderr=EMPTY),
+         first=_ONE_ORBIT, patterns=("-> unstable$",), stderr=EMPTY),
     # header plus 88 exponents, from 2 at p = 1 to pi at p = inf
     Case("jfunc-table", "--command jfunc", csv={"jfunc.csv": 89},
          csv_lines={"jfunc.csv": {1: "1,2", -1: r"inf,3\.14159265358979.*"}}),
@@ -266,6 +269,9 @@ CASES = (
     # the overflowing trial steps are rejected without a warning
     Case("overflow_steps-simulate", "--command simulate", OVERFLOW_STEPS, first=_ONE_ORBIT,
          stderr=EMPTY),
+    # the orbit search refuses the system before any solve
+    Case("stiff_d-simulate", "--command simulate", STIFF_D, exit=EXIT_ERROR, stderr=ERROR,
+         seconds=10.0),
     # the margins of conditions 18/19 are those of the unscaled system
     Case("scaled-analyze", f"--command analyze --p {_SCALED_P}", SCALED,
          lines=("  condition18        p=-     lhs=1.5488864395617132       "

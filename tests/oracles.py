@@ -171,3 +171,17 @@ def sampled_extrema(fn, T: float, n: int = 4096, rounds: int = 3, m: int = 65):
                 lo, hi = xs[j] - step, xs[j] + step
         out.append(sign * best)
     return out[1], out[0]
+
+
+def root_times_one_at_a_time(laurent: np.ndarray, T: float) -> np.ndarray:
+    """The times in [0, T) at the root angles of z**n * sum_k c_k z**k, from
+    one ``numpy.roots`` call, after the scaling and end trimming of
+    ``coeffs._root_times``."""
+    mags = np.abs(laurent)
+    top = mags.max(initial=0.0)
+    keep = np.flatnonzero(mags > math.sqrt(np.finfo(float).eps) * top)
+    if keep.size == 0:
+        return np.empty(0)
+    poly = laurent[keep[0]:keep[-1] + 1][::-1]
+    roots = np.roots(poly.real / top + 1j * (poly.imag / top))
+    return np.mod(np.angle(roots) * (T / (2.0 * math.pi)), T)

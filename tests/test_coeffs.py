@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import sampled_extrema
+from oracles import root_times_one_at_a_time, sampled_extrema
 
 from pplv.coeffs import (
     PeriodicCoefficient,
     SystemSpec,
+    _root_times,
     lp_norm,
     ratio_extrema,
     stats,
@@ -32,6 +33,11 @@ def ratio(num, den, T):
 HARMONICS = st.lists(
     st.tuples(st.integers(1, 5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     min_size=1, max_size=3, unique_by=lambda h: h[0])
+
+
+def positive_trig(margin, harmonics):
+    """A trig coefficient at least ``margin`` everywhere."""
+    return TRIG(margin + sum(abs(ck) + abs(sk) for _, ck, sk in harmonics), harmonics)
 
 
 @st.composite
@@ -191,7 +197,7 @@ class TestExtremaAgainstSampling:
     @settings(max_examples=60, deadline=None)
     def test_stats_and_ratio(self, c0, hs, margin, hd, T):
         num = TRIG(c0, hs)
-        den = TRIG(margin + sum(abs(ck) + abs(sk) for _, ck, sk in hd), hd)
+        den = positive_trig(margin, hd)
         s = stats(num, T)
         assert_matches_sampling((s.minimum, s.maximum),
                                 sampled_extrema(lambda t: num.evaluate(T, t), T))
@@ -374,3 +380,51 @@ class TestRatioExtrema:
         # a and d may change sign, so they are no denominator
         with pytest.raises(ValueError, match="no ratio"):
             ratio_extrema(eq30_spec, num, den)
+
+    @pytest.mark.parametrize("pair", ["aT", "Tb", "abc", "a"])
+    def test_ratio_times_of_names_outside_the_system_raise(self, eq30_spec, pair):
+        with pytest.raises(ValueError, match="no ratio"):
+            eq30_spec.ratio_times("ab", pair)
+
+    @given(HARMONICS, st.floats(0.1, 2.0), HARMONICS, st.floats(0.1, 2.0),
+           st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_reciprocal_pair_shares_its_critical_times(self, hc, mc, hf, mf, T):
+        # f/c is read at the critical times of c/f, solved once per system
+        # whichever is asked first
+        one = C(1.0)
+        spec = SystemSpec(T=T, a=one, b=one, c=positive_trig(mc, hc), d=one, e=one,
+                          f=positive_trig(mf, hf))
+        again = SystemSpec(T=T, a=one, b=one, c=spec.c, d=one, e=one, f=spec.f)
+        lo = ratio_extrema(spec, "f", "c")[0]
+        hi = ratio_extrema(spec, "c", "f")[1]
+        assert abs(lo - 1.0 / hi) <= 4.0 * math.ulp(lo)
+        assert ratio_extrema(again, "c", "f")[1] == hi
+        assert ratio_extrema(again, "f", "c")[0] == lo
+
+
+# Laurent series c_{-n}, ..., c_n with n up to 4, some all zero or of length
+# 1, with entries across magnitudes so that the end trimming acts
+LAURENT_ENTRY = st.floats(-2.0, 2.0) | st.sampled_from((0.0, 1e-9, -3e-12, 1e-300))
+LAURENT = st.integers(0, 4).flatmap(lambda n: st.one_of(
+    st.just(np.zeros(2 * n + 1, dtype=complex)),
+    st.lists(st.builds(complex, LAURENT_ENTRY, LAURENT_ENTRY), min_size=2 * n + 1,
+             max_size=2 * n + 1).map(lambda c: np.array(c, dtype=complex))))
+
+
+class TestRootTimes:
+    @given(st.lists(LAURENT, min_size=1, max_size=8), st.floats(0.1, 10.0))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_solve_equals_numpy_roots(self, series, T):
+        # companions of one size are solved in one stacked call, each built
+        # as numpy.roots builds it: the times are bitwise those of one call
+        # per series
+        got = _root_times(series, T)
+        assert len(got) == len(series)
+        for times, laurent in zip(got, series):
+            expected = root_times_one_at_a_time(laurent, T)
+            assert times.shape == expected.shape
+            assert np.array_equal(times, expected)
+
+    def test_empty_batch(self):
+        assert _root_times([], 1.0) == []

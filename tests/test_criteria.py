@@ -471,10 +471,26 @@ def region_work(monkeypatch) -> tuple[Counter, Counter]:
     return searches, curves
 
 
+def companion_stacks(monkeypatch) -> list[int]:
+    """Count the stacked eigenvalue solves: one entry per np.linalg.eigvals
+    call, the number of companion matrices it solved."""
+    stacks: list[int] = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        stacks.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    return stacks
+
+
 def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic_spec):
+    # a new system, whose ratio pairs and bounds are not solved yet
+    spec = dataclasses.replace(two_harmonic_spec)
+    stacks = companion_stacks(monkeypatch)
     searches, curves = region_work(monkeypatch)
     counts = count_calls(monkeypatch, {
-        "_root_times": pplv.coeffs._root_times,
         "classify_boundary": pplv.existence.classify_boundary,
         "periodic_logistic": pplv.logistic.periodic_logistic,
         "region_spec": pplv.region.region_spec,
@@ -482,7 +498,7 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
         "threshold_p": pplv.jfunc.threshold_p,
     })
     evaluations = evaluations_per_lp_norm(monkeypatch)
-    report = scan_p(two_harmonic_spec, GRID)
+    report = scan_p(spec, GRID)
     assert report.classification.coexistence_exists
     assert counts["classify_boundary"] == 1
     # one lp_norm call each for a and d, which finds the zeros of the
@@ -490,9 +506,13 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
     grid_counts = list(evaluations)
     assert len(grid_counts) == 2
     # the extrema of b, c, e and f were found when the system was built, and
-    # no ratio solves its denominator's again: two solves per lp_norm call
-    # and one per ratio, of which the three behind U, V may be cached
-    assert counts["_root_times"] <= 11
+    # no ratio solves its denominator's again.  9 companion problems: 2 per
+    # lp_norm call (the zeros of the coefficient and of its derivative), 3
+    # for U, V and 2 for conditions 18/19, where f/c reads the times of c/f
+    # and e/b those of b/e.  Each call stacks the problems of one size:
+    # U, V and each lp_norm call take one, 18/19 two (sizes 4 and 2)
+    assert sum(stacks) == 9
+    assert len(stacks) == 5
     assert counts["periodic_logistic"] <= 2
     assert counts["region_spec"] == 1
     assert counts["sup_xy"] == len(GRID)
@@ -504,14 +524,15 @@ def test_scan_p_computes_each_per_system_quantity_once(monkeypatch, two_harmonic
     assert set(curves) == {p for p in GRID if p != INF}
     assert max(curves.values()) <= 30
     # each lp_norm call evaluates its coefficient once for the extrema, once
-    # at the quadrature midpoints and once per level for every exponent at
-    # once: no more often than its slowest exponent alone, and at most 10 times
+    # at the quadrature midpoints and the first 5 levels together, and once
+    # per further level for every exponent at once: no more often than its
+    # slowest exponent alone, and at most 5 times
     for coef, grid_count in zip((two_harmonic_spec.a, two_harmonic_spec.d), grid_counts):
         del evaluations[:]
         for p in GRID:
             pplv.coeffs.lp_norm(coef, two_harmonic_spec.T, (p,))
         assert grid_count <= max(evaluations)
-        assert grid_count <= 2 + len(pplv.coeffs._TS_RULES) == 10
+        assert grid_count <= 2 + len(pplv.coeffs._TS_RULES) - pplv.coeffs._TS_FIRST_LEVELS == 5
 
 
 @pytest.mark.parametrize("name", ["two_harmonic_spec", "eq30_spec", "classical_spec",

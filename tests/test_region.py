@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -613,3 +614,36 @@ class TestSupremumProperty:
         for res in (sup_xy(reg), sup_linear(reg)):
             assert not res.empty
             assert math.isfinite(res.value) and all(map(math.isfinite, res.argmax))
+
+    def test_inward_step_stays_in_the_interval(self):
+        # the maximiser sits at x_c on the axis, far below 8 ulp of x_b, so
+        # the inward step from it would have left the interval below 0, where
+        # the ratio power is complex
+        reg = RegionSpec(p=1.5, abar=8.945e-87, dbar=5.802e-73, b_min=9.767e90,
+                         b_max=2.747e191, c_min=1.460e113, c_max=1.742e113, e_min=1.684e167,
+                         e_max=1.031e272, f_min=1.063e253, f_max=1.363e286,
+                         bounds=RegionBounds(U=3.630e33, V=5.036e278))
+        x_a, x_b = reg._slices.interval
+        for res in (sup_xy(reg), sup_linear(reg)):
+            assert not res.empty and res.degenerate
+            assert math.isfinite(res.value)
+            assert x_a <= res.argmax[0] <= x_b and res.argmax[1] >= 0.0
+
+    def test_extreme_magnitudes_never_raise(self):
+        # coefficients and bounds 10**uniform(-300, 300): each supremum is a
+        # result, possibly flagged, never an exception
+        rng = random.Random(13)
+
+        def magnitude():
+            return 10.0 ** rng.uniform(-300.0, 300.0)
+
+        for _ in range(4000):
+            p = rng.choice((1.0, 1.5, 2.0, 3.0, 10.0, 1e6, INF))
+            (b0, b1), (c0, c1), (e0, e1), (f0, f1) = (sorted((magnitude(), magnitude()))
+                                                      for _ in range(4))
+            reg = RegionSpec(p=p, abar=magnitude(), dbar=rng.choice((-1.0, 1.0)) * magnitude(),
+                             b_min=b0, b_max=b1, c_min=c0, c_max=c1, e_min=e0, e_max=e1,
+                             f_min=f0, f_max=f1,
+                             bounds=RegionBounds(U=magnitude(), V=magnitude()))
+            sup_xy(reg)
+            sup_linear(reg)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from pplv.coeffs import PeriodicCoefficient, SystemSpec
 from pplv.constant_case import equilibrium
 from pplv.criteria import GLOBALLY_STABLE_VIA_18_19, INCONCLUSIVE, intertwined_test, scan_p
 from pplv.jfunc import INF
-from pplv.logistic import periodic_logistic
+from pplv.logistic import GridTooLarge, periodic_logistic
 from pplv.region import compute_uv
 from pplv.simulate import (
     ASYMPTOTICALLY_STABLE,
@@ -617,6 +618,20 @@ class TestBoxRetirement:
             assert "no a-priori box" in str(outcome)
             assert f"U = {spec.bounds.U}, V = {spec.bounds.V}" in str(outcome)
         assert find_coexistence_multistart(spec) == []
+
+    @pytest.mark.parametrize("a, d", [(1e10, 1.0), (1.0, -1e10)])
+    def test_stiff_system_refused_before_any_solve(self, monkeypatch, a, d):
+        # T * max|a| or T * max|d| = 1e10 is more than logistic.MAX_GRID
+        spec = const_spec(a, 1.0, 1.0, d, 1.0, 1.0)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ivp called on a stiff system")
+
+        monkeypatch.setattr(simulate, "solve_ivp", no_solve)
+        began = time.perf_counter()
+        with pytest.raises(GridTooLarge, match="too stiff to integrate"):
+            find_coexistence_multistart(spec)
+        assert time.perf_counter() - began < 2.0
 
 
 class TestForcedRegressionSystems:
